@@ -141,6 +141,8 @@ def naznik_params(theta: float, delta: float, d: float) -> NazNikParams:
         C = (2 pi)^(d/4) theta^(d gamma/2) sin(pi/d)^((1+gamma)/2)
             / ((d-1)^(1/2) (pi/d)^(1+gamma/2) Gamma(1+delta)^(d/2)).
     """
+    if not all(math.isfinite(v) for v in (theta, delta, d)):
+        raise ValueError("theta, delta and d must be finite")
     if theta <= 0:
         raise ValueError("theta must be positive")
     if d <= 1:
@@ -164,8 +166,8 @@ def naznik_params(theta: float, delta: float, d: float) -> NazNikParams:
 def naznik_asymptotic(theta: float, delta: float, d: float, eps: float) -> float:
     """log P{sum (theta(k+delta))^(-d) xi_k^2 < eps^2} per the explicit
     power-law asymptotics."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError("eps must be positive and finite")
     gamma, amp, coef = naznik_params(theta, delta, d)
     return math.log(amp) + gamma * math.log(eps) - coef * eps ** (-2.0 / (d - 1.0))
 
@@ -249,11 +251,19 @@ def dll_root(spec: PowerLawPhi, r: float) -> float:
     """The tilt u(r) > 0 solving I1(u) + u r = 0.
 
     I1 is negative and sublinear in u while u r grows linearly, so the root
-    exists for every r below the total mass int_1^inf phi; the bracket is
-    expanded geometrically in both directions before Brent's method.
+    exists for every r below the total mass
+    int_1^inf phi = theta^(-d) (1 + delta)^(1-d) / (d - 1); r at or above it
+    raises ValueError.  The bracket is expanded geometrically in both
+    directions before Brent's method.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not (r > 0 and math.isfinite(r)):
+        raise ValueError("r must be positive and finite")
+    mass = spec.theta ** (-spec.d) * (1.0 + spec.delta) ** (1.0 - spec.d) / (spec.d - 1.0)
+    if r >= mass:
+        raise ValueError(
+            f"r = {r:g} must be below the mass of phi, int_1^inf phi = "
+            f"theta^(-d) (1+delta)^(1-d) / (d-1) = {mass:.6g}"
+        )
 
     def f(u):
         i1 = _integrate_scaled(

@@ -11,7 +11,7 @@ Classification by the rank defect s of E_m - A^T Q:
 s = 0 non-critical, 0 < s < m partially critical, s = m critical
 (equivalently A = Q^{-1}).
 
-Non-critical transfer: P{||X_A|| < eps} ~ P{||X_0|| < eps} / det(E - QA).
+Non-critical transfer: P{||X_A|| < eps} ~ P{||X_0|| < eps} / |det(E - QA)|.
 Critical transfer: a prefactor sqrt(det Q / det int phi phi^T) times the
 m-fold Abel smoothing of the m-th derivative of the base distribution;
 for Green covariances of order 2l this collapses to the closed factor
@@ -246,8 +246,14 @@ def classify(a: np.ndarray, q: np.ndarray, tol: float = CLASSIFY_TOL) -> Classif
 
 
 def theorem1_factor(a: np.ndarray, q: np.ndarray, tol: float = CLASSIFY_TOL) -> float:
-    """Small-ball transfer factor 1 / det(E_m - Q A) of a non-critical
-    perturbation."""
+    """Small-ball transfer factor 1 / |det(E_m - Q A)| of a non-critical
+    perturbation.
+
+    The factor is a ratio of probabilities, so it is positive: it is the
+    square root of the eigenvalue-product limit det(E - QA)^2.  Two
+    parameter matrices with the same D (for m = 1, A and 2/Q - A) have the
+    same covariance and the same factor, whatever the sign of the
+    determinant."""
     cls = classify(a, q, tol)
     if cls.label != NON_CRITICAL:
         raise NumericError(
@@ -256,7 +262,7 @@ def theorem1_factor(a: np.ndarray, q: np.ndarray, tol: float = CLASSIFY_TOL) -> 
         )
     m = a.shape[0]
     det = float(np.linalg.det(np.eye(m) - q @ a))
-    return 1.0 / det
+    return 1.0 / abs(det)
 
 
 class ProductCheck(NamedTuple):

@@ -64,10 +64,14 @@ class WeightSeq:
         object.__setattr__(self, "head", head)
         if head.size == 0:
             raise ValueError("weight sequence must be non-empty")
+        if not np.all(np.isfinite(head)):
+            raise ValueError("weights must be finite")
         if not np.all(head > 0):
             raise ValueError("weights must be strictly positive")
         if np.any(np.diff(head) > 1e-12 * head[0]):
             raise ValueError("weights must be non-increasing")
+        if not math.isfinite(self.tail_sum_bound):
+            raise ValueError("tail_sum_bound must be finite")
         if self.tail_sum_bound < 0:
             raise ValueError("tail_sum_bound must be >= 0")
 
@@ -94,12 +98,96 @@ class ProbabilityEstimate:
 # ---------------------------------------------------------------------------
 
 
-def _imhof_parts(mu: np.ndarray, t: float) -> tuple[float, float]:
+def _imhof_parts(mu: np.ndarray, t):
     """Phase theta0(t) and amplitude log rho(t) of the characteristic
-    function prod (1 - 2 i mu_k t)^(-1/2)."""
-    theta = 0.5 * float(np.sum(np.arctan(2.0 * mu * t)))
-    log_rho = 0.25 * float(np.sum(np.log1p(4.0 * mu * mu * t * t)))
+    function prod (1 - 2 i mu_k t)^(-1/2); t is a scalar or an array, and
+    both results have its shape."""
+    t = np.asarray(t, dtype=float)[..., None]
+    theta = 0.5 * np.arctan(2.0 * mu * t).sum(axis=-1)
+    log_rho = 0.25 * np.log1p(4.0 * mu * mu * t * t).sum(axis=-1)
     return theta, log_rho
+
+
+# QUADPACK qk21: the 21-point Kronrod rule and its embedded 10-point Gauss
+# rule on [-1, 1], as scipy's quad applies them in its first step
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208980040215, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+# nodes -x_0 .. -x_9, 0, x_9 .. x_0; the Gauss nodes are x_1, x_3, .., x_9
+_GK_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+_GK_WEIGHTS = np.concatenate([_WGK[:-1], _WGK[::-1]])
+_G_WEIGHTS = np.zeros(21)
+_G_WEIGHTS[1:10:2] = _WG
+_G_WEIGHTS[11:20:2] = _WG[::-1]
+# quad's default tolerances, which decide whether its first step is final
+_QUAD_EPS = 1.49e-8
+# elements of the (t, mu_k) outer product evaluated at once; this bounds each
+# temporary at 512 KiB whatever the panel count
+_BLOCK = 1 << 16
+
+
+def _integrate_panels(mu: np.ndarray, r: float, edges: np.ndarray) -> tuple[float, float]:
+    """Sum over the panels [edges[i], edges[i+1]] of
+    int sin(theta0(t) - t r) / (t rho(t)) dt, and the sum of the error
+    estimates.
+
+    Each panel gets quad's first step, the 21-point Gauss-Kronrod rule with
+    QUADPACK's error estimate, evaluated for all panels in one vectorised
+    pass.  Where quad would stop after that step (its default tolerances
+    met) the result is the same; the other panels, typically only the one
+    at t = 0, go to ``quad`` itself.
+    """
+    a, b = edges[:-1], edges[1:]
+    half = 0.5 * (b - a)
+    nodes = 0.5 * (a + b)[:, None] + half[:, None] * _GK_NODES
+    f = np.empty_like(nodes)
+    per_block = max(1, _BLOCK // (_GK_NODES.size * mu.size))
+    for i in range(0, a.size, per_block):
+        t = nodes[i:i + per_block]
+        theta, log_rho = _imhof_parts(mu, t)
+        f[i:i + per_block] = np.sin(theta - t * r) * np.exp(-log_rho) / t
+    res_k = f @ _GK_WEIGHTS
+    res_g = f @ _G_WEIGHTS
+    res_abs = np.abs(f) @ _GK_WEIGHTS * half
+    res_asc = np.abs(f - 0.5 * res_k[:, None]) @ _GK_WEIGHTS * half
+    result = res_k * half
+    err = np.abs(res_k - res_g) * half
+    scaled = np.divide(200.0 * err, res_asc, out=np.ones_like(err), where=res_asc > 0)
+    err = np.where((res_asc > 0) & (err > 0), res_asc * np.minimum(1.0, scaled**1.5), err)
+    err = np.maximum(err, 50.0 * np.finfo(float).eps * res_abs)
+    done = ((err <= np.maximum(_QUAD_EPS, _QUAD_EPS * np.abs(result))) & (err != res_asc)) | (err == 0)
+    total = float(result[done].sum())
+    err_sum = float(err[done].sum())
+
+    def integrand(t):
+        theta, log_rho = _imhof_parts(mu, t)
+        return math.sin(theta - t * r) * math.exp(-log_rho) / t
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for lo, hi in zip(a[~done], b[~done]):
+            v, e = quad(integrand, lo, hi, limit=60)
+            total += v
+            err_sum += e
+    return total, err_sum
 
 
 def cdf_gil_pelaez(w: WeightSeq, r: float, tol: float = 1e-9) -> ProbabilityEstimate:
@@ -136,10 +224,6 @@ def _gp_value(mu: np.ndarray, r: float, tol: float = 1e-9) -> tuple[float, float
     if float(log_bound.min()) < math.log(1e-14):
         return 0.0, math.exp(float(log_bound.min()))
 
-    def integrand(t):
-        theta, log_rho = _imhof_parts(mu, t)
-        return math.sin(theta - t * r) * math.exp(-log_rho) / t
-
     def g(t):
         _, log_rho = _imhof_parts(mu, t)
         return math.exp(-log_rho) / t
@@ -166,14 +250,7 @@ def _gp_value(mu: np.ndarray, r: float, tol: float = 1e-9) -> tuple[float, float
         )
     n_panels = int(max(1.5 * n_osc, 20.0))
     edges = np.linspace(0.0, T, n_panels + 1)
-    total = 0.0
-    err = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for a, b in zip(edges[:-1], edges[1:]):
-            v, e = quad(integrand, a, b, limit=60)
-            total += v
-            err += e
+    total, err = _integrate_panels(mu, r, edges)
     # leading by-parts term of the cut tail
     slope_T = r - theta_slope(T)
     total += g(T) * math.cos(theta_T - T * r) / slope_T
@@ -233,9 +310,9 @@ def cdf_saddlepoint(w: WeightSeq, r: float) -> ProbabilityEstimate:
     r_eff = r - w.tail_sum_bound
     if r_eff <= 0:
         return ProbabilityEstimate(0.0, -np.inf, 0.0, "saddlepoint")
-    log_value = _lr_logcdf(mu, r_eff)
-    # relative accuracy of LR is O(1/w^2); quote it through the saddle scale
     s = _solve_saddle(mu, r_eff)
+    log_value = _lr_logcdf(mu, r_eff, s)
+    # relative accuracy of LR is O(1/w^2); quote it through the saddle scale
     w_hat = -math.sqrt(max(2.0 * (s * r_eff - _cgf(s, mu)), 0.0))
     rel = 1.0 / max(w_hat * w_hat, 1.0)
     value = math.exp(log_value) if log_value > -700 else 0.0
@@ -274,8 +351,8 @@ def _solve_saddle(mu: np.ndarray, r: float) -> float:
     return brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
 
 
-def _lr_logcdf(mu: np.ndarray, r: float) -> float:
-    s = _solve_saddle(mu, r)
+def _lr_logcdf(mu: np.ndarray, r: float, s: float) -> float:
+    """Lugannani-Rice log P{Q < r} at the saddle s = _solve_saddle(mu, r)."""
     k0 = _cgf(s, mu)
     k2 = _cgf2(s, mu)
     arg = 2.0 * (s * r - k0)

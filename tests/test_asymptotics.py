@@ -59,6 +59,13 @@ class TestNazNik:
         with pytest.raises(ValueError):
             naznik_params(-1.0, 0.0, 2.0)
 
+    @given(st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(min_value=0, max_value=3))
+    def test_non_finite_input_rejected(self, bad, slot):
+        args = [math.pi, -0.5, 2.0, 0.05]
+        args[slot] = bad
+        with pytest.raises(ValueError):
+            naznik_asymptotic(*args)
+
     def test_form_agrees_with_log(self):
         form = naznik_form(math.pi, -0.5, 2.0)
         eps = 0.07
@@ -89,6 +96,22 @@ class TestDllRoot:
         assert scaled[0] > 0
         assert abs(scaled[2] - 0.125) < abs(scaled[0] - 0.125)
         assert scaled[2] == pytest.approx(0.125, rel=0.02)
+
+
+    def test_r_at_or_above_mass_rejected(self):
+        # Wiener member: int_1^inf (pi (t - 1/2))^-2 dt = 2 / pi^2 ~ 0.2026
+        spec = PowerLawPhi(theta=math.pi, delta=-0.5, d=2.0)
+        assert dll_root(spec, 0.2) > 0
+        for r in (2.0 / math.pi**2, 0.21, 1.0):
+            with pytest.raises(ValueError, match="mass of phi.*0.202642"):
+                dll_root(spec, r)
+        with pytest.raises(ValueError, match="mass of phi"):
+            dll_asymptotic(spec, 0.5)
+
+    @given(st.sampled_from([math.nan, math.inf]))
+    def test_non_finite_r_rejected(self, r):
+        with pytest.raises(ValueError):
+            dll_root(PowerLawPhi(theta=math.pi, delta=0.0, d=2.0), r)
 
 
 class TestDllAsymptotic:

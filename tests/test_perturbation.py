@@ -29,6 +29,7 @@ from smallball import (
     kernel_matrix,
     nystrom_spectrum,
     perturbed_kernel,
+    sampled,
     spectral_product_check,
     theorem1_factor,
     theorem2_closed,
@@ -181,6 +182,29 @@ class TestTheorem1:
         with pytest.raises(NumericError):
             theorem1_factor(np.array([[12.0]]), np.array([[1.0 / 12.0]]))
 
+    @pytest.mark.parametrize("a", [18.0, 24.0, 40.0])
+    def test_bridge_beyond_critical_is_positive(self, a):
+        # A = 18 and A = 6 give the same D; A = 24 gives D = 0 (G_A = G0)
+        q = np.array([[1.0 / 12.0]])
+        assert theorem1_factor(np.array([[a]]), q) == pytest.approx(1.0 / abs(1.0 - a / 12.0))
+        assert theorem1_factor(np.array([[a]]), q) > 0
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2**31 - 1))
+    def test_equal_d_equal_factor(self, m, seed):
+        # A' = 2 Q^-1 - A has the same D (test_duality) and
+        # det(E - QA') = (-1)^m det(E - QA)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        b = rng.normal(size=(m, m))
+        q = b @ b.T + 0.5 * np.eye(m)
+        a = rng.normal(size=(m, m))
+        a_mirror = 2.0 * np.linalg.inv(q) - a
+        if classify(a, q).label != NON_CRITICAL or classify(a_mirror, q).label != NON_CRITICAL:
+            return
+        np.testing.assert_allclose(d_matrix(a_mirror, q), d_matrix(a, q), atol=1e-8 * (1.0 + np.abs(d_matrix(a, q)).max()))
+        assert theorem1_factor(a_mirror, q) == pytest.approx(theorem1_factor(a, q), rel=1e-8)
+        assert theorem1_factor(a, q) > 0
+
     def test_spectral_product(self, bridge_spectrum_2000, perturbed_spectrum_a6):
         check = spectral_product_check(bridge_spectrum_2000, perturbed_spectrum_a6, 200)
         assert check.value == pytest.approx(0.25, rel=0.01)
@@ -217,6 +241,27 @@ class TestTheorem1:
             slack = 1e-9 * mu0[0]
             assert np.all(mu[1:300] <= mu0[: 300 - 1] + slack)
             assert np.all(mu[:300] >= mu0[1:301] - slack)
+
+
+@pytest.fixture(scope="module")
+def bridge_base_400():
+    grid = gauss_legendre_grid(400)
+    return grid, nystrom_spectrum(bridge(), grid, 200)
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.floats(min_value=-40.0, max_value=80.0).filter(lambda a: abs(1.0 - a / 12.0) > 0.1))
+def test_theorem1_factor_matches_eigenvalue_product(bridge_base_400, a):
+    # factor^2 * prod mu_k(A) / mu_k(0) -> 1 on both sides of A = Q^-1 = 12
+    grid, base = bridge_base_400
+    pert = PerturbationSpec(phi=np.ones(grid.size), a_matrix=np.array([[a]]), grid=grid)
+    gram = build_gram(bridge(), pert)
+    g_a = perturbed_kernel(kernel_matrix(bridge(), grid), gram.psi, gram.d_matrix)
+    spec_a = nystrom_spectrum(sampled(grid, g_a, diag_jump=np.ones(grid.size), green_order=1), grid, 200)
+    product = spectral_product_check(base, spec_a, 100).value
+    factor = theorem1_factor(pert.a_matrix, gram.q_matrix)
+    assert factor > 0
+    assert factor * factor * product == pytest.approx(1.0, abs=1e-3)
 
 
 class TestCorollaries:

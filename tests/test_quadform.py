@@ -1,7 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.integrate import quad as scipy_quad
+from scipy.optimize import brentq
 from scipy.stats import norm
 
 from smallball import (
@@ -11,7 +16,11 @@ from smallball import (
     cdf_monte_carlo,
     cdf_saddlepoint,
     distortion_constant,
+    durbin,
+    durbin_kernel_spec,
     naznik_asymptotic,
+    nystrom_spectrum,
+    quadform,
     read_weights,
     write_weights,
 )
@@ -102,6 +111,18 @@ class TestSaddlepoint:
     def test_rejects_nonpositive_r(self):
         with pytest.raises(ValueError):
             cdf_saddlepoint(bridge_weights(10), 0.0)
+
+    def test_one_saddle_solve_per_call(self, monkeypatch):
+        calls = []
+        real = quadform.brentq
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(quadform, "brentq", counting)
+        cdf_saddlepoint(wiener_weights(1000), 0.01)
+        assert len(calls) == 1
 
 
 class TestMonteCarlo:
@@ -225,6 +246,23 @@ class TestWeightIO:
         with pytest.raises(ValueError):
             WeightSeq(head=np.array([1.0]), tail_sum_bound=-1.0)
 
+    @given(
+        st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=1, max_size=20),
+        st.sampled_from([math.nan, math.inf]),
+        st.integers(min_value=0),
+    )
+    def test_non_finite_head_rejected(self, values, bad, pos):
+        head = sorted(values, reverse=True)
+        head[pos % len(head)] = bad
+        with pytest.raises(ValueError):
+            WeightSeq(head=np.array(head))
+
+    @given(st.sampled_from([math.nan, math.inf]))
+    def test_non_finite_tail_rejected(self, bad):
+        # a nan tail used to reach cdf_monte_carlo and come back as 0 +- 3/n
+        with pytest.raises(ValueError):
+            WeightSeq(head=np.array([0.5, 0.25]), tail_sum_bound=bad)
+
 
 class TestThreading:
     def test_thread_count_does_not_change_result(self, monkeypatch):
@@ -244,3 +282,84 @@ class TestInversionMonotonicity:
         rs = (0.02, 0.05, 0.1, 1.0 / 6.0, 0.3, 0.6)
         vals = [cdf_gil_pelaez(w, r).value for r in rs]
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+def _quad_panel_oracle(mu, r, edges):
+    """Each panel of the inversion integral through scipy's quad, one call
+    per panel, with a scalar integrand."""
+
+    def integrand(t):
+        theta = 0.5 * float(np.sum(np.arctan(2.0 * mu * t)))
+        log_rho = 0.25 * float(np.sum(np.log1p(4.0 * mu * mu * t * t)))
+        return math.sin(theta - t * r) * math.exp(-log_rho) / t
+
+    total = err = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for a, b in zip(edges[:-1], edges[1:]):
+            v, e = scipy_quad(integrand, a, b, limit=60)
+            total += v
+            err += e
+    return total, err
+
+
+def _closed_form_weights(delta, n=300):
+    # mu_k = (pi (k + delta))^-2 with sum_{k>n} mu_k <= 1 / (pi^2 (n + delta))
+    k = np.arange(1, n + 1)
+    return WeightSeq(head=1.0 / (np.pi * (k + delta)) ** 2, tail_sum_bound=1.0 / (np.pi**2 * (n + delta)))
+
+
+CURVE_CASES = [("bridge", r) for r in (0.02, 0.03, 0.05, 0.08, 0.12, 0.2, 0.3, 0.5, 0.8)] + [
+    ("wiener", r) for r in (0.03, 0.05, 0.08, 0.12, 0.2, 0.3, 0.5, 0.8, 1.2)
+]
+DURBIN_FAMILIES = ("normal_location", "normal_location_scale", "exponential_rate")
+
+
+@pytest.fixture(scope="module")
+def durbin_limit_weights(gl1000):
+    out = {}
+    for name in DURBIN_FAMILIES:
+        spec = nystrom_spectrum(durbin_kernel_spec(getattr(durbin, name)(), gl1000), gl1000, 300)
+        out[name] = WeightSeq(head=spec.eigenvalues[:300])
+    return out
+
+
+class TestPanelOracle:
+    """The blocked Gauss-Kronrod pass against one quad call per panel."""
+
+    def _compare(self, monkeypatch, w, r):
+        panels = []
+        fallbacks = []
+        real_panels, real_quad = quadform._integrate_panels, quadform.quad
+
+        def spy_panels(mu, r_eff, edges):
+            panels.append(edges.size - 1)
+            return real_panels(mu, r_eff, edges)
+
+        def spy_quad(*args, **kwargs):
+            fallbacks.append(args[1:3])
+            return real_quad(*args, **kwargs)
+
+        monkeypatch.setattr(quadform, "_integrate_panels", spy_panels)
+        monkeypatch.setattr(quadform, "quad", spy_quad)
+        new = cdf_gil_pelaez(w, r)
+        monkeypatch.setattr(quadform, "_integrate_panels", _quad_panel_oracle)
+        ref = cdf_gil_pelaez(w, r)
+        assert abs(new.value - ref.value) <= 1e-12
+        assert new.error_bound == pytest.approx(ref.error_bound, rel=0.01)
+        # at most the panel at t = 0 of each inversion goes to quad; at the
+        # smallest radii an inversion has the minimum of 20 panels, so the
+        # share there is exactly 1/20
+        assert all(a == 0.0 for a, _ in fallbacks)
+        assert len(fallbacks) <= len(panels)
+        assert len(fallbacks) <= 0.05 * sum(panels)
+
+    @pytest.mark.parametrize("proc,r", CURVE_CASES)
+    def test_cdf_curve_radii(self, monkeypatch, proc, r):
+        self._compare(monkeypatch, _closed_form_weights({"bridge": 0.0, "wiener": -0.5}[proc]), r)
+
+    @pytest.mark.parametrize("family", DURBIN_FAMILIES)
+    def test_durbin_limit_at_q10(self, monkeypatch, durbin_limit_weights, family):
+        w = durbin_limit_weights[family]
+        q10 = brentq(lambda r: cdf_gil_pelaez(w, r).value - 0.1, 0.1 * w.total, w.total, xtol=1e-6)
+        self._compare(monkeypatch, w, q10)
