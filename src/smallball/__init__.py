@@ -1,152 +1,25 @@
 """smallball: exact and asymptotic L2 small-ball probabilities for Gaussian
 processes and their finite-dimensional perturbations."""
 
-from .asymptotics import (
-    AsymptoticForm,
-    PowerLawPhi,
-    abel_reduce,
-    differentiate_form,
-    dll_asymptotic,
-    dll_prefactor,
-    dll_root,
-    green_base_form,
-    green_rate,
-    naznik_asymptotic,
-    naznik_form,
-    naznik_params,
-)
-from .durbin import (
-    DurbinModel,
-    FamilySpec,
-    durbin_kernel_matrix,
-    durbin_kernel_spec,
-    durbin_model,
-    durbin_phi,
-    durbin_psi,
-    durbin_psi_prime,
-    exponential_rate,
-    fisher_matrix,
-    normal_location,
-    normal_location_scale,
-    simulate_omega2,
-)
-from .errors import ConsistencyError, DataError, NumericError, SmallBallError
-from .grids import Grid, gauss_legendre_grid, graded_endpoint_grid
-from .kernels import (
-    KernelSpec,
-    bridge,
-    kernel_eval,
-    kernel_matrix,
-    ornstein_uhlenbeck,
-    sampled,
-    wiener,
-)
-from .perturbation import (
-    CRITICAL,
-    NON_CRITICAL,
-    PARTIALLY_CRITICAL,
-    Classification,
-    GramData,
-    PerturbationSpec,
-    annihilation_residual,
-    bateman_ratio,
-    build_gram,
-    classify,
-    compute_psi,
-    critical_prefactor,
-    d_matrix,
-    gram_q,
-    perturbed_kernel,
-    spectral_product_check,
-    theorem1_factor,
-    theorem2_closed,
-    theorem2_convolution_numeric,
-    theorem3_asymptotic,
-)
-from .quadform import (
-    ProbabilityEstimate,
-    WeightSeq,
-    cdf_gil_pelaez,
-    cdf_monte_carlo,
-    cdf_saddlepoint,
-    distortion_constant,
-    read_weights,
-    write_weights,
-)
-from .spectral import FourierCoeffs, Spectrum, fourier_coefficients, nystrom_spectrum
+from . import asymptotics, durbin, errors, grids, kernels, perturbation, quadform, spectral
+from .asymptotics import *  # noqa: F403
+from .durbin import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .grids import *  # noqa: F403
+from .kernels import *  # noqa: F403
+from .perturbation import *  # noqa: F403
+from .quadform import *  # noqa: F403
+from .spectral import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticForm",
-    "Classification",
-    "ConsistencyError",
-    "CRITICAL",
-    "DataError",
-    "DurbinModel",
-    "FamilySpec",
-    "FourierCoeffs",
-    "GramData",
-    "Grid",
-    "KernelSpec",
-    "NON_CRITICAL",
-    "NumericError",
-    "PARTIALLY_CRITICAL",
-    "PerturbationSpec",
-    "PowerLawPhi",
-    "ProbabilityEstimate",
-    "SmallBallError",
-    "Spectrum",
-    "WeightSeq",
-    "abel_reduce",
-    "annihilation_residual",
-    "bateman_ratio",
-    "bridge",
-    "build_gram",
-    "cdf_gil_pelaez",
-    "cdf_monte_carlo",
-    "cdf_saddlepoint",
-    "classify",
-    "compute_psi",
-    "critical_prefactor",
-    "d_matrix",
-    "differentiate_form",
-    "distortion_constant",
-    "dll_asymptotic",
-    "dll_prefactor",
-    "dll_root",
-    "durbin_kernel_matrix",
-    "durbin_kernel_spec",
-    "durbin_model",
-    "durbin_phi",
-    "durbin_psi",
-    "durbin_psi_prime",
-    "exponential_rate",
-    "fisher_matrix",
-    "fourier_coefficients",
-    "gauss_legendre_grid",
-    "graded_endpoint_grid",
-    "gram_q",
-    "green_base_form",
-    "green_rate",
-    "kernel_eval",
-    "kernel_matrix",
-    "naznik_asymptotic",
-    "naznik_form",
-    "naznik_params",
-    "normal_location",
-    "normal_location_scale",
-    "nystrom_spectrum",
-    "ornstein_uhlenbeck",
-    "perturbed_kernel",
-    "read_weights",
-    "sampled",
-    "simulate_omega2",
-    "spectral_product_check",
-    "theorem1_factor",
-    "theorem2_closed",
-    "theorem2_convolution_numeric",
-    "theorem3_asymptotic",
-    "wiener",
-    "write_weights",
+    *asymptotics.__all__,
+    *durbin.__all__,
+    *errors.__all__,
+    *grids.__all__,
+    *kernels.__all__,
+    *perturbation.__all__,
+    *quadform.__all__,
+    *spectral.__all__,
 ]

@@ -83,14 +83,41 @@ def _kernel_from_config(cfg: dict) -> kernels.KernelSpec:
     raise ValueError(f"unknown kernel type {kind!r}")
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Override the parsed flags with the JSON object in ``--config``.
+
+    Each key must name an option of the subcommand, and each value is read
+    as if it were given on the command line, through that option's type and
+    choices; a bad key or value is an argument error like a bad flag.
+    """
     path = getattr(args, "config", None)
     if not path:
         return
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("config must be a JSON object")
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        a.dest: a
+        for a in commands.choices[args.command]._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
     for key, value in cfg.items():
-        setattr(args, key.replace("-", "_"), value)
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            raise ValueError(f"config key {key!r} is not an option of {args.command}")
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise ValueError(f"config key {key!r} needs true or false, not {value!r}")
+        else:
+            try:
+                value = (action.type or str)(str(value))
+            except (TypeError, ValueError):
+                raise ValueError(f"config key {key!r}: invalid value {value!r}") from None
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
+        setattr(args, action.dest, value)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +212,7 @@ def _cmd_asymptotic(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
+    with open(args.problem, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
     kernel = _kernel_from_config(cfg["kernel"])
     n = int(cfg.get("grid_size", 1000))
@@ -235,7 +262,7 @@ def _cmd_perturb(args) -> int:
         diagnostics["eps"] = args.eps
     report = _report(
         "perturb",
-        {"config": str(args.config), "grid_size": grid.size, "m": spec.m},
+        {"config": str(args.problem), "grid_size": grid.size, "m": spec.m},
         results,
         diagnostics,
     )
@@ -422,8 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_asymptotic)
 
     p = sub.add_parser("perturb", help="perturbation classification and transfer factors")
-    p.add_argument("--config", required=True, help="JSON problem description")
-    p.add_argument("--classify", action="store_true", help="classification only (default)")
+    p.add_argument("--config", dest="problem", required=True, help="JSON problem description")
     p.add_argument("--theorem1", action="store_true", help="non-critical transfer factor")
     p.add_argument("--theorem3", action="store_true", help="critical Green-process factor")
     p.add_argument("--eps", type=float, default=None)
@@ -432,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("durbin", help="Durbin limiting processes and the omega^2 simulator")
     p.add_argument("--family", choices=tuple(_FAMILY_SLUGS), required=True)
-    p.add_argument("--fisher", action="store_true", help="report the Fisher matrix (default)")
     p.add_argument("--simulate", action="store_true")
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--reps", type=int, default=10000)
@@ -453,7 +478,7 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args)
+        _apply_config(parser, args)
         return args.func(args)
     except SystemExit as exc:  # argparse usage errors and --version
         return int(exc.code or 0)

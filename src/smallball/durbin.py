@@ -34,6 +34,7 @@ from . import kernels
 from .errors import ConsistencyError
 from .grids import Grid, graded_endpoint_grid
 from .perturbation import CRITICAL, Classification, classify, gram_q
+from .quadform import _sharded_map
 
 __all__ = [
     "FamilySpec",
@@ -47,12 +48,18 @@ __all__ = [
     "fisher_matrix",
     "durbin_model",
     "durbin_kernel_matrix",
+    "durbin_kernel_spec",
     "simulate_omega2",
 ]
 
 _FAMILIES = {"normal_location": 1, "normal_location_scale": 2, "exponential_rate": 1}
 
 Q_VS_S_TOL = 1e-6
+
+# replications per generator shard of the omega^2 simulator; the split fixes
+# which generator draws which replication, so it is part of every seeded
+# result, and each worker thread holds one OMEGA2_SHARD_REPS x n block
+OMEGA2_SHARD_REPS = 8192
 
 
 @dataclass(frozen=True)
@@ -265,13 +272,7 @@ def _draw(fam: FamilySpec, rng: np.random.Generator, shape) -> np.ndarray:
     return -np.log1p(-u) / fam.theta0[0]
 
 
-def simulate_omega2(
-    fam: FamilySpec,
-    n: int,
-    reps: int,
-    seed: int,
-    block: int = 8192,
-) -> np.ndarray:
+def simulate_omega2(fam: FamilySpec, n: int, reps: int, seed: int) -> np.ndarray:
     """Replications of the omega^2 statistic n * int (F_hat_n(t) - t)^2 dt
     with parameters re-estimated on every replication.
 
@@ -281,27 +282,21 @@ def simulate_omega2(
 
         sum_i (t_(i) - (2i-1)/(2n))^2 + 1/(12 n).
 
-    Replication j falls in shard j // block; shard b uses the generator
-    PCG64(SeedSequence(entropy=seed, spawn_key=(b,))), so output is
-    reproducible for fixed (seed, block) and independent of threading.
+    Replication j falls in shard j // OMEGA2_SHARD_REPS, and each shard
+    draws from its own generator spawned from seed (``quadform._sharded_map``),
+    so output is reproducible for a fixed seed and independent of threading
+    (SMALLBALL_THREADS).
     """
     if n < 2:
         raise ValueError("sample size n must be >= 2")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     centers = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
-    out = np.empty(reps)
-    pos = 0
-    shard = 0
-    while pos < reps:
-        b = min(block, reps - pos)
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(shard,)))
-        )
-        x = _draw(fam, rng, (b, n))
-        t = _mle_transform(fam, x)
+
+    def omega2(rng, b):
+        t = _mle_transform(fam, _draw(fam, rng, (b, n)))
         t.sort(axis=1)
-        out[pos : pos + b] = ((t - centers) ** 2).sum(axis=1) + 1.0 / (12.0 * n)
-        pos += b
-        shard += 1
-    return out
+        return ((t - centers) ** 2).sum(axis=1) + 1.0 / (12.0 * n)
+
+    sizes = [min(OMEGA2_SHARD_REPS, reps - pos) for pos in range(0, reps, OMEGA2_SHARD_REPS)]
+    return np.concatenate(_sharded_map(omega2, seed, sizes))

@@ -7,6 +7,8 @@ that did not converge).  The CLI maps ValueError to exit code 2 and
 SmallBallError to exit code 3.
 """
 
+__all__ = ["SmallBallError", "DataError", "NumericError", "ConsistencyError"]
+
 
 class SmallBallError(Exception):
     """Base class for numeric and data failures."""

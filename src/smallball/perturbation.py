@@ -39,6 +39,7 @@ from .asymptotics import AsymptoticForm, abel_reduce, differentiate_form
 from .errors import DataError, NumericError
 from .grids import Grid
 from .kernels import KernelSpec, diagonal_jump, kernel_matrix
+from .quadform import _log_product_drift
 from .spectral import FourierCoeffs, Spectrum, kink_correction
 
 __all__ = [
@@ -289,12 +290,10 @@ def spectral_product_check(
         raise ValueError("need at least two product terms")
     if n_terms > spec_a.truncation_count or n_terms + shift > spec0.truncation_count:
         raise ValueError("n_terms exceeds the available truncated spectra")
-    log_ratio = np.log(spec_a.eigenvalues[:n_terms]) - np.log(
-        spec0.eigenvalues[shift : shift + n_terms]
+    full, drift = _log_product_drift(
+        spec_a.eigenvalues[:n_terms], spec0.eigenvalues[shift : shift + n_terms]
     )
-    full = float(log_ratio.sum())
-    half = float(log_ratio[: n_terms // 2].sum())
-    return ProductCheck(value=math.exp(full), diagnostic=abs(full - half))
+    return ProductCheck(value=math.exp(full), diagnostic=drift)
 
 
 def bateman_ratio(

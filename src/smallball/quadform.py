@@ -44,6 +44,9 @@ __all__ = [
     "write_weights",
 ]
 
+# the Monte Carlo sample budget is split over this many generator shards;
+# the split fixes which generator draws which sample, so it is part of every
+# seeded result
 MC_SHARDS = 16
 
 
@@ -204,13 +207,15 @@ def cdf_gil_pelaez(w: WeightSeq, r: float, tol: float = 1e-9) -> ProbabilityEsti
     if r <= 0:
         raise ValueError("r must be positive")
     mu = w.head
-    shift = w.tail_sum_bound
-    r_eff = r - shift
+    r_eff = r - w.tail_sum_bound
+    # the error of treating the tail as a deterministic shift is
+    # cdf(r) - cdf(r - tail_sum_bound); the main inversion is the second term
     if r_eff <= 0:
         # the whole ball sits below the deterministic tail shift
-        return ProbabilityEstimate(0.0, -np.inf, _shift_sensitivity(w, r, _gp_value), "gil_pelaez")
-    value, quad_err = _gp_value(mu, r_eff, tol)
-    err = quad_err + (_shift_sensitivity(w, r, _gp_value) if shift > 0 else 0.0)
+        return ProbabilityEstimate(0.0, -np.inf, max(_gp_value(mu, r, 1e-7)[0], 0.0), "gil_pelaez")
+    value, err = _gp_value(mu, r_eff, tol)
+    if w.tail_sum_bound > 0:
+        err += max(_gp_value(mu, r, 1e-7)[0] - value, 0.0)
     value_c = min(max(value, 0.0), 1.0)
     log_value = math.log(value_c) if value_c > 0 else -np.inf
     return ProbabilityEstimate(value_c, log_value, err, "gil_pelaez")
@@ -259,19 +264,6 @@ def _gp_value(mu: np.ndarray, r: float, tol: float = 1e-9) -> tuple[float, float
     if err > max(100.0 * tol, 1e-6):
         raise NumericError(f"gil_pelaez inversion did not converge (err={err:.2e})")
     return 0.5 - total / math.pi, err
-
-
-def _shift_sensitivity(w: WeightSeq, r: float, value_fn) -> float:
-    """cdf(r) - cdf(r - tail_sum_bound), the error of treating the tail as a
-    deterministic shift; evaluated with the cheap inversion backend."""
-    if w.tail_sum_bound <= 0:
-        return 0.0
-    mu = w.head
-    hi, _ = value_fn(mu, r, 1e-7)
-    lo = 0.0
-    if r - w.tail_sum_bound > 0:
-        lo, _ = value_fn(mu, r - w.tail_sum_bound, 1e-7)
-    return max(hi - lo, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -380,70 +372,57 @@ def _lr_logcdf(mu: np.ndarray, r: float, s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _shard_sizes(n_samples: int, shards: int) -> list[int]:
-    base, rem = divmod(n_samples, shards)
-    return [base + (1 if j < rem else 0) for j in range(shards)]
+def _sharded_map(fn, seed: int, sizes: list[int]) -> list:
+    """[fn(rng_j, sizes[j]) for each shard j], in shard order.
 
-
-def _shard_count(mu: np.ndarray, threshold: float, n: int, seed: int, shard: int) -> int:
-    """Samples below threshold in one shard.
-
-    Shard j uses the generator PCG64(SeedSequence(entropy=seed,
-    spawn_key=(j,))); normals come from inverse-CDF of its uniform stream,
-    so the count depends only on (seed, j, n, len(mu)).
+    Shard j draws from PCG64(SeedSequence(entropy=seed, spawn_key=(j,))),
+    so its result depends only on (seed, j, sizes[j]).  With
+    SMALLBALL_THREADS > 1 the shards run on a pool of that many threads;
+    otherwise they run in the calling thread.  Either way the output is the
+    same.
     """
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(shard,))))
-    dim = mu.size
-    block = max(1, min(n, (1 << 22) // max(dim, 1)))
-    count = 0
-    done = 0
-    while done < n:
-        b = min(block, n - done)
-        xi = ndtri(rng.random((b, dim)))
-        q = (xi * xi) @ mu
-        count += int(np.count_nonzero(q < threshold))
-        done += b
-    return count
+
+    def shard(j):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(j,))))
+        return fn(rng, sizes[j])
+
+    workers = int(os.environ.get("SMALLBALL_THREADS", "1") or "1")
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(shard, range(len(sizes))))
+    return [shard(j) for j in range(len(sizes))]
 
 
-def cdf_monte_carlo(
-    w: WeightSeq,
-    r: float,
-    n_samples: int,
-    seed: int,
-    shards: int = MC_SHARDS,
-) -> ProbabilityEstimate:
+def cdf_monte_carlo(w: WeightSeq, r: float, n_samples: int, seed: int) -> ProbabilityEstimate:
     """Empirical P{sum mu_k xi_k^2 < r} over ``n_samples`` draws.
 
     The error bound is three binomial standard errors.  Results are
-    bitwise reproducible for a fixed (seed, shards): the sample budget is
-    split as evenly as possible across shards (earlier shards take the
-    remainder), and each shard draws from its own spawned generator.
-    Shards may run in parallel threads (SMALLBALL_THREADS caps the pool)
-    without affecting the result, since shard counts are integers.
+    bitwise reproducible for a fixed seed: the sample budget is split as
+    evenly as possible across ``MC_SHARDS`` shards (earlier shards take the
+    remainder), each shard draws normals by inverse CDF from its own
+    spawned generator, and the shard counts are integers, so the thread
+    count does not change the result.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if r <= 0:
         raise ValueError("r must be positive")
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
     threshold = r - w.tail_sum_bound
     if threshold <= 0:
         return ProbabilityEstimate(0.0, -np.inf, 3.0 / n_samples, "monte_carlo")
-    sizes = _shard_sizes(n_samples, shards)
-    workers = int(os.environ.get("SMALLBALL_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(
-                pool.map(
-                    lambda j: _shard_count(w.head, threshold, sizes[j], seed, j),
-                    range(shards),
-                )
-            )
-    else:
-        counts = [_shard_count(w.head, threshold, sizes[j], seed, j) for j in range(shards)]
-    count = sum(counts)
+    mu = w.head
+    # draws per inner block, so that one block holds at most 2^22 normals
+    block = max(1, (1 << 22) // mu.size)
+
+    def count_below(rng, n):
+        count = 0
+        for done in range(0, n, block):
+            xi = ndtri(rng.random((min(block, n - done), mu.size)))
+            count += int(np.count_nonzero((xi * xi) @ mu < threshold))
+        return count
+
+    base, rem = divmod(n_samples, MC_SHARDS)
+    count = sum(_sharded_map(count_below, seed, [base + (j < rem) for j in range(MC_SHARDS)]))
     value = count / n_samples
     se = math.sqrt(max(value * (1.0 - value), 1.0 / n_samples) / n_samples)
     log_value = math.log(value) if value > 0 else -np.inf
@@ -470,16 +449,21 @@ def distortion_constant(
     n = min(w_num.head.size, w_den.head.size)
     if n < 2:
         raise ValueError("need at least two paired weights")
-    log_ratio = np.log(w_num.head[:n]) - np.log(w_den.head[:n])
-    full = float(log_ratio.sum())
-    half = float(log_ratio[: n // 2].sum())
-    drift = abs(full - half)
+    full, drift = _log_product_drift(w_num.head[:n], w_den.head[:n])
     if drift > max_log_drift:
         raise NumericError(
             f"distortion product has not converged (drift {drift:.3e} over "
             f"N={n} vs N//2); the infinite product likely diverges"
         )
     return math.exp(0.5 * full)
+
+
+def _log_product_drift(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
+    """log prod_k num_k / den_k over the N paired entries, and its drift
+    |log-product(N) - log-product(N//2)|, the convergence diagnostic."""
+    log_ratio = np.log(num) - np.log(den)
+    full = float(log_ratio.sum())
+    return full, abs(full - float(log_ratio[: log_ratio.size // 2].sum()))
 
 
 # ---------------------------------------------------------------------------

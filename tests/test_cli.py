@@ -163,7 +163,7 @@ def test_perturb_partially_critical_reports_no_factor(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     rep = tmp_path / "rep.json"
-    assert run(["perturb", "--config", str(cfg_path), "--classify", "--report", str(rep)]) == 0
+    assert run(["perturb", "--config", str(cfg_path), "--report", str(rep)]) == 0
     report = read_json(rep)
     assert report["results"]["classification"] == "partially_critical"
     assert report["results"]["rank_defect"] == 1
@@ -173,7 +173,7 @@ def test_perturb_partially_critical_reports_no_factor(tmp_path):
 
 def test_durbin_fisher(tmp_path):
     rep = tmp_path / "rep.json"
-    code = run(["durbin", "--family", "normal-location-scale", "--fisher", "--report", str(rep)])
+    code = run(["durbin", "--family", "normal-location-scale", "--report", str(rep)])
     assert code == 0
     report = read_json(rep)
     s = np.asarray(report["results"]["fisher"])
@@ -227,6 +227,19 @@ def test_config_override(tmp_path):
     assert code == 0
     assert len(read_json(rep)["results"]["eigenvalues"]) == 3
     assert read_json(rep)["inputs"]["n"] == 60
+
+
+@pytest.mark.parametrize("cfg", [{"func": 3}, {"n": "abc"}, {"kernel": "nope"}])
+def test_bad_config_is_argument_error(tmp_path, capsys, cfg):
+    # unknown keys, and values that fail the option's type or choices, are
+    # rejected like the same mistake on the command line
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = run(["spectrum", "--kernel", "bridge", "--n", "20", "--k", "1",
+                "--config", str(path), "--report", str(tmp_path / "rep.json")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("argument error:")
+    assert not (tmp_path / "rep.json").exists()
 
 
 def test_report_deterministic_modulo_timestamp(tmp_path):

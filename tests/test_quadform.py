@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.optimize import brentq
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from smallball import (
@@ -22,6 +23,7 @@ from smallball import (
     nystrom_spectrum,
     quadform,
     read_weights,
+    simulate_omega2,
     write_weights,
 )
 
@@ -264,6 +266,53 @@ class TestWeightIO:
             WeightSeq(head=np.array([0.5, 0.25]), tail_sum_bound=bad)
 
 
+def _shard_rng(seed, shard):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(shard,))))
+
+
+def _layout_count(mu, threshold, n_samples, seed, shards=16):
+    """Monte Carlo count below threshold, written out as one serial loop
+    over the documented shard layout."""
+    base, rem = divmod(n_samples, shards)
+    count = 0
+    for shard in range(shards):
+        rng = _shard_rng(seed, shard)
+        n = base + (1 if shard < rem else 0)
+        block = max(1, min(n, (1 << 22) // mu.size))
+        done = 0
+        while done < n:
+            b = min(block, n - done)
+            xi = ndtri(rng.random((b, mu.size)))
+            count += int(np.count_nonzero((xi * xi) @ mu < threshold))
+            done += b
+    return count
+
+
+def _layout_omega2(fam, n, reps, seed, block=8192):
+    """The omega^2 replications, written out as one serial loop over the
+    documented shard layout."""
+    centers = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
+    out = np.empty(reps)
+    pos = shard = 0
+    while pos < reps:
+        b = min(block, reps - pos)
+        t = durbin._mle_transform(fam, durbin._draw(fam, _shard_rng(seed, shard), (b, n)))
+        t.sort(axis=1)
+        out[pos : pos + b] = ((t - centers) ** 2).sum(axis=1) + 1.0 / (12.0 * n)
+        pos += b
+        shard += 1
+    return out
+
+
+@pytest.fixture(params=[None, "2"], ids=["threads_unset", "threads_2"])
+def threads(request, monkeypatch):
+    if request.param is None:
+        monkeypatch.delenv("SMALLBALL_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SMALLBALL_THREADS", request.param)
+    return request.param
+
+
 class TestThreading:
     def test_thread_count_does_not_change_result(self, monkeypatch):
         # shard counts are integers, so the reduction is order-free and the
@@ -274,6 +323,19 @@ class TestThreading:
         monkeypatch.setenv("SMALLBALL_THREADS", "4")
         threaded = cdf_monte_carlo(w, 0.2, 50000, seed=13)
         assert serial.value == threaded.value
+
+    @pytest.mark.parametrize("n_samples", [1, 15, 16, 17, 40001])
+    def test_monte_carlo_matches_layout(self, threads, n_samples):
+        w = WeightSeq(head=bridge_weights(40).head, tail_sum_bound=0.002)
+        est = cdf_monte_carlo(w, 0.15, n_samples, seed=3)
+        assert est.value == _layout_count(w.head, 0.15 - 0.002, n_samples, seed=3) / n_samples
+
+    @pytest.mark.parametrize("reps", [1, 8191, 8192, 8193, 16385])
+    @pytest.mark.parametrize("family", ["normal_location", "exponential_rate"])
+    def test_omega2_matches_layout(self, threads, family, reps):
+        fam = getattr(durbin, family)()
+        stats = simulate_omega2(fam, 20, reps, seed=11)
+        assert stats.tobytes() == _layout_omega2(fam, 20, reps, seed=11).tobytes()
 
 
 class TestInversionMonotonicity:
