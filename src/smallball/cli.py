@@ -126,12 +126,7 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 
 def _cmd_spectrum(args) -> int:
-    if args.kernel == "ou":
-        spec = kernels.ornstein_uhlenbeck(args.alpha)
-    elif args.kernel == "wiener":
-        spec = kernels.wiener()
-    else:
-        spec = kernels.bridge()
+    spec = _kernel_from_config({"type": args.kernel, "alpha": args.alpha})
     grid = gauss_legendre_grid(args.n)
     spectrum = nystrom_spectrum(spec, grid, args.k)
     mu = spectrum.eigenvalues
@@ -309,9 +304,16 @@ def _cmd_durbin(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    checks = _core_suite() if args.suite == "core" else None
-    if checks is None:
-        raise ValueError(f"unknown suite {args.suite!r}")
+    checks = [
+        {
+            "check": name,
+            "value": value,
+            "target": target,
+            "tolerance": tol,
+            "passed": bool(value == target if isinstance(target, str) else abs(value - target) <= tol),
+        }
+        for name, value, target, tol in _core_suite()
+    ]
     ok = all(c["passed"] for c in checks)
     report = _report(
         "validate",
@@ -325,31 +327,19 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _core_suite() -> list[dict]:
-    """Determinant, criticality and consistency checks at desk scale."""
-    checks = []
-
-    def add(name, value, target, tol):
-        err = abs(value - target)
-        checks.append(
-            {
-                "check": name,
-                "value": float(value),
-                "target": float(target),
-                "tolerance": float(tol),
-                "passed": bool(err <= tol),
-            }
-        )
-
+def _core_suite():
+    """Determinant, criticality and consistency checks at desk scale, as
+    (name, value, target, tolerance) rows; a string target must match
+    exactly."""
     grid = gauss_legendre_grid(500)
     spec0 = nystrom_spectrum(kernels.bridge(), grid, 300)
-    add("bridge_mu1", spec0.eigenvalues[0], 1.0 / math.pi**2, 1e-6)
+    yield "bridge_mu1", float(spec0.eigenvalues[0]), 1.0 / math.pi**2, 1e-6
 
     phi = np.ones(grid.size)
     pspec = perturbation.PerturbationSpec(phi=phi, a_matrix=np.array([[6.0]]), grid=grid)
     gram = perturbation.build_gram(kernels.bridge(), pspec)
-    add("bridge_gram_q", gram.q_matrix[0, 0], 1.0 / 12.0, 1e-8)
-    add("theorem1_factor", perturbation.theorem1_factor(pspec.a_matrix, gram.q_matrix), 2.0, 1e-6)
+    yield "bridge_gram_q", float(gram.q_matrix[0, 0]), 1.0 / 12.0, 1e-8
+    yield "theorem1_factor", perturbation.theorem1_factor(pspec.a_matrix, gram.q_matrix), 2.0, 1e-6
 
     g_a = perturbation.perturbed_kernel(
         kernels.kernel_matrix(kernels.bridge(), grid), gram.psi, gram.d_matrix
@@ -357,39 +347,27 @@ def _core_suite() -> list[dict]:
     spec_a = nystrom_spectrum(
         kernels.sampled(grid, g_a, diag_jump=np.ones(grid.size)), grid, 300
     )
-    prod = perturbation.spectral_product_check(spec0, spec_a, 100)
-    add("theorem1_product", prod.value, 0.25, 0.01)
+    yield "theorem1_product", perturbation.spectral_product_check(spec0, spec_a, 100).value, 0.25, 0.01
 
     # critical configuration: A = Q^{-1} = 12
     crit = perturbation.PerturbationSpec(phi=phi, a_matrix=np.array([[12.0]]), grid=grid)
     gram_c = perturbation.build_gram(kernels.bridge(), crit)
     cls = perturbation.classify(crit.a_matrix, gram_c.q_matrix)
-    checks.append(
-        {
-            "check": "critical_classification",
-            "value": cls.label,
-            "target": perturbation.CRITICAL,
-            "tolerance": 0.0,
-            "passed": cls.label == perturbation.CRITICAL,
-        }
-    )
+    yield "critical_classification", cls.label, perturbation.CRITICAL, 0.0
     g_c = perturbation.perturbed_kernel(
         kernels.kernel_matrix(kernels.bridge(), grid), gram_c.psi, gram_c.d_matrix
     )
     resid = perturbation.annihilation_residual(kernels.bridge(), g_c, phi, grid)
-    add("critical_annihilation", resid, 0.0, 1e-9)
+    yield "critical_annihilation", resid, 0.0, 1e-9
 
-    for fam_name, ctor in (
-        ("normal_location", durbin.normal_location),
-        ("normal_location_scale", durbin.normal_location_scale),
-        ("exponential_rate", durbin.exponential_rate),
-    ):
+    for slug, ctor in _FAMILY_SLUGS.items():
         model = durbin.durbin_model(ctor())
-        add(f"durbin_q_vs_s_{fam_name}", float(np.abs(model.q_matrix - model.fisher).max()), 0.0, 1e-6)
+        gap = float(np.abs(model.q_matrix - model.fisher).max())
+        yield f"durbin_q_vs_s_{slug.replace('-', '_')}", gap, 0.0, durbin.Q_VS_S_TOL
 
     params = asymptotics.naznik_params(math.pi, -0.5, 2.0)
-    add("naznik_wiener_amplitude", params.amplitude, 4.0 / math.sqrt(math.pi), 1e-12)
-    add("naznik_wiener_coefficient", params.exponent_coefficient, 0.125, 1e-12)
+    yield "naznik_wiener_amplitude", params.amplitude, 4.0 / math.sqrt(math.pi), 1e-12
+    yield "naznik_wiener_coefficient", params.exponent_coefficient, 0.125, 1e-12
 
     for order in (1, 2):
         for m in (1, 2):
@@ -398,8 +376,7 @@ def _core_suite() -> list[dict]:
             eps = 0.1
             lhs = math.exp(closed.log_evaluate(eps**2) - base.log_evaluate(eps**2))
             rhs = perturbation.theorem3_asymptotic(order, m, 1.0, eps)
-            add(f"theorem2_vs_theorem3_l{order}_m{m}", lhs / rhs, 1.0, 1e-10)
-    return checks
+            yield f"theorem2_vs_theorem3_l{order}_m{m}", lhs / rhs, 1.0, 1e-10
 
 
 # ---------------------------------------------------------------------------

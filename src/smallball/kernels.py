@@ -55,8 +55,8 @@ class KernelSpec:
         if self.variant not in _CATALOG:
             raise ValueError(f"unknown kernel variant {self.variant!r}")
         if self.variant == "ornstein_uhlenbeck":
-            if self.alpha is None or self.alpha <= 0:
-                raise ValueError("ornstein_uhlenbeck needs rate alpha > 0")
+            if self.alpha is None or not (self.alpha > 0 and np.isfinite(self.alpha)):
+                raise ValueError("ornstein_uhlenbeck needs a finite rate alpha > 0")
         if self.green_order is not None and self.green_order < 1:
             raise ValueError("green_order must be a positive integer")
         if self.variant == "sampled":
@@ -143,7 +143,9 @@ def kernel_eval(spec: KernelSpec, x: float, y: float) -> float:
 
 
 def kernel_matrix(spec: KernelSpec, grid: Grid) -> np.ndarray:
-    """Kernel values on the tensor grid, symmetrized after evaluation."""
+    """Kernel values on the tensor grid, exactly symmetric: catalog kernels
+    are symmetric expressions and a sampled matrix is symmetrized when its
+    spec is built.  The result is a new array the caller owns."""
     if grid.size == 0:
         return np.zeros((0, 0))
     if np.any(grid.nodes < 0.0) or np.any(grid.nodes > 1.0):
@@ -151,10 +153,8 @@ def kernel_matrix(spec: KernelSpec, grid: Grid) -> np.ndarray:
     if spec.variant == "sampled":
         if not spec.grid.same_nodes(grid, tol=1e-12):
             raise ValueError("sampled kernel can only be evaluated on its own grid")
-        m = spec.matrix
-    else:
-        m = _eval_grid(spec, grid.nodes[:, None], grid.nodes[None, :])
-    return 0.5 * (m + m.T)
+        return spec.matrix.copy()
+    return _eval_grid(spec, grid.nodes[:, None], grid.nodes[None, :])
 
 
 def diagonal_jump(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray | None:

@@ -38,9 +38,9 @@ from scipy.integrate import quad
 from .asymptotics import AsymptoticForm, abel_reduce, differentiate_form
 from .errors import DataError, NumericError
 from .grids import Grid
-from .kernels import KernelSpec, diagonal_jump, kernel_matrix
+from .kernels import KernelSpec, kernel_matrix
 from .quadform import _log_product_drift
-from .spectral import FourierCoeffs, Spectrum, kink_correction
+from .spectral import FourierCoeffs, Spectrum, _as_samples, _operator_action
 
 __all__ = [
     "PerturbationSpec",
@@ -71,18 +71,6 @@ CLASSIFY_TOL = 1e-8
 NON_CRITICAL = "non_critical"
 PARTIALLY_CRITICAL = "partially_critical"
 CRITICAL = "critical"
-
-
-def _as_samples(funcs: np.ndarray, grid: Grid) -> np.ndarray:
-    f = np.asarray(funcs, dtype=float)
-    if f.ndim == 1:
-        f = f[:, None]
-    if f.shape[0] != grid.size:
-        if f.shape[1] == grid.size:
-            f = f.T
-        else:
-            raise ValueError("function samples do not align with the grid")
-    return f
 
 
 @dataclass(frozen=True)
@@ -141,13 +129,7 @@ def compute_psi(kernel: KernelSpec, phi: np.ndarray, grid: Grid) -> np.ndarray:
     catalog kernel the row-i integrand has its derivative jump exactly at
     node i.
     """
-    phi = _as_samples(phi, grid)
-    m = kernel_matrix(kernel, grid)
-    psi = m @ (grid.weights[:, None] * phi)
-    jump = diagonal_jump(kernel, grid.nodes)
-    if jump is not None:
-        psi = psi + kink_correction(jump, grid)[:, None] * phi
-    return psi
+    return _operator_action(kernel, kernel_matrix(kernel, grid), phi, grid)
 
 
 def gram_q(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> np.ndarray:
@@ -210,11 +192,7 @@ def annihilation_residual(
     correction (the rank-m term is smooth across the diagonal), matching
     how every other operator action in the package is discretized.
     """
-    phi = _as_samples(phi, grid)
-    action = np.asarray(perturbed_mat, dtype=float) @ (grid.weights[:, None] * phi)
-    jump = diagonal_jump(kernel, grid.nodes)
-    if jump is not None:
-        action = action + kink_correction(jump, grid)[:, None] * phi
+    action = _operator_action(kernel, perturbed_mat, phi, grid)
     base_action = compute_psi(kernel, phi, grid)
     scale = max(float(np.abs(base_action).max()), 1e-300)
     return float(np.abs(action).max()) / scale
@@ -407,7 +385,7 @@ def theorem3_asymptotic(l: int, m: int, prefactor: float, eps: float) -> float:
         raise ValueError("green order l must be a positive integer")
     if m < 0:
         raise ValueError("m must be >= 0")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError("eps must be positive and finite")
     base = 2.0 * l * math.sin(math.pi / (2.0 * l)) * eps * eps
     return prefactor * base ** (-(l * m) / (2.0 * l - 1.0))

@@ -204,8 +204,8 @@ def cdf_gil_pelaez(w: WeightSeq, r: float, tol: float = 1e-9) -> ProbabilityEsti
     back.  Intended for central probabilities; the deep left tail belongs to
     ``cdf_saddlepoint``.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not (r > 0 and math.isfinite(r)):
+        raise ValueError("r must be positive and finite")
     mu = w.head
     r_eff = r - w.tail_sum_bound
     # the error of treating the tail as a deterministic shift is
@@ -296,8 +296,8 @@ def cdf_saddlepoint(w: WeightSeq, r: float) -> ProbabilityEstimate:
     0 < r < sum mu_k.  Near the mean the 1/w - 1/u cancellation is replaced
     by its limit K'''/(6 K''^{3/2}).
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not (r > 0 and math.isfinite(r)):
+        raise ValueError("r must be positive and finite")
     mu = w.head
     r_eff = r - w.tail_sum_bound
     if r_eff <= 0:
@@ -405,8 +405,8 @@ def cdf_monte_carlo(w: WeightSeq, r: float, n_samples: int, seed: int) -> Probab
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not (r > 0 and math.isfinite(r)):
+        raise ValueError("r must be positive and finite")
     threshold = r - w.tail_sum_bound
     if threshold <= 0:
         return ProbabilityEstimate(0.0, -np.inf, 3.0 / n_samples, "monte_carlo")

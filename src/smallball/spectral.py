@@ -70,11 +70,45 @@ def kink_correction(jump: np.ndarray, grid: Grid) -> np.ndarray:
 
     E_i is the exact quadrature error of the rule on |y - x_i|:
     sum_j w_j |x_j - x_i|  -  (x_i^2 - x_i + 1/2).
+
+    The grid's nodes are increasing, so with C and S the running sums of
+    w and x*w the quadrature sum is x_i (2 C_i - C_n) + S_n - 2 S_i, in O(n).
     """
     t, w = grid.nodes, grid.weights
-    quad_abs = np.abs(t[None, :] - t[:, None]) @ w
+    c, s = np.cumsum(w), np.cumsum(t * w)
+    # c[-1:] and s[-1:] are the totals, and empty on an empty grid
+    quad_abs = t * (2.0 * c - c[-1:]) + s[-1:] - 2.0 * s
     exact_abs = t * t - t + 0.5
     return 0.5 * jump * (quad_abs - exact_abs)
+
+
+def _as_samples(funcs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Function samples as an (n, m) array with one function per column;
+    a 1-d array is one function and an (m, n) array is transposed."""
+    f = np.asarray(funcs, dtype=float)
+    if f.ndim == 1:
+        f = f[:, None]
+    if f.shape[0] != grid.size:
+        if f.shape[1] == grid.size:
+            f = f.T
+        else:
+            raise ValueError("function samples do not align with the grid")
+    return f
+
+
+def _operator_action(kernel: KernelSpec, mat: np.ndarray, funcs: np.ndarray, grid: Grid) -> np.ndarray:
+    """int G(x_i, y) f(y) dy for each sampled f, by the weighted rule on the
+    kernel matrix ``mat`` plus the kink correction of ``kernel``.
+
+    ``mat`` is ``kernel``'s matrix or a perturbation of it that is smooth
+    across the diagonal, so the kink is ``kernel``'s either way.
+    """
+    f = _as_samples(funcs, grid)
+    action = np.asarray(mat, dtype=float) @ (grid.weights[:, None] * f)
+    jump = diagonal_jump(kernel, grid.nodes)
+    if jump is not None:
+        action += kink_correction(jump, grid)[:, None] * f
+    return action
 
 
 def nystrom_spectrum(
@@ -94,14 +128,12 @@ def nystrom_spectrum(
         raise ValueError("k_max must be >= 1")
     if k_max > grid.size:
         raise ValueError(f"k_max={k_max} exceeds grid size {grid.size}")
-    m = kernel_matrix(spec, grid)
     sqrt_w = np.sqrt(grid.weights)
-    b = m * sqrt_w[:, None] * sqrt_w[None, :]
+    b = kernel_matrix(spec, grid) * np.outer(sqrt_w, sqrt_w)
     if kink_corrected:
         jump = diagonal_jump(spec, grid.nodes)
         if jump is not None:
-            b = b + np.diag(kink_correction(jump, grid))
-    b = 0.5 * (b + b.T)
+            b.flat[:: grid.size + 1] += kink_correction(jump, grid)
     vals, vecs = np.linalg.eigh(b)
     vals = vals[::-1]
     vecs = vecs[:, ::-1]
@@ -117,12 +149,9 @@ def nystrom_spectrum(
         vals = vals[keep]
         vecs = vecs[:, keep]
     u = vecs / sqrt_w[:, None]
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        big = np.abs(col) > 1e-6 * np.abs(col).max()
-        first = int(np.argmax(big))
-        if col[first] < 0:
-            u[:, j] = -col
+    mag = np.abs(u)
+    first = np.argmax(mag > 1e-6 * mag.max(axis=0), axis=0)
+    u[:, u[first, np.arange(u.shape[1])] < 0] *= -1.0
     return Spectrum(
         eigenvalues=vals.copy(),
         eigvecs=u,
@@ -136,11 +165,6 @@ def fourier_coefficients(spectrum: Spectrum, funcs: np.ndarray) -> FourierCoeffs
 
     ``funcs`` holds one function per column, sampled on ``spectrum.grid``.
     """
-    funcs = np.atleast_2d(np.asarray(funcs, dtype=float))
-    if funcs.shape[0] != spectrum.grid.size:
-        if funcs.shape[1] == spectrum.grid.size:
-            funcs = funcs.T
-        else:
-            raise ValueError("function samples do not align with the spectrum grid")
+    funcs = _as_samples(funcs, spectrum.grid)
     a = (spectrum.eigvecs * spectrum.grid.weights[:, None]).T @ funcs
     return FourierCoeffs(a=a, spectrum=spectrum)

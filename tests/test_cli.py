@@ -212,6 +212,9 @@ def test_exit_codes(tmp_path):
     wfile = tmp_path / "w.csv"
     wfile.write_text("1.0\n")
     assert run(["exact", "--weights", str(wfile), "--r", "-1.0"]) == 2
+    # non-finite inputs are rejected at the boundary
+    assert run(["exact", "--weights", str(wfile), "--r", "nan", "--method", "mc"]) == 2
+    assert run(["spectrum", "--kernel", "ou", "--alpha", "inf", "--n", "20", "--k", "2"]) == 2
     # missing file
     assert run(["exact", "--weights", str(tmp_path / "absent.csv"), "--r", "1.0"]) == 2
 

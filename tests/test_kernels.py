@@ -83,7 +83,21 @@ def test_sampled_kernel_roundtrip():
     spec = sampled(grid, m)
     x = float(grid.nodes[7])
     assert kernel_eval(spec, x, x) == m[7, 7]
+    out = kernel_matrix(spec, grid)
+    np.testing.assert_array_equal(out, m)
+    # the caller owns the result: writing to it leaves the spec unchanged
+    out[7, 7] = -1.0
+    assert spec.matrix[7, 7] == m[7, 7]
     np.testing.assert_array_equal(kernel_matrix(spec, grid), m)
+
+
+def test_sampled_matrix_exactly_symmetric():
+    # an input asymmetric within tolerance comes back exactly symmetric
+    grid = gauss_legendre_grid(50)
+    rng = np.random.default_rng(3)
+    m = kernel_matrix(bridge(), grid) + 1e-13 * rng.normal(size=(50, 50))
+    out = kernel_matrix(sampled(grid, m), grid)
+    assert np.array_equal(out, out.T)
 
 
 def test_sampled_off_grid_query():
@@ -107,3 +121,9 @@ def test_out_of_domain_rejected():
         kernel_eval(bridge(), -0.1, 0.5)
     with pytest.raises(ValueError):
         ornstein_uhlenbeck(-1.0)
+
+
+@given(st.sampled_from([math.nan, math.inf]))
+def test_non_finite_ou_rate_rejected(alpha):
+    with pytest.raises(ValueError, match="finite rate"):
+        ornstein_uhlenbeck(alpha)

@@ -438,6 +438,11 @@ class TestTheorem3:
         with pytest.raises(ValueError):
             theorem3_asymptotic(1, 1, 1.0, -0.1)
 
+    @given(st.sampled_from([math.nan, math.inf]))
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            theorem3_asymptotic(1, 1, 1.0, eps)
+
 
 @pytest.fixture(scope="module")
 def wiener_setup():

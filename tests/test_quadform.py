@@ -265,6 +265,14 @@ class TestWeightIO:
         with pytest.raises(ValueError):
             WeightSeq(head=np.array([0.5, 0.25]), tail_sum_bound=bad)
 
+    @given(st.sampled_from([math.nan, math.inf]))
+    def test_non_finite_r_rejected(self, r):
+        # a nan r used to come back from cdf_monte_carlo as 0 +- 3/n
+        w = WeightSeq(head=np.array([0.5, 0.25]))
+        for cdf in (cdf_gil_pelaez, cdf_saddlepoint, lambda w, r: cdf_monte_carlo(w, r, 10, 0)):
+            with pytest.raises(ValueError, match="r must be positive and finite"):
+                cdf(w, r)
+
 
 def _shard_rng(seed, shard):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(shard,))))

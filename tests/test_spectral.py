@@ -5,10 +5,15 @@ from scipy.integrate import quad
 from smallball import (
     DataError,
     bridge,
+    durbin_kernel_spec,
     fourier_coefficients,
     gauss_legendre_grid,
+    graded_endpoint_grid,
     kernel_matrix,
+    kink_correction,
+    normal_location,
     nystrom_spectrum,
+    ornstein_uhlenbeck,
     sampled,
     wiener,
 )
@@ -80,14 +85,28 @@ def test_eigenfunction_matches_sine(bridge_spectrum_2000):
 
 
 def test_sign_convention_deterministic(gl1000):
-    a = nystrom_spectrum(bridge(), gl1000, 8)
-    b = nystrom_spectrum(bridge(), gl1000, 8)
-    np.testing.assert_array_equal(a.eigvecs, b.eigvecs)
-    # first non-negligible sample is positive
-    for j in range(8):
-        col = a.eigvecs[:, j]
-        big = np.abs(col) > 1e-6 * np.abs(col).max()
-        assert col[np.argmax(big)] > 0
+    for spec in (bridge(), ornstein_uhlenbeck(2.5), durbin_kernel_spec(normal_location(), gl1000)):
+        a = nystrom_spectrum(spec, gl1000, 200)
+        b = nystrom_spectrum(spec, gl1000, 200)
+        np.testing.assert_array_equal(a.eigvecs, b.eigvecs)
+        # first non-negligible sample is positive, column by column
+        for j in range(a.truncation_count):
+            col = a.eigvecs[:, j]
+            big = np.abs(col) > 1e-6 * np.abs(col).max()
+            assert col[np.argmax(big)] > 0
+
+
+@pytest.mark.parametrize(
+    "make_grid,n", [(gauss_legendre_grid, 500), (gauss_legendre_grid, 2000), (graded_endpoint_grid, 500)]
+)
+def test_kink_correction_matches_dense_sum(make_grid, n):
+    # oracle: the quadrature sum of |y - x_i| over the full n x n distance
+    # matrix, against the prefix-sum form the library uses
+    grid = make_grid(n)
+    t, w = grid.nodes, grid.weights
+    jump = np.linspace(0.5, 2.0, grid.size)
+    dense = 0.5 * jump * (np.abs(t[None, :] - t[:, None]) @ w - (t * t - t + 0.5))
+    assert np.abs(kink_correction(jump, grid) - dense).max() <= 1e-14
 
 
 def test_fourier_of_eigenfunction(bridge_spectrum_2000):
@@ -96,6 +115,9 @@ def test_fourier_of_eigenfunction(bridge_spectrum_2000):
     a = coeffs.a[:, 0]
     assert abs(a[0] - 1.0) < 1e-8
     assert np.abs(a[1:]).max() < 1e-8
+    # one function per row is read as its transpose
+    cols = s.eigvecs[:, :3]
+    np.testing.assert_array_equal(fourier_coefficients(s, cols.T).a, fourier_coefficients(s, cols).a)
 
 
 def test_fourier_of_zero(bridge_spectrum_2000):
