@@ -56,6 +56,8 @@ class AsymptoticForm:
     rate: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.amplitude, self.power, self.order, self.rate)):
+            raise ValueError("amplitude, power, order and rate must be finite")
         if self.amplitude <= 0:
             raise ValueError("amplitude must be positive")
         if self.order <= 0:
@@ -195,6 +197,8 @@ class PowerLawPhi:
     d: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.theta, self.delta, self.d)):
+            raise ValueError("theta, delta and d must be finite")
         if self.theta <= 0:
             raise ValueError("theta must be positive")
         if self.d <= 1:
@@ -211,18 +215,30 @@ class PowerLawPhi:
         return min(max(t_star, 2.0), 1e300)
 
 
-# ln f(x) = -1/2 ln(1 + 2x) for f(x) = (1 + 2x)^(-1/2):
-#   x (ln f)'(x)   = -x / (1 + 2x)
-#   x^2 (ln f)''(x) = 2 x^2 / (1 + 2x)^2
+# The tilted integrands as functions of x = u phi(t), for
+# f(x) = (1 + 2x)^(-1/2): ln f(x), x (ln f)'(x) and x^2 (ln f)''(x).
 
 
-def _integrate_scaled(g, phi: PowerLawPhi, u: float) -> float:
-    """int_1^inf g(t) dt for integrands g = h(u phi(t)) with h vanishing at 0.
+def _log_f(x: float) -> float:
+    return -0.5 * math.log1p(2.0 * x)
+
+
+def _x_dlog_f(x: float) -> float:
+    return -x / (1.0 + 2.0 * x)
+
+
+def _x2_d2log_f(x: float) -> float:
+    return 2.0 * x * x / (1.0 + 2.0 * x) ** 2
+
+
+def _integrate_scaled(h, phi: PowerLawPhi, u: float) -> float:
+    """int_1^inf h(u phi(t)) dt for integrands h vanishing at 0.
 
     The range splits at the knee t* where 2 u phi = 1.  On [1, t*] the
     substitution t = e^y evens out the many decades the tilt can span
     (u reaches ~1e15 during calibration); on [t*, inf) use t = t*/s.
     """
+    g = lambda t: h(u * phi(t))  # noqa: E731
     t_star = phi.knee(u)
     inner, e1 = quad(lambda y: g(math.exp(y)) * math.exp(y), 0.0, math.log(t_star), limit=400)
     outer, e2 = quad(lambda s: g(t_star / s) * t_star / (s * s), 0.0, 1.0, limit=400)
@@ -236,15 +252,7 @@ def tilt_integrals(phi: PowerLawPhi, u: float) -> tuple[float, float, float]:
     I2 = int (u phi)^2 (ln f)''."""
     if u <= 0:
         raise ValueError("tilt u must be positive")
-    i0 = _integrate_scaled(lambda t: -0.5 * math.log1p(2.0 * u * phi(t)), phi, u)
-    i1 = _integrate_scaled(lambda t: -(u * phi(t)) / (1.0 + 2.0 * u * phi(t)), phi, u)
-
-    def g2(t):
-        x = u * phi(t)
-        return 2.0 * x * x / (1.0 + 2.0 * x) ** 2
-
-    i2 = _integrate_scaled(g2, phi, u)
-    return i0, i1, i2
+    return tuple(_integrate_scaled(h, phi, u) for h in (_log_f, _x_dlog_f, _x2_d2log_f))
 
 
 def dll_root(spec: PowerLawPhi, r: float) -> float:
@@ -266,10 +274,7 @@ def dll_root(spec: PowerLawPhi, r: float) -> float:
         )
 
     def f(u):
-        i1 = _integrate_scaled(
-            lambda t: -(u * spec(t)) / (1.0 + 2.0 * u * spec(t)), spec, u
-        )
-        return i1 + u * r
+        return _integrate_scaled(_x_dlog_f, spec, u) + u * r
 
     lo = hi = 1.0
     tries = 0
@@ -305,9 +310,9 @@ def dll_prefactor() -> float:
 
 def _dll_log_uncalibrated(spec: PowerLawPhi, r: float) -> float:
     u = dll_root(spec, r)
-    i0, _, i2 = tilt_integrals(spec, u)
-    log_f1 = -0.5 * math.log1p(2.0 * u * spec(1.0))
-    return 0.5 * (log_f1 - math.log(i2)) + i0 + u * r
+    i0 = _integrate_scaled(_log_f, spec, u)
+    i2 = _integrate_scaled(_x2_d2log_f, spec, u)
+    return 0.5 * (_log_f(u * spec(1.0)) - math.log(i2)) + i0 + u * r
 
 
 def dll_asymptotic(spec: PowerLawPhi, r: float) -> float:

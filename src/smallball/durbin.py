@@ -76,6 +76,8 @@ class FamilySpec:
         if self.family not in _FAMILIES:
             raise ValueError(f"unsupported family {self.family!r}")
         object.__setattr__(self, "theta0", tuple(float(v) for v in self.theta0))
+        if not all(math.isfinite(v) for v in self.theta0):
+            raise ValueError("theta0 must be finite")
         if self.family == "normal_location" and len(self.theta0) != 1:
             raise ValueError("normal_location takes theta0 = (mu,)")
         if self.family == "normal_location_scale":

@@ -89,6 +89,8 @@ class PerturbationSpec:
         phi = _as_samples(self.phi, self.grid)
         object.__setattr__(self, "phi", phi)
         a = np.asarray(self.a_matrix, dtype=float)
+        if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(a))):
+            raise ValueError("perturbing functions and A must be finite")
         m = phi.shape[1]
         if a.shape != (m, m):
             raise ValueError(f"A must be {m}x{m} to match {m} functions")
@@ -205,8 +207,8 @@ def classify(a: np.ndarray, q: np.ndarray, tol: float = CLASSIFY_TOL) -> Classif
     s = 0 is non-critical, s = m critical (A = Q^{-1}), else partially
     critical of rank s.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
     if a.shape != q.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -357,8 +359,8 @@ def theorem2_convolution_numeric(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not (r > 0 and math.isfinite(r)):
+        raise ValueError("r must be positive and finite")
 
     def level(j: int, upper: float) -> float:
         inner = f0_derivative if j == 1 else (lambda x: level(j - 1, x))

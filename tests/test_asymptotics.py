@@ -113,6 +113,15 @@ class TestDllRoot:
         with pytest.raises(ValueError):
             dll_root(PowerLawPhi(theta=math.pi, delta=0.0, d=2.0), r)
 
+    @given(st.sampled_from([math.nan, math.inf]), st.integers(min_value=0, max_value=2))
+    def test_non_finite_phi_rejected(self, bad, slot):
+        # a nan theta used to leak brentq's "function value at x=1.0 is NaN",
+        # and an infinite one reported the mass of phi as 0
+        args = [math.pi, 0.0, 2.0]
+        args[slot] = bad
+        with pytest.raises(ValueError, match="theta, delta and d must be finite"):
+            PowerLawPhi(*args)
+
 
 class TestDllAsymptotic:
     def test_agrees_with_explicit_power_law(self):
@@ -263,6 +272,13 @@ class TestGreenForms:
             AsymptoticForm(-1.0, 0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             AsymptoticForm(1.0, 0.0, -1.0, 1.0)
+
+    @given(st.sampled_from([math.nan, math.inf]), st.integers(min_value=0, max_value=3))
+    def test_non_finite_form_rejected(self, bad, slot):
+        args = [1.0, 0.0, 1.0, 1.0]
+        args[slot] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            AsymptoticForm(*args)
 
 
 @settings(deadline=None, max_examples=25)

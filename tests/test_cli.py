@@ -205,7 +205,7 @@ def test_validate_core(tmp_path):
     assert report["results"]["passed"] is True
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     assert run(["nonsense"]) == 2
     assert run([]) == 2
     # argument error inside a subcommand
@@ -215,6 +215,13 @@ def test_exit_codes(tmp_path):
     # non-finite inputs are rejected at the boundary
     assert run(["exact", "--weights", str(wfile), "--r", "nan", "--method", "mc"]) == 2
     assert run(["spectrum", "--kernel", "ou", "--alpha", "inf", "--n", "20", "--k", "2"]) == 2
+    capsys.readouterr()
+    assert run(["asymptotic", "--law", "dll", "--phi", "power:nan,0,2", "--r", "0.01"]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    nan_a = tmp_path / "nan_a.json"
+    nan_a.write_text('{"kernel": {"type": "bridge"}, "grid_size": 50, "phi": [{"poly": [1.0]}], "A": [[NaN]]}')
+    assert run(["perturb", "--config", str(nan_a)]) == 2
+    assert "must be finite" in capsys.readouterr().err
     # missing file
     assert run(["exact", "--weights", str(tmp_path / "absent.csv"), "--r", "1.0"]) == 2
 

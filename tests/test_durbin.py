@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from smallball import (
@@ -89,6 +91,20 @@ class TestPsi:
 
         with pytest.raises(ValueError):
             FamilySpec("weibull", (1.0,))
+
+    @given(
+        st.sampled_from([math.nan, math.inf]),
+        st.sampled_from([("normal_location", 0), ("normal_location_scale", 0),
+                         ("normal_location_scale", 1), ("exponential_rate", 0)]),
+    )
+    def test_non_finite_theta0_rejected(self, bad, slot):
+        from smallball import FamilySpec
+
+        family, i = slot
+        theta0 = [1.0] * (2 if family == "normal_location_scale" else 1)
+        theta0[i] = bad
+        with pytest.raises(ValueError, match="theta0 must be finite"):
+            FamilySpec(family, tuple(theta0))
 
 
 class TestFisher:

@@ -93,6 +93,18 @@ class TestGramQ:
         with pytest.raises(DataError):
             PerturbationSpec(phi=phi, a_matrix=np.eye(2), grid=g500)
 
+    @given(st.sampled_from([math.nan, math.inf]), st.booleans())
+    def test_non_finite_spec_rejected(self, g500, bad, in_phi):
+        # a nan in A used to surface as "SVD did not converge"
+        phi = np.ones(g500.size)
+        a = np.array([[6.0]])
+        if in_phi:
+            phi[7] = bad
+        else:
+            a[0, 0] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            PerturbationSpec(phi=phi, a_matrix=a, grid=g500)
+
 
 class TestDMatrix:
     def test_zero(self):
@@ -168,6 +180,12 @@ class TestClassify:
         b = rng.normal(size=(m, m))
         q = b @ b.T + 0.5 * np.eye(m)
         assert classify(np.linalg.inv(q), q).label == CRITICAL
+
+    @given(st.sampled_from([math.nan, math.inf]))
+    def test_non_finite_tol_rejected(self, tol):
+        # a nan tol used to label the critical pair A = Q = [[1]] non-critical
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            classify(np.eye(1), np.eye(1), tol)
 
 
 class TestTheorem1:
@@ -408,6 +426,12 @@ class TestTheorem2Numeric:
         se = float(vals.std(ddof=1) / math.sqrt(n))
         num = theorem2_convolution_numeric(lambda x: x, 2, r)
         assert abs(num - mc) < 4 * se
+
+    @given(st.sampled_from([math.nan, math.inf]))
+    def test_non_finite_r_rejected(self, r):
+        # a nan r used to come back as 0.0
+        with pytest.raises(ValueError, match="r must be positive and finite"):
+            theorem2_convolution_numeric(lambda x: 1.0, 1, r)
 
 
 def abel_value(r):

@@ -170,6 +170,17 @@ class TestTailShift:
         # the reported error bound covers the shift sensitivity
         assert shifted.error_bound >= plain.value - shifted.value - 1e-6
 
+    @pytest.mark.parametrize("frac", [0.5, 1.0])
+    def test_ball_below_shift(self, frac):
+        # r <= tail_sum_bound: the value is 0 and the error bound is the
+        # shift sensitivity cdf(r) - 0
+        w = wiener_weights(300)
+        r = frac * w.tail_sum_bound
+        est = cdf_gil_pelaez(w, r)
+        assert est.value == 0.0
+        assert est.log_value == -math.inf
+        assert est.error_bound == max(quadform._gp_value(w.head, r, 1e-7)[0], 0.0)
+
     def test_kl_consistency_pathwise(self):
         # pathwise oracle: ||B||^2 simulated from Brownian bridge paths on a
         # fine time grid, independent of the eigenvalue route
@@ -398,31 +409,22 @@ class TestPanelOracle:
     """The blocked Gauss-Kronrod pass against one quad call per panel."""
 
     def _compare(self, monkeypatch, w, r):
-        panels = []
-        fallbacks = []
-        real_panels, real_quad = quadform._integrate_panels, quadform.quad
-
-        def spy_panels(mu, r_eff, edges):
-            panels.append(edges.size - 1)
-            return real_panels(mu, r_eff, edges)
+        quad_calls = []
+        real_quad = quadform.quad
 
         def spy_quad(*args, **kwargs):
-            fallbacks.append(args[1:3])
+            quad_calls.append(args[1:3])
             return real_quad(*args, **kwargs)
 
-        monkeypatch.setattr(quadform, "_integrate_panels", spy_panels)
         monkeypatch.setattr(quadform, "quad", spy_quad)
         new = cdf_gil_pelaez(w, r)
         monkeypatch.setattr(quadform, "_integrate_panels", _quad_panel_oracle)
         ref = cdf_gil_pelaez(w, r)
         assert abs(new.value - ref.value) <= 1e-12
         assert new.error_bound == pytest.approx(ref.error_bound, rel=0.01)
-        # at most the panel at t = 0 of each inversion goes to quad; at the
-        # smallest radii an inversion has the minimum of 20 panels, so the
-        # share there is exactly 1/20
-        assert all(a == 0.0 for a, _ in fallbacks)
-        assert len(fallbacks) <= len(panels)
-        assert len(fallbacks) <= 0.05 * sum(panels)
+        # panels that fail the 21-point test are halved inside the blocked
+        # pass; no panel goes to scalar quad
+        assert quad_calls == []
 
     @pytest.mark.parametrize("proc,r", CURVE_CASES)
     def test_cdf_curve_radii(self, monkeypatch, proc, r):
@@ -433,3 +435,10 @@ class TestPanelOracle:
         w = durbin_limit_weights[family]
         q10 = brentq(lambda r: cdf_gil_pelaez(w, r).value - 0.1, 0.1 * w.total, w.total, xtol=1e-6)
         self._compare(monkeypatch, w, q10)
+
+    def test_halving_cap_reaches_convergence_check(self, monkeypatch):
+        # without halving, the wide panel at t = 0 keeps its error estimate
+        # (about 2), which the inversion's convergence check rejects
+        monkeypatch.setattr(quadform, "_MAX_HALVINGS", 0)
+        with pytest.raises(NumericError, match="did not converge"):
+            cdf_gil_pelaez(_closed_form_weights(-0.5), 0.03)
