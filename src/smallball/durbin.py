@@ -34,7 +34,7 @@ from . import kernels
 from .errors import ConsistencyError
 from .grids import Grid, graded_endpoint_grid
 from .perturbation import CRITICAL, Classification, classify, gram_q
-from .quadform import _sharded_map
+from .quadform import SAMPLER_BLOCK, _sharded_map
 
 __all__ = [
     "FamilySpec",
@@ -58,7 +58,8 @@ Q_VS_S_TOL = 1e-6
 
 # replications per generator shard of the omega^2 simulator; the split fixes
 # which generator draws which replication, so it is part of every seeded
-# result, and each worker thread holds one OMEGA2_SHARD_REPS x n block
+# result.  A shard works through its replications in row blocks of about
+# quadform.SAMPLER_BLOCK draws, so a worker's memory does not grow with it.
 OMEGA2_SHARD_REPS = 8192
 
 
@@ -295,10 +296,18 @@ def simulate_omega2(fam: FamilySpec, n: int, reps: int, seed: int) -> np.ndarray
         raise ValueError("reps must be >= 1")
     centers = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
 
+    rows = max(1, SAMPLER_BLOCK // n)
+
     def omega2(rng, b):
-        t = _mle_transform(fam, _draw(fam, rng, (b, n)))
-        t.sort(axis=1)
-        return ((t - centers) ** 2).sum(axis=1) + 1.0 / (12.0 * n)
+        # rows come from the shard's generator in order and each is reduced
+        # on its own, so the row blocking does not change any value
+        out = np.empty(b)
+        for lo in range(0, b, rows):
+            hi = min(lo + rows, b)
+            t = _mle_transform(fam, _draw(fam, rng, (hi - lo, n)))
+            t.sort(axis=1)
+            out[lo:hi] = ((t - centers) ** 2).sum(axis=1) + 1.0 / (12.0 * n)
+        return out
 
     sizes = [min(OMEGA2_SHARD_REPS, reps - pos) for pos in range(0, reps, OMEGA2_SHARD_REPS)]
     return np.concatenate(_sharded_map(omega2, seed, sizes))

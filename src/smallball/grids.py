@@ -11,6 +11,7 @@ at ~1e-5.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,12 +64,20 @@ class Grid:
         return bool(np.allclose(self.nodes, other.nodes, rtol=0, atol=tol))
 
 
+@lru_cache(maxsize=16)
 def gauss_legendre_grid(n: int) -> Grid:
-    """n-point Gauss-Legendre rule mapped from [-1, 1] to (0, 1)."""
+    """n-point Gauss-Legendre rule mapped from [-1, 1] to (0, 1).
+
+    Memoised per n, because ``leggauss`` costs O(n^3).  Every caller shares
+    the returned grid, so its nodes and weights are read-only.
+    """
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
     x, w = np.polynomial.legendre.leggauss(n)
-    return Grid(nodes=(x + 1.0) / 2.0, weights=w / 2.0)
+    grid = Grid(nodes=(x + 1.0) / 2.0, weights=w / 2.0)
+    grid.nodes.flags.writeable = False
+    grid.weights.flags.writeable = False
+    return grid
 
 
 def graded_endpoint_grid(n: int, levels: int = 45) -> Grid:

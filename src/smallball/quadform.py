@@ -48,6 +48,10 @@ __all__ = [
 # seeded result
 MC_SHARDS = 16
 
+# elements per block in both samplers: a shard draws and reduces one block at
+# a time, so each worker holds O(SAMPLER_BLOCK) floats whatever the shard size
+SAMPLER_BLOCK = 1 << 17
+
 
 @dataclass(frozen=True)
 class WeightSeq:
@@ -368,21 +372,35 @@ def _lr_logcdf(mu: np.ndarray, r: float, s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _worker_count(shards: int) -> int:
+    """Threads for a sharded map: SMALLBALL_THREADS if set, else the cores
+    this process may run on; never more than the shard count."""
+    raw = os.environ.get("SMALLBALL_THREADS", "")
+    if raw:
+        workers = int(raw) if raw.isdecimal() else 0
+        if workers < 1:
+            raise ValueError(f"SMALLBALL_THREADS must be a positive integer, got '{raw}'")
+    elif hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
+    return min(workers, shards)
+
+
 def _sharded_map(fn, seed: int, sizes: list[int]) -> list:
     """[fn(rng_j, sizes[j]) for each shard j], in shard order.
 
     Shard j draws from PCG64(SeedSequence(entropy=seed, spawn_key=(j,))),
-    so its result depends only on (seed, j, sizes[j]).  With
-    SMALLBALL_THREADS > 1 the shards run on a pool of that many threads;
-    otherwise they run in the calling thread.  Either way the output is the
-    same.
+    so its result depends only on (seed, j, sizes[j]).  The shards run on a
+    pool of ``_worker_count`` threads, or in the calling thread when that is
+    1.  Either way the output is the same.
     """
 
     def shard(j):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(j,))))
         return fn(rng, sizes[j])
 
-    workers = int(os.environ.get("SMALLBALL_THREADS", "1") or "1")
+    workers = _worker_count(len(sizes))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(shard, range(len(sizes))))
@@ -407,8 +425,7 @@ def cdf_monte_carlo(w: WeightSeq, r: float, n_samples: int, seed: int) -> Probab
     if threshold <= 0:
         return ProbabilityEstimate(0.0, -np.inf, 3.0 / n_samples, "monte_carlo")
     mu = w.head
-    # draws per inner block, so that one block holds at most 2^22 normals
-    block = max(1, (1 << 22) // mu.size)
+    block = max(1, SAMPLER_BLOCK // mu.size)
 
     def count_below(rng, n):
         count = 0

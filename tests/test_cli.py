@@ -205,7 +205,7 @@ def test_validate_core(tmp_path):
     assert report["results"]["passed"] is True
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert run(["nonsense"]) == 2
     assert run([]) == 2
     # argument error inside a subcommand
@@ -224,6 +224,13 @@ def test_exit_codes(tmp_path, capsys):
     assert "must be finite" in capsys.readouterr().err
     # missing file
     assert run(["exact", "--weights", str(tmp_path / "absent.csv"), "--r", "1.0"]) == 2
+    # a bad worker count is an argument error, not a traceback or a silent serial run
+    for bad in ("abc", "0"):
+        monkeypatch.setenv("SMALLBALL_THREADS", bad)
+        capsys.readouterr()
+        argv = ["durbin", "--family", "exponential-rate", "--simulate", "--n", "10", "--reps", "5"]
+        assert run(argv + ["--report", str(tmp_path / "bad.json")]) == 2
+        assert f"SMALLBALL_THREADS must be a positive integer, got '{bad}'" in capsys.readouterr().err
 
 
 def test_config_override(tmp_path):

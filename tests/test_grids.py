@@ -25,6 +25,20 @@ def test_polynomial_exactness():
     assert abs(float(g.integrate(g.nodes**10)) - 1.0 / 11.0) < 1e-14
 
 
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_gauss_legendre_memoised_read_only(n):
+    x, w = np.polynomial.legendre.leggauss(n)
+    g = gauss_legendre_grid(n)
+    assert g.nodes.tobytes() == ((x + 1.0) / 2.0).tobytes()
+    assert g.weights.tobytes() == (w / 2.0).tobytes()
+    assert gauss_legendre_grid(n) is g
+    # the cached grid is shared by every caller, so no caller may write it
+    with pytest.raises(ValueError):
+        g.nodes[0] = 0.5
+    with pytest.raises(ValueError):
+        g.weights *= 1.0
+
+
 def test_zero_size_rejected():
     with pytest.raises(ValueError):
         gauss_legendre_grid(0)

@@ -1,4 +1,6 @@
 import math
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -323,7 +325,7 @@ def _layout_omega2(fam, n, reps, seed, block=8192):
     return out
 
 
-@pytest.fixture(params=[None, "2"], ids=["threads_unset", "threads_2"])
+@pytest.fixture(params=[None, "1", "2"], ids=["threads_unset", "threads_1", "threads_2"])
 def threads(request, monkeypatch):
     if request.param is None:
         monkeypatch.delenv("SMALLBALL_THREADS", raising=False)
@@ -332,29 +334,118 @@ def threads(request, monkeypatch):
     return request.param
 
 
+def _pin_cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+
 class TestThreading:
     def test_thread_count_does_not_change_result(self, monkeypatch):
         # shard counts are integers, so the reduction is order-free and the
         # worker pool size must not matter
         w = bridge_weights(40)
-        monkeypatch.delenv("SMALLBALL_THREADS", raising=False)
+        monkeypatch.setenv("SMALLBALL_THREADS", "1")
         serial = cdf_monte_carlo(w, 0.2, 50000, seed=13)
         monkeypatch.setenv("SMALLBALL_THREADS", "4")
         threaded = cdf_monte_carlo(w, 0.2, 50000, seed=13)
         assert serial.value == threaded.value
 
-    @pytest.mark.parametrize("n_samples", [1, 15, 16, 17, 40001])
-    def test_monte_carlo_matches_layout(self, threads, n_samples):
-        w = WeightSeq(head=bridge_weights(40).head, tail_sum_bound=0.002)
+    @pytest.mark.parametrize(
+        "k,n_samples",
+        [pytest.param(40, n, id=str(n)) for n in (1, 15, 16, 17, 40001)]
+        # with 300 weights each shard's 2500 draws span several sampler blocks
+        + [pytest.param(300, 40000, id="k300-40000")],
+    )
+    def test_monte_carlo_matches_layout(self, threads, k, n_samples):
+        w = WeightSeq(head=bridge_weights(k).head, tail_sum_bound=0.002)
         est = cdf_monte_carlo(w, 0.15, n_samples, seed=3)
         assert est.value == _layout_count(w.head, 0.15 - 0.002, n_samples, seed=3) / n_samples
 
-    @pytest.mark.parametrize("reps", [1, 8191, 8192, 8193, 16385])
+    @pytest.mark.parametrize(
+        "n,reps",
+        [pytest.param(20, r, id=str(r)) for r in (1, 8191, 8192, 8193, 16385)]
+        # at n = 500 a shard works through its replications in row blocks
+        + [pytest.param(500, r, id=f"n500-{r}") for r in (300, 16385)],
+    )
     @pytest.mark.parametrize("family", ["normal_location", "exponential_rate"])
-    def test_omega2_matches_layout(self, threads, family, reps):
+    def test_omega2_matches_layout(self, threads, family, n, reps):
         fam = getattr(durbin, family)()
-        stats = simulate_omega2(fam, 20, reps, seed=11)
-        assert stats.tobytes() == _layout_omega2(fam, 20, reps, seed=11).tobytes()
+        stats = simulate_omega2(fam, n, reps, seed=11)
+        assert stats.tobytes() == _layout_omega2(fam, n, reps, seed=11).tobytes()
+
+    @pytest.mark.parametrize(
+        "env,cores,shards,pool",
+        [
+            (None, 3, 16, 3),
+            (None, 3, 2, 2),
+            (None, 1, 16, None),
+            ("", 3, 16, 3),
+            ("1", 3, 16, None),
+            ("8", 1, 16, 8),
+            ("8", 1, 2, 2),
+        ],
+    )
+    def test_worker_count(self, monkeypatch, env, cores, shards, pool):
+        # unset or empty: one thread per available core; never more threads
+        # than shards, and no pool for a single worker
+        if env is None:
+            monkeypatch.delenv("SMALLBALL_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("SMALLBALL_THREADS", env)
+        _pin_cores(monkeypatch, cores)
+        pools = []
+        real_pool = quadform.ThreadPoolExecutor
+
+        def spy_pool(max_workers):
+            pools.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(quadform, "ThreadPoolExecutor", spy_pool)
+        sizes = list(range(1, shards + 1))
+        assert quadform._sharded_map(lambda rng, n: n, seed=0, sizes=sizes) == sizes
+        assert pools == ([] if pool is None else [pool])
+
+    def test_worker_count_without_affinity(self, monkeypatch):
+        monkeypatch.delenv("SMALLBALL_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert quadform._worker_count(16) == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert quadform._worker_count(16) == 1
+
+    @pytest.mark.parametrize("bad", ["abc", "0", "-2", "1.5"])
+    def test_bad_thread_count_rejected(self, monkeypatch, bad):
+        monkeypatch.setenv("SMALLBALL_THREADS", bad)
+        with pytest.raises(ValueError, match=f"SMALLBALL_THREADS must be a positive integer, got '{bad}'"):
+            cdf_monte_carlo(bridge_weights(5), 0.2, 100, seed=1)
+
+
+def _peak_traced_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestSamplerMemory:
+    """Each worker holds O(SAMPLER_BLOCK) floats, whatever the shard size.
+
+    The default worker count follows the cores, so they are pinned to 3 to
+    keep the bound independent of the machine."""
+
+    BOUND_MB = 16.0
+
+    def test_omega2_peak(self, monkeypatch, threads):
+        _pin_cores(monkeypatch, 3)
+        peak = _peak_traced_mb(lambda: simulate_omega2(durbin.normal_location(), 500, 16385, seed=5))
+        assert peak < self.BOUND_MB
+
+    def test_monte_carlo_peak(self, monkeypatch, threads):
+        _pin_cores(monkeypatch, 3)
+        w = WeightSeq(head=bridge_weights(300).head)
+        peak = _peak_traced_mb(lambda: cdf_monte_carlo(w, 0.15, 40000, seed=5))
+        assert peak < self.BOUND_MB
 
 
 class TestInversionMonotonicity:
