@@ -273,8 +273,14 @@ def dll_root(spec: PowerLawPhi, r: float) -> float:
             f"theta^(-d) (1+delta)^(1-d) / (d-1) = {mass:.6g}"
         )
 
+    # I1 is the costly part: the bracket loops both start at u = 1, brentq
+    # re-evaluates the bracket ends and the residual check reads its root
+    memo: dict[float, float] = {}
+
     def f(u):
-        return _integrate_scaled(_x_dlog_f, spec, u) + u * r
+        if u not in memo:
+            memo[u] = _integrate_scaled(_x_dlog_f, spec, u) + u * r
+        return memo[u]
 
     lo = hi = 1.0
     tries = 0
@@ -290,8 +296,9 @@ def dll_root(spec: PowerLawPhi, r: float) -> float:
         if tries > 400:
             raise NumericError("dll_root: upper bracket expansion failed")
     u = brentq(f, lo, hi, rtol=1e-14, maxiter=500)
-    if abs(f(u)) > 1e-10 * abs(u * r):
-        raise NumericError(f"dll_root residual too large: {f(u):.3e} at u={u:.6e}")
+    resid = f(u)
+    if abs(resid) > 1e-10 * abs(u * r):
+        raise NumericError(f"dll_root residual too large: {resid:.3e} at u={u:.6e}")
     return u
 
 
@@ -303,16 +310,23 @@ def dll_prefactor() -> float:
     Euler-Maclaurin companion of (2 pi)^(-1/2)."""
     ref = PowerLawPhi(theta=1.0, delta=0.0, d=2.0)
     r_cal = 1e-8
-    uncal = _dll_log_uncalibrated(ref, r_cal)
+    uncal, _ = _dll_log_uncalibrated(ref, r_cal)
     target = naznik_asymptotic(1.0, 0.0, 2.0, math.sqrt(r_cal))
     return math.exp(target - uncal)
 
 
-def _dll_log_uncalibrated(spec: PowerLawPhi, r: float) -> float:
+def _dll_log_uncalibrated(spec: PowerLawPhi, r: float) -> tuple[float, float]:
+    """(log-probability without the prefactor C, tilt u) at r."""
     u = dll_root(spec, r)
     i0 = _integrate_scaled(_log_f, spec, u)
     i2 = _integrate_scaled(_x2_d2log_f, spec, u)
-    return 0.5 * (_log_f(u * spec(1.0)) - math.log(i2)) + i0 + u * r
+    return 0.5 * (_log_f(u * spec(1.0)) - math.log(i2)) + i0 + u * r, u
+
+
+def _dll_log_and_tilt(spec: PowerLawPhi, r: float) -> tuple[float, float]:
+    """(dll_asymptotic(spec, r), dll_root(spec, r)) from one root solve."""
+    uncal, u = _dll_log_uncalibrated(spec, r)
+    return math.log(dll_prefactor()) + uncal, u
 
 
 def dll_asymptotic(spec: PowerLawPhi, r: float) -> float:
@@ -322,4 +336,4 @@ def dll_asymptotic(spec: PowerLawPhi, r: float) -> float:
 
     with u = u(r) the exact root of I1(u) + u r = 0 and C the calibrated
     prefactor."""
-    return math.log(dll_prefactor()) + _dll_log_uncalibrated(spec, r)
+    return _dll_log_and_tilt(spec, r)[0]

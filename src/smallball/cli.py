@@ -1,9 +1,13 @@
 """Command-line entry point.
 
 Subcommands: spectrum, exact, asymptotic, perturb, durbin, validate.
-Every subcommand is a thin dispatcher into the library; results go to a
-JSON report (stdout by default) plus optional CSV tables.  Exit codes:
-0 success, 2 argument errors, 3 numeric or consistency failures.
+Every subcommand is a thin dispatcher into the library that returns its
+report sections (inputs, results, diagnostics); ``run`` alone wraps them in
+the JSON report {task, inputs, results, diagnostics, version, timestamp},
+with ``task`` the subcommand name, and writes it to stdout or ``--report``.
+Some subcommands also write CSV tables.  Exit codes: 0 success, 2 argument
+errors, 3 numeric or consistency failures; a failing ``validate`` suite
+writes its report first, with ``results.passed`` false.
 """
 
 from __future__ import annotations
@@ -125,7 +129,7 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 # ---------------------------------------------------------------------------
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> tuple[dict, dict, dict]:
     spec = _kernel_from_config({"type": args.kernel, "alpha": args.alpha})
     grid = gauss_legendre_grid(args.n)
     spectrum = nystrom_spectrum(spec, grid, args.k)
@@ -139,18 +143,16 @@ def _cmd_spectrum(args) -> int:
             for i in range(grid.size)
         ]
         _write_csv(args.eigvecs_out, header, rows)
-    trace = float(np.sum(grid.weights * np.diag(kernels.kernel_matrix(spec, grid))))
-    report = _report(
-        "spectrum",
+    diagonal = [kernels.kernel_eval(spec, x, x) for x in grid.nodes]
+    trace = float(np.sum(grid.weights * diagonal))
+    return (
         {"kernel": args.kernel, "alpha": args.alpha, "n": args.n, "k": args.k},
         {"eigenvalues": [float(v) for v in mu]},
         {"weighted_trace": trace, "eigenvalue_sum": float(mu.sum())},
     )
-    _emit(report, args.report)
-    return 0
 
 
-def _cmd_exact(args) -> int:
+def _cmd_exact(args) -> tuple[dict, dict, dict]:
     w = quadform.read_weights(args.weights)
     if args.method == "gilpelaez":
         est = quadform.cdf_gil_pelaez(w, args.r)
@@ -158,8 +160,7 @@ def _cmd_exact(args) -> int:
         est = quadform.cdf_saddlepoint(w, args.r)
     else:
         est = quadform.cdf_monte_carlo(w, args.r, args.samples, args.seed)
-    report = _report(
-        "exact",
+    return (
         {
             "weights": str(args.weights),
             "n_weights": int(w.head.size),
@@ -172,11 +173,9 @@ def _cmd_exact(args) -> int:
         {"value": est.value, "log_value": est.log_value},
         {"error_bound": est.error_bound},
     )
-    _emit(report, args.report)
-    return 0
 
 
-def _cmd_asymptotic(args) -> int:
+def _cmd_asymptotic(args) -> tuple[dict, dict, dict]:
     if args.law == "naznik":
         theta = _pi_aware(args.theta)
         params = asymptotics.naznik_params(theta, args.delta, args.d)
@@ -187,26 +186,21 @@ def _cmd_asymptotic(args) -> int:
             "amplitude": params.amplitude,
             "exponent_coefficient": params.exponent_coefficient,
         }
-        diag = {"eps": args.eps}
         inputs = {"law": "naznik", "theta": theta, "delta": args.delta, "d": args.d, "eps": args.eps}
-    else:
-        if not args.phi or not args.phi.startswith("power:"):
-            raise ValueError("dll law needs --phi power:theta,delta,d")
-        theta_s, delta_s, d_s = args.phi[len("power:") :].split(",")
-        spec = asymptotics.PowerLawPhi(
-            theta=_pi_aware(float(theta_s)), delta=float(delta_s), d=float(d_s)
-        )
-        r = args.r if args.r is not None else args.eps**2
-        u = asymptotics.dll_root(spec, r)
-        log_p = asymptotics.dll_asymptotic(spec, r)
-        results = {"log_probability": log_p, "tilt": u, "prefactor": asymptotics.dll_prefactor()}
-        diag = {"r": r}
-        inputs = {"law": "dll", "phi": args.phi, "r": r}
-    _emit(_report("asymptotic", inputs, results, diag), args.report)
-    return 0
+        return inputs, results, {"eps": args.eps}
+    if not args.phi or not args.phi.startswith("power:"):
+        raise ValueError("dll law needs --phi power:theta,delta,d")
+    theta_s, delta_s, d_s = args.phi[len("power:") :].split(",")
+    spec = asymptotics.PowerLawPhi(
+        theta=_pi_aware(float(theta_s)), delta=float(delta_s), d=float(d_s)
+    )
+    r = args.r if args.r is not None else args.eps**2
+    log_p, u = asymptotics._dll_log_and_tilt(spec, r)
+    results = {"log_probability": log_p, "tilt": u, "prefactor": asymptotics.dll_prefactor()}
+    return {"law": "dll", "phi": args.phi, "r": r}, results, {"r": r}
 
 
-def _cmd_perturb(args) -> int:
+def _cmd_perturb(args) -> tuple[dict, dict, dict]:
     with open(args.problem, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
     kernel = _kernel_from_config(cfg["kernel"])
@@ -255,14 +249,7 @@ def _cmd_perturb(args) -> int:
             order, spec.m, pref, args.eps
         )
         diagnostics["eps"] = args.eps
-    report = _report(
-        "perturb",
-        {"config": str(args.problem), "grid_size": grid.size, "m": spec.m},
-        results,
-        diagnostics,
-    )
-    _emit(report, args.report)
-    return 0
+    return {"config": str(args.problem), "grid_size": grid.size, "m": spec.m}, results, diagnostics
 
 
 _FAMILY_SLUGS = {
@@ -272,7 +259,7 @@ _FAMILY_SLUGS = {
 }
 
 
-def _cmd_durbin(args) -> int:
+def _cmd_durbin(args) -> tuple[dict, dict, dict]:
     fam = _FAMILY_SLUGS[args.family]()
     model = durbin.durbin_model(fam)
     results: dict = {
@@ -299,11 +286,10 @@ def _cmd_durbin(args) -> int:
             }
         )
         inputs.update({"n": args.n, "reps": args.reps, "seed": args.seed})
-    _emit(_report("durbin", inputs, results, diagnostics), args.report)
-    return 0
+    return inputs, results, diagnostics
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> tuple[dict, dict, dict]:
     checks = [
         {
             "check": name,
@@ -314,17 +300,12 @@ def _cmd_validate(args) -> int:
         }
         for name, value, target, tol in _core_suite()
     ]
-    ok = all(c["passed"] for c in checks)
-    report = _report(
-        "validate",
+    n_failed = sum(not c["passed"] for c in checks)
+    return (
         {"suite": args.suite},
-        {"passed": ok, "checks": checks},
-        {"n_checks": len(checks), "n_failed": sum(not c["passed"] for c in checks)},
+        {"passed": n_failed == 0, "checks": checks},
+        {"n_checks": len(checks), "n_failed": n_failed},
     )
-    _emit(report, args.report)
-    if not ok:
-        raise SmallBallError("validation suite failed; see report")
-    return 0
 
 
 def _core_suite():
@@ -391,29 +372,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"smallball {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--report", help="JSON report path (default stdout)")
+    config = argparse.ArgumentParser(add_help=False, parents=[report])
+    config.add_argument("--config", help="JSON config overriding flags")
 
-    p = sub.add_parser("spectrum", help="Nystrom spectrum of a catalog kernel")
+    p = sub.add_parser("spectrum", parents=[config], help="Nystrom spectrum of a catalog kernel")
     p.add_argument("--kernel", choices=("bridge", "wiener", "ou"), required=True)
     p.add_argument("--alpha", type=float, default=1.0, help="OU rate")
     p.add_argument("--n", type=int, default=1000, help="Gauss-Legendre grid size")
     p.add_argument("--k", type=int, default=10, help="number of eigenvalues")
     p.add_argument("--out", help="CSV output path (k, mu_k)")
     p.add_argument("--eigvecs-out", dest="eigvecs_out", help="CSV of eigenfunction samples")
-    p.add_argument("--report", help="JSON report path (default stdout)")
-    p.add_argument("--config", help="JSON config overriding flags")
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("exact", help="CDF of a weighted chi-square form")
+    p = sub.add_parser("exact", parents=[config], help="CDF of a weighted chi-square form")
     p.add_argument("--weights", required=True, help="CSV weight file, one mu per line")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--method", choices=("gilpelaez", "saddle", "mc"), default="gilpelaez")
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--report", help="JSON report path (default stdout)")
-    p.add_argument("--config", help="JSON config overriding flags")
     p.set_defaults(func=_cmd_exact)
 
-    p = sub.add_parser("asymptotic", help="closed-form small-ball asymptotics")
+    p = sub.add_parser("asymptotic", parents=[config], help="closed-form small-ball asymptotics")
     p.add_argument("--law", choices=("naznik", "dll"), required=True)
     p.add_argument("--theta", type=float, default=math.pi)
     p.add_argument("--delta", type=float, default=0.0)
@@ -421,32 +402,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--r", type=float, default=None, help="ball radius squared (dll)")
     p.add_argument("--phi", help="dll catalog member, e.g. power:3.14159265,0,2")
-    p.add_argument("--report", help="JSON report path (default stdout)")
-    p.add_argument("--config", help="JSON config overriding flags")
     p.set_defaults(func=_cmd_asymptotic)
 
-    p = sub.add_parser("perturb", help="perturbation classification and transfer factors")
+    # perturb's --config is its problem file, not a set of flag overrides
+    p = sub.add_parser("perturb", parents=[report], help="perturbation classification and transfer factors")
     p.add_argument("--config", dest="problem", required=True, help="JSON problem description")
     p.add_argument("--theorem1", action="store_true", help="non-critical transfer factor")
     p.add_argument("--theorem3", action="store_true", help="critical Green-process factor")
     p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--report", help="JSON report path (default stdout)")
     p.set_defaults(func=_cmd_perturb)
 
-    p = sub.add_parser("durbin", help="Durbin limiting processes and the omega^2 simulator")
+    p = sub.add_parser("durbin", parents=[config], help="Durbin limiting processes and the omega^2 simulator")
     p.add_argument("--family", choices=tuple(_FAMILY_SLUGS), required=True)
     p.add_argument("--simulate", action="store_true")
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--reps", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="CSV of simulated statistics")
-    p.add_argument("--report", help="JSON report path (default stdout)")
-    p.add_argument("--config", help="JSON config overriding flags")
     p.set_defaults(func=_cmd_durbin)
 
-    p = sub.add_parser("validate", help="run a validation suite")
+    p = sub.add_parser("validate", parents=[report], help="run a validation suite")
     p.add_argument("--suite", default="core", choices=("core",))
-    p.add_argument("--report", help="JSON report path (default stdout)")
     p.set_defaults(func=_cmd_validate)
     return parser
 
@@ -456,7 +432,11 @@ def run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         _apply_config(parser, args)
-        return args.func(args)
+        report = _report(args.command, *args.func(args))
+        _emit(report, args.report)
+        if report["results"].get("passed") is False:
+            raise SmallBallError("validation suite failed; see report")
+        return 0
     except SystemExit as exc:  # argparse usage errors and --version
         return int(exc.code or 0)
     except SmallBallError as exc:

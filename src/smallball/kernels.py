@@ -67,14 +67,18 @@ class KernelSpec:
                 raise ValueError("sampled kernel matrix must be square")
             if m.shape[0] != self.grid.size:
                 raise ValueError("sampled kernel matrix does not match its grid")
-            if not np.allclose(m, m.T, rtol=0, atol=1e-10 * max(1.0, np.abs(m).max())):
-                raise DataError("sampled kernel matrix is not symmetric")
-            object.__setattr__(self, "matrix", 0.5 * (m + m.T))
+            if not np.isfinite(m).all():
+                raise ValueError("sampled kernel matrix must be finite")
             if self.diag_jump is not None:
                 j = np.asarray(self.diag_jump, dtype=float)
                 if j.shape != (self.grid.size,):
                     raise ValueError("diag_jump must have one value per grid node")
+                if not np.isfinite(j).all():
+                    raise ValueError("diag_jump must be finite")
                 object.__setattr__(self, "diag_jump", j)
+            if not np.allclose(m, m.T, rtol=0, atol=1e-10 * max(1.0, np.abs(m).max())):
+                raise DataError("sampled kernel matrix is not symmetric")
+            object.__setattr__(self, "matrix", 0.5 * (m + m.T))
 
 
 def wiener() -> KernelSpec:

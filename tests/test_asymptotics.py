@@ -20,6 +20,7 @@ from smallball import (
     naznik_form,
     naznik_params,
 )
+from smallball import asymptotics
 from smallball.asymptotics import tilt_integrals
 
 
@@ -107,6 +108,24 @@ class TestDllRoot:
                 dll_root(spec, r)
         with pytest.raises(ValueError, match="mass of phi"):
             dll_asymptotic(spec, 0.5)
+
+    @pytest.mark.parametrize("delta", [-0.5, 0.0])
+    @pytest.mark.parametrize("r", [2.5e-5, 1e-4, 1e-3])
+    def test_no_tilt_integrated_twice(self, monkeypatch, delta, r):
+        # the bracket loops share u = 1, brentq re-reads its bracket ends
+        # and the residual check reads the root: each tilt is integrated once
+        spec = PowerLawPhi(theta=math.pi, delta=delta, d=2.0)
+        expected = dll_root(spec, r)
+        tilts = []
+        integrate = asymptotics._integrate_scaled
+
+        def spy(h, phi, u):
+            tilts.append(u)
+            return integrate(h, phi, u)
+
+        monkeypatch.setattr(asymptotics, "_integrate_scaled", spy)
+        assert dll_root(spec, r) == expected
+        assert tilts and len(set(tilts)) == len(tilts)
 
     @given(st.sampled_from([math.nan, math.inf]))
     def test_non_finite_r_rejected(self, r):

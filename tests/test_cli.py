@@ -1,10 +1,13 @@
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
+from smallball import asymptotics, cli, kernels
 from smallball.cli import run
+from smallball.grids import gauss_legendre_grid
 
 
 def read_json(path):
@@ -101,6 +104,44 @@ def test_asymptotic_dll(tmp_path):
     report = read_json(rep)
     assert report["results"]["log_probability"] < -10
     assert report["results"]["tilt"] > 0
+
+
+def test_asymptotic_dll_solves_root_once(tmp_path, monkeypatch):
+    spec = asymptotics.PowerLawPhi(theta=math.pi, delta=0.0, d=2.0)
+    tilt, log_p = asymptotics.dll_root(spec, 1e-4), asymptotics.dll_asymptotic(spec, 1e-4)
+    roots = []
+    solve = asymptotics.dll_root
+
+    def counting(*args):
+        roots.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(asymptotics, "dll_root", counting)
+    rep = tmp_path / "rep.json"
+    assert run(["asymptotic", "--law", "dll", "--phi", "power:3.14159265,0,2", "--r", "0.0001",
+                "--report", str(rep)]) == 0
+    assert len(roots) == 1
+    results = read_json(rep)["results"]
+    assert results["tilt"] == tilt
+    assert results["log_probability"] == log_p
+
+
+@pytest.mark.parametrize("kernel", ["bridge", "wiener", "ou"])
+def test_spectrum_trace_without_kernel_matrix(tmp_path, monkeypatch, kernel):
+    # the weighted trace reads the kernel diagonal in O(n) and equals, bit
+    # for bit, the same sum over the diagonal of the full matrix
+    spec = cli._kernel_from_config({"type": kernel, "alpha": 1.7})
+    grid = gauss_legendre_grid(200)
+    expected = float(np.sum(grid.weights * np.diag(kernels.kernel_matrix(spec, grid))))
+
+    def no_matrix(*args):
+        raise AssertionError("kernel_matrix called for the trace")
+
+    monkeypatch.setattr(kernels, "kernel_matrix", no_matrix)
+    rep = tmp_path / "rep.json"
+    assert run(["spectrum", "--kernel", kernel, "--alpha", "1.7", "--n", "200", "--k", "3",
+                "--report", str(rep)]) == 0
+    assert read_json(rep)["diagnostics"]["weighted_trace"] == expected
 
 
 def test_perturb_classify_and_factors(tmp_path):
@@ -233,6 +274,20 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         assert f"SMALLBALL_THREADS must be a positive integer, got '{bad}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data", [
+    '"matrix": [[1.0, Infinity], [Infinity, 1.0]]',
+    '"matrix": [[1.0, 0.5], [0.5, 1.0]], "diag_jump": [1.0, Infinity]',
+], ids=["matrix", "diag_jump"])
+def test_exit_code_non_finite_sampled_kernel(tmp_path, capsys, data):
+    # JSON Infinity in a sampled kernel is an argument error, not the later
+    # "Q is not positive definite" numeric failure
+    path = tmp_path / "problem.json"
+    path.write_text('{"kernel": {"type": "sampled", "grid": [0.25, 0.75], ' + data
+                    + '}, "phi": [{"poly": [1.0]}], "A": [[1.0]]}')
+    assert run(["perturb", "--config", str(path), "--report", str(tmp_path / "rep.json")]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_config_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 60, "k": 3}))
@@ -271,3 +326,44 @@ def test_report_deterministic_modulo_timestamp(tmp_path):
         data.pop("timestamp")
         reps.append(json.dumps(data, sort_keys=True))
     assert reps[0] == reps[1]
+
+
+def _envelope_argv(tmp_path):
+    wfile = tmp_path / "w.csv"
+    wfile.write_text("1.0\n0.5\n")
+    problem = tmp_path / "problem.json"
+    problem.write_text('{"kernel": {"type": "bridge"}, "grid_size": 50, "phi": [{"poly": [1.0]}], "A": [[6.0]]}')
+    return [
+        ["spectrum", "--kernel", "bridge", "--n", "30", "--k", "2"],
+        ["exact", "--weights", str(wfile), "--r", "1.0"],
+        ["asymptotic", "--law", "naznik"],
+        ["perturb", "--config", str(problem), "--theorem1"],
+        ["durbin", "--family", "normal-location"],
+        ["validate"],
+    ]
+
+
+def test_report_envelope(tmp_path):
+    # one report path: every subcommand's report has the same top-level keys
+    # and names its subcommand as the task
+    argvs = _envelope_argv(tmp_path)
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(a[0] for a in argvs) == sorted(commands.choices)
+    for argv in argvs:
+        rep = tmp_path / f"{argv[0]}.json"
+        assert run(argv + ["--report", str(rep)]) == 0
+        report = read_json(rep)
+        assert set(report) == {"task", "inputs", "results", "diagnostics", "version", "timestamp"}
+        assert report["task"] == argv[0]
+
+
+def test_failing_validate_writes_report_and_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_core_suite", lambda: iter([("broken", 1.0, 0.0, 0.5)]))
+    rep = tmp_path / "rep.json"
+    assert run(["validate", "--report", str(rep)]) == 3
+    assert capsys.readouterr().err == "error: validation suite failed; see report\n"
+    report = read_json(rep)
+    assert report["task"] == "validate"
+    assert report["results"]["passed"] is False
+    assert report["results"]["checks"][0]["check"] == "broken"
+    assert report["diagnostics"] == {"n_checks": 1, "n_failed": 1}

@@ -127,3 +127,23 @@ def test_out_of_domain_rejected():
 def test_non_finite_ou_rate_rejected(alpha):
     with pytest.raises(ValueError, match="finite rate"):
         ornstein_uhlenbeck(alpha)
+
+
+@given(st.sampled_from([math.nan, math.inf]))
+def test_non_finite_sampled_matrix_rejected(bad):
+    # checked before symmetry: a NaN used to read as "not symmetric", and an
+    # inf passed with a RuntimeWarning into an empty spectrum
+    grid = gauss_legendre_grid(4)
+    m = kernel_matrix(bridge(), grid)
+    m[1, 2] = m[2, 1] = bad
+    with pytest.raises(ValueError, match="matrix must be finite"):
+        sampled(grid, m)
+
+
+@given(st.sampled_from([math.nan, math.inf]))
+def test_non_finite_diag_jump_rejected(bad):
+    grid = gauss_legendre_grid(4)
+    jump = np.ones(grid.size)
+    jump[3] = bad
+    with pytest.raises(ValueError, match="diag_jump must be finite"):
+        sampled(grid, kernel_matrix(bridge(), grid), diag_jump=jump)
