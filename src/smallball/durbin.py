@@ -13,7 +13,10 @@ int_0^1 psi' psi'^T dt in the time-transformed coordinates.
 For the bridge the perturbing functions are phi_j = -psi_j'', the Gram
 matrix Q reproduces S, and A = S^{-1} = Q^{-1}: every catalog family is a
 critical perturbation.  ``durbin_model`` verifies both facts numerically at
-construction.
+construction, and the limit law is that validated perturbation:
+``durbin_kernel_matrix`` is ``perturbed_kernel`` of the bridge with
+D = -A = -S^{-1}, so ``durbin_kernel_spec`` raises ConsistencyError for a
+family whose model fails validation.
 
 Catalog families (closed-form psi, psi', psi'' and MLE):
 
@@ -33,8 +36,8 @@ from scipy.special import ndtr, ndtri
 from . import kernels
 from .errors import ConsistencyError
 from .grids import Grid, graded_endpoint_grid
-from .perturbation import CRITICAL, Classification, classify, gram_q
-from .quadform import SAMPLER_BLOCK, _sharded_map
+from .perturbation import CRITICAL, Classification, classify, gram_q, perturbed_kernel
+from .quadform import SAMPLER_BLOCK, _norm_pdf, _sharded_map
 
 __all__ = [
     "FamilySpec",
@@ -109,37 +112,34 @@ def exponential_rate(lam: float = 1.0) -> FamilySpec:
     return FamilySpec("exponential_rate", (lam,))
 
 
-def _norm_pdf(z):
-    return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+def _closed_forms(fam: FamilySpec, grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(psi, psi', phi) on the grid nodes, one column per estimated
+    parameter.  The normal location column is the location-scale one at
+    sigma = 1."""
+    t = grid.nodes
+    if fam.family == "exponential_rate":
+        lam = fam.theta0[0]
+        log_surv = np.log1p(-t)
+        cols = [(-(1.0 - t) * log_surv / lam, (log_surv + 1.0) / lam, 1.0 / (lam * (1.0 - t)))]
+    else:
+        sigma = fam.theta0[1] if fam.m == 2 else 1.0
+        z = ndtri(t)
+        p = _norm_pdf(z)
+        cols = [(-p / sigma, z / sigma, -1.0 / (sigma * p))]
+        if fam.m == 2:
+            cols.append((-z * p / sigma, (z * z - 1.0) / sigma, -2.0 * z / (sigma * p)))
+    return tuple(np.column_stack(c) for c in zip(*cols))
 
 
 def durbin_psi(fam: FamilySpec, grid: Grid) -> np.ndarray:
     """psi_j(t) = dF/dtheta_j at t = F(x, theta0), one column per estimated
     parameter.  All catalog psi vanish at both endpoints."""
-    t = grid.nodes
-    if fam.family == "normal_location":
-        z = ndtri(t)
-        return (-_norm_pdf(z))[:, None]
-    if fam.family == "normal_location_scale":
-        sigma = fam.theta0[1]
-        z = ndtri(t)
-        p = _norm_pdf(z)
-        return np.column_stack([-p / sigma, -z * p / sigma])
-    lam = fam.theta0[0]
-    return (-(1.0 - t) * np.log1p(-t) / lam)[:, None]
+    return _closed_forms(fam, grid)[0]
 
 
 def durbin_psi_prime(fam: FamilySpec, grid: Grid) -> np.ndarray:
     """Analytic d psi / dt (the score in transformed time)."""
-    t = grid.nodes
-    if fam.family == "normal_location":
-        return ndtri(t)[:, None]
-    if fam.family == "normal_location_scale":
-        sigma = fam.theta0[1]
-        z = ndtri(t)
-        return np.column_stack([z / sigma, (z * z - 1.0) / sigma])
-    lam = fam.theta0[0]
-    return ((np.log1p(-t) + 1.0) / lam)[:, None]
+    return _closed_forms(fam, grid)[1]
 
 
 def durbin_phi(fam: FamilySpec, grid: Grid) -> np.ndarray:
@@ -149,17 +149,7 @@ def durbin_phi(fam: FamilySpec, grid: Grid) -> np.ndarray:
     endpoints, which is why these are closed forms and not difference
     quotients.
     """
-    t = grid.nodes
-    if fam.family == "normal_location":
-        z = ndtri(t)
-        return (-1.0 / _norm_pdf(z))[:, None]
-    if fam.family == "normal_location_scale":
-        sigma = fam.theta0[1]
-        z = ndtri(t)
-        p = _norm_pdf(z)
-        return np.column_stack([-1.0 / (sigma * p), -2.0 * z / (sigma * p)])
-    lam = fam.theta0[0]
-    return (1.0 / (lam * (1.0 - t)))[:, None]
+    return _closed_forms(fam, grid)[2]
 
 
 def fisher_matrix(fam: FamilySpec, grid: Grid) -> np.ndarray:
@@ -169,8 +159,11 @@ def fisher_matrix(fam: FamilySpec, grid: Grid) -> np.ndarray:
     graded grid (the durbin_model default) rather than a plain Gauss rule
     when 1e-6 accuracy matters.
     """
-    dp = durbin_psi_prime(fam, grid)
-    s = (dp * grid.weights[:, None]).T @ dp
+    return _gram_of_scores(durbin_psi_prime(fam, grid), grid)
+
+
+def _gram_of_scores(psi_prime: np.ndarray, grid: Grid) -> np.ndarray:
+    s = (psi_prime * grid.weights[:, None]).T @ psi_prime
     return 0.5 * (s + s.T)
 
 
@@ -192,8 +185,7 @@ class DurbinModel:
         """int G(t, t) dt of the limiting covariance, which is also the mean
         of the limiting statistic."""
         bridge_trace = float(np.sum(self.grid.weights * self.grid.nodes * (1.0 - self.grid.nodes)))
-        s_inv = np.linalg.inv(self.fisher)
-        red = float(np.einsum("ij,ni,nj,n->", s_inv, self.psi, self.psi, self.grid.weights))
+        red = float(np.einsum("ij,ni,nj,n->", self.a_matrix, self.psi, self.psi, self.grid.weights))
         return bridge_trace - red
 
 
@@ -206,9 +198,8 @@ def durbin_model(fam: FamilySpec, grid: Grid | None = None) -> DurbinModel:
     """
     if grid is None:
         grid = graded_endpoint_grid(500)
-    psi = durbin_psi(fam, grid)
-    phi = durbin_phi(fam, grid)
-    s = fisher_matrix(fam, grid)
+    psi, psi_prime, phi = _closed_forms(fam, grid)
+    s = _gram_of_scores(psi_prime, grid)
     q = gram_q(phi, psi, grid)
     gap = float(np.abs(q - s).max())
     if gap > Q_VS_S_TOL:
@@ -232,16 +223,12 @@ def durbin_model(fam: FamilySpec, grid: Grid | None = None) -> DurbinModel:
 
 
 def durbin_kernel_matrix(fam: FamilySpec, grid: Grid) -> np.ndarray:
-    """The limiting covariance G_B - psi^T S^{-1} psi on a grid.
-
-    S comes from a graded reference grid so that coarse evaluation grids do
-    not distort the subtracted term.
-    """
-    s = fisher_matrix(fam, graded_endpoint_grid(500))
-    psi = durbin_psi(fam, grid)
-    g_b = kernels.kernel_matrix(kernels.bridge(), grid)
-    out = g_b - psi @ np.linalg.solve(s, psi.T)
-    return 0.5 * (out + out.T)
+    """The limiting covariance G_B - psi^T S^{-1} psi on a grid: the critical
+    perturbation ``durbin_model`` validates, where A = S^{-1} = Q^{-1} makes
+    D = -A.  S comes from the model's graded grid, so coarse evaluation grids
+    do not distort the subtracted term."""
+    d = -durbin_model(fam).a_matrix
+    return perturbed_kernel(kernels.kernel_matrix(kernels.bridge(), grid), durbin_psi(fam, grid), d)
 
 
 def durbin_kernel_spec(fam: FamilySpec, grid: Grid) -> kernels.KernelSpec:

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad  # noqa: F401  (benchmark/tracing.py counts calls to quadform.quad)
 from scipy.optimize import brentq
-from scipy.special import ndtri
-from scipy.stats import norm
+from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import NumericError
 
@@ -343,6 +342,13 @@ def _solve_saddle(mu: np.ndarray, r: float) -> float:
     return brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
 
 
+_LOG_SQRT_2PI = math.log(math.sqrt(2.0 * math.pi))
+
+
+def _norm_pdf(z):
+    return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+
 def _lr_logcdf(mu: np.ndarray, r: float, s: float) -> float:
     """Lugannani-Rice log P{Q < r} at the saddle s = _solve_saddle(mu, r)."""
     k0 = _cgf(s, mu)
@@ -352,14 +358,14 @@ def _lr_logcdf(mu: np.ndarray, r: float, s: float) -> float:
     if abs(w_hat) < 1e-5:
         # limiting form at the mean
         corr = _cgf3(s, mu) / (6.0 * k2**1.5)
-        p = norm.cdf(w_hat) + norm.pdf(w_hat) * corr
+        p = ndtr(w_hat) + _norm_pdf(w_hat) * corr
         return math.log(p)
     u_hat = s * math.sqrt(k2)
     term = 1.0 / w_hat - 1.0 / u_hat
-    log_phi_part = norm.logcdf(w_hat)
+    log_phi_part = log_ndtr(w_hat)
     if term == 0.0:
         return log_phi_part
-    log_term = norm.logpdf(w_hat) + math.log(abs(term))
+    log_term = -0.5 * w_hat * w_hat - _LOG_SQRT_2PI + math.log(abs(term))
     if term > 0:
         return float(np.logaddexp(log_phi_part, log_term))
     if log_term >= log_phi_part:
@@ -408,38 +414,42 @@ def _sharded_map(fn, seed: int, sizes: list[int]) -> list:
 
 
 def cdf_monte_carlo(w: WeightSeq, r: float, n_samples: int, seed: int) -> ProbabilityEstimate:
-    """Empirical P{sum mu_k xi_k^2 < r} over ``n_samples`` draws.
+    """Empirical P{sum mu_k xi_k^2 < r} over ``n_samples`` draws, with the
+    tail as the shift r -> r - tail_sum_bound.
 
-    The error bound is three binomial standard errors.  Results are
-    bitwise reproducible for a fixed seed: the sample budget is split as
-    evenly as possible across ``MC_SHARDS`` shards (earlier shards take the
-    remainder), each shard draws normals by inverse CDF from its own
-    spawned generator, and the shard counts are integers, so the thread
-    count does not change the result.
+    The error bound is three binomial standard errors plus the shift
+    sensitivity, the fraction of the same draws that falls in
+    [r - tail_sum_bound, r).  Results are bitwise reproducible for a fixed
+    seed: the sample budget is split as evenly as possible across
+    ``MC_SHARDS`` shards (earlier shards take the remainder), each shard
+    draws normals by inverse CDF from its own spawned generator, and the
+    shard counts are integers, so the thread count does not change the
+    result.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if not (r > 0 and math.isfinite(r)):
         raise ValueError("r must be positive and finite")
     threshold = r - w.tail_sum_bound
-    if threshold <= 0:
-        return ProbabilityEstimate(0.0, -np.inf, 3.0 / n_samples, "monte_carlo")
     mu = w.head
     block = max(1, SAMPLER_BLOCK // mu.size)
 
     def count_below(rng, n):
-        count = 0
+        below = below_r = 0
         for done in range(0, n, block):
             xi = ndtri(rng.random((min(block, n - done), mu.size)))
-            count += int(np.count_nonzero((xi * xi) @ mu < threshold))
-        return count
+            q = (xi * xi) @ mu
+            below += int(np.count_nonzero(q < threshold))
+            below_r += int(np.count_nonzero(q < r))
+        return below, below_r
 
     base, rem = divmod(n_samples, MC_SHARDS)
-    count = sum(_sharded_map(count_below, seed, [base + (j < rem) for j in range(MC_SHARDS)]))
+    counts = _sharded_map(count_below, seed, [base + (j < rem) for j in range(MC_SHARDS)])
+    count, count_r = (sum(c) for c in zip(*counts))
     value = count / n_samples
     se = math.sqrt(max(value * (1.0 - value), 1.0 / n_samples) / n_samples)
     log_value = math.log(value) if value > 0 else -np.inf
-    return ProbabilityEstimate(value, log_value, 3.0 * se, "monte_carlo")
+    return ProbabilityEstimate(value, log_value, 3.0 * se + (count_r - count) / n_samples, "monte_carlo")
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ plain Gauss-Legendre convergence at O(n^-2) and is far too slow for the
 tolerances used downstream.  Because the kink of row i sits exactly at node
 x_i, its effect on the quadrature is (J(x_i)/2) * u(x_i) * E_i, where E_i is
 the known Gauss error of integrating |y - x_i|.  Adding the diagonal matrix
-(J_i/2) E_i restores O(n^-4)-type accuracy while preserving symmetry.
+(J_i/2) E_i restores O(n^-4)-type accuracy while preserving symmetry.  The
+plain, uncorrected rule is the spectrum of a sampled kernel without
+``diag_jump``: ``nystrom_spectrum(sampled(grid, kernel_matrix(spec, grid)), grid, k)``.
 """
 
 from __future__ import annotations
@@ -111,12 +113,7 @@ def _operator_action(kernel: KernelSpec, mat: np.ndarray, funcs: np.ndarray, gri
     return action
 
 
-def nystrom_spectrum(
-    spec: KernelSpec,
-    grid: Grid,
-    k_max: int,
-    kink_corrected: bool = True,
-) -> Spectrum:
+def nystrom_spectrum(spec: KernelSpec, grid: Grid, k_max: int) -> Spectrum:
     """Top eigenpairs of the covariance operator via weighted Nystrom.
 
     Eigenfunction signs are fixed by making the first sample of magnitude
@@ -130,10 +127,9 @@ def nystrom_spectrum(
         raise ValueError(f"k_max={k_max} exceeds grid size {grid.size}")
     sqrt_w = np.sqrt(grid.weights)
     b = kernel_matrix(spec, grid) * np.outer(sqrt_w, sqrt_w)
-    if kink_corrected:
-        jump = diagonal_jump(spec, grid.nodes)
-        if jump is not None:
-            b.flat[:: grid.size + 1] += kink_correction(jump, grid)
+    jump = diagonal_jump(spec, grid.nodes)
+    if jump is not None:
+        b.flat[:: grid.size + 1] += kink_correction(jump, grid)
     vals, vecs = np.linalg.eigh(b)
     vals = vals[::-1]
     vecs = vecs[:, ::-1]

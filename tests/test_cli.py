@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from smallball import asymptotics, cli, kernels
+from smallball import asymptotics, cli, kernels, quadform
 from smallball.cli import run
 from smallball.grids import gauss_legendre_grid
 
@@ -77,6 +77,19 @@ def test_exact_mc_determinism(tmp_path):
         assert code == 0
         reps.append(read_json(rep)["results"]["value"])
     assert reps[0] == reps[1]
+
+
+def test_exact_saddle(tmp_path):
+    wfile = tmp_path / "w.csv"
+    wfile.write_text("# tail_sum_bound=0.0005\n" + "".join(f"{1 / (math.pi * k) ** 2!r}\n" for k in range(1, 201)))
+    rep = tmp_path / "rep.json"
+    code = run(["exact", "--weights", str(wfile), "--r", "0.0025", "--method", "saddle", "--report", str(rep)])
+    assert code == 0
+    report = read_json(rep)
+    est = quadform.cdf_saddlepoint(quadform.read_weights(wfile), 0.0025)
+    assert report["inputs"]["method"] == "saddle"
+    assert report["results"] == {"value": est.value, "log_value": est.log_value}
+    assert report["diagnostics"] == {"error_bound": est.error_bound}
 
 
 def test_asymptotic_naznik(tmp_path):

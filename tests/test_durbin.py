@@ -8,10 +8,13 @@ from scipy.stats import norm
 
 from smallball import (
     CRITICAL,
+    ConsistencyError,
     WeightSeq,
     cdf_gil_pelaez,
     compute_psi,
     bridge,
+    durbin,
+    durbin_kernel_matrix,
     durbin_kernel_spec,
     durbin_model,
     durbin_phi,
@@ -21,9 +24,11 @@ from smallball import (
     fisher_matrix,
     gauss_legendre_grid,
     graded_endpoint_grid,
+    kernel_matrix,
     normal_location,
     normal_location_scale,
     nystrom_spectrum,
+    perturbed_kernel,
     simulate_omega2,
 )
 from smallball.grids import Grid
@@ -166,7 +171,6 @@ class TestModel:
         # the limiting covariance operator kills its own perturbing
         # functions; with score functions singular at the endpoints the
         # meaningful residual norm is weighted L2 against the psi scale
-        from smallball import durbin_kernel_matrix
         from smallball.spectral import kink_correction
 
         grid = graded_endpoint_grid(500)
@@ -178,6 +182,22 @@ class TestModel:
         num = np.sqrt(grid.weights @ action**2)
         den = np.sqrt(grid.weights @ psi**2)
         assert float((num / den).max()) < 1e-4
+
+    @pytest.mark.parametrize("fam", FAMILIES)
+    def test_kernel_is_validated_perturbation(self, fam):
+        # the limit law is the critical perturbation durbin_model validates:
+        # D = -A - A^T + A Q A^T = -A at A = Q^{-1}
+        grid = gauss_legendre_grid(200)
+        expected = perturbed_kernel(
+            kernel_matrix(bridge(), grid), durbin_psi(fam, grid), -durbin_model(fam).a_matrix
+        )
+        assert durbin_kernel_matrix(fam, grid).tobytes() == expected.tobytes()
+
+    def test_failed_validation_raises(self, monkeypatch):
+        # a family whose model fails validation has no limit law
+        monkeypatch.setattr(durbin, "Q_VS_S_TOL", 0.0)
+        with pytest.raises(ConsistencyError):
+            durbin_kernel_spec(normal_location(), gauss_legendre_grid(200))
 
     def test_spectrum_interlaces_bridge(self):
         grid = gauss_legendre_grid(1000)
@@ -204,10 +224,22 @@ class TestSimulation:
         se = stats.std(ddof=1) / math.sqrt(stats.size)
         assert abs(stats.mean() - DURBIN_TRACE_NORMAL_LOC) < 3 * se + 2.0 / 500
 
+    def test_location_scale_mean_approaches_trace(self):
+        fam = normal_location_scale()
+        stats = simulate_omega2(fam, 500, 20000, seed=42)
+        se = stats.std(ddof=1) / math.sqrt(stats.size)
+        assert abs(stats.mean() - durbin_model(fam).trace) < 3 * se + 2.0 / 500
+
     def test_location_invariance(self):
         # estimating the mean makes the statistic translation invariant
         a = simulate_omega2(normal_location(0.0), 100, 500, seed=3)
         b = simulate_omega2(normal_location(5.0), 100, 500, seed=3)
+        np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+
+    def test_affine_invariance(self):
+        # estimating mean and sd makes the statistic affine invariant
+        a = simulate_omega2(normal_location_scale(0.0, 1.0), 100, 500, seed=3)
+        b = simulate_omega2(normal_location_scale(5.0, 3.0), 100, 500, seed=3)
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
     def test_exponential_statistic_scale_free(self):

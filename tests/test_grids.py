@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smallball import Grid, gauss_legendre_grid, graded_endpoint_grid
@@ -44,6 +44,7 @@ def test_zero_size_rejected():
         gauss_legendre_grid(0)
 
 
+@settings(deadline=None)
 @given(st.integers(min_value=1, max_value=400))
 def test_grid_invariants(n):
     g = gauss_legendre_grid(n)

@@ -1,5 +1,9 @@
 """The package namespace."""
 
+import os
+import subprocess
+import sys
+
 import smallball
 
 # every name the package has exported since its first release
@@ -29,3 +33,12 @@ def test_star_import_exports_every_name():
     assert [n for n in EXPORTED if n not in namespace] == []
     assert len(set(smallball.__all__)) == len(smallball.__all__)
     assert "_sharded_map" not in namespace and "_log_product_drift" not in namespace
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats costs about half a second of import time and nothing in
+    # the package needs it
+    code = "import sys, smallball; sys.exit('scipy.stats' in sys.modules)"
+    # the fresh interpreter imports this same copy of the package
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(smallball.__file__)))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

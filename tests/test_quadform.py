@@ -183,6 +183,34 @@ class TestTailShift:
         assert est.log_value == -math.inf
         assert est.error_bound == max(quadform._gp_value(w.head, r, 1e-7)[0], 0.0)
 
+    # a short head with a wide tail, so that many draws fall in [r - tail, r)
+    SHORT = WeightSeq(head=bridge_weights(3).head, tail_sum_bound=0.05)
+
+    def test_monte_carlo_reports_shift(self):
+        # the value counts the draws below r - tail; the error bound adds
+        # the share of the same draws in [r - tail, r) to 3 SE
+        w, r, n = self.SHORT, 0.15, 20000
+        est = cdf_monte_carlo(w, r, n, seed=5)
+        below = _layout_count(w.head, r - w.tail_sum_bound, n, seed=5)
+        shifted = _layout_count(w.head, r, n, seed=5) - below
+        assert shifted > 0
+        p = below / n
+        assert est.value == p
+        assert est.error_bound == pytest.approx(3.0 * math.sqrt(p * (1.0 - p) / n) + shifted / n, rel=1e-12)
+
+    @pytest.mark.parametrize("frac", [0.5, 1.0])
+    def test_monte_carlo_ball_below_shift(self, frac):
+        # r <= tail_sum_bound: the value is 0, as from Gil-Pelaez, and the
+        # error bound is 3/n plus the share of draws below r
+        w, n = self.SHORT, 20000
+        r = frac * w.tail_sum_bound
+        est = cdf_monte_carlo(w, r, n, seed=5)
+        below_r = _layout_count(w.head, r, n, seed=5)
+        assert below_r > 0
+        assert est.value == 0.0
+        assert est.log_value == -math.inf
+        assert est.error_bound == pytest.approx(3.0 / n + below_r / n, rel=1e-12)
+
     def test_kl_consistency_pathwise(self):
         # pathwise oracle: ||B||^2 simulated from Brownian bridge paths on a
         # fine time grid, independent of the eigenvalue route
@@ -366,7 +394,7 @@ class TestThreading:
         # at n = 500 a shard works through its replications in row blocks
         + [pytest.param(500, r, id=f"n500-{r}") for r in (300, 16385)],
     )
-    @pytest.mark.parametrize("family", ["normal_location", "exponential_rate"])
+    @pytest.mark.parametrize("family", ["normal_location", "exponential_rate", "normal_location_scale"])
     def test_omega2_matches_layout(self, threads, family, n, reps):
         fam = getattr(durbin, family)()
         stats = simulate_omega2(fam, n, reps, seed=11)
