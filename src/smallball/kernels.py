@@ -76,7 +76,7 @@ class KernelSpec:
                 if not np.isfinite(j).all():
                     raise ValueError("diag_jump must be finite")
                 object.__setattr__(self, "diag_jump", j)
-            if not np.allclose(m, m.T, rtol=0, atol=1e-10 * max(1.0, np.abs(m).max())):
+            if np.abs(m - m.T).max() > 1e-10 * max(1.0, np.abs(m).max()):
                 raise DataError("sampled kernel matrix is not symmetric")
             object.__setattr__(self, "matrix", 0.5 * (m + m.T))
 

@@ -6,7 +6,10 @@ quadrature grid as the symmetric matrix problem
     W^(1/2) M W^(1/2) v = mu v,        u(x_i) = v_i / sqrt(w_i),
 
 which keeps the discrete eigenfunctions exactly orthonormal in the weighted
-inner product.
+inner product.  ``nystrom_spectrum`` takes the eigenvalues from one
+symmetric eigenvalue pass (``eigvalsh``); the eigenfunctions, which only
+Fourier coefficients and ``smallball spectrum --eigvecs-out`` read, are
+computed on first read of ``Spectrum.eigvecs``.
 
 Catalog covariances have a derivative kink across the diagonal, which caps
 plain Gauss-Legendre convergence at O(n^-2) and is far too slow for the
@@ -21,6 +24,7 @@ plain, uncorrected rule is the spectrum of a sampled kernel without
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,14 +48,33 @@ class Spectrum:
     """Leading eigenvalues and weighted-orthonormal eigenfunction samples.
 
     ``eigenvalues`` are non-increasing and strictly positive; values below
-    EIGENVALUE_FLOOR * mu_1 are discarded at construction.  ``eigvecs`` has
-    one column per retained eigenvalue, sampled at ``grid.nodes``.
+    EIGENVALUE_FLOOR * mu_1 are discarded at construction.  They come from
+    one symmetric eigenvalue pass.  ``eigvecs`` has one column per retained
+    eigenvalue, sampled at ``grid.nodes``; it is computed from ``kernel`` on
+    first read (one full ``eigh``) and kept, so a spectrum that is only used
+    for its eigenvalues never pays for eigenvectors.
     """
 
     eigenvalues: np.ndarray
-    eigvecs: np.ndarray
     grid: Grid
     truncation_count: int
+    kernel: KernelSpec
+
+    @cached_property
+    def eigvecs(self) -> np.ndarray:
+        """Eigenfunction samples, one column per retained eigenvalue.
+
+        Signs are fixed by making the first sample of magnitude above 1e-6
+        of the column maximum positive, so repeated runs are reproducible.
+        The floor keeps a prefix of the descending eigenvalues, so the
+        retained eigenfunctions are the leading columns.
+        """
+        vecs = np.linalg.eigh(_weighted_matrix(self.kernel, self.grid))[1]
+        u = vecs[:, ::-1][:, : self.truncation_count] / np.sqrt(self.grid.weights)[:, None]
+        mag = np.abs(u)
+        first = np.argmax(mag > 1e-6 * mag.max(axis=0), axis=0)
+        u[:, u[first, np.arange(u.shape[1])] < 0] *= -1.0
+        return u
 
     @property
     def inverse_eigenvalues(self) -> np.ndarray:
@@ -113,47 +136,38 @@ def _operator_action(kernel: KernelSpec, mat: np.ndarray, funcs: np.ndarray, gri
     return action
 
 
-def nystrom_spectrum(spec: KernelSpec, grid: Grid, k_max: int) -> Spectrum:
-    """Top eigenpairs of the covariance operator via weighted Nystrom.
+def _weighted_matrix(spec: KernelSpec, grid: Grid) -> np.ndarray:
+    """W^(1/2) M W^(1/2) plus the kink diagonal: the symmetric matrix whose
+    eigenpairs are the Nystrom eigenpairs of ``spec`` on ``grid``."""
+    sqrt_w = np.sqrt(grid.weights)
+    b = kernel_matrix(spec, grid)  # a new array, weighted in place
+    b *= np.outer(sqrt_w, sqrt_w)
+    jump = diagonal_jump(spec, grid.nodes)
+    if jump is not None:
+        b.flat[:: grid.size + 1] += kink_correction(jump, grid)
+    return b
 
-    Eigenfunction signs are fixed by making the first sample of magnitude
-    above 1e-6 of the column maximum positive, so repeated runs are
-    reproducible.  A sampled kernel whose matrix has an eigenvalue below
-    -PSD_TOL times the largest is rejected.
+
+def nystrom_spectrum(spec: KernelSpec, grid: Grid, k_max: int) -> Spectrum:
+    """Top eigenvalues of the covariance operator via weighted Nystrom.
+
+    Only eigenvalues are computed here; ``Spectrum.eigvecs`` solves for the
+    eigenfunctions when first read.  A sampled kernel whose matrix has an
+    eigenvalue below -PSD_TOL times the largest is rejected.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if k_max > grid.size:
         raise ValueError(f"k_max={k_max} exceeds grid size {grid.size}")
-    sqrt_w = np.sqrt(grid.weights)
-    b = kernel_matrix(spec, grid) * np.outer(sqrt_w, sqrt_w)
-    jump = diagonal_jump(spec, grid.nodes)
-    if jump is not None:
-        b.flat[:: grid.size + 1] += kink_correction(jump, grid)
-    vals, vecs = np.linalg.eigh(b)
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
-    if spec.variant == "sampled" and vals.size and vals[-1] < -PSD_TOL * max(vals[0], 0.0):
+    vals = np.linalg.eigvalsh(_weighted_matrix(spec, grid))[::-1]
+    if spec.variant == "sampled" and vals[-1] < -PSD_TOL * max(vals[0], 0.0):
         raise DataError(
             f"sampled kernel is not positive semidefinite "
             f"(min eigenvalue {vals[-1]:.3e} vs max {vals[0]:.3e})"
         )
     vals = vals[:k_max]
-    vecs = vecs[:, :k_max]
-    if vals.size:
-        keep = vals > EIGENVALUE_FLOOR * max(vals[0], 0.0)
-        vals = vals[keep]
-        vecs = vecs[:, keep]
-    u = vecs / sqrt_w[:, None]
-    mag = np.abs(u)
-    first = np.argmax(mag > 1e-6 * mag.max(axis=0), axis=0)
-    u[:, u[first, np.arange(u.shape[1])] < 0] *= -1.0
-    return Spectrum(
-        eigenvalues=vals.copy(),
-        eigvecs=u,
-        grid=grid,
-        truncation_count=int(vals.size),
-    )
+    vals = vals[vals > EIGENVALUE_FLOOR * max(vals[0], 0.0)]
+    return Spectrum(eigenvalues=vals, grid=grid, truncation_count=int(vals.size), kernel=spec)
 
 
 def fourier_coefficients(spectrum: Spectrum, funcs: np.ndarray) -> FourierCoeffs:

@@ -114,6 +114,13 @@ def test_sampled_validation():
         sampled(grid, bad)
     with pytest.raises(ValueError):
         sampled(grid, np.eye(3))
+    # asymmetry up to 1e-10 * max(1, max|m|) is accepted, beyond it rejected
+    edge = np.eye(4)
+    edge[0, 1] = 1e-10
+    sampled(grid, edge)
+    edge[0, 1] = 2e-10
+    with pytest.raises(DataError):
+        sampled(grid, edge)
 
 
 def test_out_of_domain_rejected():

@@ -4,7 +4,10 @@ from scipy.integrate import quad
 
 from smallball import (
     DataError,
+    PerturbationSpec,
     bridge,
+    build_gram,
+    diagonal_jump,
     durbin_kernel_spec,
     fourier_coefficients,
     gauss_legendre_grid,
@@ -14,9 +17,12 @@ from smallball import (
     normal_location,
     nystrom_spectrum,
     ornstein_uhlenbeck,
+    perturbed_kernel,
     sampled,
+    spectral_product_check,
     wiener,
 )
+from smallball.spectral import EIGENVALUE_FLOOR
 
 BRIDGE_MU = lambda k: 1.0 / (np.pi * k) ** 2  # noqa: E731
 WIENER_MU = lambda k: 1.0 / ((k - 0.5) * np.pi) ** 2  # noqa: E731
@@ -36,12 +42,27 @@ def test_bridge_closed_form_head(bridge_spectrum_2000):
     assert rel.max() < 1e-6
 
 
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Counts calls of numpy.linalg.eigh, the eigensolver with vectors."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
 def test_zero_kernel_empty_spectrum():
     grid = gauss_legendre_grid(20)
     spec = sampled(grid, np.zeros((20, 20)))
     s = nystrom_spectrum(spec, grid, 5)
     assert s.truncation_count == 0
     assert s.eigenvalues.size == 0
+    assert s.eigvecs.shape == (20, 0)
 
 
 def test_k_max_validation():
@@ -52,10 +73,76 @@ def test_k_max_validation():
         nystrom_spectrum(bridge(), grid, 0)
 
 
-def test_non_psd_sampled_rejected():
+def test_non_psd_sampled_rejected(eigh_calls):
     grid = gauss_legendre_grid(5)
     with pytest.raises(DataError):
         nystrom_spectrum(sampled(grid, -np.eye(5)), grid, 2)
+    # rejected at construction, from the eigenvalue pass alone
+    assert eigh_calls == []
+
+
+def _bridge_perturbation(grid, a):
+    # the perturb_sweep op: G_A = G0 + psi D psi^T for phi = 1
+    gram = build_gram(bridge(), PerturbationSpec(phi=np.ones(grid.size), a_matrix=np.array([[a]]), grid=grid))
+    g_a = perturbed_kernel(kernel_matrix(bridge(), grid), gram.psi, gram.d_matrix)
+    return sampled(grid, g_a, diag_jump=np.ones(grid.size), green_order=1)
+
+
+def test_eigenvectors_computed_only_on_read(eigh_calls):
+    grid = gauss_legendre_grid(300)
+    base = nystrom_spectrum(bridge(), grid, 100)
+    spec_a = nystrom_spectrum(_bridge_perturbation(grid, 6.0), grid, 100)
+    spectral_product_check(base, spec_a, 50)
+    assert eigh_calls == []
+    # a catalog spectrum keeps no n x n array
+    assert base.kernel.matrix is None
+    assert all(v.size < grid.size**2 for v in vars(base).values() if isinstance(v, np.ndarray))
+    vecs = spec_a.eigvecs
+    assert eigh_calls == [(300, 300)]
+    assert vecs.shape == (300, spec_a.truncation_count)
+    # the second read is cached
+    assert spec_a.eigvecs is vecs
+    assert eigh_calls == [(300, 300)]
+
+
+def _eager_reference(spec, grid, k_max):
+    """The former eager solver: one eigh for eigenvalues and eigenvectors,
+    the floor as a mask, the sign convention column by column."""
+    sqrt_w = np.sqrt(grid.weights)
+    b = kernel_matrix(spec, grid) * np.outer(sqrt_w, sqrt_w)
+    jump = diagonal_jump(spec, grid.nodes)
+    if jump is not None:
+        b.flat[:: grid.size + 1] += kink_correction(jump, grid)
+    vals, vecs = np.linalg.eigh(b)
+    vals, vecs = vals[::-1][:k_max], vecs[:, ::-1][:, :k_max]
+    keep = vals > EIGENVALUE_FLOOR * max(vals[0], 0.0)
+    u = vecs[:, keep] / sqrt_w[:, None]
+    for j in range(u.shape[1]):
+        col = u[:, j]
+        if col[np.argmax(np.abs(col) > 1e-6 * np.abs(col).max())] < 0:
+            u[:, j] *= -1.0
+    return vals[keep], u
+
+
+@pytest.mark.parametrize("name", ["bridge", "wiener", "ou1", "non_critical", "critical", "durbin"])
+def test_matches_eager_reference(name):
+    grid = gauss_legendre_grid(500)
+    spec = {
+        "bridge": bridge,
+        "wiener": wiener,
+        "ou1": lambda: ornstein_uhlenbeck(1.0),
+        "non_critical": lambda: _bridge_perturbation(grid, 6.0),
+        "critical": lambda: _bridge_perturbation(grid, 12.0),
+        "durbin": lambda: durbin_kernel_spec(normal_location(), grid),
+    }[name]()
+    vals, vecs = _eager_reference(spec, grid, 300)
+    s = nystrom_spectrum(spec, grid, 300)
+    assert s.truncation_count == vals.size
+    # the two symmetric solvers differ by rounding of order eps * mu_1:
+    # within 1e-13 relative on the head, within 1e-14 * mu_1 everywhere
+    assert np.abs(s.eigenvalues[:200] / vals[:200] - 1.0).max() <= 1e-13
+    assert np.abs(s.eigenvalues - vals).max() <= 1e-14 * vals[0]
+    np.testing.assert_array_equal(s.eigvecs, vecs)
 
 
 def test_weighted_orthonormality(bridge_spectrum_2000):
