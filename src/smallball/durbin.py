@@ -33,10 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from . import kernels
+from . import kernels, perturbation
 from .errors import ConsistencyError
 from .grids import Grid, graded_endpoint_grid
-from .perturbation import CRITICAL, Classification, classify, gram_q, perturbed_kernel
 from .quadform import SAMPLER_BLOCK, _norm_pdf, _sharded_map
 
 __all__ = [
@@ -58,6 +57,7 @@ __all__ = [
 _FAMILIES = {"normal_location": 1, "normal_location_scale": 2, "exponential_rate": 1}
 
 Q_VS_S_TOL = 1e-6
+MODEL_GRID_SIZE = 500
 
 # replications per generator shard of the omega^2 simulator; the split fixes
 # which generator draws which replication, so it is part of every seeded
@@ -156,8 +156,8 @@ def fisher_matrix(fam: FamilySpec, grid: Grid) -> np.ndarray:
     """S = int_0^1 psi' psi'^T dt on the given grid.
 
     The integrands have logarithmic endpoint singularities, so pass a
-    graded grid (the durbin_model default) rather than a plain Gauss rule
-    when 1e-6 accuracy matters.
+    graded grid (as durbin_model does) rather than a plain Gauss rule when
+    1e-6 accuracy matters.
     """
     return _gram_of_scores(durbin_psi_prime(fam, grid), grid)
 
@@ -178,7 +178,7 @@ class DurbinModel:
     fisher: np.ndarray
     q_matrix: np.ndarray
     a_matrix: np.ndarray
-    classification: Classification
+    classification: perturbation.Classification
 
     @property
     def trace(self) -> float:
@@ -189,26 +189,26 @@ class DurbinModel:
         return bridge_trace - red
 
 
-def durbin_model(fam: FamilySpec, grid: Grid | None = None) -> DurbinModel:
-    """Build and validate the Durbin perturbation of the Brownian bridge.
+def durbin_model(fam: FamilySpec) -> DurbinModel:
+    """Build and validate the Durbin perturbation of the Brownian bridge on
+    ``graded_endpoint_grid(MODEL_GRID_SIZE)``.
 
     Validation recomputes Q = int psi_i phi_j through the bridge pairing and
-    requires max|Q - S| < 1e-6, then classifies (A = S^{-1}, Q), which must
-    come out critical.
+    requires max|Q - S| <= Q_VS_S_TOL, then classifies (A = S^{-1}, Q),
+    which must come out critical.
     """
-    if grid is None:
-        grid = graded_endpoint_grid(500)
+    grid = graded_endpoint_grid(MODEL_GRID_SIZE)
     psi, psi_prime, phi = _closed_forms(fam, grid)
     s = _gram_of_scores(psi_prime, grid)
-    q = gram_q(phi, psi, grid)
+    q = perturbation.gram_q(phi, psi, grid)
     gap = float(np.abs(q - s).max())
     if gap > Q_VS_S_TOL:
         raise ConsistencyError(
             f"Gram matrix disagrees with Fisher information: max|Q - S| = {gap:.3e}"
         )
     a = np.linalg.inv(s)
-    cls = classify(a, q)
-    if cls.label != CRITICAL:
+    cls = perturbation.classify(a, q)
+    if cls.label != perturbation.CRITICAL:
         raise ConsistencyError(f"Durbin perturbation classified {cls.label}, expected critical")
     return DurbinModel(
         fam=fam,
@@ -228,14 +228,16 @@ def durbin_kernel_matrix(fam: FamilySpec, grid: Grid) -> np.ndarray:
     D = -A.  S comes from the model's graded grid, so coarse evaluation grids
     do not distort the subtracted term."""
     d = -durbin_model(fam).a_matrix
-    return perturbed_kernel(kernels.kernel_matrix(kernels.bridge(), grid), durbin_psi(fam, grid), d)
+    bridge = kernels.kernel_matrix(kernels.bridge(), grid)
+    return perturbation.perturbed_kernel(bridge, durbin_psi(fam, grid), d)
 
 
 def durbin_kernel_spec(fam: FamilySpec, grid: Grid) -> kernels.KernelSpec:
     """Sampled kernel spec of the limiting covariance, carrying the bridge
     diagonal jump so the spectral solver keeps its accuracy."""
     mat = durbin_kernel_matrix(fam, grid)
-    return kernels.sampled(grid, mat, diag_jump=np.ones(grid.size), green_order=1)
+    jump = kernels.diagonal_jump(kernels.bridge(), grid.nodes)
+    return kernels.sampled(grid, mat, diag_jump=jump, green_order=1)
 
 
 def _mle_transform(fam: FamilySpec, x: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ import numpy as np
 __all__ = ["Grid", "gauss_legendre_grid", "graded_endpoint_grid"]
 
 _WEIGHT_SUM_TOL = 1e-12
+GRADED_LEVELS = 45
 
 
 @dataclass(frozen=True)
@@ -80,23 +81,23 @@ def gauss_legendre_grid(n: int) -> Grid:
     return grid
 
 
-def graded_endpoint_grid(n: int, levels: int = 45) -> Grid:
+def graded_endpoint_grid(n: int) -> Grid:
     """Composite Gauss rule on dyadic panels graded toward both endpoints.
 
     The left half (0, 1/2] is tiled by panels [2^-(l+2), 2^-(l+1)] for
-    l = 0..levels-2 and a closing panel [0, 2^-levels]; Gauss nodes stay
-    strictly interior.  The right half mirrors the left.  ``n`` is the
-    approximate total node count.
+    l = 0..L-2 and a closing panel [0, 2^-L], L = GRADED_LEVELS; Gauss
+    nodes stay strictly interior.  The right half mirrors the left.  ``n``
+    is the approximate total node count.
     """
     if n < 8:
         raise ValueError(f"graded grid needs n >= 8, got {n}")
-    per_panel = max(2, int(round(n / (2 * levels))))
+    per_panel = max(2, int(round(n / (2 * GRADED_LEVELS))))
     xg, wg = np.polynomial.legendre.leggauss(per_panel)
     nodes = []
     weights = []
-    for level in range(levels):
+    for level in range(GRADED_LEVELS):
         b = 0.5 ** (level + 1)
-        a = 0.5 ** (level + 2) if level < levels - 1 else 0.0
+        a = 0.5 ** (level + 2) if level < GRADED_LEVELS - 1 else 0.0
         nodes.append((xg + 1.0) / 2.0 * (b - a) + a)
         weights.append(wg / 2.0 * (b - a))
     left_nodes = np.concatenate(nodes)

@@ -200,22 +200,20 @@ def annihilation_residual(
     return float(np.abs(action).max()) / scale
 
 
-def classify(a: np.ndarray, q: np.ndarray, tol: float = CLASSIFY_TOL) -> Classification:
+def classify(a: np.ndarray, q: np.ndarray) -> Classification:
     """Rank classification of E_m - A^T Q.
 
-    The rank defect s counts singular values below tol * max(s_max, 1);
-    s = 0 is non-critical, s = m critical (A = Q^{-1}), else partially
-    critical of rank s.
+    The rank defect s counts singular values below
+    CLASSIFY_TOL * max(s_max, 1); s = 0 is non-critical, s = m critical
+    (A = Q^{-1}), else partially critical of rank s.
     """
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError("tol must be positive and finite")
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
     if a.shape != q.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("A and Q must be square matrices of equal dimension")
     m = a.shape[0]
     sv = np.linalg.svd(np.eye(m) - a.T @ q, compute_uv=False)
-    cut = tol * max(float(sv[0]) if sv.size else 0.0, 1.0)
+    cut = CLASSIFY_TOL * max(float(sv[0]) if sv.size else 0.0, 1.0)
     s = int(np.count_nonzero(sv < cut))
     if s == 0:
         label = NON_CRITICAL
@@ -223,10 +221,10 @@ def classify(a: np.ndarray, q: np.ndarray, tol: float = CLASSIFY_TOL) -> Classif
         label = CRITICAL
     else:
         label = PARTIALLY_CRITICAL
-    return Classification(label=label, rank_defect=s, singular_values=sv, tol=tol)
+    return Classification(label=label, rank_defect=s, singular_values=sv, tol=CLASSIFY_TOL)
 
 
-def theorem1_factor(a: np.ndarray, q: np.ndarray, tol: float = CLASSIFY_TOL) -> float:
+def theorem1_factor(a: np.ndarray, q: np.ndarray) -> float:
     """Small-ball transfer factor 1 / |det(E_m - Q A)| of a non-critical
     perturbation.
 
@@ -235,7 +233,7 @@ def theorem1_factor(a: np.ndarray, q: np.ndarray, tol: float = CLASSIFY_TOL) -> 
     parameter matrices with the same D (for m = 1, A and 2/Q - A) have the
     same covariance and the same factor, whatever the sign of the
     determinant."""
-    cls = classify(a, q, tol)
+    cls = classify(a, q)
     if cls.label != NON_CRITICAL:
         raise NumericError(
             f"transfer factor needs a non-critical perturbation, got {cls.label} "

@@ -149,6 +149,7 @@ _QUAD_EPS = 1.49e-8
 _BLOCK = 1 << 16
 # passes that may halve a failing panel; the panel at t = 0 needs at most 5
 _MAX_HALVINGS = 12
+GIL_PELAEZ_TOL = 1e-9
 
 
 def _integrate_panels(mu: np.ndarray, r: float, edges: np.ndarray) -> tuple[float, float]:
@@ -196,16 +197,16 @@ def _integrate_panels(mu: np.ndarray, r: float, edges: np.ndarray) -> tuple[floa
     return total, err_sum
 
 
-def cdf_gil_pelaez(w: WeightSeq, r: float, tol: float = 1e-9) -> ProbabilityEstimate:
+def cdf_gil_pelaez(w: WeightSeq, r: float) -> ProbabilityEstimate:
     """P{sum mu_k xi_k^2 < r} by numerical inversion of the characteristic
     function:
 
         F(r) = 1/2 - (1/pi) int_0^inf sin(theta0(t) - t r) / (t rho(t)) dt.
 
     The integral is cut where an integration-by-parts estimate of the
-    remainder drops below tolerance, and that first by-parts term is added
-    back.  Intended for central probabilities; the deep left tail belongs to
-    ``cdf_saddlepoint``.
+    remainder drops below ``GIL_PELAEZ_TOL``, and that first by-parts term
+    is added back.  Intended for central probabilities; the deep left tail
+    belongs to ``cdf_saddlepoint``.
     """
     if not (r > 0 and math.isfinite(r)):
         raise ValueError("r must be positive and finite")
@@ -213,7 +214,7 @@ def cdf_gil_pelaez(w: WeightSeq, r: float, tol: float = 1e-9) -> ProbabilityEsti
     r_eff = r - w.tail_sum_bound
     # the error of treating the tail as a deterministic shift is cdf(r) -
     # cdf(r - tail_sum_bound); the main inversion (0 if r_eff <= 0) is the second
-    value, err = _gp_value(mu, r_eff, tol) if r_eff > 0 else (0.0, 0.0)
+    value, err = _gp_value(mu, r_eff, GIL_PELAEZ_TOL) if r_eff > 0 else (0.0, 0.0)
     if w.tail_sum_bound > 0:
         err += max(_gp_value(mu, r, 1e-7)[0] - value, 0.0)
     value_c = min(max(value, 0.0), 1.0)
@@ -221,7 +222,7 @@ def cdf_gil_pelaez(w: WeightSeq, r: float, tol: float = 1e-9) -> ProbabilityEsti
     return ProbabilityEstimate(value_c, log_value, err, "gil_pelaez")
 
 
-def _gp_value(mu: np.ndarray, r: float, tol: float = 1e-9) -> tuple[float, float]:
+def _gp_value(mu: np.ndarray, r: float, tol: float) -> tuple[float, float]:
     n = mu.size
     # P{Q < r} <= prod_j P{mu_j xi_j^2 < r} <= prod_j sqrt(2r/(pi mu_j));
     # when that bound is already negligible, skip the oscillatory integral
@@ -302,9 +303,8 @@ def cdf_saddlepoint(w: WeightSeq, r: float) -> ProbabilityEstimate:
     if r_eff <= 0:
         return ProbabilityEstimate(0.0, -np.inf, 0.0, "saddlepoint")
     s = _solve_saddle(mu, r_eff)
-    log_value = _lr_logcdf(mu, r_eff, s)
+    log_value, w_hat = _lr_logcdf(mu, r_eff, s)
     # relative accuracy of LR is O(1/w^2); quote it through the saddle scale
-    w_hat = -math.sqrt(max(2.0 * (s * r_eff - _cgf(s, mu)), 0.0))
     rel = 1.0 / max(w_hat * w_hat, 1.0)
     value = math.exp(log_value) if log_value > -700 else 0.0
     err = value * rel
@@ -349,8 +349,9 @@ def _norm_pdf(z):
     return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
-def _lr_logcdf(mu: np.ndarray, r: float, s: float) -> float:
-    """Lugannani-Rice log P{Q < r} at the saddle s = _solve_saddle(mu, r)."""
+def _lr_logcdf(mu: np.ndarray, r: float, s: float) -> tuple[float, float]:
+    """Lugannani-Rice log P{Q < r} at the saddle s = _solve_saddle(mu, r),
+    and the signed root w_hat = sign(s) sqrt(2 (s r - K(s)))."""
     k0 = _cgf(s, mu)
     k2 = _cgf2(s, mu)
     arg = 2.0 * (s * r - k0)
@@ -359,18 +360,18 @@ def _lr_logcdf(mu: np.ndarray, r: float, s: float) -> float:
         # limiting form at the mean
         corr = _cgf3(s, mu) / (6.0 * k2**1.5)
         p = ndtr(w_hat) + _norm_pdf(w_hat) * corr
-        return math.log(p)
+        return math.log(p), w_hat
     u_hat = s * math.sqrt(k2)
     term = 1.0 / w_hat - 1.0 / u_hat
     log_phi_part = log_ndtr(w_hat)
     if term == 0.0:
-        return log_phi_part
+        return log_phi_part, w_hat
     log_term = -0.5 * w_hat * w_hat - _LOG_SQRT_2PI + math.log(abs(term))
     if term > 0:
-        return float(np.logaddexp(log_phi_part, log_term))
+        return float(np.logaddexp(log_phi_part, log_term)), w_hat
     if log_term >= log_phi_part:
         raise NumericError("Lugannani-Rice correction exceeded the leading term")
-    return log_phi_part + math.log1p(-math.exp(log_term - log_phi_part))
+    return log_phi_part + math.log1p(-math.exp(log_term - log_phi_part)), w_hat
 
 
 # ---------------------------------------------------------------------------
@@ -456,24 +457,23 @@ def cdf_monte_carlo(w: WeightSeq, r: float, n_samples: int, seed: int) -> Probab
 # Li comparison constant
 # ---------------------------------------------------------------------------
 
+DISTORTION_MAX_LOG_DRIFT = 0.05
 
-def distortion_constant(
-    w_num: WeightSeq,
-    w_den: WeightSeq,
-    max_log_drift: float = 0.05,
-) -> float:
+
+def distortion_constant(w_num: WeightSeq, w_den: WeightSeq) -> float:
     """The comparison constant (prod_k num_k / den_k)^(1/2).
 
     Sequences are paired index by index over the shorter head.  Convergence
     is judged by the drift |log-product(N) - log-product(N/2)|; a drift above
-    ``max_log_drift`` signals a divergent product (the excluded case of the
-    comparison principle, e.g. num = c * den with c != 1) and raises.
+    ``DISTORTION_MAX_LOG_DRIFT`` signals a divergent product (the excluded
+    case of the comparison principle, e.g. num = c * den with c != 1) and
+    raises.
     """
     n = min(w_num.head.size, w_den.head.size)
     if n < 2:
         raise ValueError("need at least two paired weights")
     full, drift = _log_product_drift(w_num.head[:n], w_den.head[:n])
-    if drift > max_log_drift:
+    if drift > DISTORTION_MAX_LOG_DRIFT:
         raise NumericError(
             f"distortion product has not converged (drift {drift:.3e} over "
             f"N={n} vs N//2); the infinite product likely diverges"

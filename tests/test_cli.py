@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from smallball import asymptotics, cli, kernels, quadform
+from smallball import asymptotics, cli, durbin, kernels, quadform
 from smallball.cli import run
 from smallball.grids import gauss_legendre_grid
 
@@ -167,7 +167,7 @@ def test_perturb_classify_and_factors(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     rep = tmp_path / "rep.json"
-    code = run(["perturb", "--config", str(cfg_path), "--theorem1", "--report", str(rep)])
+    code = run(["perturb", "--config", str(cfg_path), "--report", str(rep)])
     assert code == 0
     report = read_json(rep)
     assert report["results"]["classification"] == "non_critical"
@@ -186,7 +186,7 @@ def test_perturb_critical_theorem3(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     rep = tmp_path / "rep.json"
     code = run(
-        ["perturb", "--config", str(cfg_path), "--theorem3", "--eps", "0.1", "--report", str(rep)]
+        ["perturb", "--config", str(cfg_path), "--eps", "0.1", "--report", str(rep)]
     )
     assert code == 0
     report = read_json(rep)
@@ -195,9 +195,9 @@ def test_perturb_critical_theorem3(tmp_path):
     assert report["results"]["theorem3_factor"] == pytest.approx(14.43375673, rel=1e-6)
 
 
-def test_perturb_partially_critical_reports_no_factor(tmp_path):
-    # sampled identity-like kernel with two orthonormal functions, one
-    # critical direction: classification plus a pointer, never a factor
+def _identity_kernel_problem(tmp_path, a):
+    """Sampled identity-like kernel (no green_order) with two orthonormal
+    functions: Q = E, so A = E is critical and diag(1, 0) partially so."""
     n = 64
     nodes = (np.arange(1, n + 1) - 0.5) / n
     weights = np.full(n, 1.0 / n)
@@ -212,10 +212,16 @@ def test_perturb_partially_critical_reports_no_factor(tmp_path):
             {"samples": (np.sqrt(2) * np.sin(np.pi * nodes)).tolist()},
             {"samples": (np.sqrt(2) * np.sin(2 * np.pi * nodes)).tolist()},
         ],
-        "A": [[1.0, 0.0], [0.0, 0.0]],
+        "A": a,
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
+    return cfg_path
+
+
+def test_perturb_partially_critical_reports_no_factor(tmp_path):
+    # one critical direction: classification plus a pointer, never a factor
+    cfg_path = _identity_kernel_problem(tmp_path, [[1.0, 0.0], [0.0, 0.0]])
     rep = tmp_path / "rep.json"
     assert run(["perturb", "--config", str(cfg_path), "--report", str(rep)]) == 0
     report = read_json(rep)
@@ -223,6 +229,64 @@ def test_perturb_partially_critical_reports_no_factor(tmp_path):
     assert report["results"]["rank_defect"] == 1
     assert "note" in report["results"]
     assert "theorem3_factor" not in report["results"]
+    assert not {"theorem1_factor", "critical_prefactor"} & set(report["results"])
+
+
+def test_perturb_critical_without_green_order(tmp_path, capsys):
+    # the prefactor needs no green_order; the eps factor does
+    cfg_path = _identity_kernel_problem(tmp_path, [[1.0, 0.0], [0.0, 1.0]])
+    rep = tmp_path / "rep.json"
+    assert run(["perturb", "--config", str(cfg_path), "--report", str(rep)]) == 0
+    results = read_json(rep)["results"]
+    assert results["classification"] == "critical"
+    assert results["critical_prefactor"] == pytest.approx(1.0, rel=1e-12)
+    assert run(["perturb", "--config", str(cfg_path), "--eps", "0.05"]) == 2
+    assert "green_order" in capsys.readouterr().err
+
+
+def _bridge_problem(tmp_path, a):
+    path = tmp_path / f"bridge_a{a:g}.json"
+    cfg = {"kernel": {"type": "bridge"}, "grid_size": 500, "phi": [{"poly": [1.0]}], "A": [[a]]}
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_perturb_factor_follows_classification(tmp_path):
+    # no flag picks the transfer: A = 6 is non-critical, A = 12 = 1/Q critical
+    rep = tmp_path / "rep.json"
+    assert run(["perturb", "--config", _bridge_problem(tmp_path, 6.0), "--report", str(rep)]) == 0
+    results = read_json(rep)["results"]
+    assert results["classification"] == "non_critical"
+    assert results["theorem1_factor"] == pytest.approx(2.0, rel=1e-8)
+    assert not {"critical_prefactor", "theorem3_factor"} & set(results)
+    assert run(["perturb", "--config", _bridge_problem(tmp_path, 12.0), "--report", str(rep)]) == 0
+    results = read_json(rep)["results"]
+    assert results["classification"] == "critical"
+    assert results["critical_prefactor"] == pytest.approx(1.0 / (2 * math.sqrt(3)), rel=1e-8)
+    assert not {"theorem1_factor", "theorem3_factor"} & set(results)
+    assert "eps" not in read_json(rep)["diagnostics"]
+
+
+def test_perturb_eps_on_non_critical_is_argument_error(tmp_path, capsys):
+    assert run(["perturb", "--config", _bridge_problem(tmp_path, 6.0), "--eps", "0.05"]) == 2
+    assert "non_critical" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["perturb", "--theorem1"],
+        ["perturb", "--theorem3", "--eps", "0.05"],
+        ["validate", "--suite", "core"],
+    ],
+    ids=["theorem1", "theorem3", "suite"],
+)
+def test_removed_options_rejected(tmp_path, argv):
+    # the classification picks the transfer and the core suite is the only one
+    if argv[0] == "perturb":
+        argv = argv[:1] + ["--config", _bridge_problem(tmp_path, 12.0)] + argv[1:]
+    assert run(argv + ["--report", str(tmp_path / "rep.json")]) == 2
+    assert not (tmp_path / "rep.json").exists()
 
 
 def test_durbin_fisher(tmp_path):
@@ -254,7 +318,7 @@ def test_durbin_simulate_csv_determinism(tmp_path):
 
 def test_validate_core(tmp_path):
     rep = tmp_path / "rep.json"
-    assert run(["validate", "--suite", "core", "--report", str(rep)]) == 0
+    assert run(["validate", "--report", str(rep)]) == 0
     report = read_json(rep)
     assert report["results"]["passed"] is True
 
@@ -350,7 +414,7 @@ def _envelope_argv(tmp_path):
         ["spectrum", "--kernel", "bridge", "--n", "30", "--k", "2"],
         ["exact", "--weights", str(wfile), "--r", "1.0"],
         ["asymptotic", "--law", "naznik"],
-        ["perturb", "--config", str(problem), "--theorem1"],
+        ["perturb", "--config", str(problem)],
         ["durbin", "--family", "normal-location"],
         ["validate"],
     ]
@@ -368,6 +432,22 @@ def test_report_envelope(tmp_path):
         report = read_json(rep)
         assert set(report) == {"task", "inputs", "results", "diagnostics", "version", "timestamp"}
         assert report["task"] == argv[0]
+
+
+def test_validate_row_that_raises_fails_the_suite(tmp_path, capsys, monkeypatch):
+    # the Durbin rows build their model, which raises ConsistencyError here;
+    # the suite records that as a failed check and stops
+    monkeypatch.setattr(durbin, "Q_VS_S_TOL", 0.0)
+    rep = tmp_path / "rep.json"
+    assert run(["validate", "--report", str(rep)]) == 3
+    assert capsys.readouterr().err == "error: validation suite failed; see report\n"
+    report = read_json(rep)
+    assert report["results"]["passed"] is False
+    checks = report["results"]["checks"]
+    assert all(c["passed"] for c in checks[:-1])
+    assert checks[-1]["check"] == "raised" and checks[-1]["passed"] is False
+    assert checks[-1]["error"].startswith("Gram matrix disagrees with Fisher information")
+    assert report["diagnostics"] == {"n_checks": len(checks), "n_failed": 1}
 
 
 def test_failing_validate_writes_report_and_exits_3(tmp_path, capsys, monkeypatch):

@@ -128,6 +128,19 @@ class TestSaddlepoint:
         cdf_saddlepoint(wiener_weights(1000), 0.01)
         assert len(calls) == 1
 
+    def test_one_cgf_pass_per_call(self, monkeypatch):
+        # the error bound reuses the w_hat of the Lugannani-Rice step
+        calls = []
+        real = quadform._cgf
+
+        def counting(s, mu):
+            calls.append(s)
+            return real(s, mu)
+
+        monkeypatch.setattr(quadform, "_cgf", counting)
+        cdf_saddlepoint(wiener_weights(1000), 0.01)
+        assert len(calls) == 1
+
 
 class TestMonteCarlo:
     def test_chi2_one(self):
