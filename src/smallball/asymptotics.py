@@ -142,15 +142,10 @@ def naznik_params(theta: float, delta: float, d: float) -> NazNikParams:
 
         C = (2 pi)^(d/4) theta^(d gamma/2) sin(pi/d)^((1+gamma)/2)
             / ((d-1)^(1/2) (pi/d)^(1+gamma/2) Gamma(1+delta)^(d/2)).
+
+    (theta, delta, d) must name a ``PowerLawPhi`` member, which checks it.
     """
-    if not all(math.isfinite(v) for v in (theta, delta, d)):
-        raise ValueError("theta, delta and d must be finite")
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    if d <= 1:
-        raise ValueError("d must exceed 1")
-    if delta <= -1:
-        raise ValueError("delta must exceed -1")
+    PowerLawPhi(theta, delta, d)
     gamma = (2.0 - d - 2.0 * d * delta) / (2.0 * (d - 1.0))
     sin_pd = math.sin(math.pi / d)
     log_c = (

@@ -6,7 +6,9 @@ report sections (inputs, results, diagnostics); ``run`` alone wraps them in
 the JSON report {task, inputs, results, diagnostics, version, timestamp},
 with ``task`` the subcommand name, and writes it to stdout or ``--report``.
 Some subcommands also write CSV tables; ``perturb`` reports the factor its
-classification calls for.  Exit codes: 0 success, 2 argument errors, 3
+classification calls for, and both ``asymptotic`` laws read the member
+(theta, delta, d) and the radius eps from the same options.  No option may
+be abbreviated.  Exit codes: 0 success, 2 argument errors, 3
 numeric or consistency failures; a failing ``validate`` suite, also one
 whose row raised, writes its report first, with ``results.passed`` false.
 """
@@ -14,6 +16,7 @@ whose row raised, writes its report first, with ``results.passed`` false.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -177,8 +180,11 @@ def _cmd_exact(args) -> tuple[dict, dict, dict]:
 
 
 def _cmd_asymptotic(args) -> tuple[dict, dict, dict]:
+    theta = _pi_aware(args.theta)
+    inputs = {"law": args.law, "theta": theta, "delta": args.delta, "d": args.d, "eps": args.eps}
+    if not (args.eps > 0 and math.isfinite(args.eps)):
+        raise ValueError("eps must be positive and finite")
     if args.law == "naznik":
-        theta = _pi_aware(args.theta)
         params = asymptotics.naznik_params(theta, args.delta, args.d)
         log_p = asymptotics.naznik_asymptotic(theta, args.delta, args.d, args.eps)
         results = {
@@ -187,35 +193,40 @@ def _cmd_asymptotic(args) -> tuple[dict, dict, dict]:
             "amplitude": params.amplitude,
             "exponent_coefficient": params.exponent_coefficient,
         }
-        inputs = {"law": "naznik", "theta": theta, "delta": args.delta, "d": args.d, "eps": args.eps}
         return inputs, results, {"eps": args.eps}
-    if not args.phi or not args.phi.startswith("power:"):
-        raise ValueError("dll law needs --phi power:theta,delta,d")
-    theta_s, delta_s, d_s = args.phi[len("power:") :].split(",")
-    spec = asymptotics.PowerLawPhi(
-        theta=_pi_aware(float(theta_s)), delta=float(delta_s), d=float(d_s)
-    )
-    r = args.r if args.r is not None else args.eps**2
-    log_p, u = asymptotics._dll_log_and_tilt(spec, r)
+    r = args.eps**2
+    log_p, u = asymptotics._dll_log_and_tilt(asymptotics.PowerLawPhi(theta, args.delta, args.d), r)
     results = {"log_probability": log_p, "tilt": u, "prefactor": asymptotics.dll_prefactor()}
-    return {"law": "dll", "phi": args.phi, "r": r}, results, {"r": r}
+    return inputs, results, {"r": r}
+
+
+_PROBLEM_KEYS = ("kernel", "grid_size", "phi", "A")
 
 
 def _cmd_perturb(args) -> tuple[dict, dict, dict]:
     with open(args.problem, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("problem must be a JSON object")
+    for key in cfg:
+        if key not in _PROBLEM_KEYS:
+            raise ValueError(f"problem key {key!r} is not one of {list(_PROBLEM_KEYS)}")
     kernel = _kernel_from_config(cfg["kernel"])
-    n = int(cfg.get("grid_size", 1000))
-    grid = kernel.grid if kernel.variant == "sampled" else gauss_legendre_grid(n)
+    if kernel.variant == "sampled":
+        if "grid_size" in cfg:
+            raise ValueError("problem key 'grid_size' is fixed by the sampled kernel's grid")
+        grid = kernel.grid
+    else:
+        grid = gauss_legendre_grid(int(cfg.get("grid_size", 1000)))
     phi_cols = []
     for descr in cfg["phi"]:
+        if not isinstance(descr, dict) or ("poly" in descr) == ("samples" in descr):
+            raise ValueError("phi descriptor needs exactly one of 'poly' or 'samples'")
         if "poly" in descr:
             coeffs = list(map(float, descr["poly"]))
             phi_cols.append(np.polynomial.polynomial.polyval(grid.nodes, coeffs))
-        elif "samples" in descr:
-            phi_cols.append(np.asarray(descr["samples"], dtype=float))
         else:
-            raise ValueError("phi descriptor needs 'poly' or 'samples'")
+            phi_cols.append(np.asarray(descr["samples"], dtype=float))
     phi = np.column_stack(phi_cols)
     a = np.asarray(cfg["A"], dtype=float)
     spec = perturbation.PerturbationSpec(phi=phi, a_matrix=a, grid=grid)
@@ -229,7 +240,7 @@ def _cmd_perturb(args) -> tuple[dict, dict, dict]:
     }
     diagnostics: dict = {
         "singular_values": [float(v) for v in cls.singular_values],
-        "classification_tol": cls.tol,
+        "classification_tol": perturbation.CLASSIFY_TOL,
     }
     if args.eps is not None:
         if cls.label != perturbation.CRITICAL:
@@ -367,18 +378,21 @@ def _core_suite():
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no parser accepts an abbreviated option, so each option has one spelling
     parser = argparse.ArgumentParser(
         prog="smallball",
         description="Small-ball probabilities for Gaussian processes and their perturbations",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"smallball {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--report", help="JSON report path (default stdout)")
     config = argparse.ArgumentParser(add_help=False, parents=[report])
     config.add_argument("--config", help="JSON config overriding flags")
 
-    p = sub.add_parser("spectrum", parents=[config], help="Nystrom spectrum of a catalog kernel")
+    p = add_parser("spectrum", parents=[config], help="Nystrom spectrum of a catalog kernel")
     p.add_argument("--kernel", choices=("bridge", "wiener", "ou"), required=True)
     p.add_argument("--alpha", type=float, default=1.0, help="OU rate")
     p.add_argument("--n", type=int, default=1000, help="Gauss-Legendre grid size")
@@ -387,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eigvecs-out", dest="eigvecs_out", help="CSV of eigenfunction samples")
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("exact", parents=[config], help="CDF of a weighted chi-square form")
+    p = add_parser("exact", parents=[config], help="CDF of a weighted chi-square form")
     p.add_argument("--weights", required=True, help="CSV weight file, one mu per line")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--method", choices=("gilpelaez", "saddle", "mc"), default="gilpelaez")
@@ -395,23 +409,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_exact)
 
-    p = sub.add_parser("asymptotic", parents=[config], help="closed-form small-ball asymptotics")
+    p = add_parser("asymptotic", parents=[config], help="closed-form small-ball asymptotics")
     p.add_argument("--law", choices=("naznik", "dll"), required=True)
     p.add_argument("--theta", type=float, default=math.pi)
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--d", type=float, default=2.0)
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--r", type=float, default=None, help="ball radius squared (dll)")
-    p.add_argument("--phi", help="dll catalog member, e.g. power:3.14159265,0,2")
+    p.add_argument("--eps", type=float, default=0.05, help="ball radius; dll reads r = eps^2")
     p.set_defaults(func=_cmd_asymptotic)
 
     # perturb's --config is its problem file, not a set of flag overrides
-    p = sub.add_parser("perturb", parents=[report], help="perturbation classification and transfer factors")
+    p = add_parser("perturb", parents=[report], help="perturbation classification and transfer factors")
     p.add_argument("--config", dest="problem", required=True, help="JSON problem description")
     p.add_argument("--eps", type=float, default=None, help="ball radius of the critical theorem3_factor")
     p.set_defaults(func=_cmd_perturb)
 
-    p = sub.add_parser("durbin", parents=[config], help="Durbin limiting processes and the omega^2 simulator")
+    p = add_parser("durbin", parents=[config], help="Durbin limiting processes and the omega^2 simulator")
     p.add_argument("--family", choices=tuple(_FAMILY_SLUGS), required=True)
     p.add_argument("--simulate", action="store_true")
     p.add_argument("--n", type=int, default=500)
@@ -420,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="CSV of simulated statistics")
     p.set_defaults(func=_cmd_durbin)
 
-    p = sub.add_parser("validate", parents=[report], help="run the core validation suite")
+    p = add_parser("validate", parents=[report], help="run the core validation suite")
     p.set_defaults(func=_cmd_validate)
     return parser
 

@@ -234,10 +234,11 @@ def durbin_kernel_matrix(fam: FamilySpec, grid: Grid) -> np.ndarray:
 
 def durbin_kernel_spec(fam: FamilySpec, grid: Grid) -> kernels.KernelSpec:
     """Sampled kernel spec of the limiting covariance, carrying the bridge
-    diagonal jump so the spectral solver keeps its accuracy."""
+    diagonal jump and Green order so the spectral solver keeps its accuracy."""
     mat = durbin_kernel_matrix(fam, grid)
-    jump = kernels.diagonal_jump(kernels.bridge(), grid.nodes)
-    return kernels.sampled(grid, mat, diag_jump=jump, green_order=1)
+    bridge = kernels.bridge()
+    jump = kernels.diagonal_jump(bridge, grid.nodes)
+    return kernels.sampled(grid, mat, diag_jump=jump, green_order=bridge.green_order)
 
 
 def _mle_transform(fam: FamilySpec, x: np.ndarray) -> np.ndarray:

@@ -121,7 +121,6 @@ class Classification(NamedTuple):
     label: str
     rank_defect: int
     singular_values: np.ndarray
-    tol: float
 
 
 def compute_psi(kernel: KernelSpec, phi: np.ndarray, grid: Grid) -> np.ndarray:
@@ -221,7 +220,7 @@ def classify(a: np.ndarray, q: np.ndarray) -> Classification:
         label = CRITICAL
     else:
         label = PARTIALLY_CRITICAL
-    return Classification(label=label, rank_defect=s, singular_values=sv, tol=CLASSIFY_TOL)
+    return Classification(label=label, rank_defect=s, singular_values=sv)
 
 
 def theorem1_factor(a: np.ndarray, q: np.ndarray) -> float:
@@ -274,23 +273,15 @@ def spectral_product_check(
     return ProductCheck(value=math.exp(full), diagnostic=drift)
 
 
-def bateman_ratio(
-    z: complex,
-    spec0: Spectrum,
-    coeffs: FourierCoeffs,
-    d: np.ndarray,
-) -> complex:
+def bateman_ratio(z: complex, coeffs: FourierCoeffs, d: np.ndarray) -> complex:
     """det L(z), the ratio F(z)/F0(z) of the perturbed and base Fredholm
     determinants, from the truncated coefficient series.
 
-    z must stay away from the base eigenvalues lambda_k; queries within
-    1e-8 relative of one raise.
+    The base eigenvalues lambda_k are those of ``coeffs.spectrum``, the
+    spectrum the coefficients were computed against.  z must stay away from
+    them; queries within 1e-8 relative of one raise.
     """
-    if coeffs.spectrum is not spec0 and not np.array_equal(
-        coeffs.spectrum.eigenvalues, spec0.eigenvalues
-    ):
-        raise ValueError("coefficients were not computed against this spectrum")
-    lam = spec0.inverse_eigenvalues
+    lam = coeffs.spectrum.inverse_eigenvalues
     z = complex(z)
     if z != 0:
         rel_gap = np.min(np.abs(z - lam) / np.abs(lam))

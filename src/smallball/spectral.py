@@ -52,13 +52,17 @@ class Spectrum:
     one symmetric eigenvalue pass.  ``eigvecs`` has one column per retained
     eigenvalue, sampled at ``grid.nodes``; it is computed from ``kernel`` on
     first read (one full ``eigh``) and kept, so a spectrum that is only used
-    for its eigenvalues never pays for eigenvectors.
+    for its eigenvalues never pays for eigenvectors.  ``truncation_count``
+    is the number of retained eigenvalues.
     """
 
     eigenvalues: np.ndarray
     grid: Grid
-    truncation_count: int
     kernel: KernelSpec
+
+    @property
+    def truncation_count(self) -> int:
+        return self.eigenvalues.size
 
     @cached_property
     def eigvecs(self) -> np.ndarray:
@@ -167,7 +171,7 @@ def nystrom_spectrum(spec: KernelSpec, grid: Grid, k_max: int) -> Spectrum:
         )
     vals = vals[:k_max]
     vals = vals[vals > EIGENVALUE_FLOOR * max(vals[0], 0.0)]
-    return Spectrum(eigenvalues=vals, grid=grid, truncation_count=int(vals.size), kernel=spec)
+    return Spectrum(eigenvalues=vals, grid=grid, kernel=spec)
 
 
 def fourier_coefficients(spectrum: Spectrum, funcs: np.ndarray) -> FourierCoeffs:

@@ -110,8 +110,8 @@ def test_asymptotic_naznik(tmp_path):
 def test_asymptotic_dll(tmp_path):
     rep = tmp_path / "rep.json"
     code = run(
-        ["asymptotic", "--law", "dll", "--phi", "power:3.14159265,0,2", "--r", "0.01",
-         "--report", str(rep)]
+        ["asymptotic", "--law", "dll", "--theta", "3.14159265", "--delta", "0", "--d", "2",
+         "--eps", "0.1", "--report", str(rep)]
     )
     assert code == 0
     report = read_json(rep)
@@ -131,12 +131,43 @@ def test_asymptotic_dll_solves_root_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(asymptotics, "dll_root", counting)
     rep = tmp_path / "rep.json"
-    assert run(["asymptotic", "--law", "dll", "--phi", "power:3.14159265,0,2", "--r", "0.0001",
-                "--report", str(rep)]) == 0
+    assert run(["asymptotic", "--law", "dll", "--eps", "0.01", "--report", str(rep)]) == 0
     assert len(roots) == 1
     results = read_json(rep)["results"]
     assert results["tilt"] == tilt
     assert results["log_probability"] == log_p
+
+
+_MEMBER_ARGV = ["--theta", "1", "--delta", "0", "--d", "3", "--eps", "0.01"]
+
+
+def test_asymptotic_dll_reads_member_and_eps(tmp_path):
+    # the dll law reads the same member options as naznik, at r = eps^2
+    rep = tmp_path / "rep.json"
+    assert run(["asymptotic", "--law", "dll", *_MEMBER_ARGV, "--report", str(rep)]) == 0
+    report = read_json(rep)
+    spec = asymptotics.PowerLawPhi(1.0, 0.0, 3.0)
+    assert report["results"]["log_probability"] == asymptotics.dll_asymptotic(spec, 1e-4)
+    assert report["results"]["tilt"] == asymptotics.dll_root(spec, 1e-4)
+    assert report["inputs"] == {"law": "dll", "theta": 1.0, "delta": 0.0, "d": 3.0, "eps": 0.01}
+    assert report["diagnostics"] == {"r": 1e-4}
+
+
+def test_asymptotic_naznik_reads_member_and_eps(tmp_path):
+    rep = tmp_path / "rep.json"
+    assert run(["asymptotic", "--law", "naznik", *_MEMBER_ARGV, "--report", str(rep)]) == 0
+    report = read_json(rep)
+    assert report["results"]["log_probability"] == asymptotics.naznik_asymptotic(1.0, 0.0, 3.0, 0.01)
+    assert report["inputs"] == {"law": "naznik", "theta": 1.0, "delta": 0.0, "d": 3.0, "eps": 0.01}
+
+
+@pytest.mark.parametrize("law", ["naznik", "dll"])
+def test_asymptotic_negative_eps_rejected(tmp_path, capsys, law):
+    # r = eps^2 would hide the sign from the dll law
+    rep = tmp_path / "rep.json"
+    assert run(["asymptotic", "--law", law, "--eps", "-0.01", "--report", str(rep)]) == 2
+    assert "eps must be positive and finite" in capsys.readouterr().err
+    assert not rep.exists()
 
 
 @pytest.mark.parametrize("kernel", ["bridge", "wiener", "ou"])
@@ -278,15 +309,50 @@ def test_perturb_eps_on_non_critical_is_argument_error(tmp_path, capsys):
         ["perturb", "--theorem1"],
         ["perturb", "--theorem3", "--eps", "0.05"],
         ["validate", "--suite", "core"],
+        ["asymptotic", "--law", "dll", "--phi", "power:1,0,3"],
+        ["asymptotic", "--law", "naznik", "--r", "0.0001"],
+        ["durbin", "--family", "normal-location", "--sim"],
     ],
-    ids=["theorem1", "theorem3", "suite"],
+    ids=["theorem1", "theorem3", "suite", "phi", "r", "abbreviation"],
 )
-def test_removed_options_rejected(tmp_path, argv):
-    # the classification picks the transfer and the core suite is the only one
+def test_removed_options_rejected(tmp_path, monkeypatch, argv):
+    # the classification picks the transfer, the core suite is the only one,
+    # both asymptotic laws read --theta --delta --d --eps, and no option is
+    # read as an abbreviation of another (--r once meant --report)
+    monkeypatch.chdir(tmp_path)
     if argv[0] == "perturb":
         argv = argv[:1] + ["--config", _bridge_problem(tmp_path, 12.0)] + argv[1:]
     assert run(argv + ["--report", str(tmp_path / "rep.json")]) == 2
     assert not (tmp_path / "rep.json").exists()
+    assert not (tmp_path / "0.0001").exists()
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        ({"kernel": {"type": "bridge"}, "grid_sise": 50, "phi": [{"poly": [1.0]}], "A": [[6.0]]},
+         "'grid_sise'"),
+        ({"kernel": {"type": "bridge"}, "grid_size": 50,
+          "phi": [{"poly": [1.0], "samples": [1.0] * 50}], "A": [[6.0]]},
+         "'samples'"),
+        ({"kernel": {"type": "bridge"}, "grid_size": 50, "phi": ["poly"], "A": [[6.0]]},
+         "'poly'"),
+        ({"kernel": {"type": "sampled", "grid": [0.25, 0.75], "matrix": [[1.0, 0.5], [0.5, 1.0]]},
+          "grid_size": 4000, "phi": [{"poly": [1.0]}], "A": [[1.0]]},
+         "'grid_size'"),
+    ],
+    ids=["unknown_key", "poly_and_samples", "descriptor_not_an_object", "grid_size_with_sampled_kernel"],
+)
+def test_perturb_problem_keys_checked(tmp_path, capsys, cfg, key):
+    # a key the problem does not read, or one another key already fixes, is
+    # an argument error that names it, not a silent default
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(cfg))
+    rep = tmp_path / "rep.json"
+    assert run(["perturb", "--config", str(path), "--report", str(rep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("argument error:") and key in err
+    assert not rep.exists()
 
 
 def test_durbin_fisher(tmp_path):
@@ -334,7 +400,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert run(["exact", "--weights", str(wfile), "--r", "nan", "--method", "mc"]) == 2
     assert run(["spectrum", "--kernel", "ou", "--alpha", "inf", "--n", "20", "--k", "2"]) == 2
     capsys.readouterr()
-    assert run(["asymptotic", "--law", "dll", "--phi", "power:nan,0,2", "--r", "0.01"]) == 2
+    assert run(["asymptotic", "--law", "dll", "--theta", "nan"]) == 2
     assert "must be finite" in capsys.readouterr().err
     nan_a = tmp_path / "nan_a.json"
     nan_a.write_text('{"kernel": {"type": "bridge"}, "grid_size": 50, "phi": [{"poly": [1.0]}], "A": [[NaN]]}')

@@ -326,7 +326,7 @@ class TestBateman:
     def test_limit_at_zero(self, bridge_spectrum_2000, bridge_gram_a6):
         _, gram = bridge_gram_a6
         coeffs = fourier_coefficients(bridge_spectrum_2000, gram.psi)
-        assert bateman_ratio(0.0, bridge_spectrum_2000, coeffs, gram.d_matrix) == 1.0
+        assert bateman_ratio(0.0, coeffs, gram.d_matrix) == 1.0
 
     def test_matches_fredholm_product(
         self, bridge_spectrum_2000, perturbed_spectrum_a6, bridge_gram_a6
@@ -334,7 +334,7 @@ class TestBateman:
         _, gram = bridge_gram_a6
         coeffs = fourier_coefficients(bridge_spectrum_2000, gram.psi)
         z = -10.0
-        det_l = bateman_ratio(z, bridge_spectrum_2000, coeffs, gram.d_matrix)
+        det_l = bateman_ratio(z, coeffs, gram.d_matrix)
         lam0 = bridge_spectrum_2000.inverse_eigenvalues[:200]
         lam_a = perturbed_spectrum_a6.inverse_eigenvalues[:200]
         product = float(np.prod((1.0 - z / lam_a) / (1.0 - z / lam0)))
@@ -347,7 +347,7 @@ class TestBateman:
         _, gram = bridge_gram_a12
         coeffs = fourier_coefficients(bridge_spectrum_2000, gram.psi)
         vals = [
-            z * bateman_ratio(z, bridge_spectrum_2000, coeffs, gram.d_matrix)
+            z * bateman_ratio(z, coeffs, gram.d_matrix)
             for z in (-1e3, -1e5, -1e7)
         ]
         mags = [abs(v) for v in vals]
@@ -359,7 +359,7 @@ class TestBateman:
         coeffs = fourier_coefficients(bridge_spectrum_2000, gram.psi)
         z = float(bridge_spectrum_2000.inverse_eigenvalues[0])
         with pytest.raises(NumericError):
-            bateman_ratio(z, bridge_spectrum_2000, coeffs, gram.d_matrix)
+            bateman_ratio(z, coeffs, gram.d_matrix)
 
 
 class TestTheorem2Closed:
@@ -517,7 +517,7 @@ class TestBatemanComplex:
         _, gram = bridge_gram_a6
         coeffs = fourier_coefficients(bridge_spectrum_2000, gram.psi)
         z = complex(-4.0, 9.0)
-        det_l = bateman_ratio(z, bridge_spectrum_2000, coeffs, gram.d_matrix)
+        det_l = bateman_ratio(z, coeffs, gram.d_matrix)
         lam0 = bridge_spectrum_2000.inverse_eigenvalues[:250]
         lam_a = perturbed_spectrum_a6.inverse_eigenvalues[:250]
         product = complex(np.prod((1.0 - z / lam_a) / (1.0 - z / lam0)))
