@@ -211,6 +211,8 @@ def _cmd_perturb(args) -> tuple[dict, dict, dict]:
     for key in cfg:
         if key not in _PROBLEM_KEYS:
             raise ValueError(f"problem key {key!r} is not one of {list(_PROBLEM_KEYS)}")
+    if not isinstance(cfg["kernel"], dict):
+        raise ValueError("problem key 'kernel' must be an object")
     kernel = _kernel_from_config(cfg["kernel"])
     if kernel.variant == "sampled":
         if "grid_size" in cfg:
@@ -218,10 +220,12 @@ def _cmd_perturb(args) -> tuple[dict, dict, dict]:
         grid = kernel.grid
     else:
         grid = gauss_legendre_grid(int(cfg.get("grid_size", 1000)))
+    if not isinstance(cfg["phi"], list) or not all(
+        isinstance(descr, dict) and ("poly" in descr) != ("samples" in descr) for descr in cfg["phi"]
+    ):
+        raise ValueError("problem key 'phi' must be a list of objects, each with exactly one of 'poly' or 'samples'")
     phi_cols = []
     for descr in cfg["phi"]:
-        if not isinstance(descr, dict) or ("poly" in descr) == ("samples" in descr):
-            raise ValueError("phi descriptor needs exactly one of 'poly' or 'samples'")
         if "poly" in descr:
             coeffs = list(map(float, descr["poly"]))
             phi_cols.append(np.polynomial.polynomial.polyval(grid.nodes, coeffs))

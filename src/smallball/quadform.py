@@ -3,10 +3,13 @@
 Three evaluators with complementary ranges:
 
 * ``cdf_gil_pelaez`` inverts the characteristic function; accurate for
-  central probabilities (P >~ 1e-6) where it reaches ~1e-8 absolute.
+  central probabilities (P >~ 1e-6) where it reaches ~1e-8 absolute.  The
+  phase and amplitude of the characteristic function do not depend on r,
+  so one t-grid serves every radius a call needs.
 * ``cdf_saddlepoint`` is a Lugannani-Rice left-tail approximation on the
   exact cumulant generating function; returns log-probabilities reliably
-  down to e^-10000 where inversion cancels catastrophically.
+  down to e^-10000 where inversion cancels catastrophically.  Its saddle
+  comes from a safeguarded Newton iteration on K'(s) = r.
 * ``cdf_monte_carlo`` is the brute-force check, deterministic for a fixed
   (seed, shard layout).
 
@@ -14,7 +17,8 @@ A weight sequence is a finite head plus a bound on the discarded tail sum.
 The tail concentrates tightly around its mean (its variance is of higher
 order), so the evaluators treat it as the deterministic shift
 r -> r - tail_sum_bound and report the shift sensitivity
-cdf(r) - cdf(r - tail_sum_bound) inside the error bound.
+cdf(r) - cdf(r - tail_sum_bound) inside the error bound; Gil-Pelaez takes
+both radii from the same inversion.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad  # noqa: F401  (benchmark/tracing.py counts calls to quadform.quad)
-from scipy.optimize import brentq
+from scipy.optimize import brentq  # noqa: F401  (benchmark/tracing.py counts calls to quadform.brentq)
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import NumericError
@@ -152,44 +156,49 @@ _MAX_HALVINGS = 12
 GIL_PELAEZ_TOL = 1e-9
 
 
-def _integrate_panels(mu: np.ndarray, r: float, edges: np.ndarray) -> tuple[float, float]:
-    """Sum over the panels [edges[i], edges[i+1]] of
-    int sin(theta0(t) - t r) / (t rho(t)) dt, and the sum of the error
-    estimates.
+def _integrate_panels(mu: np.ndarray, rs: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each radius r in ``rs``, the sum over the panels
+    [edges[i], edges[i+1]] of int sin(theta0(t) - t r) / (t rho(t)) dt, and
+    the sum of the error estimates.
 
     Each pass applies quad's first step, the 21-point Gauss-Kronrod rule
-    with QUADPACK's error estimate, to all pending panels at once.  Panels
-    that meet quad's default tolerances are accepted; the others, typically
-    only the one at t = 0, are halved for the next pass, unless they were
-    halved ``_MAX_HALVINGS`` times or the next pass would outgrow the first.
-    Then they are kept with their error estimates for the caller to judge.
+    with QUADPACK's error estimate, to all pending panels at once.  theta0
+    and rho do not depend on r, so they are evaluated once per node and
+    serve every radius.  A panel is accepted when it meets quad's default
+    tolerances at every radius; the others, typically only the one at
+    t = 0, are halved for the next pass, unless they were halved
+    ``_MAX_HALVINGS`` times or the next pass would outgrow the first.  Then
+    they are kept with their error estimates for the caller to judge.
     """
     a, b = edges[:-1], edges[1:]
     per_block = max(1, _BLOCK // (_GK_NODES.size * mu.size))
-    total = err_sum = 0.0
+    r_col = rs[:, None, None]
+    total = np.zeros(rs.size)
+    err_sum = np.zeros(rs.size)
     halvings = 0
     while a.size:
         half = 0.5 * (b - a)
         nodes = 0.5 * (a + b)[:, None] + half[:, None] * _GK_NODES
-        f = np.empty_like(nodes)
+        f = np.empty((rs.size,) + nodes.shape)
         for i in range(0, a.size, per_block):
             t = nodes[i:i + per_block]
             theta, log_rho = _imhof_parts(mu, t)
-            f[i:i + per_block] = np.sin(theta - t * r) * np.exp(-log_rho) / t
+            f[:, i:i + per_block] = np.sin(theta - t * r_col) * np.exp(-log_rho) / t
         res_k = f @ _GK_WEIGHTS
         res_g = f @ _G_WEIGHTS
         res_abs = np.abs(f) @ _GK_WEIGHTS * half
-        res_asc = np.abs(f - 0.5 * res_k[:, None]) @ _GK_WEIGHTS * half
+        res_asc = np.abs(f - 0.5 * res_k[..., None]) @ _GK_WEIGHTS * half
         result = res_k * half
         err = np.abs(res_k - res_g) * half
         scaled = np.divide(200.0 * err, res_asc, out=np.ones_like(err), where=res_asc > 0)
         err = np.where((res_asc > 0) & (err > 0), res_asc * np.minimum(1.0, scaled**1.5), err)
         err = np.maximum(err, 50.0 * np.finfo(float).eps * res_abs)
-        done = ((err <= np.maximum(_QUAD_EPS, _QUAD_EPS * np.abs(result))) & (err != res_asc)) | (err == 0)
+        passed = ((err <= np.maximum(_QUAD_EPS, _QUAD_EPS * np.abs(result))) & (err != res_asc)) | (err == 0)
+        done = passed.all(axis=0)
         if halvings == _MAX_HALVINGS or 2 * np.count_nonzero(~done) > edges.size - 1:
             done[:] = True
-        total += float(result[done].sum())
-        err_sum += float(err[done].sum())
+        total += result[:, done].sum(axis=1)
+        err_sum += err[:, done].sum(axis=1)
         a, b = a[~done], b[~done]
         mid = 0.5 * (a + b)
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
@@ -205,50 +214,59 @@ def cdf_gil_pelaez(w: WeightSeq, r: float) -> ProbabilityEstimate:
 
     The integral is cut where an integration-by-parts estimate of the
     remainder drops below ``GIL_PELAEZ_TOL``, and that first by-parts term
-    is added back.  Intended for central probabilities; the deep left tail
-    belongs to ``cdf_saddlepoint``.
+    is added back.  With a tail, F(r - tail_sum_bound) and the shift bound
+    F(r) come from one inversion on a shared t-grid, both at
+    ``GIL_PELAEZ_TOL``.  Intended for central probabilities; the deep left
+    tail belongs to ``cdf_saddlepoint``.
     """
     if not (r > 0 and math.isfinite(r)):
         raise ValueError("r must be positive and finite")
-    mu = w.head
-    r_eff = r - w.tail_sum_bound
+    tail = w.tail_sum_bound
+    r_eff = r - tail
     # the error of treating the tail as a deterministic shift is cdf(r) -
-    # cdf(r - tail_sum_bound); the main inversion (0 if r_eff <= 0) is the second
-    value, err = _gp_value(mu, r_eff, GIL_PELAEZ_TOL) if r_eff > 0 else (0.0, 0.0)
-    if w.tail_sum_bound > 0:
-        err += max(_gp_value(mu, r, 1e-7)[0] - value, 0.0)
+    # cdf(r - tail_sum_bound), and the main value is 0 if r_eff <= 0
+    rs = [r_eff, r] if tail > 0 and r_eff > 0 else [r]
+    values, errs = _gp_values(w.head, np.array(rs), GIL_PELAEZ_TOL)
+    value, err = (float(values[0]), float(errs[0])) if r_eff > 0 else (0.0, 0.0)
+    if tail > 0:
+        err += max(float(values[-1]) - value, 0.0)
     value_c = min(max(value, 0.0), 1.0)
     log_value = math.log(value_c) if value_c > 0 else -np.inf
     return ProbabilityEstimate(value_c, log_value, err, "gil_pelaez")
 
 
-def _gp_value(mu: np.ndarray, r: float, tol: float) -> tuple[float, float]:
+def _gp_values(mu: np.ndarray, rs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """F(r) and its error bound at each radius in ``rs``, from one t-grid:
+    T is cut for the smallest radius, the strictest, and the panels are
+    sized for the largest, which oscillates most."""
     n = mu.size
     # P{Q < r} <= prod_j P{mu_j xi_j^2 < r} <= prod_j sqrt(2r/(pi mu_j));
-    # when that bound is already negligible, skip the oscillatory integral
-    log_bound = 0.5 * np.cumsum(np.log(2.0 * r / (np.pi * mu)))
-    if float(log_bound.min()) < math.log(1e-14):
-        return 0.0, math.exp(float(log_bound.min()))
-
-    def g(t):
-        _, log_rho = _imhof_parts(mu, t)
-        return math.exp(-log_rho) / t
+    # where that bound is already negligible, skip the oscillatory integral
+    log_bound = (0.5 * np.cumsum(np.log(2.0 * rs[:, None] / (np.pi * mu)), axis=1)).min(axis=1)
+    values, errs = np.zeros(rs.size), np.exp(log_bound)
+    live = log_bound >= math.log(1e-14)
+    if not live.any():
+        return values, errs
+    rs = rs[live]
 
     def theta_slope(t):
         return float(np.sum(mu / (1.0 + 4.0 * mu * mu * t * t)))
 
     # truncation point: after one integration by parts the remainder is
-    # O((|g'| + g * theta0') / r^2); expand T until that is small
+    # O((|g'| + g * theta0') / r^2) with g = 1 / (t rho); expand T until
+    # that is small
+    r_min = float(rs.min())
     T = 10.0 / mu[0]
     while T < 1e15:
-        resid_num = (1.0 + 0.5 * n) * g(T) / T + g(T) * theta_slope(T)
-        if resid_num / (r * r) <= 0.5 * tol:
+        theta_T, log_rho_T = _imhof_parts(mu, T)
+        g_T = math.exp(-log_rho_T) / T
+        resid_num = (1.0 + 0.5 * n) * g_T / T + g_T * theta_slope(T)
+        if resid_num / (r_min * r_min) <= 0.5 * tol:
             break
         T *= 1.6
     else:
         raise NumericError("gil_pelaez: could not find a truncation point")
-    theta_T, _ = _imhof_parts(mu, T)
-    n_osc = (theta_T + T * r) / (2.0 * math.pi)
+    n_osc = (theta_T + T * float(rs.max())) / (2.0 * math.pi)
     if n_osc > 50000:
         raise NumericError(
             f"gil_pelaez: integrand oscillates {n_osc:.0f} times before decay; "
@@ -256,14 +274,16 @@ def _gp_value(mu: np.ndarray, r: float, tol: float) -> tuple[float, float]:
         )
     n_panels = int(max(1.5 * n_osc, 20.0))
     edges = np.linspace(0.0, T, n_panels + 1)
-    total, err = _integrate_panels(mu, r, edges)
+    total, err = _integrate_panels(mu, rs, edges)
     # leading by-parts term of the cut tail
-    slope_T = r - theta_slope(T)
-    total += g(T) * math.cos(theta_T - T * r) / slope_T
-    err += abs(resid_num / (slope_T * slope_T))
-    if err > max(100.0 * tol, 1e-6):
-        raise NumericError(f"gil_pelaez inversion did not converge (err={err:.2e})")
-    return 0.5 - total / math.pi, err
+    slope_T = rs - theta_slope(T)
+    total += g_T * np.cos(theta_T - T * rs) / slope_T
+    err += np.abs(resid_num / (slope_T * slope_T))
+    if err.max() > max(100.0 * tol, 1e-6):
+        raise NumericError(f"gil_pelaez inversion did not converge (err={err.max():.2e})")
+    values[live] = 0.5 - total / math.pi
+    errs[live] = err
+    return values, errs
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +295,10 @@ def _cgf(s: float, mu: np.ndarray) -> float:
     return -0.5 * float(np.sum(np.log1p(-2.0 * s * mu)))
 
 
-def _cgf1(s: float, mu: np.ndarray) -> float:
-    return float(np.sum(mu / (1.0 - 2.0 * s * mu)))
+def _cgf12(s: float, mu: np.ndarray) -> tuple[float, float]:
+    """K'(s) and K''(s) from one pass over the weights."""
+    a = mu / (1.0 - 2.0 * s * mu)
+    return float(a.sum()), 2.0 * float(a @ a)
 
 
 def _cgf2(s: float, mu: np.ndarray) -> float:
@@ -293,8 +315,9 @@ def cdf_saddlepoint(w: WeightSeq, r: float) -> ProbabilityEstimate:
 
     The saddle s(r) < 0 solves K'(s) = r for the exact cumulant generating
     function K(s) = -1/2 sum log(1 - 2 s mu_k); the tilt exists for every
-    0 < r < sum mu_k.  Near the mean the 1/w - 1/u cancellation is replaced
-    by its limit K'''/(6 K''^{3/2}).
+    0 < r < sum mu_k, and ``_solve_saddle`` finds it by a safeguarded Newton
+    iteration.  Near the mean the 1/w - 1/u cancellation is replaced by its
+    limit K'''/(6 K''^{3/2}).
     """
     if not (r > 0 and math.isfinite(r)):
         raise ValueError("r must be positive and finite")
@@ -317,29 +340,51 @@ def cdf_saddlepoint(w: WeightSeq, r: float) -> ProbabilityEstimate:
 
 def _solve_saddle(mu: np.ndarray, r: float) -> float:
     """Root of K'(s) = r on the CGF domain (-inf, 1/(2 mu_1)); K' is
-    increasing from 0 to +inf there, so every r > 0 has a unique tilt."""
-    f = lambda s: _cgf1(s, mu) - r  # noqa: E731
-    at_zero = f(0.0)
-    if at_zero == 0.0:
+    increasing from 0 to +inf there, so every r > 0 has a unique tilt.
+
+    Newton's method on log K' = log r runs in x = log(-s) when K'(0) > r
+    and in y = -log(1 - 2 mu_1 s) when K'(0) < r; in these variables
+    log K' is close to linear in both deep tails.  Each step reads K' and
+    K'' from one pass over the weights.  The iteration starts at the end of
+    a closed-form sign bracket, keeps that bracket, bisects it when a step
+    would leave it, and stops on a step that moves s by less than 1e-12
+    relative.  That test comes before the bracket test, so a step at the
+    rounding floor ends the iteration instead of starting bisections.
+    """
+    k1, _ = _cgf12(0.0, mu)
+    if k1 == r:
         return 0.0
-    if at_zero > 0.0:
-        lo = -1.0 / (2.0 * mu[0])
-        while f(lo) > 0:
-            lo *= 8.0
-            if lo < -1e300:
-                raise NumericError("saddle equation bracket expansion failed")
-        hi = 0.0
+    if k1 > r:
+        # K'(0) / (1 - 2 s mu_1) <= K'(s) <= N / (-2 s) on s < 0
+        s_lo, s_hi = -(k1 - r) / (2.0 * r * mu[0]), -mu.size / (2.0 * r)
+        if not math.isfinite(s_hi):
+            raise NumericError("saddle equation has no finite bracket")
+        side, lo, hi = -1.0, math.log(-s_lo), math.log(-s_hi)
+        to_s = lambda x: -math.exp(x)  # noqa: E731
+        ds_dx = lambda s: s  # noqa: E731
     else:
-        s_max = 1.0 / (2.0 * mu[0])
-        lo = 0.0
-        gap = 0.5
-        hi = s_max * (1.0 - gap)
-        while f(hi) < 0:
-            gap *= 0.25
-            hi = s_max * (1.0 - gap)
-            if gap < 1e-300:
-                raise NumericError("saddle equation bracket expansion failed")
-    return brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+        # mu_1 / (1 - 2 s mu_1) <= K'(s) <= K'(0) / (1 - 2 s mu_1) on s > 0
+        side, lo, hi = 1.0, math.log(r / k1), math.log(r / mu[0])
+        to_s = lambda y: -math.expm1(-y) / (2.0 * mu[0])  # noqa: E731
+        ds_dx = lambda s: 0.5 / mu[0] - s  # noqa: E731
+    # g = side * log(K'(s) / r) increases through its root on [lo, hi]
+    x = lo
+    for _ in range(200):
+        s = to_s(x)
+        k1, k2 = _cgf12(s, mu)
+        g = side * math.log(k1 / r)
+        if g == 0.0:
+            return s
+        if g < 0.0:
+            lo = x
+        else:
+            hi = x
+        slope = ds_dx(s)
+        step = -g * k1 / (side * k2 * slope)
+        if abs(step * slope) <= 1e-12 * abs(s):
+            return to_s(x + step)
+        x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
+    raise NumericError("saddle equation: Newton iteration did not converge")
 
 
 _LOG_SQRT_2PI = math.log(math.sqrt(2.0 * math.pi))

@@ -340,8 +340,12 @@ def test_removed_options_rejected(tmp_path, monkeypatch, argv):
         ({"kernel": {"type": "sampled", "grid": [0.25, 0.75], "matrix": [[1.0, 0.5], [0.5, 1.0]]},
           "grid_size": 4000, "phi": [{"poly": [1.0]}], "A": [[1.0]]},
          "'grid_size'"),
+        ({"kernel": "bridge", "grid_size": 50, "phi": [{"poly": [1.0]}], "A": [[6.0]]}, "'kernel'"),
+        ({"kernel": {"type": "bridge"}, "grid_size": 50, "phi": 5, "A": [[6.0]]}, "'phi'"),
+        ({"kernel": {"type": "bridge"}, "grid_size": 50, "phi": [5], "A": [[6.0]]}, "'phi'"),
     ],
-    ids=["unknown_key", "poly_and_samples", "descriptor_not_an_object", "grid_size_with_sampled_kernel"],
+    ids=["unknown_key", "poly_and_samples", "descriptor_not_an_object", "grid_size_with_sampled_kernel",
+         "kernel_not_an_object", "phi_not_a_list", "phi_entry_not_an_object"],
 )
 def test_perturb_problem_keys_checked(tmp_path, capsys, cfg, key):
     # a key the problem does not read, or one another key already fixes, is

@@ -116,17 +116,38 @@ class TestSaddlepoint:
         with pytest.raises(ValueError):
             cdf_saddlepoint(bridge_weights(10), 0.0)
 
-    def test_one_saddle_solve_per_call(self, monkeypatch):
-        calls = []
-        real = quadform.brentq
+    @pytest.mark.parametrize("delta", [0.0, -0.5], ids=["bridge", "wiener"])
+    def test_newton_saddle_matches_brentq(self, monkeypatch, delta):
+        # the cdf_curve saddlepoint heads, from the deep tail to past the
+        # mean (eps = 0.41 for the bridge, 0.71 for the Wiener process);
+        # every call takes at most 10 fused K'/K'' passes and lands on the
+        # root of a full-precision brentq solve
+        w = _closed_form_weights(delta, n=100_000)
+        mu = w.head
+        passes, saddles = [], []
+        real_cgf12, real_solve = quadform._cgf12, quadform._solve_saddle
 
-        def counting(*args, **kwargs):
-            calls.append(args[1:3])
-            return real(*args, **kwargs)
+        def counting(s, mu):
+            passes[-1] += 1
+            return real_cgf12(s, mu)
 
-        monkeypatch.setattr(quadform, "brentq", counting)
-        cdf_saddlepoint(wiener_weights(1000), 0.01)
-        assert len(calls) == 1
+        def recording(mu, r):
+            saddles.append(real_solve(mu, r))
+            return saddles[-1]
+
+        monkeypatch.setattr(quadform, "_cgf12", counting)
+        monkeypatch.setattr(quadform, "_solve_saddle", recording)
+        for eps in np.geomspace(0.003, 0.8, 16):
+            passes.append(0)
+            cdf_saddlepoint(w, eps * eps)
+            r = eps * eps - w.tail_sum_bound
+            f = lambda s: float(np.sum(mu / (1.0 - 2.0 * s * mu))) - r  # noqa: E731
+            # K'(s) <= N / (-2 s) below 0 and K'(s) >= mu_1 / (1 - 2 s mu_1) above
+            lo, hi = (-mu.size / (2.0 * r), 0.0) if f(0.0) > 0 else (0.0, (1.0 - mu[0] / r) / (2.0 * mu[0]))
+            s_ref = brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
+            assert passes[-1] <= 10
+            assert saddles[-1] == pytest.approx(s_ref, rel=1e-12, abs=0.0)
+        assert min(saddles) < 0 < max(saddles)
 
     def test_one_cgf_pass_per_call(self, monkeypatch):
         # the error bound reuses the w_hat of the Lugannani-Rice step
@@ -194,7 +215,8 @@ class TestTailShift:
         est = cdf_gil_pelaez(w, r)
         assert est.value == 0.0
         assert est.log_value == -math.inf
-        assert est.error_bound == max(quadform._gp_value(w.head, r, 1e-7)[0], 0.0)
+        values, _ = quadform._gp_values(w.head, np.array([r]), quadform.GIL_PELAEZ_TOL)
+        assert est.error_bound == max(values[0], 0.0)
 
     # a short head with a wide tail, so that many draws fall in [r - tail, r)
     SHORT = WeightSeq(head=bridge_weights(3).head, tail_sum_bound=0.05)
@@ -497,22 +519,23 @@ class TestInversionMonotonicity:
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
-def _quad_panel_oracle(mu, r, edges):
+def _quad_panel_oracle(mu, rs, edges):
     """Each panel of the inversion integral through scipy's quad, one call
-    per panel, with a scalar integrand."""
+    per panel and radius, with a scalar integrand."""
 
-    def integrand(t):
+    def integrand(t, r):
         theta = 0.5 * float(np.sum(np.arctan(2.0 * mu * t)))
         log_rho = 0.25 * float(np.sum(np.log1p(4.0 * mu * mu * t * t)))
         return math.sin(theta - t * r) * math.exp(-log_rho) / t
 
-    total = err = 0.0
+    total, err = np.zeros(rs.size), np.zeros(rs.size)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for a, b in zip(edges[:-1], edges[1:]):
-            v, e = scipy_quad(integrand, a, b, limit=60)
-            total += v
-            err += e
+        for i, r in enumerate(rs):
+            for a, b in zip(edges[:-1], edges[1:]):
+                v, e = scipy_quad(integrand, a, b, args=(r,), limit=60)
+                total[i] += v
+                err[i] += e
     return total, err
 
 
@@ -567,6 +590,25 @@ class TestPanelOracle:
         w = durbin_limit_weights[family]
         q10 = brentq(lambda r: cdf_gil_pelaez(w, r).value - 0.1, 0.1 * w.total, w.total, xtol=1e-6)
         self._compare(monkeypatch, w, q10)
+
+    @pytest.mark.parametrize("proc,r", CURVE_CASES)
+    def test_tail_shares_the_t_grid(self, monkeypatch, proc, r):
+        # F(r - tail) and the shift bound F(r) read one t-grid: a tailed
+        # call evaluates theta0 and rho on no more nodes than a call at r
+        # alone, up to the slightly later cut of r - tail
+        nodes = []
+        real = quadform._imhof_parts
+
+        def counting(mu, t):
+            nodes[-1] += np.size(t)
+            return real(mu, t)
+
+        monkeypatch.setattr(quadform, "_imhof_parts", counting)
+        w = _closed_form_weights({"bridge": 0.0, "wiener": -0.5}[proc])
+        for weights in (w, WeightSeq(head=w.head)):
+            nodes.append(0)
+            cdf_gil_pelaez(weights, r)
+        assert nodes[0] <= 1.1 * nodes[1]
 
     def test_halving_cap_reaches_convergence_check(self, monkeypatch):
         # without halving, the wide panel at t = 0 keeps its error estimate
