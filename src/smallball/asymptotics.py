@@ -143,7 +143,8 @@ def naznik_params(theta: float, delta: float, d: float) -> NazNikParams:
         C = (2 pi)^(d/4) theta^(d gamma/2) sin(pi/d)^((1+gamma)/2)
             / ((d-1)^(1/2) (pi/d)^(1+gamma/2) Gamma(1+delta)^(d/2)).
 
-    (theta, delta, d) must name a ``PowerLawPhi`` member, which checks it.
+    (theta, delta, d) must name a ``PowerLawPhi`` member, which checks it;
+    constants that overflow double precision raise NumericError.
     """
     PowerLawPhi(theta, delta, d)
     gamma = (2.0 - d - 2.0 * d * delta) / (2.0 * (d - 1.0))
@@ -156,17 +157,26 @@ def naznik_params(theta: float, delta: float, d: float) -> NazNikParams:
         - (1.0 + gamma / 2.0) * math.log(math.pi / d)
         - (d / 2.0) * gammaln(1.0 + delta)
     )
-    coef = (d - 1.0) / 2.0 * (math.pi / (d * theta * sin_pd)) ** (d / (d - 1.0))
-    return NazNikParams(gamma=gamma, amplitude=math.exp(log_c), exponent_coefficient=coef)
+    try:
+        coef = (d - 1.0) / 2.0 * (math.pi / (d * theta * sin_pd)) ** (d / (d - 1.0))
+        amplitude = math.exp(log_c)
+    except OverflowError:
+        raise NumericError(f"naznik constants overflow at theta={theta}, d={d}") from None
+    return NazNikParams(gamma=gamma, amplitude=amplitude, exponent_coefficient=coef)
 
 
 def naznik_asymptotic(theta: float, delta: float, d: float, eps: float) -> float:
     """log P{sum (theta(k+delta))^(-d) xi_k^2 < eps^2} per the explicit
-    power-law asymptotics."""
+    power-law asymptotics; an exponent eps^(-2/(d-1)) that overflows raises
+    NumericError."""
     if not (eps > 0 and math.isfinite(eps)):
         raise ValueError("eps must be positive and finite")
     gamma, amp, coef = naznik_params(theta, delta, d)
-    return math.log(amp) + gamma * math.log(eps) - coef * eps ** (-2.0 / (d - 1.0))
+    try:
+        scale = eps ** (-2.0 / (d - 1.0))
+    except OverflowError:
+        raise NumericError(f"naznik exponent eps^(-2/(d-1)) overflows at eps={eps}, d={d}") from None
+    return math.log(amp) + gamma * math.log(eps) - coef * scale
 
 
 def naznik_form(theta: float, delta: float, d: float) -> AsymptoticForm:
@@ -256,12 +266,16 @@ def dll_root(spec: PowerLawPhi, r: float) -> float:
     I1 is negative and sublinear in u while u r grows linearly, so the root
     exists for every r below the total mass
     int_1^inf phi = theta^(-d) (1 + delta)^(1-d) / (d - 1); r at or above it
-    raises ValueError.  The bracket is expanded geometrically in both
-    directions before Brent's method.
+    raises ValueError, and a mass that overflows raises NumericError.  The
+    bracket is expanded geometrically in both directions before Brent's
+    method.
     """
     if not (r > 0 and math.isfinite(r)):
         raise ValueError("r must be positive and finite")
-    mass = spec.theta ** (-spec.d) * (1.0 + spec.delta) ** (1.0 - spec.d) / (spec.d - 1.0)
+    try:
+        mass = spec.theta ** (-spec.d) * (1.0 + spec.delta) ** (1.0 - spec.d) / (spec.d - 1.0)
+    except OverflowError:
+        raise NumericError(f"dll_root: the mass of phi overflows at theta={spec.theta}") from None
     if r >= mass:
         raise ValueError(
             f"r = {r:g} must be below the mass of phi, int_1^inf phi = "

@@ -7,10 +7,13 @@ the JSON report {task, inputs, results, diagnostics, version, timestamp},
 with ``task`` the subcommand name, and writes it to stdout or ``--report``.
 Some subcommands also write CSV tables; ``perturb`` reports the factor its
 classification calls for, and both ``asymptotic`` laws read the member
-(theta, delta, d) and the radius eps from the same options.  No option may
-be abbreviated.  Exit codes: 0 success, 2 argument errors, 3
-numeric or consistency failures; a failing ``validate`` suite, also one
-whose row raised, writes its report first, with ``results.passed`` false.
+(theta, delta, d) and the radius eps from the same options.  Every value
+has one spelling, its flag, and no option may be abbreviated; ``--config``
+is the ``perturb`` problem file, and no other subcommand takes it.  Exit
+codes: 0 success, 2 argument errors (ValueError, TypeError, an unreadable
+file), 3 numeric or consistency failures; a failing ``validate`` suite,
+also one whose row raised, writes its report first, with
+``results.passed`` false.
 """
 
 from __future__ import annotations
@@ -67,65 +70,37 @@ def _write_csv(path: str, header: str, rows) -> None:
             fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
+def _floats(cfg: dict, key: str, ndim: int) -> np.ndarray:
+    """``cfg[key]`` as a float array of ``ndim`` dimensions; any other value
+    is an argument error that names the key."""
+    try:
+        value = np.asarray(cfg[key], dtype=float)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or value.ndim != ndim:
+        raise ValueError(f"key {key!r} must be a list of {'lists of ' * (ndim - 1)}numbers")
+    return value
+
+
 def _kernel_from_config(cfg: dict) -> kernels.KernelSpec:
     kind = cfg.get("type")
     if kind == "wiener":
         return kernels.wiener()
     if kind == "bridge":
         return kernels.bridge()
-    if kind in ("ornstein_uhlenbeck", "ou"):
+    if kind == "ornstein_uhlenbeck":
         return kernels.ornstein_uhlenbeck(float(cfg["alpha"]))
     if kind == "sampled":
-        nodes = np.asarray(cfg["grid"], dtype=float)
-        weights = np.asarray(
-            cfg.get("weights", np.full(nodes.size, 1.0 / nodes.size)), dtype=float
-        )
-        grid = Grid(nodes=nodes, weights=weights)
-        jump = cfg.get("diag_jump")
+        nodes = _floats(cfg, "grid", 1)
+        weights = _floats(cfg, "weights", 1) if "weights" in cfg else np.full(nodes.size, 1.0 / nodes.size)
+        jump = None if cfg.get("diag_jump") is None else _floats(cfg, "diag_jump", 1)
         return kernels.sampled(
-            grid,
-            np.asarray(cfg["matrix"], dtype=float),
-            diag_jump=None if jump is None else np.asarray(jump, dtype=float),
+            Grid(nodes=nodes, weights=weights),
+            _floats(cfg, "matrix", 2),
+            diag_jump=jump,
             green_order=cfg.get("green_order"),
         )
     raise ValueError(f"unknown kernel type {kind!r}")
-
-
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Override the parsed flags with the JSON object in ``--config``.
-
-    Each key must name an option of the subcommand, and each value is read
-    as if it were given on the command line, through that option's type and
-    choices; a bad key or value is an argument error like a bad flag.
-    """
-    path = getattr(args, "config", None)
-    if not path:
-        return
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError("config must be a JSON object")
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    options = {
-        a.dest: a
-        for a in commands.choices[args.command]._actions
-        if a.option_strings and a.dest not in ("help", "config")
-    }
-    for key, value in cfg.items():
-        action = options.get(key.replace("-", "_"))
-        if action is None:
-            raise ValueError(f"config key {key!r} is not an option of {args.command}")
-        if action.nargs == 0:
-            if not isinstance(value, bool):
-                raise ValueError(f"config key {key!r} needs true or false, not {value!r}")
-        else:
-            try:
-                value = (action.type or str)(str(value))
-            except (TypeError, ValueError):
-                raise ValueError(f"config key {key!r}: invalid value {value!r}") from None
-            if action.choices is not None and value not in action.choices:
-                raise ValueError(f"config key {key!r}: {value!r} is not one of {list(action.choices)}")
-        setattr(args, action.dest, value)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +109,10 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 
 def _cmd_spectrum(args) -> tuple[dict, dict, dict]:
-    spec = _kernel_from_config({"type": args.kernel, "alpha": args.alpha})
+    if args.kernel == "ou":
+        spec = kernels.ornstein_uhlenbeck(args.alpha)
+    else:
+        spec = kernels.bridge() if args.kernel == "bridge" else kernels.wiener()
     grid = gauss_legendre_grid(args.n)
     spectrum = nystrom_spectrum(spec, grid, args.k)
     mu = spectrum.eigenvalues
@@ -194,7 +172,10 @@ def _cmd_asymptotic(args) -> tuple[dict, dict, dict]:
             "exponent_coefficient": params.exponent_coefficient,
         }
         return inputs, results, {"eps": args.eps}
-    r = args.eps**2
+    try:
+        r = args.eps**2
+    except OverflowError:
+        raise ValueError("eps^2 must be finite") from None
     log_p, u = asymptotics._dll_log_and_tilt(asymptotics.PowerLawPhi(theta, args.delta, args.d), r)
     results = {"log_probability": log_p, "tilt": u, "prefactor": asymptotics.dll_prefactor()}
     return inputs, results, {"r": r}
@@ -219,20 +200,21 @@ def _cmd_perturb(args) -> tuple[dict, dict, dict]:
             raise ValueError("problem key 'grid_size' is fixed by the sampled kernel's grid")
         grid = kernel.grid
     else:
-        grid = gauss_legendre_grid(int(cfg.get("grid_size", 1000)))
+        size = cfg.get("grid_size", 1000)
+        if type(size) is not int:
+            raise ValueError("problem key 'grid_size' must be an integer")
+        grid = gauss_legendre_grid(size)
     if not isinstance(cfg["phi"], list) or not all(
         isinstance(descr, dict) and ("poly" in descr) != ("samples" in descr) for descr in cfg["phi"]
     ):
         raise ValueError("problem key 'phi' must be a list of objects, each with exactly one of 'poly' or 'samples'")
-    phi_cols = []
-    for descr in cfg["phi"]:
-        if "poly" in descr:
-            coeffs = list(map(float, descr["poly"]))
-            phi_cols.append(np.polynomial.polynomial.polyval(grid.nodes, coeffs))
-        else:
-            phi_cols.append(np.asarray(descr["samples"], dtype=float))
-    phi = np.column_stack(phi_cols)
-    a = np.asarray(cfg["A"], dtype=float)
+    phi = np.column_stack([
+        np.polynomial.polynomial.polyval(grid.nodes, _floats(descr, "poly", 1))
+        if "poly" in descr
+        else _floats(descr, "samples", 1)
+        for descr in cfg["phi"]
+    ])
+    a = _floats(cfg, "A", 2)
     spec = perturbation.PerturbationSpec(phi=phi, a_matrix=a, grid=grid)
     gram = perturbation.build_gram(kernel, spec)
     cls = perturbation.classify(a, gram.q_matrix)
@@ -393,10 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--report", help="JSON report path (default stdout)")
-    config = argparse.ArgumentParser(add_help=False, parents=[report])
-    config.add_argument("--config", help="JSON config overriding flags")
 
-    p = add_parser("spectrum", parents=[config], help="Nystrom spectrum of a catalog kernel")
+    p = add_parser("spectrum", parents=[report], help="Nystrom spectrum of a catalog kernel")
     p.add_argument("--kernel", choices=("bridge", "wiener", "ou"), required=True)
     p.add_argument("--alpha", type=float, default=1.0, help="OU rate")
     p.add_argument("--n", type=int, default=1000, help="Gauss-Legendre grid size")
@@ -405,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eigvecs-out", dest="eigvecs_out", help="CSV of eigenfunction samples")
     p.set_defaults(func=_cmd_spectrum)
 
-    p = add_parser("exact", parents=[config], help="CDF of a weighted chi-square form")
+    p = add_parser("exact", parents=[report], help="CDF of a weighted chi-square form")
     p.add_argument("--weights", required=True, help="CSV weight file, one mu per line")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--method", choices=("gilpelaez", "saddle", "mc"), default="gilpelaez")
@@ -413,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_exact)
 
-    p = add_parser("asymptotic", parents=[config], help="closed-form small-ball asymptotics")
+    p = add_parser("asymptotic", parents=[report], help="closed-form small-ball asymptotics")
     p.add_argument("--law", choices=("naznik", "dll"), required=True)
     p.add_argument("--theta", type=float, default=math.pi)
     p.add_argument("--delta", type=float, default=0.0)
@@ -421,13 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.05, help="ball radius; dll reads r = eps^2")
     p.set_defaults(func=_cmd_asymptotic)
 
-    # perturb's --config is its problem file, not a set of flag overrides
     p = add_parser("perturb", parents=[report], help="perturbation classification and transfer factors")
     p.add_argument("--config", dest="problem", required=True, help="JSON problem description")
     p.add_argument("--eps", type=float, default=None, help="ball radius of the critical theorem3_factor")
     p.set_defaults(func=_cmd_perturb)
 
-    p = add_parser("durbin", parents=[config], help="Durbin limiting processes and the omega^2 simulator")
+    p = add_parser("durbin", parents=[report], help="Durbin limiting processes and the omega^2 simulator")
     p.add_argument("--family", choices=tuple(_FAMILY_SLUGS), required=True)
     p.add_argument("--simulate", action="store_true")
     p.add_argument("--n", type=int, default=500)
@@ -442,10 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _apply_config(parser, args)
+        args = build_parser().parse_args(argv)
         report = _report(args.command, *args.func(args))
         _emit(report, args.report)
         if report["results"].get("passed") is False:
@@ -456,7 +433,7 @@ def run(argv: list[str]) -> int:
     except SmallBallError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,8 +3,8 @@
 Argument misuse raises the built-in ``ValueError``/``TypeError``.  The classes
 here cover failures of the *data* (inputs that are syntactically fine but
 numerically inadmissible) and of the *numerics* (iterations or quadratures
-that did not converge).  The CLI maps ValueError to exit code 2 and
-SmallBallError to exit code 3.
+that did not converge).  The CLI maps ValueError and TypeError to exit
+code 2 and SmallBallError to exit code 3.
 """
 
 __all__ = ["SmallBallError", "DataError", "NumericError", "ConsistencyError"]

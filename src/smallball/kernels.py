@@ -57,7 +57,9 @@ class KernelSpec:
         if self.variant == "ornstein_uhlenbeck":
             if self.alpha is None or not (self.alpha > 0 and np.isfinite(self.alpha)):
                 raise ValueError("ornstein_uhlenbeck needs a finite rate alpha > 0")
-        if self.green_order is not None and self.green_order < 1:
+        if self.green_order is not None and not (
+            isinstance(self.green_order, (int, np.integer)) and self.green_order >= 1
+        ):
             raise ValueError("green_order must be a positive integer")
         if self.variant == "sampled":
             if self.grid is None or self.matrix is None:

@@ -301,10 +301,6 @@ def _cgf12(s: float, mu: np.ndarray) -> tuple[float, float]:
     return float(a.sum()), 2.0 * float(a @ a)
 
 
-def _cgf2(s: float, mu: np.ndarray) -> float:
-    return float(np.sum(2.0 * mu**2 / (1.0 - 2.0 * s * mu) ** 2))
-
-
 def _cgf3(s: float, mu: np.ndarray) -> float:
     return float(np.sum(8.0 * mu**3 / (1.0 - 2.0 * s * mu) ** 3))
 
@@ -325,8 +321,8 @@ def cdf_saddlepoint(w: WeightSeq, r: float) -> ProbabilityEstimate:
     r_eff = r - w.tail_sum_bound
     if r_eff <= 0:
         return ProbabilityEstimate(0.0, -np.inf, 0.0, "saddlepoint")
-    s = _solve_saddle(mu, r_eff)
-    log_value, w_hat = _lr_logcdf(mu, r_eff, s)
+    s, k2 = _solve_saddle(mu, r_eff)
+    log_value, w_hat = _lr_logcdf(mu, r_eff, s, k2)
     # relative accuracy of LR is O(1/w^2); quote it through the saddle scale
     rel = 1.0 / max(w_hat * w_hat, 1.0)
     value = math.exp(log_value) if log_value > -700 else 0.0
@@ -338,8 +334,9 @@ def cdf_saddlepoint(w: WeightSeq, r: float) -> ProbabilityEstimate:
     return ProbabilityEstimate(value, log_value, err, "saddlepoint")
 
 
-def _solve_saddle(mu: np.ndarray, r: float) -> float:
-    """Root of K'(s) = r on the CGF domain (-inf, 1/(2 mu_1)); K' is
+def _solve_saddle(mu: np.ndarray, r: float) -> tuple[float, float]:
+    """Root s of K'(s) = r on the CGF domain (-inf, 1/(2 mu_1)), and K''
+    from the last pass, at a point within 1e-12 relative of s.  K' is
     increasing from 0 to +inf there, so every r > 0 has a unique tilt.
 
     Newton's method on log K' = log r runs in x = log(-s) when K'(0) > r
@@ -349,11 +346,14 @@ def _solve_saddle(mu: np.ndarray, r: float) -> float:
     a closed-form sign bracket, keeps that bracket, bisects it when a step
     would leave it, and stops on a step that moves s by less than 1e-12
     relative.  That test comes before the bracket test, so a step at the
-    rounding floor ends the iteration instead of starting bisections.
+    rounding floor ends the iteration instead of starting bisections.  Far
+    enough in the left tail K'' underflows to zero (r <= 1e-160 on 2000
+    weights mu_k = 1/(pi k)^2) and the step is undefined; that raises
+    NumericError.
     """
-    k1, _ = _cgf12(0.0, mu)
+    k1, k2 = _cgf12(0.0, mu)
     if k1 == r:
-        return 0.0
+        return 0.0, k2
     if k1 > r:
         # K'(0) / (1 - 2 s mu_1) <= K'(s) <= N / (-2 s) on s < 0
         s_lo, s_hi = -(k1 - r) / (2.0 * r * mu[0]), -mu.size / (2.0 * r)
@@ -372,9 +372,11 @@ def _solve_saddle(mu: np.ndarray, r: float) -> float:
     for _ in range(200):
         s = to_s(x)
         k1, k2 = _cgf12(s, mu)
+        if k2 == 0.0:
+            raise NumericError(f"saddle equation: K'' underflows at s = {s:.3e}")
         g = side * math.log(k1 / r)
         if g == 0.0:
-            return s
+            return s, k2
         if g < 0.0:
             lo = x
         else:
@@ -382,7 +384,7 @@ def _solve_saddle(mu: np.ndarray, r: float) -> float:
         slope = ds_dx(s)
         step = -g * k1 / (side * k2 * slope)
         if abs(step * slope) <= 1e-12 * abs(s):
-            return to_s(x + step)
+            return to_s(x + step), k2
         x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
     raise NumericError("saddle equation: Newton iteration did not converge")
 
@@ -394,11 +396,11 @@ def _norm_pdf(z):
     return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
-def _lr_logcdf(mu: np.ndarray, r: float, s: float) -> tuple[float, float]:
-    """Lugannani-Rice log P{Q < r} at the saddle s = _solve_saddle(mu, r),
-    and the signed root w_hat = sign(s) sqrt(2 (s r - K(s)))."""
+def _lr_logcdf(mu: np.ndarray, r: float, s: float, k2: float) -> tuple[float, float]:
+    """Lugannani-Rice log P{Q < r} at the saddle s and its K''(s) = k2, both
+    from _solve_saddle(mu, r), and the signed root
+    w_hat = sign(s) sqrt(2 (s r - K(s)))."""
     k0 = _cgf(s, mu)
-    k2 = _cgf2(s, mu)
     arg = 2.0 * (s * r - k0)
     w_hat = math.copysign(math.sqrt(max(arg, 0.0)), s)
     if abs(w_hat) < 1e-5:

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from smallball import (
     AsymptoticForm,
+    NumericError,
     PowerLawPhi,
     abel_reduce,
     differentiate_form,
@@ -59,6 +60,14 @@ class TestNazNik:
             naznik_params(math.pi, -1.5, 2.0)
         with pytest.raises(ValueError):
             naznik_params(-1.0, 0.0, 2.0)
+
+    def test_overflow_is_numeric_error(self):
+        # coef = (d-1)/2 (pi / (d theta sin(pi/d)))^(d/(d-1)) for d just above
+        # 1, and eps^(-2/(d-1)) at eps = 1e-300, exceed double precision
+        with pytest.raises(NumericError, match="overflow"):
+            naznik_params(math.pi, 0.0, 1.0000001)
+        with pytest.raises(NumericError, match="overflow"):
+            naznik_asymptotic(1e300, 0.0, 2.0, 1e-300)
 
     @given(st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(min_value=0, max_value=3))
     def test_non_finite_input_rejected(self, bad, slot):
@@ -126,6 +135,11 @@ class TestDllRoot:
         monkeypatch.setattr(asymptotics, "_integrate_scaled", spy)
         assert dll_root(spec, r) == expected
         assert tilts and len(set(tilts)) == len(tilts)
+
+    def test_mass_overflow_is_numeric_error(self):
+        # theta^(-d) = 1e600 at theta = 1e-300, d = 2
+        with pytest.raises(NumericError, match="mass of phi overflows"):
+            dll_root(PowerLawPhi(theta=1e-300, delta=0.0, d=2.0), 0.0025)
 
     @given(st.sampled_from([math.nan, math.inf]))
     def test_non_finite_r_rejected(self, r):

@@ -174,7 +174,7 @@ def test_asymptotic_negative_eps_rejected(tmp_path, capsys, law):
 def test_spectrum_trace_without_kernel_matrix(tmp_path, monkeypatch, kernel):
     # the weighted trace reads the kernel diagonal in O(n) and equals, bit
     # for bit, the same sum over the diagonal of the full matrix
-    spec = cli._kernel_from_config({"type": kernel, "alpha": 1.7})
+    spec = {"bridge": kernels.bridge(), "wiener": kernels.wiener(), "ou": kernels.ornstein_uhlenbeck(1.7)}[kernel]
     grid = gauss_legendre_grid(200)
     expected = float(np.sum(grid.weights * np.diag(kernels.kernel_matrix(spec, grid))))
 
@@ -343,13 +343,27 @@ def test_removed_options_rejected(tmp_path, monkeypatch, argv):
         ({"kernel": "bridge", "grid_size": 50, "phi": [{"poly": [1.0]}], "A": [[6.0]]}, "'kernel'"),
         ({"kernel": {"type": "bridge"}, "grid_size": 50, "phi": 5, "A": [[6.0]]}, "'phi'"),
         ({"kernel": {"type": "bridge"}, "grid_size": 50, "phi": [5], "A": [[6.0]]}, "'phi'"),
+        ({"kernel": {"type": "bridge"}, "grid_size": 50, "phi": [{"poly": 5}], "A": [[6.0]]}, "'poly'"),
+        ({"kernel": {"type": "sampled", "grid": [0.25, 0.75], "matrix": [[1.0, 0.5], [0.5, 1.0]],
+                     "green_order": "x"}, "phi": [{"poly": [1.0]}], "A": [[1.0]]},
+         "green_order"),
+        ({"kernel": {"type": "sampled", "grid": {"a": 1}, "matrix": [[1.0, 0.5], [0.5, 1.0]]},
+          "phi": [{"poly": [1.0]}], "A": [[1.0]]},
+         "'grid'"),
+        ({"kernel": {"type": "bridge"}, "grid_size": 50.7, "phi": [{"poly": [1.0]}], "A": [[6.0]]}, "'grid_size'"),
+        ({"kernel": {"type": "bridge"}, "grid_size": True, "phi": [{"poly": [1.0]}], "A": [[6.0]]}, "'grid_size'"),
+        ({"kernel": {"type": "ou", "alpha": 1.0}, "grid_size": 50, "phi": [{"poly": [1.0]}], "A": [[6.0]]},
+         "unknown kernel type 'ou'"),
     ],
     ids=["unknown_key", "poly_and_samples", "descriptor_not_an_object", "grid_size_with_sampled_kernel",
-         "kernel_not_an_object", "phi_not_a_list", "phi_entry_not_an_object"],
+         "kernel_not_an_object", "phi_not_a_list", "phi_entry_not_an_object", "poly_not_a_list",
+         "green_order_not_an_integer", "grid_not_a_list", "grid_size_not_an_integer", "grid_size_bool",
+         "ou_spelled_short"],
 )
 def test_perturb_problem_keys_checked(tmp_path, capsys, cfg, key):
-    # a key the problem does not read, or one another key already fixes, is
-    # an argument error that names it, not a silent default
+    # a key the problem does not read, one another key already fixes, or a
+    # value of the wrong JSON type is an argument error that names it, not a
+    # silent default; the OU kernel type has one spelling, "ornstein_uhlenbeck"
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(cfg))
     rep = tmp_path / "rep.json"
@@ -406,6 +420,9 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert run(["asymptotic", "--law", "dll", "--theta", "nan"]) == 2
     assert "must be finite" in capsys.readouterr().err
+    # dll reads r = eps^2, which must be finite too
+    assert run(["asymptotic", "--law", "dll", "--eps", "1e300"]) == 2
+    assert "eps^2 must be finite" in capsys.readouterr().err
     nan_a = tmp_path / "nan_a.json"
     nan_a.write_text('{"kernel": {"type": "bridge"}, "grid_size": 50, "phi": [{"poly": [1.0]}], "A": [[NaN]]}')
     assert run(["perturb", "--config", str(nan_a)]) == 2
@@ -435,30 +452,45 @@ def test_exit_code_non_finite_sampled_kernel(tmp_path, capsys, data):
     assert "must be finite" in capsys.readouterr().err
 
 
-def test_config_override(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 60, "k": 3}))
+@pytest.mark.parametrize(
+    "argv, values",
+    [
+        (["spectrum", "--kernel", "bridge", "--n", "20", "--k", "1"], {"k": 3}),
+        (["exact", "--weights", "w.csv", "--r", "0.1"], {"r": 0.2}),
+        (["asymptotic", "--law", "naznik"], {"eps": 0.1}),
+        (["durbin", "--family", "normal-location"], {"family": "exponential-rate"}),
+    ],
+    ids=["spectrum", "exact", "asymptotic", "durbin"],
+)
+def test_config_only_on_perturb(tmp_path, monkeypatch, argv, values):
+    # --config is the perturb problem file; every other value has one
+    # spelling, its flag, so a JSON object of flag values is an argument error
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "w.csv").write_text("1.0\n")
+    (tmp_path / "f.json").write_text(json.dumps(values))
     rep = tmp_path / "rep.json"
-    code = run(
-        ["spectrum", "--kernel", "bridge", "--n", "2", "--k", "1",
-         "--config", str(cfg), "--report", str(rep)]
-    )
-    assert code == 0
-    assert len(read_json(rep)["results"]["eigenvalues"]) == 3
-    assert read_json(rep)["inputs"]["n"] == 60
+    assert run(argv + ["--config", "f.json", "--report", str(rep)]) == 2
+    assert not rep.exists()
 
 
-@pytest.mark.parametrize("cfg", [{"func": 3}, {"n": "abc"}, {"kernel": "nope"}])
-def test_bad_config_is_argument_error(tmp_path, capsys, cfg):
-    # unknown keys, and values that fail the option's type or choices, are
-    # rejected like the same mistake on the command line
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    code = run(["spectrum", "--kernel", "bridge", "--n", "20", "--k", "1",
-                "--config", str(path), "--report", str(tmp_path / "rep.json")])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("argument error:")
-    assert not (tmp_path / "rep.json").exists()
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--weights", "w2000.csv", "--method", "saddle", "--r", "1e-160"],
+        ["asymptotic", "--law", "naznik", "--d", "1.0000001", "--eps", "1e-3"],
+        ["asymptotic", "--law", "naznik", "--theta", "1e300", "--eps", "1e-300"],
+        ["asymptotic", "--law", "dll", "--theta", "1e-300"],
+    ],
+    ids=["saddle_k2_underflow", "naznik_coefficient", "naznik_exponent", "dll_mass"],
+)
+def test_overflow_and_underflow_exit_3(tmp_path, monkeypatch, capsys, argv):
+    # values past double precision are numeric failures, not tracebacks
+    monkeypatch.chdir(tmp_path)
+    quadform.write_weights("w2000.csv", quadform.WeightSeq(head=1.0 / (np.pi * np.arange(1, 2001)) ** 2))
+    rep = tmp_path / "rep.json"
+    assert run(argv + ["--report", str(rep)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+    assert not rep.exists()
 
 
 def test_report_deterministic_modulo_timestamp(tmp_path):

@@ -132,8 +132,9 @@ class TestSaddlepoint:
             return real_cgf12(s, mu)
 
         def recording(mu, r):
-            saddles.append(real_solve(mu, r))
-            return saddles[-1]
+            s, k2 = real_solve(mu, r)
+            saddles.append(s)
+            return s, k2
 
         monkeypatch.setattr(quadform, "_cgf12", counting)
         monkeypatch.setattr(quadform, "_solve_saddle", recording)
@@ -148,6 +149,48 @@ class TestSaddlepoint:
             assert passes[-1] <= 10
             assert saddles[-1] == pytest.approx(s_ref, rel=1e-12, abs=0.0)
         assert min(saddles) < 0 < max(saddles)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.5], ids=["bridge", "wiener"])
+    def test_lr_reads_k2_of_the_last_newton_pass(self, monkeypatch, delta):
+        # _lr_logcdf takes K'' from the solve's last fused pass instead of a
+        # pass of its own; that pass is within 1e-12 relative of the saddle,
+        # so log_value and error_bound stay within 1e-11 of their values
+        # with K'' taken at the saddle itself
+        w = _closed_form_weights(delta, n=100_000)
+        mu = w.head
+        last_k2, lr_k2 = [], []
+        real_cgf12, real_lr = quadform._cgf12, quadform._lr_logcdf
+
+        def recording_k2(s, mu):
+            k1, k2 = real_cgf12(s, mu)
+            last_k2.append(k2)
+            return k1, k2
+
+        def recording(mu, r, s, k2):
+            lr_k2.append(k2)
+            return real_lr(mu, r, s, k2)
+
+        monkeypatch.setattr(quadform, "_cgf12", recording_k2)
+        monkeypatch.setattr(quadform, "_lr_logcdf", recording)
+        for eps in np.geomspace(0.003, 0.8, 12):
+            est = cdf_saddlepoint(w, eps * eps)
+            assert lr_k2[-1] == last_k2[-1]
+            r = eps * eps - w.tail_sum_bound
+            s, _ = quadform._solve_saddle(mu, r)
+            a = mu / (1.0 - 2.0 * s * mu)
+            log_ref, w_hat = real_lr(mu, r, s, 2.0 * float(np.sum(a * a)))
+            assert est.log_value == pytest.approx(log_ref, rel=1e-11, abs=0.0)
+            rel = 1.0 / max(w_hat * w_hat, 1.0)
+            value = math.exp(log_ref) if log_ref > -700 else 0.0
+            err_ref = value * rel + value * min(1.0, -math.expm1(-abs(s) * w.tail_sum_bound))
+            assert est.error_bound == pytest.approx(err_ref, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("r", [1e-160, 1e-200, 1e-300])
+    def test_underflowing_k2_raises(self, r):
+        # on 2000 bridge weights a = mu / (1 - 2 s mu) is below 1e-162 at the
+        # saddle, so K'' = 2 a.a underflows and no Newton step is defined
+        with pytest.raises(NumericError, match="underflows"):
+            cdf_saddlepoint(bridge_weights(2000), r)
 
     def test_one_cgf_pass_per_call(self, monkeypatch):
         # the error bound reuses the w_hat of the Lugannani-Rice step
