@@ -14,20 +14,29 @@ power-law weight family (theta (k + delta))^(-d), while ``dll_asymptotic``
 evaluates the general log-convex route through the tilted integrals
 I0, I1, I2.  The single unknown prefactor of the latter is calibrated once
 against the former on the reference power law and cached.
+
+The tilted integrals take no adaptive quadrature: one vectorized pass of
+fixed-width 21-point Gauss-Kronrod panels (quadform's rule) gives all
+three at a tilt u, with the Kronrod-Gauss difference as its error check.
+The tilt u(r) is a safeguarded Newton root in log u whose steps read I1
+and I2 from one such pass, and ``dll_asymptotic`` reads I0 and I2 from
+the root's last pass.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from scipy.integrate import quad
-from scipy.optimize import brentq
+import numpy as np
+from scipy.integrate import quad  # noqa: F401  (benchmark/tracing.py counts calls to asymptotics.quad)
 from scipy.special import gammaln
 
 from .errors import NumericError
+from .quadform import _G_WEIGHTS, _GK_NODES, _GK_WEIGHTS
 
 __all__ = [
     "AsymptoticForm",
@@ -144,7 +153,8 @@ def naznik_params(theta: float, delta: float, d: float) -> NazNikParams:
             / ((d-1)^(1/2) (pi/d)^(1+gamma/2) Gamma(1+delta)^(d/2)).
 
     (theta, delta, d) must name a ``PowerLawPhi`` member, which checks it;
-    constants that overflow double precision raise NumericError.
+    constants that overflow double precision, and an amplitude C that
+    underflows to 0, raise NumericError.
     """
     PowerLawPhi(theta, delta, d)
     gamma = (2.0 - d - 2.0 * d * delta) / (2.0 * (d - 1.0))
@@ -162,6 +172,8 @@ def naznik_params(theta: float, delta: float, d: float) -> NazNikParams:
         amplitude = math.exp(log_c)
     except OverflowError:
         raise NumericError(f"naznik constants overflow at theta={theta}, d={d}") from None
+    if amplitude == 0.0:
+        raise NumericError(f"naznik amplitude exp({log_c:.6g}) underflows at theta={theta}, delta={delta}, d={d}")
     return NazNikParams(gamma=gamma, amplitude=amplitude, exponent_coefficient=coef)
 
 
@@ -214,50 +226,171 @@ class PowerLawPhi:
     def __call__(self, t):
         return (self.theta * (t + self.delta)) ** (-self.d)
 
-    def knee(self, u: float) -> float:
-        """Scale point t* with 2 u phi(t*) = 1, floored at 2."""
-        t_star = (2.0 * u) ** (1.0 / self.d) / self.theta - self.delta
-        return min(max(t_star, 2.0), 1e300)
+
+# The tilted integrals are I_j(u) = int_1^inf h_j(u phi(t)) dt with, for
+# f(x) = (1 + 2x)^(-1/2), h0 = ln f, h1 = x (ln f)' and h2 = x^2 (ln f)''.
+# In y = log(t + delta), x = u phi(t) = exp(log u - d log theta - d y)
+# falls exponentially; the range splits at the knee y* where 2x = 1.
+
+_LOG2 = math.log(2.0)
+# inner panels are at most this wide in log x: the integrands' nearest
+# complex singularity, 1 + 2x = 0, lies pi away, so on each panel the
+# 10-point Gauss rule alone is good to about 1e-16
+_INNER_WIDTH = 2.0
+# the inner range spans log(2 u phi(1)) in log x; with u, 1 + delta, d - 1
+# and the mass phi(1) (1 + delta) / (d - 1) all finite doubles that is
+# below 2875, fewer than 1440 panels, so a pass needing more raises
+_INNER_MAX = 1 << 12
+# beyond the knee s = v^p with p = _OUTER_POWER / (2d - 1) in (0, 4), on
+# this many equal panels of v in [0, 1]
+_OUTER_POWER = 4.0
+_OUTER_PANELS = 4
+_OUTER_HALF = 0.5 / _OUTER_PANELS
+_OUTER_V = _OUTER_HALF * (2.0 * np.arange(_OUTER_PANELS) + 1.0)[:, None] + _OUTER_HALF * _GK_NODES
+# a pass is accepted when sum |Kronrod - Gauss| <= _TILT_TOL (1 + |inner| + |outer|)
+_TILT_TOL = 1e-7
+# the tilt solve stops on a Newton step below this in log u, or on a G
+# within rounding of 0: G sums terms of size |log u| and |log r| and is
+# known to a few ulp of them
+_TILT_STEP_TOL = 1e-14
+_G_FLOOR = 4.0 * sys.float_info.epsilon
+# bisections alone narrow any bracket of doubles below 1e-14 in ~60 steps
+_NEWTON_MAX = 100
+_LOG_MAX = math.log(sys.float_info.max)
 
 
-# The tilted integrands as functions of x = u phi(t), for
-# f(x) = (1 + 2x)^(-1/2): ln f(x), x (ln f)'(x) and x^2 (ln f)''(x).
+def _tilt_pass(phi: PowerLawPhi, log_u: float) -> np.ndarray:
+    """(I0, I1, I2) at the tilt u = exp(log_u) from one Gauss-Kronrod pass.
 
+    Inner range [1, t*], in y = log(t + delta): x = exp(log c - d y) with
+    c = u theta^(-d), and the integrand h_j(x) e^y is split into equal
+    panels at most ``_INNER_WIDTH`` wide in log x.  The knee t* has
+    2x = 1; when 2 u phi(1) <= 1 the inner range is empty.
 
-def _log_f(x: float) -> float:
-    return -0.5 * math.log1p(2.0 * x)
+    Outer range [t*, inf): t + delta = (t* + delta) / s and s = v^p give
+    x = x* v^(pd) and the integrand (t* + delta) x* p v^(p(d-1)-1) H_j(x),
+    H_j = h_j / x.  Its leading term H_j(0) integrates in closed form to
+    (t* + delta) x* H_j(0) / (d - 1); the rest, H_j(x) - H_j(0), starts as
+    v^(p(2d-1)-1) = v^3 and goes on in powers of v^(pd), pd in (2, 4],
+    so ``_OUTER_PANELS`` fixed panels serve every d > 1.  p stays in
+    (0, 4) and the power of v on the nodes in (-1, 1), so d close to 1
+    neither underflows nor overflows there.
 
-
-def _x_dlog_f(x: float) -> float:
-    return -x / (1.0 + 2.0 * x)
-
-
-def _x2_d2log_f(x: float) -> float:
-    return 2.0 * x * x / (1.0 + 2.0 * x) ** 2
-
-
-def _integrate_scaled(h, phi: PowerLawPhi, u: float) -> float:
-    """int_1^inf h(u phi(t)) dt for integrands h vanishing at 0.
-
-    The range splits at the knee t* where 2 u phi = 1.  On [1, t*] the
-    substitution t = e^y evens out the many decades the tilt can span
-    (u reaches ~1e15 during calibration); on [t*, inf) use t = t*/s.
+    All three integrands share the nodes of quadform's 21-point
+    Gauss-Kronrod rule.  The error estimate is the sum over panels of
+    |Kronrod - Gauss|; above ``_TILT_TOL`` (1 + |inner| + |outer|), or on
+    any non-finite sum, the pass raises NumericError.
     """
-    g = lambda t: h(u * phi(t))  # noqa: E731
-    t_star = phi.knee(u)
-    inner, e1 = quad(lambda y: g(math.exp(y)) * math.exp(y), 0.0, math.log(t_star), limit=400)
-    outer, e2 = quad(lambda s: g(t_star / s) * t_star / (s * s), 0.0, 1.0, limit=400)
-    if e1 + e2 > 1e-7 * (1.0 + abs(inner) + abs(outer)):
+    d = phi.d
+    log_c = log_u - d * math.log(phi.theta)
+    y1 = math.log1p(phi.delta)
+    y_star = max((log_c + _LOG2) / d, y1)
+    n_in = math.ceil(d * (y_star - y1) / _INNER_WIDTH)
+    if y_star > _LOG_MAX or n_in > _INNER_MAX:
+        # t* + delta beyond double precision, or a pass past any tilt a
+        # representable root needs
         raise NumericError("tilted integral did not converge")
-    return inner + outer
+    x_star = math.exp(log_c - d * y_star)
+    scale = math.exp(y_star) * x_star
+    with np.errstate(all="ignore"):
+        half = 0.5 * (y_star - y1) / max(n_in, 1)
+        y = y1 + half * (2.0 * np.arange(n_in) + 1.0)[:, None] + half * _GK_NODES
+        lx = log_c - d * y
+        inv_x = np.exp(-lx)  # at most 2 on the inner range
+        jac = half * np.exp(y)
+        f = np.empty((3, n_in + _OUTER_PANELS, _GK_NODES.size))
+        f[0, :n_in] = -0.5 * (lx + np.log(2.0 + inv_x)) * jac
+        f[1, :n_in] = -jac / (2.0 + inv_x)
+        f[2, :n_in] = 2.0 * jac / (2.0 + inv_x) ** 2
+
+        p = _OUTER_POWER / (2.0 * d - 1.0)
+        x = np.maximum(x_star * _OUTER_V ** (p * d), np.finfo(float).tiny)
+        jac = scale * p * _OUTER_HALF * _OUTER_V ** (p * (d - 1.0) - 1.0)
+        f[0, n_in:] = (1.0 - np.log1p(2.0 * x) / (2.0 * x)) * jac
+        f[1, n_in:] = 2.0 * x / (1.0 + 2.0 * x) * jac
+        f[2, n_in:] = 2.0 * x / (1.0 + 2.0 * x) ** 2 * jac
+
+        kronrod = f @ _GK_WEIGHTS
+        err = np.abs(kronrod - f @ _G_WEIGHTS).sum(axis=1)
+        inner = kronrod[:, :n_in].sum(axis=1)
+        # H_0(0) = H_1(0) = -1 and H_2(0) = 0
+        outer = kronrod[:, n_in:].sum(axis=1) - scale / (d - 1.0) * np.array([1.0, 1.0, 0.0])
+        total = inner + outer
+        bad = not (np.all(np.isfinite(total)) and np.all(err <= _TILT_TOL * (1.0 + np.abs(inner) + np.abs(outer))))
+    if bad:
+        raise NumericError("tilted integral did not converge")
+    return total
 
 
 def tilt_integrals(phi: PowerLawPhi, u: float) -> tuple[float, float, float]:
     """(I0, I1, I2) of the tilt u: I0 = int ln f(u phi), I1 = int u phi (ln f)',
-    I2 = int (u phi)^2 (ln f)''."""
-    if u <= 0:
-        raise ValueError("tilt u must be positive")
-    return tuple(_integrate_scaled(h, phi, u) for h in (_log_f, _x_dlog_f, _x2_d2log_f))
+    I2 = int (u phi)^2 (ln f)'', each int_1^inf dt, from one pass of
+    21-point Gauss-Kronrod panels (see ``_tilt_pass``) that raises
+    NumericError when the Kronrod and Gauss sums differ by more than 1e-7
+    relative."""
+    if not (u > 0 and math.isfinite(u)):
+        raise ValueError("tilt u must be positive and finite")
+    i0, i1, i2 = _tilt_pass(phi, math.log(u))
+    return float(i0), float(i1), float(i2)
+
+
+def _solve_tilt(spec: PowerLawPhi, r: float) -> tuple[float, float, float]:
+    """(u, I0(u), I2(u)) at the root u of I1(u) + u r = 0; see dll_root."""
+    if not (r > 0 and math.isfinite(r)):
+        raise ValueError("r must be positive and finite")
+    d = spec.d
+    try:
+        mass = spec.theta ** (-d) * (1.0 + spec.delta) ** (1.0 - d) / (d - 1.0)
+    except OverflowError:
+        raise NumericError(f"dll_root: the mass of phi overflows at theta={spec.theta}") from None
+    if r >= mass:
+        raise ValueError(
+            f"r = {r:g} must be below the mass of phi, int_1^inf phi = "
+            f"theta^(-d) (1+delta)^(1-d) / (d-1) = {mass:.6g}"
+        )
+    log_r = math.log(r)
+    log_theta = math.log(spec.theta)
+    # G(z) = log(-I1) - z - log r decreases in z = log u.  u phi / (1 + 2 u
+    # phi(1)) <= -h1(u phi) <= min(u phi, 1/2) bound -I1 by
+    # u mass / (1 + 2 u phi(1)) and d (2u)^(1/d) / (2 theta (d-1)), so
+    # G >= 0 at lo and G <= 0 at hi
+    lo = math.log(mass - r) - log_r - _LOG2 + d * (log_theta + math.log1p(spec.delta))
+    hi = (_LOG2 - d * (_LOG2 + log_theta + math.log(d - 1.0) - math.log(d) + log_r)) / (d - 1.0)
+    if lo >= _LOG_MAX:
+        raise NumericError("dll_root: the tilt u overflows double precision")
+    capped = hi > _LOG_MAX
+    hi = min(hi, _LOG_MAX)
+    # the lower bound is within a factor 1 + 2 u phi(1) of -I1, at most 3
+    # up to lo when r > mass / 3; start at the end whose bound is tighter
+    z = lo if 3.0 * r > mass else hi
+    for _ in range(_NEWTON_MAX):
+        i0, i1, i2 = _tilt_pass(spec, z)
+        if not (i1 < 0.0 < i2):
+            raise NumericError(f"dll_root: tilted integrals underflow at log u = {z:.6g}")
+        g = math.log(-i1) - z - log_r
+        if g > 0.0:
+            if capped and z == hi:
+                raise NumericError("dll_root: the tilt u overflows double precision")
+            lo = z
+        else:
+            hi = z
+        # dG/dz = -I2 / |I1|, in (-1, 0)
+        step = -g * i1 / i2
+        if abs(step) <= _TILT_STEP_TOL or abs(g) <= _G_FLOOR * (1.0 + abs(z) + abs(log_r)):
+            break
+        z_next = z + step
+        if not lo < z_next < hi:
+            z_next = 0.5 * (lo + hi)
+            if not lo < z_next < hi:
+                # the bracket holds no double but its ends: G's rounding
+                # floor, a few ulp of z, is reached
+                break
+        z = z_next
+    else:
+        raise NumericError("dll_root: Newton iteration did not converge")
+    if abs(math.expm1(g)) > 1e-10:
+        raise NumericError(f"dll_root residual too large: {math.expm1(g):.3e} relative at log u = {z:.6e}")
+    return math.exp(z), float(i0), float(i2)
 
 
 def dll_root(spec: PowerLawPhi, r: float) -> float:
@@ -266,49 +399,21 @@ def dll_root(spec: PowerLawPhi, r: float) -> float:
     I1 is negative and sublinear in u while u r grows linearly, so the root
     exists for every r below the total mass
     int_1^inf phi = theta^(-d) (1 + delta)^(1-d) / (d - 1); r at or above it
-    raises ValueError, and a mass that overflows raises NumericError.  The
-    bracket is expanded geometrically in both directions before Brent's
-    method.
+    raises ValueError, and a mass that overflows raises NumericError.
+
+    The root is that of G(z) = log(-I1) - z - log r in z = log u, which
+    decreases with dG/dz = -I2 / |I1| in (-1, 0), so each safeguarded
+    Newton step reads I1 and I2 from one ``_tilt_pass``.  The closed-form
+    bracket u mass / (1 + 2 u phi(1)) <= -I1 <= d (2u)^(1/d) / (2 theta
+    (d-1)) gives its ends; the iteration starts at the tighter one, keeps
+    the bracket, bisects it when a step would leave it, and stops on a step
+    below 1e-14 in log u or on a G within rounding of 0 (2-8 passes on
+    the catalog members).  The returned u is the last tilt evaluated.  The
+    NumericError of a failed pass passes through; a tilt beyond double
+    precision, or a relative residual |I1 + u r| / (u r) above 1e-10, also
+    raises NumericError.
     """
-    if not (r > 0 and math.isfinite(r)):
-        raise ValueError("r must be positive and finite")
-    try:
-        mass = spec.theta ** (-spec.d) * (1.0 + spec.delta) ** (1.0 - spec.d) / (spec.d - 1.0)
-    except OverflowError:
-        raise NumericError(f"dll_root: the mass of phi overflows at theta={spec.theta}") from None
-    if r >= mass:
-        raise ValueError(
-            f"r = {r:g} must be below the mass of phi, int_1^inf phi = "
-            f"theta^(-d) (1+delta)^(1-d) / (d-1) = {mass:.6g}"
-        )
-
-    # I1 is the costly part: the bracket loops both start at u = 1, brentq
-    # re-evaluates the bracket ends and the residual check reads its root
-    memo: dict[float, float] = {}
-
-    def f(u):
-        if u not in memo:
-            memo[u] = _integrate_scaled(_x_dlog_f, spec, u) + u * r
-        return memo[u]
-
-    lo = hi = 1.0
-    tries = 0
-    while f(lo) > 0:
-        lo /= 8.0
-        tries += 1
-        if tries > 400:
-            raise NumericError("dll_root: lower bracket expansion failed")
-    tries = 0
-    while f(hi) < 0:
-        hi *= 8.0
-        tries += 1
-        if tries > 400:
-            raise NumericError("dll_root: upper bracket expansion failed")
-    u = brentq(f, lo, hi, rtol=1e-14, maxiter=500)
-    resid = f(u)
-    if abs(resid) > 1e-10 * abs(u * r):
-        raise NumericError(f"dll_root residual too large: {resid:.3e} at u={u:.6e}")
-    return u
+    return _solve_tilt(spec, r)[0]
 
 
 @lru_cache(maxsize=1)
@@ -325,11 +430,13 @@ def dll_prefactor() -> float:
 
 
 def _dll_log_uncalibrated(spec: PowerLawPhi, r: float) -> tuple[float, float]:
-    """(log-probability without the prefactor C, tilt u) at r."""
-    u = dll_root(spec, r)
-    i0 = _integrate_scaled(_log_f, spec, u)
-    i2 = _integrate_scaled(_x2_d2log_f, spec, u)
-    return 0.5 * (_log_f(u * spec(1.0)) - math.log(i2)) + i0 + u * r, u
+    """(log-probability without the prefactor C, tilt u) at r, with I0 and
+    I2 from the last pass of the root solve."""
+    u, i0, i2 = _solve_tilt(spec, r)
+    # ln f(u phi(1)) = -ln(1 + 2 u phi(1))/2, with u phi(1) in logs
+    log_x1 = math.log(u) - spec.d * (math.log(spec.theta) + math.log1p(spec.delta))
+    log_f1 = -0.5 * float(np.logaddexp(0.0, _LOG2 + log_x1))
+    return 0.5 * (log_f1 - math.log(i2)) + i0 + u * r, u
 
 
 def _dll_log_and_tilt(spec: PowerLawPhi, r: float) -> tuple[float, float]:
@@ -343,6 +450,7 @@ def dll_asymptotic(spec: PowerLawPhi, r: float) -> float:
 
         C sqrt(f(u phi(1)) / I2(u)) exp(I0(u) + u r),   f(x) = (1+2x)^(-1/2),
 
-    with u = u(r) the exact root of I1(u) + u r = 0 and C the calibrated
-    prefactor."""
+    with u = u(r) the root of I1(u) + u r = 0 (``dll_root``) and C the
+    calibrated prefactor.  I0 and I2 come from the root solve's last pass,
+    at the returned tilt, so the call makes no pass of its own."""
     return _dll_log_and_tilt(spec, r)[0]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,15 @@ class TestNazNik:
         with pytest.raises(ValueError):
             naznik_params(-1.0, 0.0, 2.0)
 
+    @pytest.mark.parametrize("theta, delta, d", [(math.pi, 1e300, 2.0), (1e300, 0.0, 50.0)])
+    def test_amplitude_underflow_is_numeric_error(self, theta, delta, d):
+        # log C = -6.9e302 and -8436: exp underflows to 0, whose log was a
+        # bare math domain error
+        with pytest.raises(NumericError, match="amplitude .* underflows"):
+            naznik_params(theta, delta, d)
+        with pytest.raises(NumericError, match="underflows"):
+            naznik_asymptotic(theta, delta, d, 0.05)
+
     def test_overflow_is_numeric_error(self):
         # coef = (d-1)/2 (pi / (d theta sin(pi/d)))^(d/(d-1)) for d just above
         # 1, and eps^(-2/(d-1)) at eps = 1e-300, exceed double precision
@@ -82,6 +92,48 @@ class TestNazNik:
         assert form.log_evaluate(eps * eps) == pytest.approx(
             naznik_asymptotic(math.pi, -0.5, 2.0, eps), rel=1e-12
         )
+
+
+# catalog members the tilted integrals are pinned on: bridge, Wiener, the
+# d = 3 and d = 1.5 laws and an off-calibration (theta, delta, d)
+_MEMBERS = [(math.pi, 0.0, 2.0), (math.pi, -0.5, 2.0), (1.0, 0.0, 3.0), (2.0, 0.5, 2.5), (1.0, 0.0, 1.5)]
+
+
+def _integrate_scaled(h, phi, u):
+    """int_1^inf h(u phi(t)) dt by adaptive scalar quad to 1e-12 relative:
+    t = e^y on [1, t*] and t = t*/s on [t*, inf), t* the knee 2 u phi = 1
+    floored at 2."""
+    g = lambda t: h(u * phi(t))  # noqa: E731
+    t_star = min(max((2.0 * u) ** (1.0 / phi.d) / phi.theta - phi.delta, 2.0), 1e300)
+    inner, _ = quad(lambda y: g(math.exp(y)) * math.exp(y), 0.0, math.log(t_star), limit=400, epsabs=0, epsrel=1e-12)
+    outer, _ = quad(lambda s: g(t_star / s) * t_star / (s * s), 0.0, 1.0, limit=400, epsabs=0, epsrel=1e-12)
+    return inner + outer
+
+
+class TestTiltIntegrals:
+    @pytest.mark.parametrize("member", _MEMBERS, ids=str)
+    @pytest.mark.parametrize("u", [1e-3, 1.0, 1e3, 1e8, 1e15])
+    def test_match_scalar_quad(self, member, u):
+        spec = PowerLawPhi(*member)
+        hs = (
+            lambda x: -0.5 * math.log1p(2.0 * x),
+            lambda x: -x / (1.0 + 2.0 * x),
+            lambda x: 2.0 * x * x / (1.0 + 2.0 * x) ** 2,
+        )
+        got = tilt_integrals(spec, u)
+        for h, value in zip(hs, got):
+            assert value == pytest.approx(_integrate_scaled(h, spec, u), rel=1e-10, abs=0)
+
+    def test_error_check_raises(self, monkeypatch):
+        # a rule whose Gauss and Kronrod sums disagree fails the pass
+        monkeypatch.setattr(asymptotics, "_G_WEIGHTS", 0.5 * asymptotics._G_WEIGHTS)
+        with pytest.raises(NumericError, match="tilted integral did not converge"):
+            tilt_integrals(PowerLawPhi(math.pi, 0.0, 2.0), 1e3)
+
+    @given(st.sampled_from([0.0, -1.0, math.inf, math.nan]))
+    def test_bad_tilt_rejected(self, u):
+        with pytest.raises(ValueError, match="tilt u"):
+            tilt_integrals(PowerLawPhi(math.pi, 0.0, 2.0), u)
 
 
 class TestDllRoot:
@@ -121,20 +173,59 @@ class TestDllRoot:
     @pytest.mark.parametrize("delta", [-0.5, 0.0])
     @pytest.mark.parametrize("r", [2.5e-5, 1e-4, 1e-3])
     def test_no_tilt_integrated_twice(self, monkeypatch, delta, r):
-        # the bracket loops share u = 1, brentq re-reads its bracket ends
-        # and the residual check reads the root: each tilt is integrated once
+        # each Newton step reads I1 and I2 of one pass, a bisection never
+        # returns to a tilt it has seen, and dll_asymptotic reads I0 and I2
+        # from the root's last pass: each tilt is evaluated once
         spec = PowerLawPhi(theta=math.pi, delta=delta, d=2.0)
         expected = dll_root(spec, r)
+        dll_prefactor()
         tilts = []
-        integrate = asymptotics._integrate_scaled
+        tilt_pass = asymptotics._tilt_pass
 
-        def spy(h, phi, u):
-            tilts.append(u)
-            return integrate(h, phi, u)
+        def spy(phi, log_u):
+            tilts.append(log_u)
+            return tilt_pass(phi, log_u)
 
-        monkeypatch.setattr(asymptotics, "_integrate_scaled", spy)
+        monkeypatch.setattr(asymptotics, "_tilt_pass", spy)
         assert dll_root(spec, r) == expected
-        assert tilts and len(set(tilts)) == len(tilts)
+        root_tilts = list(tilts)
+        assert root_tilts and len(set(root_tilts)) == len(root_tilts) <= 8
+        assert math.exp(root_tilts[-1]) == expected
+        tilts.clear()
+        dll_asymptotic(spec, r)
+        assert tilts == root_tilts
+
+    @pytest.mark.parametrize("member, r", [((1.0, 0.0, 1.5), 1e-7), ((1.0, 0.0, 3.0), 0.5 * (1.0 - 1e-6))],
+                             ids=["log_u_50", "r_near_mass"])
+    def test_newton_stops_at_the_rounding_floor(self, monkeypatch, member, r):
+        # G rounds to a few ulp of |log u| + |log r|: at u ~ 7e21 a Newton
+        # step at that floor exceeds 1e-14, and near the mass (slope of G
+        # ~ 1e-6) so does every step within G's rounding of the root.  The
+        # solve stops there instead of revisiting tilts until its cap
+        spec = PowerLawPhi(*member)
+        tilts = []
+        tilt_pass = asymptotics._tilt_pass
+
+        def spy(phi, log_u):
+            tilts.append(log_u)
+            return tilt_pass(phi, log_u)
+
+        monkeypatch.setattr(asymptotics, "_tilt_pass", spy)
+        u = dll_root(spec, r)
+        assert len(set(tilts)) == len(tilts) <= 10
+        _, i1, _ = tilt_integrals(spec, u)
+        assert abs(i1 + u * r) <= 1e-10 * u * r
+
+    def test_tilt_beyond_double_precision_is_numeric_error(self):
+        # d = 1.01 at r = 0.0025 needs log u ~ 1e3 > log(max double), and
+        # theta = 1e-300, d = 1.001 a knee t* beyond it: NumericError, with
+        # no numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="overflows"):
+                dll_root(PowerLawPhi(theta=math.pi, delta=0.0, d=1.01), 0.0025)
+            with pytest.raises(NumericError):
+                dll_asymptotic(PowerLawPhi(theta=1e-300, delta=0.0, d=1.001), 0.0025)
 
     def test_mass_overflow_is_numeric_error(self):
         # theta^(-d) = 1e600 at theta = 1e-300, d = 2
@@ -188,6 +279,26 @@ class TestDllAsymptotic:
         c = dll_prefactor()
         assert 0.3 < c < 0.45
         assert dll_prefactor() == c
+
+    def test_prefactor_matches_high_precision(self):
+        # exp(target - uncal) with the tilted integrals at the calibration
+        # root (u ~ 1.2e15) in 40-digit arithmetic (mpmath.quad) and the
+        # target naznik_asymptotic(1, 0, 2, 1e-4) as the double it is; the
+        # exponent is ~1.2e8 there, so 1e-8 is about one ulp of it
+        assert dll_prefactor() == pytest.approx(0.36787945289894198, rel=1e-8)
+
+    def test_no_scalar_quad(self, monkeypatch):
+        # every tilted integral comes from the fixed Gauss-Kronrod pass
+        def no_quad(*args, **kwargs):
+            raise AssertionError("scalar quad called")
+
+        monkeypatch.setattr(asymptotics, "quad", no_quad)
+        dll_prefactor.cache_clear()
+        assert 0.3 < dll_prefactor() < 0.45
+        for theta, delta, d in _MEMBERS:
+            spec = PowerLawPhi(theta, delta, d)
+            assert math.isfinite(dll_asymptotic(spec, 1e-4))
+            assert all(math.isfinite(v) for v in tilt_integrals(spec, 1e3))
 
     def test_other_catalog_members_approach_one(self):
         for theta, delta, d in ((1.0, 0.0, 3.0), (math.pi, -0.5, 2.0)):

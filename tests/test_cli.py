@@ -123,13 +123,13 @@ def test_asymptotic_dll_solves_root_once(tmp_path, monkeypatch):
     spec = asymptotics.PowerLawPhi(theta=math.pi, delta=0.0, d=2.0)
     tilt, log_p = asymptotics.dll_root(spec, 1e-4), asymptotics.dll_asymptotic(spec, 1e-4)
     roots = []
-    solve = asymptotics.dll_root
+    solve = asymptotics._solve_tilt
 
     def counting(*args):
         roots.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(asymptotics, "dll_root", counting)
+    monkeypatch.setattr(asymptotics, "_solve_tilt", counting)
     rep = tmp_path / "rep.json"
     assert run(["asymptotic", "--law", "dll", "--eps", "0.01", "--report", str(rep)]) == 0
     assert len(roots) == 1
@@ -480,11 +480,17 @@ def test_config_only_on_perturb(tmp_path, monkeypatch, argv, values):
         ["asymptotic", "--law", "naznik", "--d", "1.0000001", "--eps", "1e-3"],
         ["asymptotic", "--law", "naznik", "--theta", "1e300", "--eps", "1e-300"],
         ["asymptotic", "--law", "dll", "--theta", "1e-300"],
+        ["asymptotic", "--law", "dll", "--theta", "1e-300", "--d", "1.001"],
+        ["asymptotic", "--law", "naznik", "--delta", "1e300"],
+        ["asymptotic", "--law", "naznik", "--theta", "1e300", "--d", "50"],
     ],
-    ids=["saddle_k2_underflow", "naznik_coefficient", "naznik_exponent", "dll_mass"],
+    ids=["saddle_k2_underflow", "naznik_coefficient", "naznik_exponent", "dll_mass", "dll_tilt",
+         "naznik_amplitude_delta", "naznik_amplitude_theta"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflow_and_underflow_exit_3(tmp_path, monkeypatch, capsys, argv):
-    # values past double precision are numeric failures, not tracebacks
+    # values past double precision are numeric failures, not tracebacks,
+    # and numpy warns of none of them on the way
     monkeypatch.chdir(tmp_path)
     quadform.write_weights("w2000.csv", quadform.WeightSeq(head=1.0 / (np.pi * np.arange(1, 2001)) ** 2))
     rep = tmp_path / "rep.json"
