@@ -15,12 +15,11 @@ evaluates the general log-convex route through the tilted integrals
 I0, I1, I2.  The single unknown prefactor of the latter is calibrated once
 against the former on the reference power law and cached.
 
-The tilted integrals take no adaptive quadrature: one vectorized pass of
-fixed-width 21-point Gauss-Kronrod panels (quadform's rule) gives all
-three at a tilt u, with the Kronrod-Gauss difference as its error check.
-The tilt u(r) is a safeguarded Newton root in log u whose steps read I1
-and I2 from one such pass, and ``dll_asymptotic`` reads I0 and I2 from
-the root's last pass.
+For the power-law phi the tilted integrals take no quadrature: the
+substitution x = u phi(t) makes I1 and I2 incomplete beta functions, and
+I0 follows from I1 by parts.  The tilt u(r) is a safeguarded Newton root
+in log u whose steps read I1 and I2 at one tilt, and ``dll_asymptotic``
+reads I1 and I2 at the root's last tilt.
 """
 
 from __future__ import annotations
@@ -33,10 +32,9 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad  # noqa: F401  (benchmark/tracing.py counts calls to asymptotics.quad)
-from scipy.special import gammaln
+from scipy.special import betainc, gammaln
 
 from .errors import NumericError
-from .quadform import _G_WEIGHTS, _GK_NODES, _GK_WEIGHTS
 
 __all__ = [
     "AsymptoticForm",
@@ -229,26 +227,10 @@ class PowerLawPhi:
 
 # The tilted integrals are I_j(u) = int_1^inf h_j(u phi(t)) dt with, for
 # f(x) = (1 + 2x)^(-1/2), h0 = ln f, h1 = x (ln f)' and h2 = x^2 (ln f)''.
-# In y = log(t + delta), x = u phi(t) = exp(log u - d log theta - d y)
-# falls exponentially; the range splits at the knee y* where 2x = 1.
+# x = u phi(t) maps [1, inf) onto (0, x1], x1 = u phi(1), and
+# w = 2x / (1 + 2x) turns each into an incomplete beta function.
 
 _LOG2 = math.log(2.0)
-# inner panels are at most this wide in log x: the integrands' nearest
-# complex singularity, 1 + 2x = 0, lies pi away, so on each panel the
-# 10-point Gauss rule alone is good to about 1e-16
-_INNER_WIDTH = 2.0
-# the inner range spans log(2 u phi(1)) in log x; with u, 1 + delta, d - 1
-# and the mass phi(1) (1 + delta) / (d - 1) all finite doubles that is
-# below 2875, fewer than 1440 panels, so a pass needing more raises
-_INNER_MAX = 1 << 12
-# beyond the knee s = v^p with p = _OUTER_POWER / (2d - 1) in (0, 4), on
-# this many equal panels of v in [0, 1]
-_OUTER_POWER = 4.0
-_OUTER_PANELS = 4
-_OUTER_HALF = 0.5 / _OUTER_PANELS
-_OUTER_V = _OUTER_HALF * (2.0 * np.arange(_OUTER_PANELS) + 1.0)[:, None] + _OUTER_HALF * _GK_NODES
-# a pass is accepted when sum |Kronrod - Gauss| <= _TILT_TOL (1 + |inner| + |outer|)
-_TILT_TOL = 1e-7
 # the tilt solve stops on a Newton step below this in log u, or on a G
 # within rounding of 0: G sums terms of size |log u| and |log r| and is
 # known to a few ulp of them
@@ -259,75 +241,50 @@ _NEWTON_MAX = 100
 _LOG_MAX = math.log(sys.float_info.max)
 
 
+def _log_f(log_x: float) -> float:
+    """ln f(x) = -ln(1 + 2x) / 2, with x given by its log."""
+    return -0.5 * float(np.logaddexp(0.0, _LOG2 + log_x))
+
+
 def _tilt_pass(phi: PowerLawPhi, log_u: float) -> np.ndarray:
-    """(I0, I1, I2) at the tilt u = exp(log_u) from one Gauss-Kronrod pass.
+    """(I0, I1, I2) at the tilt u = exp(log_u), in closed form.
 
-    Inner range [1, t*], in y = log(t + delta): x = exp(log c - d y) with
-    c = u theta^(-d), and the integrand h_j(x) e^y is split into equal
-    panels at most ``_INNER_WIDTH`` wide in log x.  The knee t* has
-    2x = 1; when 2 u phi(1) <= 1 the inner range is empty.
+    x = u phi(t) gives dt = -u^(1/d) x^(-1/d-1) dx / (d theta), and
+    w = 2x / (1 + 2x) makes I1 and I2 regularized incomplete beta
+    functions I_w1 of a = (d-1)/d and b = 1/d, w1 = 2 x1 / (1 + 2 x1):
 
-    Outer range [t*, inf): t + delta = (t* + delta) / s and s = v^p give
-    x = x* v^(pd) and the integrand (t* + delta) x* p v^(p(d-1)-1) H_j(x),
-    H_j = h_j / x.  Its leading term H_j(0) integrates in closed form to
-    (t* + delta) x* H_j(0) / (d - 1); the rest, H_j(x) - H_j(0), starts as
-    v^(p(2d-1)-1) = v^3 and goes on in powers of v^(pd), pd in (2, 4],
-    so ``_OUTER_PANELS`` fixed panels serve every d > 1.  p stays in
-    (0, 4) and the power of v on the nodes in (-1, 1), so d close to 1
-    neither underflows nor overflows there.
+        I1 = -P I_w1(a, b),   I2 = a P I_w1(a+1, b),
+        P = u^(1/d) 2^(-a) pi / (d theta sin(pi a)),
 
-    All three integrands share the nodes of quadform's 21-point
-    Gauss-Kronrod rule.  The error estimate is the sum over panels of
-    |Kronrod - Gauss|; above ``_TILT_TOL`` (1 + |inner| + |outer|), or on
-    any non-finite sum, the pass raises NumericError.
+    and I0 = d I1 - (1 + delta) ln f(x1) by parts.  Above w1 = 1/2 each
+    I_w1(p, b) is taken as 1 - I_v1(b, p), v1 = 1 / (1 + 2 x1), so it
+    keeps its precision as w1 -> 1; v1 = f(x1)^2 is read from ln f(x1) in
+    logs, so it holds where x1 itself overflows.  A P beyond double
+    precision makes an integral that is not finite, which raises
+    NumericError.
     """
     d = phi.d
-    log_c = log_u - d * math.log(phi.theta)
-    y1 = math.log1p(phi.delta)
-    y_star = max((log_c + _LOG2) / d, y1)
-    n_in = math.ceil(d * (y_star - y1) / _INNER_WIDTH)
-    if y_star > _LOG_MAX or n_in > _INNER_MAX:
-        # t* + delta beyond double precision, or a pass past any tilt a
-        # representable root needs
-        raise NumericError("tilted integral did not converge")
-    x_star = math.exp(log_c - d * y_star)
-    scale = math.exp(y_star) * x_star
-    with np.errstate(all="ignore"):
-        half = 0.5 * (y_star - y1) / max(n_in, 1)
-        y = y1 + half * (2.0 * np.arange(n_in) + 1.0)[:, None] + half * _GK_NODES
-        lx = log_c - d * y
-        inv_x = np.exp(-lx)  # at most 2 on the inner range
-        jac = half * np.exp(y)
-        f = np.empty((3, n_in + _OUTER_PANELS, _GK_NODES.size))
-        f[0, :n_in] = -0.5 * (lx + np.log(2.0 + inv_x)) * jac
-        f[1, :n_in] = -jac / (2.0 + inv_x)
-        f[2, :n_in] = 2.0 * jac / (2.0 + inv_x) ** 2
-
-        p = _OUTER_POWER / (2.0 * d - 1.0)
-        x = np.maximum(x_star * _OUTER_V ** (p * d), np.finfo(float).tiny)
-        jac = scale * p * _OUTER_HALF * _OUTER_V ** (p * (d - 1.0) - 1.0)
-        f[0, n_in:] = (1.0 - np.log1p(2.0 * x) / (2.0 * x)) * jac
-        f[1, n_in:] = 2.0 * x / (1.0 + 2.0 * x) * jac
-        f[2, n_in:] = 2.0 * x / (1.0 + 2.0 * x) ** 2 * jac
-
-        kronrod = f @ _GK_WEIGHTS
-        err = np.abs(kronrod - f @ _G_WEIGHTS).sum(axis=1)
-        inner = kronrod[:, :n_in].sum(axis=1)
-        # H_0(0) = H_1(0) = -1 and H_2(0) = 0
-        outer = kronrod[:, n_in:].sum(axis=1) - scale / (d - 1.0) * np.array([1.0, 1.0, 0.0])
-        total = inner + outer
-        bad = not (np.all(np.isfinite(total)) and np.all(err <= _TILT_TOL * (1.0 + np.abs(inner) + np.abs(outer))))
-    if bad:
-        raise NumericError("tilted integral did not converge")
-    return total
+    a = (d - 1.0) / d
+    log_x1 = log_u - d * (math.log(phi.theta) + math.log1p(phi.delta))
+    log_f1 = _log_f(log_x1)
+    # exp(log_u / d) itself is finite for every finite u and d > 1
+    p = math.exp(log_u / d) * (2.0 ** -a * math.pi / (d * phi.theta * math.sin(math.pi * a)))
+    if log_x1 <= -_LOG2:
+        x1 = math.exp(log_x1)
+        beta = betainc([a, a + 1.0], 1.0 / d, 2.0 * x1 / (1.0 + 2.0 * x1))
+    else:
+        beta = 1.0 - betainc(1.0 / d, [a, a + 1.0], math.exp(2.0 * log_f1))
+    i1 = -p * beta[0]
+    out = np.array([d * i1 - (1.0 + phi.delta) * log_f1, i1, a * p * beta[1]])
+    if not np.all(np.isfinite(out)):
+        raise NumericError(f"tilted integral at log u = {log_u:.6g} overflows double precision")
+    return out
 
 
 def tilt_integrals(phi: PowerLawPhi, u: float) -> tuple[float, float, float]:
     """(I0, I1, I2) of the tilt u: I0 = int ln f(u phi), I1 = int u phi (ln f)',
-    I2 = int (u phi)^2 (ln f)'', each int_1^inf dt, from one pass of
-    21-point Gauss-Kronrod panels (see ``_tilt_pass``) that raises
-    NumericError when the Kronrod and Gauss sums differ by more than 1e-7
-    relative."""
+    I2 = int (u phi)^2 (ln f)'', each int_1^inf dt, in closed form (see
+    ``_tilt_pass``); integrals beyond double precision raise NumericError."""
     if not (u > 0 and math.isfinite(u)):
         raise ValueError("tilt u must be positive and finite")
     i0, i1, i2 = _tilt_pass(phi, math.log(u))
@@ -335,7 +292,7 @@ def tilt_integrals(phi: PowerLawPhi, u: float) -> tuple[float, float, float]:
 
 
 def _solve_tilt(spec: PowerLawPhi, r: float) -> tuple[float, float, float]:
-    """(u, I0(u), I2(u)) at the root u of I1(u) + u r = 0; see dll_root."""
+    """(u, I1(u), I2(u)) at the root u of I1(u) + u r = 0; see dll_root."""
     if not (r > 0 and math.isfinite(r)):
         raise ValueError("r must be positive and finite")
     d = spec.d
@@ -364,7 +321,7 @@ def _solve_tilt(spec: PowerLawPhi, r: float) -> tuple[float, float, float]:
     # up to lo when r > mass / 3; start at the end whose bound is tighter
     z = lo if 3.0 * r > mass else hi
     for _ in range(_NEWTON_MAX):
-        i0, i1, i2 = _tilt_pass(spec, z)
+        _, i1, i2 = _tilt_pass(spec, z)
         if not (i1 < 0.0 < i2):
             raise NumericError(f"dll_root: tilted integrals underflow at log u = {z:.6g}")
         g = math.log(-i1) - z - log_r
@@ -390,7 +347,7 @@ def _solve_tilt(spec: PowerLawPhi, r: float) -> tuple[float, float, float]:
         raise NumericError("dll_root: Newton iteration did not converge")
     if abs(math.expm1(g)) > 1e-10:
         raise NumericError(f"dll_root residual too large: {math.expm1(g):.3e} relative at log u = {z:.6e}")
-    return math.exp(z), float(i0), float(i2)
+    return math.exp(z), float(i1), float(i2)
 
 
 def dll_root(spec: PowerLawPhi, r: float) -> float:
@@ -403,15 +360,14 @@ def dll_root(spec: PowerLawPhi, r: float) -> float:
 
     The root is that of G(z) = log(-I1) - z - log r in z = log u, which
     decreases with dG/dz = -I2 / |I1| in (-1, 0), so each safeguarded
-    Newton step reads I1 and I2 from one ``_tilt_pass``.  The closed-form
-    bracket u mass / (1 + 2 u phi(1)) <= -I1 <= d (2u)^(1/d) / (2 theta
-    (d-1)) gives its ends; the iteration starts at the tighter one, keeps
+    Newton step reads the closed-form I1 and I2 of one ``_tilt_pass``.  The
+    bounds u mass / (1 + 2 u phi(1)) <= -I1 <= d (2u)^(1/d) / (2 theta
+    (d-1)) give its bracket; the iteration starts at the tighter end, keeps
     the bracket, bisects it when a step would leave it, and stops on a step
     below 1e-14 in log u or on a G within rounding of 0 (2-8 passes on
-    the catalog members).  The returned u is the last tilt evaluated.  The
-    NumericError of a failed pass passes through; a tilt beyond double
-    precision, or a relative residual |I1 + u r| / (u r) above 1e-10, also
-    raises NumericError.
+    the catalog members).  The returned u is the last tilt evaluated.  A
+    tilt or a tilted integral beyond double precision, or a relative
+    residual |I1 + u r| / (u r) above 1e-10, raises NumericError.
     """
     return _solve_tilt(spec, r)[0]
 
@@ -430,13 +386,17 @@ def dll_prefactor() -> float:
 
 
 def _dll_log_uncalibrated(spec: PowerLawPhi, r: float) -> tuple[float, float]:
-    """(log-probability without the prefactor C, tilt u) at r, with I0 and
-    I2 from the last pass of the root solve."""
-    u, i0, i2 = _solve_tilt(spec, r)
-    # ln f(u phi(1)) = -ln(1 + 2 u phi(1))/2, with u phi(1) in logs
-    log_x1 = math.log(u) - spec.d * (math.log(spec.theta) + math.log1p(spec.delta))
-    log_f1 = -0.5 * float(np.logaddexp(0.0, _LOG2 + log_x1))
-    return 0.5 * (log_f1 - math.log(i2)) + i0 + u * r, u
+    """(log-probability without the prefactor C, tilt u) at r, with I1 and
+    I2 from the last pass of the root solve.
+
+    I0 + u r = (d I1 + u r) - (1 + delta) ln f(x1), and d I1 and u r are
+    each about |log P|; they are summed first, so that their cancellation
+    is exact and nothing of that size is rounded before it.
+    """
+    u, i1, i2 = _solve_tilt(spec, r)
+    d, delta = spec.d, spec.delta
+    log_f1 = _log_f(math.log(u) - d * (math.log(spec.theta) + math.log1p(delta)))
+    return (d * i1 + u * r) - (0.5 + delta) * log_f1 - 0.5 * math.log(i2), u
 
 
 def _dll_log_and_tilt(spec: PowerLawPhi, r: float) -> tuple[float, float]:
@@ -451,6 +411,7 @@ def dll_asymptotic(spec: PowerLawPhi, r: float) -> float:
         C sqrt(f(u phi(1)) / I2(u)) exp(I0(u) + u r),   f(x) = (1+2x)^(-1/2),
 
     with u = u(r) the root of I1(u) + u r = 0 (``dll_root``) and C the
-    calibrated prefactor.  I0 and I2 come from the root solve's last pass,
-    at the returned tilt, so the call makes no pass of its own."""
+    calibrated prefactor.  I0 + u r is formed as (d I1 + u r) - (1 + delta)
+    ln f(u phi(1)), with I1 and I2 from the root solve's last pass, at the
+    returned tilt, so the call makes no pass of its own."""
     return _dll_log_and_tilt(spec, r)[0]

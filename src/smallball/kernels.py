@@ -55,8 +55,9 @@ class KernelSpec:
         if self.variant not in _CATALOG:
             raise ValueError(f"unknown kernel variant {self.variant!r}")
         if self.variant == "ornstein_uhlenbeck":
-            if self.alpha is None or not (self.alpha > 0 and np.isfinite(self.alpha)):
-                raise ValueError("ornstein_uhlenbeck needs a finite rate alpha > 0")
+            # the comparisons reject NaN, and a bound of max/2 keeps the jump 2 alpha finite
+            if self.alpha is None or not 0.0 < self.alpha <= 0.5 * np.finfo(float).max:
+                raise ValueError("ornstein_uhlenbeck needs a finite rate alpha > 0 whose jump 2*alpha is finite")
         if self.green_order is not None and not (
             isinstance(self.green_order, (int, np.integer)) and self.green_order >= 1
         ):

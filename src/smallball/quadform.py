@@ -349,7 +349,9 @@ def _solve_saddle(mu: np.ndarray, r: float) -> tuple[float, float]:
     rounding floor ends the iteration instead of starting bisections.  Far
     enough in the left tail K'' underflows to zero (r <= 1e-160 on 2000
     weights mu_k = 1/(pi k)^2) and the step is undefined; that raises
-    NumericError.
+    NumericError.  So does the right tail once y passes about -log(eps)
+    (r >= 6e14 on those weights), where s rounds onto the pole
+    1/(2 mu_1); it raises before the pass there.
     """
     k1, k2 = _cgf12(0.0, mu)
     if k1 == r:
@@ -365,7 +367,17 @@ def _solve_saddle(mu: np.ndarray, r: float) -> tuple[float, float]:
     else:
         # mu_1 / (1 - 2 s mu_1) <= K'(s) <= K'(0) / (1 - 2 s mu_1) on s > 0
         side, lo, hi = 1.0, math.log(r / k1), math.log(r / mu[0])
-        to_s = lambda y: -math.expm1(-y) / (2.0 * mu[0])  # noqa: E731
+
+        def to_s(y):
+            # beyond y ~ -log(eps), s rounds onto the pole, where K' is infinite
+            s = -math.expm1(-y) / (2.0 * mu[0])
+            if 2.0 * s * mu[0] >= 1.0:
+                raise NumericError(
+                    f"saddle equation: r = {r:.6g} is so far above the mean that s rounds "
+                    f"onto the pole 1/(2 mu_1) = {0.5 / mu[0]:.6g}"
+                )
+            return s
+
         ds_dx = lambda s: 0.5 / mu[0] - s  # noqa: E731
     # g = side * log(K'(s) / r) increases through its root on [lo, hi]
     x = lo

@@ -110,9 +110,14 @@ def _integrate_scaled(h, phi, u):
     return inner + outer
 
 
+# members at the edges of the closed forms: a = (d-1)/d -> 0 (d near 1),
+# b = 1/d -> 0 (d = 40) and delta near -1
+_EDGE_MEMBERS = [(1.0, 0.0, 1.1), (1.0, 0.0, 1.01), (1.0, -0.9, 1.05), (0.1, 3.0, 6.0), (1.0, 0.0, 40.0)]
+
+
 class TestTiltIntegrals:
-    @pytest.mark.parametrize("member", _MEMBERS, ids=str)
-    @pytest.mark.parametrize("u", [1e-3, 1.0, 1e3, 1e8, 1e15])
+    @pytest.mark.parametrize("member", _MEMBERS + _EDGE_MEMBERS, ids=str)
+    @pytest.mark.parametrize("u", [1e-3, 1.0, 1e3, 1e8, 1e15, 1e-10])
     def test_match_scalar_quad(self, member, u):
         spec = PowerLawPhi(*member)
         hs = (
@@ -123,12 +128,6 @@ class TestTiltIntegrals:
         got = tilt_integrals(spec, u)
         for h, value in zip(hs, got):
             assert value == pytest.approx(_integrate_scaled(h, spec, u), rel=1e-10, abs=0)
-
-    def test_error_check_raises(self, monkeypatch):
-        # a rule whose Gauss and Kronrod sums disagree fails the pass
-        monkeypatch.setattr(asymptotics, "_G_WEIGHTS", 0.5 * asymptotics._G_WEIGHTS)
-        with pytest.raises(NumericError, match="tilted integral did not converge"):
-            tilt_integrals(PowerLawPhi(math.pi, 0.0, 2.0), 1e3)
 
     @given(st.sampled_from([0.0, -1.0, math.inf, math.nan]))
     def test_bad_tilt_rejected(self, u):

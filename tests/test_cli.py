@@ -474,28 +474,42 @@ def test_config_only_on_perturb(tmp_path, monkeypatch, argv, values):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["exact", "--weights", "w2000.csv", "--method", "saddle", "--r", "1e-160"],
-        ["asymptotic", "--law", "naznik", "--d", "1.0000001", "--eps", "1e-3"],
-        ["asymptotic", "--law", "naznik", "--theta", "1e300", "--eps", "1e-300"],
-        ["asymptotic", "--law", "dll", "--theta", "1e-300"],
-        ["asymptotic", "--law", "dll", "--theta", "1e-300", "--d", "1.001"],
-        ["asymptotic", "--law", "naznik", "--delta", "1e300"],
-        ["asymptotic", "--law", "naznik", "--theta", "1e300", "--d", "50"],
+        (["exact", "--weights", "w2000.csv", "--method", "saddle", "--r", "1e-160"], ""),
+        (["asymptotic", "--law", "naznik", "--d", "1.0000001", "--eps", "1e-3"], ""),
+        (["asymptotic", "--law", "naznik", "--theta", "1e300", "--eps", "1e-300"], ""),
+        (["asymptotic", "--law", "dll", "--theta", "1e-300"], ""),
+        (["asymptotic", "--law", "dll", "--theta", "1e-300", "--d", "1.001"], "overflows double precision"),
+        (["asymptotic", "--law", "naznik", "--delta", "1e300"], ""),
+        (["asymptotic", "--law", "naznik", "--theta", "1e300", "--d", "50"], ""),
+        (["asymptotic", "--law", "dll", "--d", "1.001"], "overflows double precision"),
+        (["exact", "--weights", "w2000.csv", "--method", "saddle", "--r", "1e15"], "pole"),
     ],
     ids=["saddle_k2_underflow", "naznik_coefficient", "naznik_exponent", "dll_mass", "dll_tilt",
-         "naznik_amplitude_delta", "naznik_amplitude_theta"],
+         "naznik_amplitude_delta", "naznik_amplitude_theta", "dll_tilt_d", "saddle_pole"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_overflow_and_underflow_exit_3(tmp_path, monkeypatch, capsys, argv):
+def test_overflow_and_underflow_exit_3(tmp_path, monkeypatch, capsys, argv, message):
     # values past double precision are numeric failures, not tracebacks,
-    # and numpy warns of none of them on the way
+    # and numpy warns of none of them on the way; a tilt that overflows
+    # says so (it used to read "tilted integral did not converge")
     monkeypatch.chdir(tmp_path)
     quadform.write_weights("w2000.csv", quadform.WeightSeq(head=1.0 / (np.pi * np.arange(1, 2001)) ** 2))
     rep = tmp_path / "rep.json"
     assert run(argv + ["--report", str(rep)]) == 3
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not rep.exists()
+
+
+def test_ou_rate_with_overflowing_jump_is_argument_error(tmp_path, capsys):
+    # 2 alpha, the kink diagonal, overflows: an argument error naming alpha,
+    # not "Eigenvalues did not converge"
+    rep = tmp_path / "rep.json"
+    assert run(["spectrum", "--kernel", "ou", "--alpha", "1e308", "--n", "10", "--k", "2", "--report", str(rep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("argument error:") and "alpha" in err
     assert not rep.exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from smallball import (
     DataError,
     Grid,
     bridge,
+    diagonal_jump,
     gauss_legendre_grid,
     kernel_eval,
     kernel_matrix,
@@ -134,6 +136,15 @@ def test_out_of_domain_rejected():
 def test_non_finite_ou_rate_rejected(alpha):
     with pytest.raises(ValueError, match="finite rate"):
         ornstein_uhlenbeck(alpha)
+
+
+@pytest.mark.parametrize("alpha", [1e308, 0.6 * sys.float_info.max])
+def test_ou_rate_with_overflowing_jump_rejected(alpha):
+    # the kink correction uses the diagonal jump 2 alpha, which overflows
+    # here; the spectrum used to fail with "Eigenvalues did not converge"
+    with pytest.raises(ValueError, match="alpha"):
+        ornstein_uhlenbeck(alpha)
+    assert diagonal_jump(ornstein_uhlenbeck(0.4 * sys.float_info.max), np.zeros(1))[0] < math.inf
 
 
 @given(st.sampled_from([math.nan, math.inf]))

@@ -185,6 +185,30 @@ class TestSaddlepoint:
             err_ref = value * rel + value * min(1.0, -math.expm1(-abs(s) * w.tail_sum_bound))
             assert est.error_bound == pytest.approx(err_ref, rel=1e-11, abs=0.0)
 
+    @pytest.mark.parametrize("n", [2000, 100_000])
+    @pytest.mark.parametrize("r", [6e14, 1e15, 1e16, 1e300])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_far_above_the_mean(self, monkeypatch, n, r):
+        # past y = -log(1 - 2 s mu_1) ~ -log(eps) the saddle rounds onto the
+        # pole 1/(2 mu_1); each call gives a value in [0, 1] or a
+        # NumericError naming the pole, after at most 10 passes and with no
+        # numpy warning (1e15 gave inf, 1e16 200 passes and no convergence)
+        passes = []
+        real = quadform._cgf12
+
+        def counting(s, mu):
+            passes.append(s)
+            return real(s, mu)
+
+        monkeypatch.setattr(quadform, "_cgf12", counting)
+        try:
+            est = cdf_saddlepoint(bridge_weights(n), r)
+        except NumericError as exc:
+            assert "pole" in str(exc)
+        else:
+            assert 0.0 <= est.value <= 1.0
+        assert len(passes) <= 10
+
     @pytest.mark.parametrize("r", [1e-160, 1e-200, 1e-300])
     def test_underflowing_k2_raises(self, r):
         # on 2000 bridge weights a = mu / (1 - 2 s mu) is below 1e-162 at the
