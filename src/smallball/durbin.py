@@ -36,7 +36,7 @@ from scipy.special import ndtr, ndtri
 from . import kernels, perturbation
 from .errors import ConsistencyError
 from .grids import Grid, graded_endpoint_grid
-from .quadform import SAMPLER_BLOCK, _norm_pdf, _sharded_map
+from .quadform import SAMPLER_BLOCK, _check_integer, _norm_pdf, _sharded_map
 
 __all__ = [
     "FamilySpec",
@@ -256,13 +256,13 @@ def _mle_transform(fam: FamilySpec, x: np.ndarray) -> np.ndarray:
 
 
 def _draw(fam: FamilySpec, rng: np.random.Generator, shape) -> np.ndarray:
-    """Inverse-CDF sampling from F(., theta0)."""
-    u = rng.random(shape)
+    """Samples from F(., theta0): normals from ``Generator.standard_normal``
+    (the ziggurat), exponentials by inverse CDF of uniforms."""
     if fam.family == "normal_location":
-        return fam.theta0[0] + ndtri(u)
+        return fam.theta0[0] + rng.standard_normal(shape)
     if fam.family == "normal_location_scale":
-        return fam.theta0[0] + fam.theta0[1] * ndtri(u)
-    return -np.log1p(-u) / fam.theta0[0]
+        return fam.theta0[0] + fam.theta0[1] * rng.standard_normal(shape)
+    return -np.log1p(-rng.random(shape)) / fam.theta0[0]
 
 
 def simulate_omega2(fam: FamilySpec, n: int, reps: int, seed: int) -> np.ndarray:
@@ -280,10 +280,9 @@ def simulate_omega2(fam: FamilySpec, n: int, reps: int, seed: int) -> np.ndarray
     so output is reproducible for a fixed seed and independent of threading
     (SMALLBALL_THREADS).
     """
-    if n < 2:
-        raise ValueError("sample size n must be >= 2")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    _check_integer("sample size n", n, 2)
+    _check_integer("reps", reps, 1)
+    _check_integer("seed", seed, 0)
     centers = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
 
     rows = max(1, SAMPLER_BLOCK // n)

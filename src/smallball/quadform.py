@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad  # noqa: F401  (benchmark/tracing.py counts calls to quadform.quad)
 from scipy.optimize import brentq  # noqa: F401  (benchmark/tracing.py counts calls to quadform.brentq)
-from scipy.special import log_ndtr, ndtr, ndtri
+from scipy.special import log_ndtr, ndtr
+from scipy.special import ndtri  # noqa: F401  (benchmark/tracing.py times calls to quadform.ndtri)
 
 from .errors import NumericError
 
@@ -453,6 +454,15 @@ def _worker_count(shards: int) -> int:
     return min(workers, shards)
 
 
+def _check_integer(name: str, value, minimum: int) -> None:
+    """Raise TypeError unless value is an int or NumPy integer (not a
+    bool), and ValueError if it is below minimum; both name the argument."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
+
+
 def _sharded_map(fn, seed: int, sizes: list[int]) -> list:
     """[fn(rng_j, sizes[j]) for each shard j], in shard order.
 
@@ -482,12 +492,12 @@ def cdf_monte_carlo(w: WeightSeq, r: float, n_samples: int, seed: int) -> Probab
     [r - tail_sum_bound, r).  Results are bitwise reproducible for a fixed
     seed: the sample budget is split as evenly as possible across
     ``MC_SHARDS`` shards (earlier shards take the remainder), each shard
-    draws normals by inverse CDF from its own spawned generator, and the
-    shard counts are integers, so the thread count does not change the
-    result.
+    draws normals with ``Generator.standard_normal`` (the ziggurat) from
+    its own spawned generator, and the shard counts are integers, so the
+    thread count does not change the result.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    _check_integer("n_samples", n_samples, 1)
+    _check_integer("seed", seed, 0)
     if not (r > 0 and math.isfinite(r)):
         raise ValueError("r must be positive and finite")
     threshold = r - w.tail_sum_bound
@@ -497,7 +507,7 @@ def cdf_monte_carlo(w: WeightSeq, r: float, n_samples: int, seed: int) -> Probab
     def count_below(rng, n):
         below = below_r = 0
         for done in range(0, n, block):
-            xi = ndtri(rng.random((min(block, n - done), mu.size)))
+            xi = rng.standard_normal((min(block, n - done), mu.size))
             q = (xi * xi) @ mu
             below += int(np.count_nonzero(q < threshold))
             below_r += int(np.count_nonzero(q < r))

@@ -513,6 +513,23 @@ def test_ou_rate_with_overflowing_jump_is_argument_error(tmp_path, capsys):
     assert not rep.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["exact", "--weights", "w.csv", "--r", "0.5", "--method", "mc", "--samples", "100"], id="exact_mc"),
+        pytest.param(["durbin", "--family", "normal-location", "--simulate", "--n", "20", "--reps", "10"], id="durbin"),
+    ],
+)
+def test_negative_seed_is_argument_error_naming_seed(tmp_path, monkeypatch, capsys, argv):
+    # a negative seed used to reach SeedSequence, whose message names no argument
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "w.csv").write_text("0.5\n0.25\n")
+    assert run(argv + ["--seed", "-1", "--report", "rep.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("argument error:") and "seed" in err
+    assert not (tmp_path / "rep.json").exists()
+
+
 def test_report_deterministic_modulo_timestamp(tmp_path):
     reps = []
     for name in ("r1.json", "r2.json"):

@@ -247,20 +247,45 @@ class TestSimulation:
         b = simulate_omega2(exponential_rate(4.0), 100, 500, seed=3)
         np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
-    def test_empirical_cdf_matches_limit_spectrum(self):
+    @staticmethod
+    def _check_quantiles_against_limit_spectrum(fam):
         # the n -> inf law of the statistic is the weighted chi-square form
         # over the Durbin kernel spectrum
-        stats = simulate_omega2(normal_location(), 1000, 20000, seed=123)
+        stats = simulate_omega2(fam, 1000, 20000, seed=123)
         grid = gauss_legendre_grid(1000)
-        spec = nystrom_spectrum(durbin_kernel_spec(normal_location(), grid), grid, 300)
+        spec = nystrom_spectrum(durbin_kernel_spec(fam, grid), grid, 300)
         w = WeightSeq(head=spec.eigenvalues[:300])
         for p in (0.1, 0.5, 0.9):
             q = float(np.quantile(stats, p))
             est = cdf_gil_pelaez(w, q)
             assert abs(est.value - p) < 0.03
 
+    def test_empirical_cdf_matches_limit_spectrum(self):
+        self._check_quantiles_against_limit_spectrum(normal_location())
+
+    def test_location_scale_empirical_cdf_matches_limit_spectrum(self):
+        self._check_quantiles_against_limit_spectrum(normal_location_scale())
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             simulate_omega2(normal_location(), 1, 10, seed=0)
         with pytest.raises(ValueError):
             simulate_omega2(normal_location(), 10, 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "n,reps,seed,error,name",
+        [
+            (50.0, 10, 1, TypeError, "n"),
+            (50, 10.0, 1, TypeError, "reps"),
+            (50, 10, -1, ValueError, "seed"),
+            (50, 10, 1.5, TypeError, "seed"),
+            (50, 10, None, TypeError, "seed"),
+        ],
+    )
+    def test_arguments_named_in_errors(self, n, reps, seed, error, name):
+        with pytest.raises(error, match=rf"\b{name} must be an integer"):
+            simulate_omega2(normal_location(), n, reps, seed)
+
+    def test_numpy_integer_arguments(self):
+        a = simulate_omega2(normal_location(), np.int64(20), np.int32(30), np.uint64(4))
+        assert a.tobytes() == simulate_omega2(normal_location(), 20, 30, 4).tobytes()

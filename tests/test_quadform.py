@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.optimize import brentq
-from scipy.special import ndtri
+from scipy.special import chdtr
 from scipy.stats import norm
 
 from smallball import (
@@ -236,6 +236,35 @@ class TestMonteCarlo:
         assert est.value == pytest.approx(CHI2_1_AT_1, abs=0.0014)
         assert est.error_bound == pytest.approx(3.0 * math.sqrt(CHI2_1_AT_1 * (1 - CHI2_1_AT_1) / 1e6), rel=0.05)
 
+    @pytest.mark.parametrize("r", [0.01, 1.0, 9.0])
+    def test_chi2_one_both_tails(self, r):
+        # the sampled normals have the standard law in the centre and in
+        # both tails: xi^2 < 0.01 needs |xi| < 0.1, xi^2 >= 9 needs |xi| >= 3
+        n = 10**6
+        exact = float(chdtr(1, r))
+        est = cdf_monte_carlo(WeightSeq(head=np.array([1.0])), r, n, seed=1018)
+        assert abs(est.value - exact) < 5.0 * math.sqrt(exact * (1.0 - exact) / n)
+
+    @pytest.mark.parametrize(
+        "n_samples,seed,error,name",
+        [
+            (10.5, 1, TypeError, "n_samples"),
+            (True, 1, TypeError, "n_samples"),
+            (0, 1, ValueError, "n_samples"),
+            (100, -1, ValueError, "seed"),
+            (100, 1.0, TypeError, "seed"),
+            (100, "1", TypeError, "seed"),
+        ],
+    )
+    def test_argument_validation(self, n_samples, seed, error, name):
+        with pytest.raises(error, match=name):
+            cdf_monte_carlo(WeightSeq(head=np.array([1.0])), 1.0, n_samples, seed)
+
+    def test_numpy_integer_arguments(self):
+        w = WeightSeq(head=np.array([1.0]))
+        est = cdf_monte_carlo(w, 1.0, np.int64(1000), np.uint32(4))
+        assert est.value == cdf_monte_carlo(w, 1.0, 1000, 4).value
+
     def test_seed_determinism(self):
         w = bridge_weights(50)
         a = cdf_monte_carlo(w, 0.15, 20000, seed=7)
@@ -433,10 +462,20 @@ def _layout_count(mu, threshold, n_samples, seed, shards=16):
         done = 0
         while done < n:
             b = min(block, n - done)
-            xi = ndtri(rng.random((b, mu.size)))
+            xi = rng.standard_normal((b, mu.size))
             count += int(np.count_nonzero((xi * xi) @ mu < threshold))
             done += b
     return count
+
+
+def _layout_draw(fam, rng, shape):
+    """Samples from F(., theta0), written out independently of the library:
+    standard normals from the generator's ziggurat, exponentials by inverse
+    CDF."""
+    if fam.family == "exponential_rate":
+        return -np.log1p(-rng.random(shape)) / fam.theta0[0]
+    z = rng.standard_normal(shape)
+    return fam.theta0[0] + (z if fam.family == "normal_location" else fam.theta0[1] * z)
 
 
 def _layout_omega2(fam, n, reps, seed, block=8192):
@@ -447,7 +486,7 @@ def _layout_omega2(fam, n, reps, seed, block=8192):
     pos = shard = 0
     while pos < reps:
         b = min(block, reps - pos)
-        t = durbin._mle_transform(fam, durbin._draw(fam, _shard_rng(seed, shard), (b, n)))
+        t = durbin._mle_transform(fam, _layout_draw(fam, _shard_rng(seed, shard), (b, n)))
         t.sort(axis=1)
         out[pos : pos + b] = ((t - centers) ** 2).sum(axis=1) + 1.0 / (12.0 * n)
         pos += b
