@@ -34,9 +34,9 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import kernels, perturbation
-from .errors import ConsistencyError
+from .errors import ConsistencyError, _check_integer
 from .grids import Grid, graded_endpoint_grid
-from .quadform import SAMPLER_BLOCK, _check_integer, _norm_pdf, _sharded_map
+from .quadform import SAMPLER_BLOCK, _norm_pdf, _sharded_map
 
 __all__ = [
     "FamilySpec",

@@ -7,6 +7,8 @@ that did not converge).  The CLI maps ValueError and TypeError to exit
 code 2 and SmallBallError to exit code 3.
 """
 
+import numpy as np
+
 __all__ = ["SmallBallError", "DataError", "NumericError", "ConsistencyError"]
 
 
@@ -26,3 +28,12 @@ class NumericError(SmallBallError):
 
 class ConsistencyError(SmallBallError):
     """A cross-validation step disagreed beyond its tolerance."""
+
+
+def _check_integer(name: str, value, minimum: int) -> None:
+    """Raise TypeError unless value is an int or NumPy integer (not a
+    bool), and ValueError if it is below minimum; both name the argument."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")

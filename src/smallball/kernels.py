@@ -79,9 +79,14 @@ class KernelSpec:
                 if not np.isfinite(j).all():
                     raise ValueError("diag_jump must be finite")
                 object.__setattr__(self, "diag_jump", j)
-            if np.abs(m - m.T).max() > 1e-10 * max(1.0, np.abs(m).max()):
+            if np.array_equal(m, m.T):
+                # bit for bit what 0.5 * (m + m.T) gives, in fewer n x n passes
+                m = m.copy()
+            elif np.abs(m - m.T).max() > 1e-10 * max(1.0, np.abs(m).max()):
                 raise DataError("sampled kernel matrix is not symmetric")
-            object.__setattr__(self, "matrix", 0.5 * (m + m.T))
+            else:
+                m = 0.5 * (m + m.T)
+            object.__setattr__(self, "matrix", m)
 
 
 def wiener() -> KernelSpec:

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .asymptotics import AsymptoticForm, abel_reduce, differentiate_form
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, _check_integer
 from .grids import Grid
 from .kernels import KernelSpec, kernel_matrix
 from .quadform import _log_product_drift
@@ -261,10 +261,10 @@ def spectral_product_check(
     det(int phi phi^T) / (det Q * prod_{l<=m} lambda_l).  The diagnostic is
     |log product(N) - log product(N//2)|.
     """
+    _check_integer("n_terms", n_terms, 2)
+    _check_integer("shift", shift, 0)
     if not spec0.grid.same_nodes(spec_a.grid):
         raise ValueError("spectra must come from the same grid")
-    if n_terms < 2:
-        raise ValueError("need at least two product terms")
     if n_terms > spec_a.truncation_count or n_terms + shift > spec0.truncation_count:
         raise ValueError("n_terms exceeds the available truncated spectra")
     full, drift = _log_product_drift(

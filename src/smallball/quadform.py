@@ -34,7 +34,7 @@ from scipy.optimize import brentq  # noqa: F401  (benchmark/tracing.py counts ca
 from scipy.special import log_ndtr, ndtr
 from scipy.special import ndtri  # noqa: F401  (benchmark/tracing.py times calls to quadform.ndtri)
 
-from .errors import NumericError
+from .errors import NumericError, _check_integer
 
 __all__ = [
     "WeightSeq",
@@ -452,15 +452,6 @@ def _worker_count(shards: int) -> int:
     else:
         workers = os.cpu_count() or 1
     return min(workers, shards)
-
-
-def _check_integer(name: str, value, minimum: int) -> None:
-    """Raise TypeError unless value is an int or NumPy integer (not a
-    bool), and ValueError if it is below minimum; both name the argument."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value}")
 
 
 def _sharded_map(fn, seed: int, sizes: list[int]) -> list:

@@ -6,10 +6,20 @@ quadrature grid as the symmetric matrix problem
     W^(1/2) M W^(1/2) v = mu v,        u(x_i) = v_i / sqrt(w_i),
 
 which keeps the discrete eigenfunctions exactly orthonormal in the weighted
-inner product.  ``nystrom_spectrum`` takes the eigenvalues from one
-symmetric eigenvalue pass (``eigvalsh``); the eigenfunctions, which only
-Fourier coefficients and ``smallball spectrum --eigvecs-out`` read, are
-computed on first read of ``Spectrum.eigvecs``.
+inner product.  ``nystrom_spectrum`` takes the eigenvalues from symmetric
+eigenvalue passes (``eigvalsh``); the eigenfunctions, which only Fourier
+coefficients and ``smallball spectrum --eigvecs-out`` read, are computed on
+first read of ``Spectrum.eigvecs``.
+
+The Gauss-Legendre grid is its own reflection under t -> 1 - t, so a kernel
+with the same symmetry (bridge, OU, the critical bridge perturbations, the
+normal-family Durbin limits) gives a matrix B with J B J = B, J the index
+reversal.  Such a B splits exactly into an even and an odd half-size block
+(Cantoni & Butler 1976), and its eigenvalues come from two half-size
+passes.  The split drops the coupling block F that rounding leaves between
+the halves, and is taken only when ||F||_F <= tau ||B||_F; by Weyl's
+inequality that moves each eigenvalue by at most tau ||B||_F.  Any other
+matrix gets one full pass.
 
 Catalog covariances have a derivative kink across the diagonal, which caps
 plain Gauss-Legendre convergence at O(n^-2) and is far too slow for the
@@ -28,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError, _check_integer
 from .grids import Grid
 from .kernels import PSD_TOL, KernelSpec, diagonal_jump, kernel_matrix
 
@@ -41,6 +51,12 @@ __all__ = [
 ]
 
 EIGENVALUE_FLOOR = 1e-13
+# tau = REFLECTION_TOL * n bounds ||F||_F / ||B||_F for the split of a
+# reflection-symmetric Nystrom matrix B (see _eigenvalues).  The measured
+# ratio grows about linearly in n; at n = 2000 it is 4.0e-13 for perturbed
+# bridges and 4.4e-12 for OU with alpha = 50, against tau = 2.8e-11.
+REFLECTION_TOL = 64 * np.finfo(float).eps
+_ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -145,29 +161,94 @@ def _weighted_matrix(spec: KernelSpec, grid: Grid) -> np.ndarray:
     eigenpairs are the Nystrom eigenpairs of ``spec`` on ``grid``."""
     sqrt_w = np.sqrt(grid.weights)
     b = kernel_matrix(spec, grid)  # a new array, weighted in place
-    b *= np.outer(sqrt_w, sqrt_w)
+    # the products sqrt_w[i] * sqrt_w[j] of the full outer product, one row
+    # block at a time so that no second n x n array is made
+    for lo in range(0, grid.size, _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        b[rows] *= np.outer(sqrt_w[rows], sqrt_w)
     jump = diagonal_jump(spec, grid.nodes)
     if jump is not None:
         b.flat[:: grid.size + 1] += kink_correction(jump, grid)
     return b
 
 
+def _eigenvalues(b: np.ndarray) -> np.ndarray:
+    """All eigenvalues of the symmetric matrix b, ascending.
+
+    With J the index reversal and h = n // 2, the orthogonal matrix
+    Q = [[I, I], [J, -J]] / sqrt(2) (for odd n with the middle unit vector
+    between the halves) brings b to [[E, F], [F^T, O]], where
+
+        E = (A + C + C^T + D) / 2,   O = (A - C - C^T + D) / 2,
+        F = (A - C + C^T - D) / 2,
+
+    A = b[:h, :h], C = b[:h, n-h:] J, C^T = J b[n-h:, :h] and
+    D = J b[n-h:, n-h:] J.  For odd n, E also holds the middle row and
+    column of b, folded and scaled by 1/sqrt(2), with b[h, h] as its
+    corner, and F the middle row's odd part.  A reflection-symmetric b
+    (J b J = b) has F = 0, and its eigenvalues are those of E and O, two
+    half-size problems.  The split is taken when
+    ||F||_F <= tau ||b||_F with tau = REFLECTION_TOL * n; by Weyl's
+    inequality dropping F then moves each eigenvalue by at most
+    ||F||_2 <= tau ||b||_F.  Any other b goes to one full ``eigvalsh``.
+    """
+    n = b.shape[0]
+    h, m = n // 2, n - n // 2
+    tau = REFLECTION_TOL * n
+    diag = np.diagonal(b)
+    # |F_ii| = |d_i - d_(n-1-i)| / 2, and ||b||_F <= n max|d| when b is
+    # positive semidefinite: a wider diagonal gap rules the split out in O(n)
+    if h == 0 or np.abs(diag - diag[::-1]).max() > 2.0 * tau * n * np.abs(diag).max():
+        return np.linalg.eigvalsh(b)
+    a, c = b[:h, :h], b[:h, m:][:, ::-1]
+    ct, d = b[m:, :h][::-1], b[m:, m:][::-1, ::-1]
+    # three half-size arrays: odd holds A + D and t holds C + C^T until
+    # each is reduced in place
+    odd, t = a + d, c + ct
+    even = np.empty((m, m))
+    np.add(odd, t, out=even[:h, :h])
+    even[:h, :h] *= 0.5
+    odd -= t
+    odd *= 0.5
+    np.subtract(a, d, out=t)
+    t -= c
+    t += ct  # 2 F
+    f2 = 0.25 * np.vdot(t, t)
+    if m > h:
+        mid, mid_rev = b[h, :h], b[h, m:][::-1]
+        even[h, :h] = even[:h, h] = (mid + mid_rev) / np.sqrt(2.0)
+        even[h, h] = b[h, h]
+        f2 += 0.5 * np.vdot(mid - mid_rev, mid - mid_rev)
+    # Q is orthogonal, so ||b||_F^2 = ||E||_F^2 + ||O||_F^2 + 2 ||F||_F^2
+    if f2 > tau * tau * (np.vdot(even, even) + np.vdot(odd, odd) + 2.0 * f2):
+        return np.linalg.eigvalsh(b)
+    return np.sort(np.concatenate((np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd))))
+
+
 def nystrom_spectrum(spec: KernelSpec, grid: Grid, k_max: int) -> Spectrum:
     """Top eigenvalues of the covariance operator via weighted Nystrom.
 
-    Only eigenvalues are computed here; ``Spectrum.eigvecs`` solves for the
-    eigenfunctions when first read.  A sampled kernel whose matrix has an
-    eigenvalue below -PSD_TOL times the largest is rejected.
+    Only eigenvalues are computed here, by ``_eigenvalues``: two half-size
+    passes when the weighted matrix is reflection-symmetric, one full pass
+    otherwise.  ``Spectrum.eigvecs`` solves for the eigenfunctions when
+    first read.  A matrix with an eigenvalue below -PSD_TOL times the
+    largest is rejected: for a sampled kernel the data are at fault
+    (DataError); for a catalog kernel the grid is too coarse for it, as
+    when the OU kink diagonal swamps the kernel at alpha * h >> 1 with h the
+    node spacing (NumericError).
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    _check_integer("k_max", k_max, 1)
     if k_max > grid.size:
         raise ValueError(f"k_max={k_max} exceeds grid size {grid.size}")
-    vals = np.linalg.eigvalsh(_weighted_matrix(spec, grid))[::-1]
-    if spec.variant == "sampled" and vals[-1] < -PSD_TOL * max(vals[0], 0.0):
-        raise DataError(
-            f"sampled kernel is not positive semidefinite "
-            f"(min eigenvalue {vals[-1]:.3e} vs max {vals[0]:.3e})"
+    vals = _eigenvalues(_weighted_matrix(spec, grid))[::-1]
+    if vals[-1] < -PSD_TOL * max(vals[0], 0.0):
+        spread = f"min eigenvalue {vals[-1]:.3e} vs max {vals[0]:.3e}"
+        if spec.variant == "sampled":
+            raise DataError(f"sampled kernel is not positive semidefinite ({spread})")
+        rate = "" if spec.alpha is None else f" with alpha={spec.alpha:g}"
+        raise NumericError(
+            f"the {spec.variant} kernel{rate} is under-resolved on n={grid.size} nodes: "
+            f"its Nystrom matrix is not positive semidefinite ({spread}); use more nodes"
         )
     vals = vals[:k_max]
     vals = vals[vals > EIGENVALUE_FLOOR * max(vals[0], 0.0)]

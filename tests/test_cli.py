@@ -513,6 +513,16 @@ def test_ou_rate_with_overflowing_jump_is_argument_error(tmp_path, capsys):
     assert not rep.exists()
 
 
+def test_under_resolved_ou_spectrum_exits_3(tmp_path, capsys):
+    # at alpha * h >> 1 the kink diagonal swamps the kernel; this run once
+    # exited 0 with an empty eigenvalue list
+    rep = tmp_path / "rep.json"
+    assert run(["spectrum", "--kernel", "ou", "--alpha", "1e6", "--n", "100", "--k", "5", "--report", str(rep)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "alpha=1e+06" in err and "n=100" in err
+    assert not rep.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -4,17 +4,20 @@ from scipy.integrate import quad
 
 from smallball import (
     DataError,
+    NumericError,
     PerturbationSpec,
     bridge,
     build_gram,
     diagonal_jump,
     durbin_kernel_spec,
+    exponential_rate,
     fourier_coefficients,
     gauss_legendre_grid,
     graded_endpoint_grid,
     kernel_matrix,
     kink_correction,
     normal_location,
+    normal_location_scale,
     nystrom_spectrum,
     ornstein_uhlenbeck,
     perturbed_kernel,
@@ -22,7 +25,7 @@ from smallball import (
     spectral_product_check,
     wiener,
 )
-from smallball.spectral import EIGENVALUE_FLOOR
+from smallball.spectral import EIGENVALUE_FLOOR, _weighted_matrix
 
 BRIDGE_MU = lambda k: 1.0 / (np.pi * k) ** 2  # noqa: E731
 WIENER_MU = lambda k: 1.0 / ((k - 0.5) * np.pi) ** 2  # noqa: E731
@@ -138,11 +141,120 @@ def test_matches_eager_reference(name):
     vals, vecs = _eager_reference(spec, grid, 300)
     s = nystrom_spectrum(spec, grid, 300)
     assert s.truncation_count == vals.size
-    # the two symmetric solvers differ by rounding of order eps * mu_1:
-    # within 1e-13 relative on the head, within 1e-14 * mu_1 everywhere
-    assert np.abs(s.eigenvalues[:200] / vals[:200] - 1.0).max() <= 1e-13
+    # the split and the full solve differ by rounding of order eps * mu_1;
+    # their accuracy on the head is checked against exact eigenvalues in
+    # test_head_matches_exact_eigenvalues
     assert np.abs(s.eigenvalues - vals).max() <= 1e-14 * vals[0]
     np.testing.assert_array_equal(s.eigvecs, vecs)
+
+
+@pytest.mark.parametrize("n", [40, 41])
+def test_head_matches_exact_eigenvalues(n):
+    # oracle: the eigenvalues of the same weighted matrix at 30 digits
+    import mpmath
+
+    grid = gauss_legendre_grid(n)
+    head = int(0.4 * n)
+    specs = {
+        "bridge": bridge(),
+        "ou1": ornstein_uhlenbeck(1.0),
+        "critical": _bridge_perturbation(grid, 12.0),
+        "durbin_nls": durbin_kernel_spec(normal_location_scale(), grid),
+    }
+    with mpmath.workdps(30):
+        for name, spec in specs.items():
+            b = _weighted_matrix(spec, grid)
+            exact = sorted(mpmath.eigsy(mpmath.matrix(b.tolist()), eigvals_only=True), reverse=True)
+            exact = np.array([float(v) for v in exact])
+            # the floor drops the annihilated direction of the critical kernel
+            vals = nystrom_spectrum(spec, grid, n).eigenvalues
+            assert np.abs(vals[:head] / exact[:head] - 1.0).max() <= 1e-13, name
+            assert np.abs(vals - exact[: vals.size]).max() <= 1e-14 * exact[0], name
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Shapes passed to numpy.linalg.eigvalsh, the eigenvalue-only solver."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [49, 1001])
+def test_split_route_odd_size(n, eigvalsh_calls):
+    grid = gauss_legendre_grid(n)
+    b = _weighted_matrix(bridge(), grid)
+    full = np.linalg.eigvalsh(b)[::-1]
+    eigvalsh_calls.clear()
+    vals = nystrom_spectrum(bridge(), grid, n).eigenvalues
+    # the even block holds the middle node
+    assert eigvalsh_calls == [(n // 2 + 1, n // 2 + 1), (n // 2, n // 2)]
+    assert np.abs(vals - full[: vals.size]).max() <= 1e-14 * full[0]
+
+
+def _nudged_bridge(grid):
+    # one symmetric off-diagonal pair moved by 1e-9 relative: at n = 50
+    # ||F||_F / ||B||_F reads 1.3e-11, 18 times REFLECTION_TOL * n; at
+    # n = 51 the pair sits in the middle row
+    m = kernel_matrix(bridge(), grid)
+    i, j = grid.size // 4, grid.size // 2
+    m[i, j] = m[j, i] = m[i, j] * (1.0 + 1e-9)
+    return sampled(grid, m, diag_jump=np.ones(grid.size))
+
+
+@pytest.mark.parametrize(
+    "name,n", [("wiener", 50), ("durbin_exponential", 50), ("nudged_bridge", 50), ("nudged_bridge", 51)]
+)
+def test_asymmetric_matrix_takes_full_solve(name, n, eigvalsh_calls):
+    grid = gauss_legendre_grid(n)
+    spec = {
+        "wiener": wiener,
+        "durbin_exponential": lambda: durbin_kernel_spec(exponential_rate(), grid),
+        "nudged_bridge": lambda: _nudged_bridge(grid),
+    }[name]()
+    eigvalsh_calls.clear()
+    vals = nystrom_spectrum(spec, grid, n).eigenvalues
+    assert eigvalsh_calls == [(n, n)]
+    full = np.linalg.eigvalsh(_weighted_matrix(spec, grid))[::-1]
+    np.testing.assert_array_equal(vals, full[: vals.size])
+
+
+def test_reflection_symmetric_indefinite_rejected(eigvalsh_calls):
+    grid = gauss_legendre_grid(40)
+    spec = sampled(grid, kernel_matrix(bridge(), grid) - 0.5)
+    eigvalsh_calls.clear()
+    with pytest.raises(DataError, match="not positive semidefinite"):
+        nystrom_spectrum(spec, grid, 5)
+    assert eigvalsh_calls == [(20, 20), (20, 20)]
+
+
+@pytest.mark.parametrize("alpha", [1e3, 1e6])
+def test_under_resolved_catalog_kernel_raises(alpha):
+    # the kink diagonal swamps exp(-alpha |s - t|) once alpha * h >> 1
+    with pytest.raises(NumericError, match=r"alpha=.*n=100"):
+        nystrom_spectrum(ornstein_uhlenbeck(alpha), gauss_legendre_grid(100), 5)
+
+
+def test_spectral_integer_arguments():
+    grid = gauss_legendre_grid(20)
+    for bad in (5.5, True, np.float64(5.0)):
+        with pytest.raises(TypeError, match="k_max"):
+            nystrom_spectrum(bridge(), grid, bad)
+    s = nystrom_spectrum(bridge(), grid, np.int64(10))
+    with pytest.raises(TypeError, match="n_terms"):
+        spectral_product_check(s, s, 5.0)
+    with pytest.raises(ValueError, match="n_terms"):
+        spectral_product_check(s, s, 1)
+    with pytest.raises(TypeError, match="shift"):
+        spectral_product_check(s, s, 5, shift=1.0)
+    with pytest.raises(ValueError, match="shift"):
+        spectral_product_check(s, s, 5, shift=-1)
 
 
 def test_weighted_orthonormality(bridge_spectrum_2000):
