@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 PSD_TOL = 1e-10
+# rows per block wherever an n x n kernel array is built or applied
+ROW_BLOCK = 64
 
 _CATALOG = ("wiener", "bridge", "ornstein_uhlenbeck", "sampled")
 
@@ -80,12 +82,15 @@ class KernelSpec:
                     raise ValueError("diag_jump must be finite")
                 object.__setattr__(self, "diag_jump", j)
             if np.array_equal(m, m.T):
-                # bit for bit what 0.5 * (m + m.T) gives, in fewer n x n passes
-                m = m.copy()
+                # a read-only array that owns its data cannot change under
+                # the spec, so it is kept; anything else is copied
+                if m.flags.writeable or not m.flags.owndata:
+                    m = m.copy()
             elif np.abs(m - m.T).max() > 1e-10 * max(1.0, np.abs(m).max()):
                 raise DataError("sampled kernel matrix is not symmetric")
             else:
                 m = 0.5 * (m + m.T)
+            m.flags.writeable = False
             object.__setattr__(self, "matrix", m)
 
 
@@ -115,6 +120,11 @@ def sampled(
     ``diag_jump`` optionally supplies the diagonal derivative jump at each
     node so the spectral solver can apply its kink correction; leave it None
     for kernels smooth across the diagonal.
+
+    The spec's ``matrix`` is read-only.  An exactly symmetric float64 input
+    that is read-only and owns its data, such as ``perturbed_kernel``
+    returns, is kept as it is and shared with the caller; any other input
+    is copied (or symmetrized into a new array).
     """
     return KernelSpec(
         variant="sampled",
@@ -125,13 +135,19 @@ def sampled(
     )
 
 
-def _eval_grid(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _eval_grid(spec: KernelSpec, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """G0 on the broadcast of x and y, written into ``out``."""
     if spec.variant == "wiener":
-        return np.minimum(x, y)
+        return np.minimum(x, y, out=out)
     if spec.variant == "bridge":
-        return np.minimum(x, y) - x * y
+        np.minimum(x, y, out=out)
+        out -= x * y
+        return out
     if spec.variant == "ornstein_uhlenbeck":
-        return np.exp(-spec.alpha * np.abs(x - y))
+        np.subtract(x, y, out=out)
+        np.abs(out, out=out)
+        out *= -spec.alpha
+        return np.exp(out, out=out)
     raise AssertionError(spec.variant)
 
 
@@ -151,22 +167,49 @@ def kernel_eval(spec: KernelSpec, x: float, y: float) -> float:
         raise ValueError(f"coordinates must lie in [0, 1], got ({x}, {y})")
     if spec.variant == "sampled":
         return float(spec.matrix[_sampled_index(spec, x), _sampled_index(spec, y)])
-    return float(_eval_grid(spec, np.float64(x), np.float64(y)))
+    return float(_eval_grid(spec, np.float64(x), np.float64(y), np.empty(())))
+
+
+def _check_grid(spec: KernelSpec, grid: Grid) -> None:
+    """Reject a grid the kernel cannot be evaluated on."""
+    if np.any(grid.nodes < 0.0) or np.any(grid.nodes > 1.0):
+        raise ValueError("grid nodes must lie inside [0, 1]")
+    if spec.variant == "sampled" and not spec.grid.same_nodes(grid, tol=1e-12):
+        raise ValueError("sampled kernel can only be evaluated on its own grid")
+
+
+def _kernel_rows(spec: KernelSpec, grid: Grid, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    """Rows lo:hi of ``kernel_matrix(spec, grid)``, bit for bit, for reading
+    only: a view of a sampled kernel's matrix, or ``out`` ((hi - lo) x n)
+    filled with a catalog kernel's values.  The caller checks the grid with
+    ``_check_grid`` once."""
+    if spec.variant == "sampled":
+        return spec.matrix[lo:hi]
+    return _eval_grid(spec, grid.nodes[lo:hi, None], grid.nodes[None, :], out)
+
+
+def _kernel_diagonal(spec: KernelSpec, grid: Grid) -> np.ndarray:
+    """The diagonal of ``kernel_matrix(spec, grid)``, bit for bit, in O(n)."""
+    if spec.variant == "sampled":
+        return np.diagonal(spec.matrix)
+    return _eval_grid(spec, grid.nodes, grid.nodes, np.empty(grid.size))
 
 
 def kernel_matrix(spec: KernelSpec, grid: Grid) -> np.ndarray:
     """Kernel values on the tensor grid, exactly symmetric: catalog kernels
     are symmetric expressions and a sampled matrix is symmetrized when its
-    spec is built.  The result is a new array the caller owns."""
+    spec is built.  The result is a new array the caller owns; a catalog
+    kernel is evaluated into it one row block at a time, so no other n x n
+    array is made."""
     if grid.size == 0:
         return np.zeros((0, 0))
-    if np.any(grid.nodes < 0.0) or np.any(grid.nodes > 1.0):
-        raise ValueError("grid nodes must lie inside [0, 1]")
+    _check_grid(spec, grid)
     if spec.variant == "sampled":
-        if not spec.grid.same_nodes(grid, tol=1e-12):
-            raise ValueError("sampled kernel can only be evaluated on its own grid")
         return spec.matrix.copy()
-    return _eval_grid(spec, grid.nodes[:, None], grid.nodes[None, :])
+    out = np.empty((grid.size, grid.size))
+    for lo in range(0, grid.size, ROW_BLOCK):
+        _kernel_rows(spec, grid, lo, lo + ROW_BLOCK, out[lo : lo + ROW_BLOCK])
+    return out
 
 
 def diagonal_jump(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray | None:

@@ -38,7 +38,7 @@ from scipy.integrate import quad
 from .asymptotics import AsymptoticForm, abel_reduce, differentiate_form
 from .errors import DataError, NumericError, _check_integer
 from .grids import Grid
-from .kernels import KernelSpec, kernel_matrix
+from .kernels import ROW_BLOCK, KernelSpec
 from .quadform import _log_product_drift
 from .spectral import FourierCoeffs, Spectrum, _as_samples, _operator_action
 
@@ -128,9 +128,10 @@ def compute_psi(kernel: KernelSpec, phi: np.ndarray, grid: Grid) -> np.ndarray:
 
     The same diagonal kink correction as the spectral solver applies: for a
     catalog kernel the row-i integrand has its derivative jump exactly at
-    node i.
+    node i.  The kernel is applied one row block at a time, so no n x n
+    array is made.
     """
-    return _operator_action(kernel, kernel_matrix(kernel, grid), phi, grid)
+    return _operator_action(kernel, None, phi, grid)
 
 
 def gram_q(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> np.ndarray:
@@ -171,13 +172,47 @@ def build_gram(kernel: KernelSpec, spec: PerturbationSpec) -> GramData:
 
 
 def perturbed_kernel(kernel_mat: np.ndarray, psi: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """G_A = G0 + psi^T D psi on the grid."""
+    """G_A = G0 + psi^T D psi on the grid, as one new read-only array.
+
+    ``kernel_mat`` is the n x n base matrix, symmetric as ``kernel_matrix``
+    returns it; ``psi`` is (n,) or (n, m) and ``d`` is m x m, all finite,
+    or ValueError is raised.  The upper triangle is K + (psi D) psi^T, one
+    row block at a time, and the lower triangle is its mirror, so the
+    result is exactly symmetric and the lower triangle of ``kernel_mat`` is
+    not read.  ``sampled`` keeps the result without a copy.
+    """
     kernel_mat = np.asarray(kernel_mat, dtype=float)
     psi = np.asarray(psi, dtype=float)
+    d = np.asarray(d, dtype=float)
+    if kernel_mat.ndim != 2 or kernel_mat.shape[0] != kernel_mat.shape[1]:
+        raise ValueError(f"kernel_mat must be square, got shape {kernel_mat.shape}")
+    n = kernel_mat.shape[0]
     if psi.ndim == 1:
         psi = psi[:, None]
-    out = kernel_mat + psi @ np.asarray(d, dtype=float) @ psi.T
-    return 0.5 * (out + out.T)
+    if psi.ndim != 2 or psi.shape[0] != n:
+        raise ValueError(
+            f"psi must be ({n},) or ({n}, m) to match kernel_mat {kernel_mat.shape}, got shape {psi.shape}"
+        )
+    m = psi.shape[1]
+    if d.shape != (m, m):
+        raise ValueError(f"d must be {m} x {m} to match psi {psi.shape}, got shape {d.shape}")
+    for name, arr in (("kernel_mat", kernel_mat), ("psi", psi), ("d", d)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite")
+    p = psi @ d
+    out = np.empty((n, n))
+    for lo in range(0, n, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, n)
+        upper = out[lo:hi, lo:]
+        np.matmul(p[lo:hi], psi[lo:].T, out=upper)
+        upper += kernel_mat[lo:hi, lo:]
+        # the square on the diagonal takes its lower part from its upper
+        square = upper[:, : hi - lo]
+        below = np.tril_indices(hi - lo, -1)
+        square[below] = square.T[below]
+        out[lo:hi, :lo] = out[:lo, lo:hi].T
+    out.flags.writeable = False
+    return out
 
 
 def annihilation_residual(

@@ -21,6 +21,12 @@ the halves, and is taken only when ||F||_F <= tau ||B||_F; by Weyl's
 inequality that moves each eigenvalue by at most tau ||B||_F.  Any other
 matrix gets one full pass.
 
+Each n x n array on this path is made once.  The split never builds B: it
+forms its two half-size blocks from row blocks of the kernel (a catalog
+kernel evaluated block by block, a sampled kernel's own read-only matrix),
+W^(1/2) and the kink diagonal.  B is built only for the full pass and for
+the eigenfunctions, and psi = G0 phi applies the kernel by row blocks too.
+
 Catalog covariances have a derivative kink across the diagonal, which caps
 plain Gauss-Legendre convergence at O(n^-2) and is far too slow for the
 tolerances used downstream.  Because the kink of row i sits exactly at node
@@ -40,7 +46,7 @@ import numpy as np
 
 from .errors import DataError, NumericError, _check_integer
 from .grids import Grid
-from .kernels import PSD_TOL, KernelSpec, diagonal_jump, kernel_matrix
+from .kernels import PSD_TOL, ROW_BLOCK, KernelSpec, _check_grid, _kernel_diagonal, _kernel_rows, diagonal_jump
 
 __all__ = [
     "Spectrum",
@@ -56,7 +62,6 @@ EIGENVALUE_FLOOR = 1e-13
 # ratio grows about linearly in n; at n = 2000 it is 4.0e-13 for perturbed
 # bridges and 4.4e-12 for OU with alpha = 50, against tau = 2.8e-11.
 REFLECTION_TOL = 64 * np.finfo(float).eps
-_ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -141,87 +146,141 @@ def _as_samples(funcs: np.ndarray, grid: Grid) -> np.ndarray:
     return f
 
 
-def _operator_action(kernel: KernelSpec, mat: np.ndarray, funcs: np.ndarray, grid: Grid) -> np.ndarray:
+def _operator_action(kernel: KernelSpec, mat: np.ndarray | None, funcs: np.ndarray, grid: Grid) -> np.ndarray:
     """int G(x_i, y) f(y) dy for each sampled f, by the weighted rule on the
     kernel matrix ``mat`` plus the kink correction of ``kernel``.
 
-    ``mat`` is ``kernel``'s matrix or a perturbation of it that is smooth
-    across the diagonal, so the kink is ``kernel``'s either way.
+    ``mat`` is a perturbation of ``kernel``'s matrix that is smooth across
+    the diagonal, so the kink is ``kernel``'s either way; with ``mat`` None
+    the rule runs on ``kernel``'s own rows, one block at a time, and no
+    n x n array is made.
     """
     f = _as_samples(funcs, grid)
-    action = np.asarray(mat, dtype=float) @ (grid.weights[:, None] * f)
+    wf = grid.weights[:, None] * f
+    if mat is not None:
+        action = np.asarray(mat, dtype=float) @ wf
+    else:
+        _check_grid(kernel, grid)
+        n = grid.size
+        action = np.empty_like(wf)
+        buf = np.empty((min(ROW_BLOCK, n), n))
+        for lo in range(0, n, ROW_BLOCK):
+            rows = _kernel_rows(kernel, grid, lo, lo + ROW_BLOCK, buf[: min(ROW_BLOCK, n - lo)])
+            np.matmul(rows, wf, out=action[lo : lo + ROW_BLOCK])
     jump = diagonal_jump(kernel, grid.nodes)
     if jump is not None:
         action += kink_correction(jump, grid)[:, None] * f
     return action
 
 
+def _weighting(spec: KernelSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray | None]:
+    """W^(1/2) as a vector and the kink diagonal (None without jump data)."""
+    _check_grid(spec, grid)
+    jump = diagonal_jump(spec, grid.nodes)
+    return np.sqrt(grid.weights), None if jump is None else kink_correction(jump, grid)
+
+
+def _weighted_rows(
+    spec: KernelSpec, grid: Grid, sqrt_w: np.ndarray, kink: np.ndarray | None, lo: int, hi: int, out: np.ndarray
+) -> np.ndarray:
+    """Rows lo:hi of W^(1/2) M W^(1/2) plus the kink diagonal, written into
+    ``out`` one row block at a time: each entry is M_ij * (sqrt_w_i * sqrt_w_j),
+    and each diagonal entry then gains its kink term."""
+    for start in range(lo, hi, ROW_BLOCK):
+        stop = min(start + ROW_BLOCK, hi)
+        block = out[start - lo : stop - lo]
+        rows = _kernel_rows(spec, grid, start, stop, block)
+        np.multiply(rows, np.outer(sqrt_w[start:stop], sqrt_w), out=block)
+        if kink is not None:
+            i = np.arange(stop - start)
+            block[i, start + i] += kink[start:stop]
+    return out
+
+
 def _weighted_matrix(spec: KernelSpec, grid: Grid) -> np.ndarray:
     """W^(1/2) M W^(1/2) plus the kink diagonal: the symmetric matrix whose
-    eigenpairs are the Nystrom eigenpairs of ``spec`` on ``grid``."""
-    sqrt_w = np.sqrt(grid.weights)
-    b = kernel_matrix(spec, grid)  # a new array, weighted in place
-    # the products sqrt_w[i] * sqrt_w[j] of the full outer product, one row
-    # block at a time so that no second n x n array is made
-    for lo in range(0, grid.size, _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
-        b[rows] *= np.outer(sqrt_w[rows], sqrt_w)
-    jump = diagonal_jump(spec, grid.nodes)
-    if jump is not None:
-        b.flat[:: grid.size + 1] += kink_correction(jump, grid)
-    return b
+    eigenpairs are the Nystrom eigenpairs of ``spec`` on ``grid``, as one
+    new array."""
+    n = grid.size
+    return _weighted_rows(spec, grid, *_weighting(spec, grid), 0, n, np.empty((n, n)))
 
 
-def _eigenvalues(b: np.ndarray) -> np.ndarray:
-    """All eigenvalues of the symmetric matrix b, ascending.
+def _eigenvalues(spec: KernelSpec, grid: Grid) -> np.ndarray:
+    """All eigenvalues of B = W^(1/2) M W^(1/2) plus the kink diagonal,
+    ascending.
 
     With J the index reversal and h = n // 2, the orthogonal matrix
     Q = [[I, I], [J, -J]] / sqrt(2) (for odd n with the middle unit vector
-    between the halves) brings b to [[E, F], [F^T, O]], where
+    between the halves) brings B to [[E, F], [F^T, O]], where
 
         E = (A + C + C^T + D) / 2,   O = (A - C - C^T + D) / 2,
         F = (A - C + C^T - D) / 2,
 
-    A = b[:h, :h], C = b[:h, n-h:] J, C^T = J b[n-h:, :h] and
-    D = J b[n-h:, n-h:] J.  For odd n, E also holds the middle row and
-    column of b, folded and scaled by 1/sqrt(2), with b[h, h] as its
-    corner, and F the middle row's odd part.  A reflection-symmetric b
-    (J b J = b) has F = 0, and its eigenvalues are those of E and O, two
+    A = B[:h, :h], C = B[:h, n-h:] J, C^T = J B[n-h:, :h] and
+    D = J B[n-h:, n-h:] J.  For odd n, E also holds the middle row and
+    column of B, folded and scaled by 1/sqrt(2), with B[h, h] as its
+    corner, and F the middle row's odd part.  A reflection-symmetric B
+    (J B J = B) has F = 0, and its eigenvalues are those of E and O, two
     half-size problems.  The split is taken when
-    ||F||_F <= tau ||b||_F with tau = REFLECTION_TOL * n; by Weyl's
+    ||F||_F <= tau ||B||_F with tau = REFLECTION_TOL * n; by Weyl's
     inequality dropping F then moves each eigenvalue by at most
-    ||F||_2 <= tau ||b||_F.  Any other b goes to one full ``eigvalsh``.
+    ||F||_2 <= tau ||B||_F.  Any other B goes to one full ``eigvalsh``.
+
+    B itself is built only for that full pass.  The split reads rows i and
+    n-1-i of B together, one row block of each at a time, straight from the
+    kernel's rows, W^(1/2) and the kink diagonal; E, O and ||F||_F are
+    formed from them, with the entries of E and O equal bit for bit to
+    those the formulas give on the full B.
     """
-    n = b.shape[0]
+    n = grid.size
     h, m = n // 2, n - n // 2
     tau = REFLECTION_TOL * n
-    diag = np.diagonal(b)
-    # |F_ii| = |d_i - d_(n-1-i)| / 2, and ||b||_F <= n max|d| when b is
+    sqrt_w, kink = _weighting(spec, grid)
+    diag = _kernel_diagonal(spec, grid) * (sqrt_w * sqrt_w)
+    if kink is not None:
+        diag += kink
+
+    def full() -> np.ndarray:
+        return np.linalg.eigvalsh(_weighted_rows(spec, grid, sqrt_w, kink, 0, n, np.empty((n, n))))
+
+    # |F_ii| = |d_i - d_(n-1-i)| / 2, and ||B||_F <= n max|d| when B is
     # positive semidefinite: a wider diagonal gap rules the split out in O(n)
     if h == 0 or np.abs(diag - diag[::-1]).max() > 2.0 * tau * n * np.abs(diag).max():
-        return np.linalg.eigvalsh(b)
-    a, c = b[:h, :h], b[:h, m:][:, ::-1]
-    ct, d = b[m:, :h][::-1], b[m:, m:][::-1, ::-1]
-    # three half-size arrays: odd holds A + D and t holds C + C^T until
-    # each is reduced in place
-    odd, t = a + d, c + ct
-    even = np.empty((m, m))
-    np.add(odd, t, out=even[:h, :h])
-    even[:h, :h] *= 0.5
-    odd -= t
-    odd *= 0.5
-    np.subtract(a, d, out=t)
-    t -= c
-    t += ct  # 2 F
-    f2 = 0.25 * np.vdot(t, t)
+        return full()
+    even, odd = np.empty((m, m)), np.empty((h, h))
+    top, bottom = np.empty((min(ROW_BLOCK, h), n)), np.empty((min(ROW_BLOCK, h), n))
+    t = np.empty((min(ROW_BLOCK, h), h))
+    f2 = 0.0
+    for lo in range(0, h, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, h)
+        k = hi - lo
+        # rows lo:hi of B, and rows n-1-lo down to n-hi
+        upper = _weighted_rows(spec, grid, sqrt_w, kink, lo, hi, top[:k])
+        lower = _weighted_rows(spec, grid, sqrt_w, kink, n - hi, n - lo, bottom[:k])[::-1]
+        a, c = upper[:, :h], upper[:, m:][:, ::-1]
+        ct, d = lower[:, :h], lower[:, m:][:, ::-1]
+        # odd holds A + D and t holds C + C^T until each is reduced in place
+        o, tk, e = odd[lo:hi], t[:k], even[lo:hi, :h]
+        np.add(a, d, out=o)
+        np.add(c, ct, out=tk)
+        np.add(o, tk, out=e)
+        e *= 0.5
+        o -= tk
+        o *= 0.5
+        np.subtract(a, d, out=tk)
+        tk -= c
+        tk += ct  # 2 F
+        f2 += 0.25 * np.vdot(tk, tk)
     if m > h:
-        mid, mid_rev = b[h, :h], b[h, m:][::-1]
+        row = _weighted_rows(spec, grid, sqrt_w, kink, h, m, top[:1])[0]
+        mid, mid_rev = row[:h], row[m:][::-1]
         even[h, :h] = even[:h, h] = (mid + mid_rev) / np.sqrt(2.0)
-        even[h, h] = b[h, h]
+        even[h, h] = row[h]
         f2 += 0.5 * np.vdot(mid - mid_rev, mid - mid_rev)
-    # Q is orthogonal, so ||b||_F^2 = ||E||_F^2 + ||O||_F^2 + 2 ||F||_F^2
+    # Q is orthogonal, so ||B||_F^2 = ||E||_F^2 + ||O||_F^2 + 2 ||F||_F^2
     if f2 > tau * tau * (np.vdot(even, even) + np.vdot(odd, odd) + 2.0 * f2):
-        return np.linalg.eigvalsh(b)
+        del even, odd
+        return full()
     return np.sort(np.concatenate((np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd))))
 
 
@@ -240,7 +299,7 @@ def nystrom_spectrum(spec: KernelSpec, grid: Grid, k_max: int) -> Spectrum:
     _check_integer("k_max", k_max, 1)
     if k_max > grid.size:
         raise ValueError(f"k_max={k_max} exceeds grid size {grid.size}")
-    vals = _eigenvalues(_weighted_matrix(spec, grid))[::-1]
+    vals = _eigenvalues(spec, grid)[::-1]
     if vals[-1] < -PSD_TOL * max(vals[0], 0.0):
         spread = f"min eigenvalue {vals[-1]:.3e} vs max {vals[0]:.3e}"
         if spec.variant == "sampled":

@@ -18,6 +18,7 @@ from smallball import (
     sampled,
     wiener,
 )
+from smallball.kernels import _kernel_diagonal, _kernel_rows
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -100,6 +101,51 @@ def test_sampled_matrix_exactly_symmetric():
     m = kernel_matrix(bridge(), grid) + 1e-13 * rng.normal(size=(50, 50))
     out = kernel_matrix(sampled(grid, m), grid)
     assert np.array_equal(out, out.T)
+
+
+def _broadcast_reference(spec, grid):
+    # the kernels as one broadcast expression over the whole tensor grid
+    x, y = grid.nodes[:, None], grid.nodes[None, :]
+    if spec.variant == "wiener":
+        return np.minimum(x, y)
+    if spec.variant == "bridge":
+        return np.minimum(x, y) - x * y
+    return np.exp(-spec.alpha * np.abs(x - y))
+
+
+@pytest.mark.parametrize("spec", [wiener(), bridge(), ornstein_uhlenbeck(2.5)], ids=lambda s: s.variant)
+@pytest.mark.parametrize("n", [150, 151])
+def test_row_blocks_match_broadcast(spec, n):
+    grid = gauss_legendre_grid(n)
+    m = kernel_matrix(spec, grid)
+    np.testing.assert_array_equal(m, _broadcast_reference(spec, grid))
+    assert m.flags.writeable and m.flags.owndata
+    np.testing.assert_array_equal(_kernel_diagonal(spec, grid), np.diagonal(m))
+    np.testing.assert_array_equal(_kernel_rows(spec, grid, 64, 128, np.empty((64, n))), m[64:128])
+
+
+def test_sampled_shares_read_only_owner():
+    grid = gauss_legendre_grid(50)
+    owner = kernel_matrix(bridge(), grid)
+    owner.flags.writeable = False
+    spec = sampled(grid, owner)
+    assert np.shares_memory(spec.matrix, owner)
+    assert not spec.matrix.flags.writeable
+    # a writable input, or a read-only view of a writable base, could still
+    # change under the spec, so both are copied
+    writable = kernel_matrix(bridge(), grid)
+    view = writable[:]
+    view.flags.writeable = False
+    for given_matrix in (writable, view):
+        spec = sampled(grid, given_matrix)
+        assert not np.shares_memory(spec.matrix, writable)
+        assert not spec.matrix.flags.writeable
+    writable[7, 7] = -1.0
+    assert spec.matrix[7, 7] == owner[7, 7]
+    # a matrix symmetrized within tolerance is new and read-only as well
+    nudged = kernel_matrix(bridge(), grid)
+    nudged[0, 1] += 1e-13
+    assert not sampled(grid, nudged).matrix.flags.writeable
 
 
 def test_sampled_off_grid_query():

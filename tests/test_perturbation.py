@@ -21,13 +21,16 @@ from smallball import (
     compute_psi,
     critical_prefactor,
     d_matrix,
+    diagonal_jump,
     distortion_constant,
     fourier_coefficients,
     gauss_legendre_grid,
     gram_q,
     green_base_form,
     kernel_matrix,
+    kink_correction,
     nystrom_spectrum,
+    ornstein_uhlenbeck,
     perturbed_kernel,
     sampled,
     spectral_product_check,
@@ -56,6 +59,20 @@ class TestComputePsi:
         one = compute_psi(bridge(), phi, g500)
         two = compute_psi(bridge(), 2.0 * phi, g500)
         np.testing.assert_array_equal(two, 2.0 * one)
+
+    @pytest.mark.parametrize("kernel", [bridge(), ornstein_uhlenbeck(2.0)], ids=lambda k: k.variant)
+    @pytest.mark.parametrize("n", [150, 151])
+    def test_row_blocks_match_dense_action(self, kernel, n):
+        # the blocked rule against the same rule on the full kernel matrix;
+        # blocks change only the order of the row sums
+        grid = gauss_legendre_grid(n)
+        phi = np.column_stack([np.ones(n), np.sin(3.0 * grid.nodes)])
+        dense = kernel_matrix(kernel, grid) @ (grid.weights[:, None] * phi)
+        dense += kink_correction(diagonal_jump(kernel, grid.nodes), grid)[:, None] * phi
+        psi = compute_psi(kernel, phi, grid)
+        assert np.abs(psi - dense).max() <= 1e-15 * np.abs(dense).max()
+        sampled_kernel = sampled(grid, kernel_matrix(kernel, grid), diag_jump=diagonal_jump(kernel, grid.nodes))
+        np.testing.assert_array_equal(compute_psi(sampled_kernel, phi, grid), psi)
 
     def test_zero_function(self, g500):
         psi = compute_psi(bridge(), np.zeros(g500.size), g500)
@@ -154,6 +171,50 @@ class TestPerturbedKernel:
         gram = build_gram(bridge(), spec)
         g_a = perturbed_kernel(kernel_matrix(bridge(), g500), gram.psi, gram.d_matrix)
         assert annihilation_residual(bridge(), g_a, phi, g500) < 1e-9
+
+    @pytest.mark.parametrize(
+        "m,d",
+        [(1, [[-9.0]]), (2, [[-12.0, 3.0], [3.0, -8.0]]), (2, [[1.0, 2.0], [2.0, -1.0]])],
+        ids=["m1", "m2", "m2_indefinite"],
+    )
+    @pytest.mark.parametrize("n", [150, 151])
+    def test_exactly_symmetric_and_read_only(self, m, d, n):
+        # n spans three row blocks, the last one partial
+        grid = gauss_legendre_grid(n)
+        phi = np.column_stack([np.ones(n), grid.nodes])[:, :m]
+        psi = compute_psi(bridge(), phi, grid)
+        k = kernel_matrix(bridge(), grid)
+        d = np.array(d)
+        g = perturbed_kernel(k, psi, d)
+        assert np.array_equal(g, g.T)
+        assert not g.flags.writeable
+        assert np.abs(g - (k + psi @ d @ psi.T)).max() <= 1e-15 * np.abs(k).max()
+        # the base matrix is read, not written
+        np.testing.assert_array_equal(k, kernel_matrix(bridge(), grid))
+
+    @pytest.mark.parametrize(
+        "k,psi,d,match",
+        [
+            (np.ones((50, 49)), np.ones(50), [[1.0]], r"kernel_mat must be square, got shape \(50, 49\)"),
+            (np.ones((50, 50)), np.array([2.0]), [[1.0]], r"psi must be \(50,\) or \(50, m\).*got shape \(1, 1\)"),
+            (np.ones((50, 50)), np.ones((50, 1, 1)), [[1.0]], r"psi must be.*got shape \(50, 1, 1\)"),
+            (np.ones((50, 50)), np.ones((50, 2)), [[1.0]], r"d must be 2 x 2 to match psi \(50, 2\), got shape \(1, 1"),
+            (np.ones((50, 50)), np.ones(50), 1.0, r"d must be 1 x 1.*got shape \(\)"),
+        ],
+        ids=["non_square", "short_psi", "psi_3d", "d_too_small", "d_scalar"],
+    )
+    def test_shapes_validated(self, k, psi, d, match):
+        # a short psi used to broadcast: K + 4 everywhere
+        with pytest.raises(ValueError, match=match):
+            perturbed_kernel(k, psi, d)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", ["kernel_mat", "psi", "d"])
+    def test_non_finite_rejected(self, bad, where):
+        args = {"kernel_mat": np.eye(20), "psi": np.ones((20, 2)), "d": np.eye(2)}
+        args[where][1, 1] = bad
+        with pytest.raises(ValueError, match=f"{where} must be finite"):
+            perturbed_kernel(**args)
 
 
 class TestClassify:

@@ -25,7 +25,7 @@ from smallball import (
     spectral_product_check,
     wiener,
 )
-from smallball.spectral import EIGENVALUE_FLOOR, _weighted_matrix
+from smallball.spectral import EIGENVALUE_FLOOR, _eigenvalues, _weighted_matrix
 
 BRIDGE_MU = lambda k: 1.0 / (np.pi * k) ** 2  # noqa: E731
 WIENER_MU = lambda k: 1.0 / ((k - 0.5) * np.pi) ** 2  # noqa: E731
@@ -196,6 +196,37 @@ def test_split_route_odd_size(n, eigvalsh_calls):
     # the even block holds the middle node
     assert eigvalsh_calls == [(n // 2 + 1, n // 2 + 1), (n // 2, n // 2)]
     assert np.abs(vals - full[: vals.size]).max() <= 1e-14 * full[0]
+
+
+def _split_reference(b):
+    """E and O of the docstring of _eigenvalues, from the full matrix b."""
+    n = b.shape[0]
+    h, m = n // 2, n - n // 2
+    a, c = b[:h, :h], b[:h, m:][:, ::-1]
+    ct, d = b[m:, :h][::-1], b[m:, m:][::-1, ::-1]
+    even = np.empty((m, m))
+    even[:h, :h] = 0.5 * ((a + d) + (c + ct))
+    odd = 0.5 * ((a + d) - (c + ct))
+    if m > h:
+        even[h, :h] = even[:h, h] = (b[h, :h] + b[h, m:][::-1]) / np.sqrt(2.0)
+        even[h, h] = b[h, h]
+    return even, odd
+
+
+@pytest.mark.parametrize("n", [150, 151])
+@pytest.mark.parametrize("name", ["bridge", "ou", "critical"])
+def test_split_blocks_match_full_matrix(name, n):
+    # the row-blocked split forms E and O bit for bit as the formulas do on
+    # the full weighted matrix, over blocks that do not divide h
+    grid = gauss_legendre_grid(n)
+    spec = {
+        "bridge": bridge,
+        "ou": lambda: ornstein_uhlenbeck(3.0),
+        "critical": lambda: _bridge_perturbation(grid, 12.0),
+    }[name]()
+    even, odd = _split_reference(_weighted_matrix(spec, grid))
+    expected = np.sort(np.concatenate((np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd))))
+    np.testing.assert_array_equal(_eigenvalues(spec, grid), expected)
 
 
 def _nudged_bridge(grid):
