@@ -71,14 +71,14 @@ def _write_csv(path: str, header: str, rows) -> None:
 
 
 def _floats(cfg: dict, key: str, ndim: int) -> np.ndarray:
-    """``cfg[key]`` as a float array of ``ndim`` dimensions; any other value
-    is an argument error that names the key."""
+    """``cfg[key]`` as a non-empty float array of ``ndim`` dimensions; any
+    other value is an argument error that names the key."""
     try:
         value = np.asarray(cfg[key], dtype=float)
     except (TypeError, ValueError):
         value = None
-    if value is None or value.ndim != ndim:
-        raise ValueError(f"key {key!r} must be a list of {'lists of ' * (ndim - 1)}numbers")
+    if value is None or value.ndim != ndim or value.size == 0:
+        raise ValueError(f"key {key!r} must be a non-empty list of {'lists of ' * (ndim - 1)}numbers")
     return value
 
 
@@ -109,6 +109,8 @@ def _kernel_from_config(cfg: dict) -> kernels.KernelSpec:
 
 
 def _cmd_spectrum(args) -> tuple[dict, dict, dict]:
+    if not math.isfinite(args.alpha):
+        raise ValueError(f"alpha must be finite, got {args.alpha}")
     if args.kernel == "ou":
         spec = kernels.ornstein_uhlenbeck(args.alpha)
     else:
@@ -125,8 +127,7 @@ def _cmd_spectrum(args) -> tuple[dict, dict, dict]:
             for i in range(grid.size)
         ]
         _write_csv(args.eigvecs_out, header, rows)
-    diagonal = [kernels.kernel_eval(spec, x, x) for x in grid.nodes]
-    trace = float(np.sum(grid.weights * diagonal))
+    trace = float(np.sum(grid.weights * kernels._kernel_diagonal(spec, grid)))
     return (
         {"kernel": args.kernel, "alpha": args.alpha, "n": args.n, "k": args.k},
         {"eigenvalues": [float(v) for v in mu]},
@@ -204,10 +205,12 @@ def _cmd_perturb(args) -> tuple[dict, dict, dict]:
         if type(size) is not int:
             raise ValueError("problem key 'grid_size' must be an integer")
         grid = gauss_legendre_grid(size)
-    if not isinstance(cfg["phi"], list) or not all(
+    if not isinstance(cfg["phi"], list) or not cfg["phi"] or not all(
         isinstance(descr, dict) and ("poly" in descr) != ("samples" in descr) for descr in cfg["phi"]
     ):
-        raise ValueError("problem key 'phi' must be a list of objects, each with exactly one of 'poly' or 'samples'")
+        raise ValueError(
+            "problem key 'phi' must be a non-empty list of objects, each with exactly one of 'poly' or 'samples'"
+        )
     phi = np.column_stack([
         np.polynomial.polynomial.polyval(grid.nodes, _floats(descr, "poly", 1))
         if "poly" in descr

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _check_integer
 from .grids import Grid
 
 __all__ = [
@@ -60,10 +60,8 @@ class KernelSpec:
             # the comparisons reject NaN, and a bound of max/2 keeps the jump 2 alpha finite
             if self.alpha is None or not 0.0 < self.alpha <= 0.5 * np.finfo(float).max:
                 raise ValueError("ornstein_uhlenbeck needs a finite rate alpha > 0 whose jump 2*alpha is finite")
-        if self.green_order is not None and not (
-            isinstance(self.green_order, (int, np.integer)) and self.green_order >= 1
-        ):
-            raise ValueError("green_order must be a positive integer")
+        if self.green_order is not None:
+            _check_integer("green_order", self.green_order, 1)
         if self.variant == "sampled":
             if self.grid is None or self.matrix is None:
                 raise ValueError("sampled kernel needs a grid and a matrix")

@@ -40,7 +40,7 @@ from .errors import DataError, NumericError, _check_integer
 from .grids import Grid
 from .kernels import ROW_BLOCK, KernelSpec
 from .quadform import _log_product_drift
-from .spectral import FourierCoeffs, Spectrum, _as_samples, _operator_action
+from .spectral import FourierCoeffs, Spectrum, _as_samples, _Discretization
 
 __all__ = [
     "PerturbationSpec",
@@ -131,7 +131,7 @@ def compute_psi(kernel: KernelSpec, phi: np.ndarray, grid: Grid) -> np.ndarray:
     node i.  The kernel is applied one row block at a time, so no n x n
     array is made.
     """
-    return _operator_action(kernel, None, phi, grid)
+    return _Discretization(kernel, grid).apply(phi)
 
 
 def gram_q(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> np.ndarray:
@@ -228,10 +228,9 @@ def annihilation_residual(
     correction (the rank-m term is smooth across the diagonal), matching
     how every other operator action in the package is discretized.
     """
-    action = _operator_action(kernel, perturbed_mat, phi, grid)
-    base_action = compute_psi(kernel, phi, grid)
-    scale = max(float(np.abs(base_action).max()), 1e-300)
-    return float(np.abs(action).max()) / scale
+    op = _Discretization(kernel, grid)
+    scale = max(float(np.abs(op.apply(phi)).max()), 1e-300)
+    return float(np.abs(op.apply(phi, perturbed_mat)).max()) / scale
 
 
 def classify(a: np.ndarray, q: np.ndarray) -> Classification:

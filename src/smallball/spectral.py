@@ -21,11 +21,11 @@ the halves, and is taken only when ||F||_F <= tau ||B||_F; by Weyl's
 inequality that moves each eigenvalue by at most tau ||B||_F.  Any other
 matrix gets one full pass.
 
-Each n x n array on this path is made once.  The split never builds B: it
-forms its two half-size blocks from row blocks of the kernel (a catalog
-kernel evaluated block by block, a sampled kernel's own read-only matrix),
-W^(1/2) and the kink diagonal.  B is built only for the full pass and for
-the eigenfunctions, and psi = G0 phi applies the kernel by row blocks too.
+Every use of B (the eigenvalue passes, the eigenfunctions, psi = G0 phi,
+the annihilation check) goes through one ``_Discretization`` per (kernel,
+grid), which keeps only W^(1/2) and the kink diagonal and reads the
+kernel's rows one block at a time.  The split forms its half-size blocks
+from row blocks of B; only the full pass and the eigenfunctions build B.
 
 Catalog covariances have a derivative kink across the diagonal, which caps
 plain Gauss-Legendre convergence at O(n^-2) and is far too slow for the
@@ -94,8 +94,9 @@ class Spectrum:
         The floor keeps a prefix of the descending eigenvalues, so the
         retained eigenfunctions are the leading columns.
         """
-        vecs = np.linalg.eigh(_weighted_matrix(self.kernel, self.grid))[1]
-        u = vecs[:, ::-1][:, : self.truncation_count] / np.sqrt(self.grid.weights)[:, None]
+        op = _Discretization(self.kernel, self.grid)
+        vecs = np.linalg.eigh(op.matrix())[1]
+        u = vecs[:, ::-1][:, : self.truncation_count] / op.sqrt_w[:, None]
         mag = np.abs(u)
         first = np.argmax(mag > 1e-6 * mag.max(axis=0), axis=0)
         u[:, u[first, np.arange(u.shape[1])] < 0] *= -1.0
@@ -146,63 +147,67 @@ def _as_samples(funcs: np.ndarray, grid: Grid) -> np.ndarray:
     return f
 
 
-def _operator_action(kernel: KernelSpec, mat: np.ndarray | None, funcs: np.ndarray, grid: Grid) -> np.ndarray:
-    """int G(x_i, y) f(y) dy for each sampled f, by the weighted rule on the
-    kernel matrix ``mat`` plus the kink correction of ``kernel``.
-
-    ``mat`` is a perturbation of ``kernel``'s matrix that is smooth across
-    the diagonal, so the kink is ``kernel``'s either way; with ``mat`` None
-    the rule runs on ``kernel``'s own rows, one block at a time, and no
-    n x n array is made.
+class _Discretization:
+    """The Nystrom operator of ``kernel`` on ``grid``: B = W^(1/2) M W^(1/2)
+    plus the kink diagonal, M the kernel matrix.  The grid is checked once;
+    only W^(1/2) and the kink diagonal (None without jump data) are kept,
+    and the kernel's rows are read one block at a time wherever B is formed
+    or applied.
     """
-    f = _as_samples(funcs, grid)
-    wf = grid.weights[:, None] * f
-    if mat is not None:
-        action = np.asarray(mat, dtype=float) @ wf
-    else:
+
+    def __init__(self, kernel: KernelSpec, grid: Grid):
         _check_grid(kernel, grid)
-        n = grid.size
-        action = np.empty_like(wf)
-        buf = np.empty((min(ROW_BLOCK, n), n))
-        for lo in range(0, n, ROW_BLOCK):
-            rows = _kernel_rows(kernel, grid, lo, lo + ROW_BLOCK, buf[: min(ROW_BLOCK, n - lo)])
-            np.matmul(rows, wf, out=action[lo : lo + ROW_BLOCK])
-    jump = diagonal_jump(kernel, grid.nodes)
-    if jump is not None:
-        action += kink_correction(jump, grid)[:, None] * f
-    return action
+        self.kernel, self.grid = kernel, grid
+        self.sqrt_w = np.sqrt(grid.weights)
+        jump = diagonal_jump(kernel, grid.nodes)
+        self.kink = None if jump is None else kink_correction(jump, grid)
 
+    def rows(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """Rows lo:hi of B, written into ``out`` one row block at a time:
+        each entry is M_ij * (sqrt_w_i * sqrt_w_j), and each diagonal entry
+        then gains its kink term."""
+        for start in range(lo, hi, ROW_BLOCK):
+            stop = min(start + ROW_BLOCK, hi)
+            block = out[start - lo : stop - lo]
+            rows = _kernel_rows(self.kernel, self.grid, start, stop, block)
+            np.multiply(rows, np.outer(self.sqrt_w[start:stop], self.sqrt_w), out=block)
+            if self.kink is not None:
+                i = np.arange(stop - start)
+                block[i, start + i] += self.kink[start:stop]
+        return out
 
-def _weighting(spec: KernelSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray | None]:
-    """W^(1/2) as a vector and the kink diagonal (None without jump data)."""
-    _check_grid(spec, grid)
-    jump = diagonal_jump(spec, grid.nodes)
-    return np.sqrt(grid.weights), None if jump is None else kink_correction(jump, grid)
+    def matrix(self) -> np.ndarray:
+        """B as one new array."""
+        n = self.grid.size
+        return self.rows(0, n, np.empty((n, n)))
 
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of B, bit for bit, in O(n)."""
+        diag = _kernel_diagonal(self.kernel, self.grid) * (self.sqrt_w * self.sqrt_w)
+        if self.kink is not None:
+            diag += self.kink
+        return diag
 
-def _weighted_rows(
-    spec: KernelSpec, grid: Grid, sqrt_w: np.ndarray, kink: np.ndarray | None, lo: int, hi: int, out: np.ndarray
-) -> np.ndarray:
-    """Rows lo:hi of W^(1/2) M W^(1/2) plus the kink diagonal, written into
-    ``out`` one row block at a time: each entry is M_ij * (sqrt_w_i * sqrt_w_j),
-    and each diagonal entry then gains its kink term."""
-    for start in range(lo, hi, ROW_BLOCK):
-        stop = min(start + ROW_BLOCK, hi)
-        block = out[start - lo : stop - lo]
-        rows = _kernel_rows(spec, grid, start, stop, block)
-        np.multiply(rows, np.outer(sqrt_w[start:stop], sqrt_w), out=block)
-        if kink is not None:
-            i = np.arange(stop - start)
-            block[i, start + i] += kink[start:stop]
-    return out
-
-
-def _weighted_matrix(spec: KernelSpec, grid: Grid) -> np.ndarray:
-    """W^(1/2) M W^(1/2) plus the kink diagonal: the symmetric matrix whose
-    eigenpairs are the Nystrom eigenpairs of ``spec`` on ``grid``, as one
-    new array."""
-    n = grid.size
-    return _weighted_rows(spec, grid, *_weighting(spec, grid), 0, n, np.empty((n, n)))
+    def apply(self, funcs: np.ndarray, mat: np.ndarray | None = None) -> np.ndarray:
+        """int G(x_i, y) f(y) dy for each sampled f, by the weighted rule plus
+        the kink correction.  The rule runs on the kernel's rows, one block at
+        a time, or on ``mat``: a dense perturbation of the kernel's matrix
+        that is smooth across the diagonal, so its kink is the kernel's.
+        """
+        f = _as_samples(funcs, self.grid)
+        wf = self.grid.weights[:, None] * f
+        if mat is not None:
+            action = np.asarray(mat, dtype=float) @ wf
+        else:
+            n = self.grid.size
+            action = np.empty_like(wf)
+            buf = np.empty((min(ROW_BLOCK, n), n))
+            for lo in range(0, n, ROW_BLOCK):
+                rows = _kernel_rows(self.kernel, self.grid, lo, lo + ROW_BLOCK, buf[: min(ROW_BLOCK, n - lo)])
+                np.matmul(rows, wf, out=action[lo : lo + ROW_BLOCK])
+        if self.kink is not None:
+            action += self.kink[:, None] * f
+        return action
 
 
 def _eigenvalues(spec: KernelSpec, grid: Grid) -> np.ndarray:
@@ -227,26 +232,20 @@ def _eigenvalues(spec: KernelSpec, grid: Grid) -> np.ndarray:
     ||F||_2 <= tau ||B||_F.  Any other B goes to one full ``eigvalsh``.
 
     B itself is built only for that full pass.  The split reads rows i and
-    n-1-i of B together, one row block of each at a time, straight from the
-    kernel's rows, W^(1/2) and the kink diagonal; E, O and ||F||_F are
-    formed from them, with the entries of E and O equal bit for bit to
-    those the formulas give on the full B.
+    n-1-i of B together, one row block of each at a time, from
+    ``_Discretization.rows``; E, O and ||F||_F are formed from them, with
+    the entries of E and O equal bit for bit to those the formulas give on
+    the full B.
     """
     n = grid.size
     h, m = n // 2, n - n // 2
     tau = REFLECTION_TOL * n
-    sqrt_w, kink = _weighting(spec, grid)
-    diag = _kernel_diagonal(spec, grid) * (sqrt_w * sqrt_w)
-    if kink is not None:
-        diag += kink
-
-    def full() -> np.ndarray:
-        return np.linalg.eigvalsh(_weighted_rows(spec, grid, sqrt_w, kink, 0, n, np.empty((n, n))))
-
+    op = _Discretization(spec, grid)
+    diag = op.diagonal()
     # |F_ii| = |d_i - d_(n-1-i)| / 2, and ||B||_F <= n max|d| when B is
     # positive semidefinite: a wider diagonal gap rules the split out in O(n)
     if h == 0 or np.abs(diag - diag[::-1]).max() > 2.0 * tau * n * np.abs(diag).max():
-        return full()
+        return np.linalg.eigvalsh(op.matrix())
     even, odd = np.empty((m, m)), np.empty((h, h))
     top, bottom = np.empty((min(ROW_BLOCK, h), n)), np.empty((min(ROW_BLOCK, h), n))
     t = np.empty((min(ROW_BLOCK, h), h))
@@ -255,8 +254,8 @@ def _eigenvalues(spec: KernelSpec, grid: Grid) -> np.ndarray:
         hi = min(lo + ROW_BLOCK, h)
         k = hi - lo
         # rows lo:hi of B, and rows n-1-lo down to n-hi
-        upper = _weighted_rows(spec, grid, sqrt_w, kink, lo, hi, top[:k])
-        lower = _weighted_rows(spec, grid, sqrt_w, kink, n - hi, n - lo, bottom[:k])[::-1]
+        upper = op.rows(lo, hi, top[:k])
+        lower = op.rows(n - hi, n - lo, bottom[:k])[::-1]
         a, c = upper[:, :h], upper[:, m:][:, ::-1]
         ct, d = lower[:, :h], lower[:, m:][:, ::-1]
         # odd holds A + D and t holds C + C^T until each is reduced in place
@@ -272,7 +271,7 @@ def _eigenvalues(spec: KernelSpec, grid: Grid) -> np.ndarray:
         tk += ct  # 2 F
         f2 += 0.25 * np.vdot(tk, tk)
     if m > h:
-        row = _weighted_rows(spec, grid, sqrt_w, kink, h, m, top[:1])[0]
+        row = op.rows(h, m, top[:1])[0]
         mid, mid_rev = row[:h], row[m:][::-1]
         even[h, :h] = even[:h, h] = (mid + mid_rev) / np.sqrt(2.0)
         even[h, h] = row[h]
@@ -280,7 +279,7 @@ def _eigenvalues(spec: KernelSpec, grid: Grid) -> np.ndarray:
     # Q is orthogonal, so ||B||_F^2 = ||E||_F^2 + ||O||_F^2 + 2 ||F||_F^2
     if f2 > tau * tau * (np.vdot(even, even) + np.vdot(odd, odd) + 2.0 * f2):
         del even, odd
-        return full()
+        return np.linalg.eigvalsh(op.matrix())
     return np.sort(np.concatenate((np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd))))
 
 

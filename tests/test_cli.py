@@ -347,6 +347,11 @@ def test_removed_options_rejected(tmp_path, monkeypatch, argv):
         ({"kernel": {"type": "sampled", "grid": [0.25, 0.75], "matrix": [[1.0, 0.5], [0.5, 1.0]],
                      "green_order": "x"}, "phi": [{"poly": [1.0]}], "A": [[1.0]]},
          "green_order"),
+        ({"kernel": {"type": "sampled", "grid": [0.25, 0.75], "matrix": [[1.0, 0.5], [0.5, 1.0]],
+                     "green_order": True}, "phi": [{"poly": [1.0]}], "A": [[1.0]]},
+         "green_order must be an integer, got bool"),
+        ({"kernel": {"type": "bridge"}, "grid_size": 50, "phi": [{"poly": []}], "A": [[6.0]]}, "'poly'"),
+        ({"kernel": {"type": "bridge"}, "grid_size": 50, "phi": [], "A": [[6.0]]}, "'phi'"),
         ({"kernel": {"type": "sampled", "grid": {"a": 1}, "matrix": [[1.0, 0.5], [0.5, 1.0]]},
           "phi": [{"poly": [1.0]}], "A": [[1.0]]},
          "'grid'"),
@@ -357,8 +362,8 @@ def test_removed_options_rejected(tmp_path, monkeypatch, argv):
     ],
     ids=["unknown_key", "poly_and_samples", "descriptor_not_an_object", "grid_size_with_sampled_kernel",
          "kernel_not_an_object", "phi_not_a_list", "phi_entry_not_an_object", "poly_not_a_list",
-         "green_order_not_an_integer", "grid_not_a_list", "grid_size_not_an_integer", "grid_size_bool",
-         "ou_spelled_short"],
+         "green_order_not_an_integer", "green_order_bool", "poly_empty", "phi_empty", "grid_not_a_list",
+         "grid_size_not_an_integer", "grid_size_bool", "ou_spelled_short"],
 )
 def test_perturb_problem_keys_checked(tmp_path, capsys, cfg, key):
     # a key the problem does not read, one another key already fixes, or a
@@ -417,6 +422,16 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     # non-finite inputs are rejected at the boundary
     assert run(["exact", "--weights", str(wfile), "--r", "nan", "--method", "mc"]) == 2
     assert run(["spectrum", "--kernel", "ou", "--alpha", "inf", "--n", "20", "--k", "2"]) == 2
+    # every kernel reads --alpha into its report, so a non-finite one is
+    # rejected even where the kernel does not use it
+    for kernel in ("bridge", "wiener", "ou"):
+        for bad in ("nan", "inf", "-inf"):
+            capsys.readouterr()
+            rep = tmp_path / "alpha.json"
+            assert run(["spectrum", "--kernel", kernel, f"--alpha={bad}", "--n", "20", "--k", "2",
+                        "--report", str(rep)]) == 2
+            assert "alpha must be finite" in capsys.readouterr().err
+            assert not rep.exists()
     capsys.readouterr()
     assert run(["asymptotic", "--law", "dll", "--theta", "nan"]) == 2
     assert "must be finite" in capsys.readouterr().err

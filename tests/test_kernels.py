@@ -37,6 +37,15 @@ def test_green_order_metadata():
     assert ornstein_uhlenbeck(2.0).green_order is None
 
 
+@pytest.mark.parametrize("order, error", [(True, TypeError), (1.0, TypeError), ("1", TypeError), (0, ValueError)])
+def test_green_order_must_be_a_positive_integer(order, error):
+    # a bool is an int to Python, but True is not an order
+    grid = gauss_legendre_grid(4)
+    with pytest.raises(error, match="green_order"):
+        sampled(grid, kernel_matrix(bridge(), grid), green_order=order)
+    assert sampled(grid, kernel_matrix(bridge(), grid), green_order=np.int64(2)).green_order == 2
+
+
 @given(unit, unit)
 def test_symmetry(x, y):
     for spec in (wiener(), bridge(), ornstein_uhlenbeck(0.7)):

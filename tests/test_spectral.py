@@ -6,8 +6,10 @@ from smallball import (
     DataError,
     NumericError,
     PerturbationSpec,
+    annihilation_residual,
     bridge,
     build_gram,
+    compute_psi,
     diagonal_jump,
     durbin_kernel_spec,
     exponential_rate,
@@ -25,7 +27,8 @@ from smallball import (
     spectral_product_check,
     wiener,
 )
-from smallball.spectral import EIGENVALUE_FLOOR, _eigenvalues, _weighted_matrix
+from smallball import spectral
+from smallball.spectral import EIGENVALUE_FLOOR, _Discretization, _eigenvalues
 
 BRIDGE_MU = lambda k: 1.0 / (np.pi * k) ** 2  # noqa: E731
 WIENER_MU = lambda k: 1.0 / ((k - 0.5) * np.pi) ** 2  # noqa: E731
@@ -163,7 +166,7 @@ def test_head_matches_exact_eigenvalues(n):
     }
     with mpmath.workdps(30):
         for name, spec in specs.items():
-            b = _weighted_matrix(spec, grid)
+            b = _Discretization(spec, grid).matrix()
             exact = sorted(mpmath.eigsy(mpmath.matrix(b.tolist()), eigvals_only=True), reverse=True)
             exact = np.array([float(v) for v in exact])
             # the floor drops the annihilated direction of the critical kernel
@@ -189,7 +192,7 @@ def eigvalsh_calls(monkeypatch):
 @pytest.mark.parametrize("n", [49, 1001])
 def test_split_route_odd_size(n, eigvalsh_calls):
     grid = gauss_legendre_grid(n)
-    b = _weighted_matrix(bridge(), grid)
+    b = _Discretization(bridge(), grid).matrix()
     full = np.linalg.eigvalsh(b)[::-1]
     eigvalsh_calls.clear()
     vals = nystrom_spectrum(bridge(), grid, n).eigenvalues
@@ -224,7 +227,7 @@ def test_split_blocks_match_full_matrix(name, n):
         "ou": lambda: ornstein_uhlenbeck(3.0),
         "critical": lambda: _bridge_perturbation(grid, 12.0),
     }[name]()
-    even, odd = _split_reference(_weighted_matrix(spec, grid))
+    even, odd = _split_reference(_Discretization(spec, grid).matrix())
     expected = np.sort(np.concatenate((np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd))))
     np.testing.assert_array_equal(_eigenvalues(spec, grid), expected)
 
@@ -252,7 +255,7 @@ def test_asymmetric_matrix_takes_full_solve(name, n, eigvalsh_calls):
     eigvalsh_calls.clear()
     vals = nystrom_spectrum(spec, grid, n).eigenvalues
     assert eigvalsh_calls == [(n, n)]
-    full = np.linalg.eigvalsh(_weighted_matrix(spec, grid))[::-1]
+    full = np.linalg.eigvalsh(_Discretization(spec, grid).matrix())[::-1]
     np.testing.assert_array_equal(vals, full[: vals.size])
 
 
@@ -337,6 +340,43 @@ def test_kink_correction_matches_dense_sum(make_grid, n):
     jump = np.linspace(0.5, 2.0, grid.size)
     dense = 0.5 * jump * (np.abs(t[None, :] - t[:, None]) @ w - (t * t - t + 0.5))
     assert np.abs(kink_correction(jump, grid) - dense).max() <= 1e-14
+
+
+def test_kink_diagonal_built_once_per_call(monkeypatch):
+    # each entry point builds one discretization, so one kink diagonal;
+    # the annihilation check applies that one discretization twice
+    grid = gauss_legendre_grid(200)
+    phi = np.ones(grid.size)
+    gram = build_gram(bridge(), PerturbationSpec(phi=phi, a_matrix=np.array([[12.0]]), grid=grid))
+    g_c = perturbed_kernel(kernel_matrix(bridge(), grid), gram.psi, gram.d_matrix)
+    calls = []
+
+    def counted(jump, grid):
+        calls.append(grid.size)
+        return kink_correction(jump, grid)
+
+    monkeypatch.setattr(spectral, "kink_correction", counted)
+    for run in (
+        lambda: annihilation_residual(bridge(), g_c, phi, grid),
+        lambda: compute_psi(bridge(), phi, grid),
+        lambda: nystrom_spectrum(bridge(), grid, 10),
+    ):
+        calls.clear()
+        run()
+        assert calls == [grid.size]
+
+
+@pytest.mark.parametrize("name", ["bridge", "ou1", "critical", "no_jump"])
+def test_discretization_diagonal_is_matrix_diagonal(name):
+    grid = gauss_legendre_grid(101)
+    spec = {
+        "bridge": bridge,
+        "ou1": lambda: ornstein_uhlenbeck(1.0),
+        "critical": lambda: _bridge_perturbation(grid, 12.0),
+        "no_jump": lambda: sampled(grid, kernel_matrix(bridge(), grid)),
+    }[name]()
+    op = _Discretization(spec, grid)
+    np.testing.assert_array_equal(op.diagonal(), np.diagonal(op.matrix()))
 
 
 def test_fourier_of_eigenfunction(bridge_spectrum_2000):
