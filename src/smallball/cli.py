@@ -82,25 +82,43 @@ def _floats(cfg: dict, key: str, ndim: int) -> np.ndarray:
     return value
 
 
+def _check_keys(what: str, cfg: dict, keys) -> None:
+    """Reject any key of ``cfg`` outside ``keys`` as an argument error that
+    names it, so a misspelt key is not read as an absent one."""
+    for key in cfg:
+        if key not in keys:
+            raise ValueError(f"{what} key {key!r} is not one of {list(keys)}")
+
+
 def _kernel_from_config(cfg: dict) -> kernels.KernelSpec:
     kind = cfg.get("type")
+    keys = {
+        "wiener": ("type",),
+        "bridge": ("type",),
+        "ornstein_uhlenbeck": ("type", "alpha"),
+        "sampled": ("type", "grid", "weights", "diag_jump", "matrix", "green_order"),
+    }
+    if not (isinstance(kind, str) and kind in keys):
+        raise ValueError(f"unknown kernel type {kind!r}")
+    _check_keys("kernel", cfg, keys[kind])
     if kind == "wiener":
         return kernels.wiener()
     if kind == "bridge":
         return kernels.bridge()
     if kind == "ornstein_uhlenbeck":
-        return kernels.ornstein_uhlenbeck(float(cfg["alpha"]))
-    if kind == "sampled":
-        nodes = _floats(cfg, "grid", 1)
-        weights = _floats(cfg, "weights", 1) if "weights" in cfg else np.full(nodes.size, 1.0 / nodes.size)
-        jump = None if cfg.get("diag_jump") is None else _floats(cfg, "diag_jump", 1)
-        return kernels.sampled(
-            Grid(nodes=nodes, weights=weights),
-            _floats(cfg, "matrix", 2),
-            diag_jump=jump,
-            green_order=cfg.get("green_order"),
-        )
-    raise ValueError(f"unknown kernel type {kind!r}")
+        alpha = cfg.get("alpha")
+        if type(alpha) not in (int, float):
+            raise ValueError(f"kernel key 'alpha' must be a number, got {alpha!r}")
+        return kernels.ornstein_uhlenbeck(alpha)
+    nodes = _floats(cfg, "grid", 1)
+    weights = _floats(cfg, "weights", 1) if "weights" in cfg else np.full(nodes.size, 1.0 / nodes.size)
+    jump = None if cfg.get("diag_jump") is None else _floats(cfg, "diag_jump", 1)
+    return kernels.sampled(
+        Grid(nodes=nodes, weights=weights),
+        _floats(cfg, "matrix", 2),
+        diag_jump=jump,
+        green_order=cfg.get("green_order"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +208,7 @@ def _cmd_perturb(args) -> tuple[dict, dict, dict]:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("problem must be a JSON object")
-    for key in cfg:
-        if key not in _PROBLEM_KEYS:
-            raise ValueError(f"problem key {key!r} is not one of {list(_PROBLEM_KEYS)}")
+    _check_keys("problem", cfg, _PROBLEM_KEYS)
     if not isinstance(cfg["kernel"], dict):
         raise ValueError("problem key 'kernel' must be an object")
     kernel = _kernel_from_config(cfg["kernel"])
@@ -211,6 +227,8 @@ def _cmd_perturb(args) -> tuple[dict, dict, dict]:
         raise ValueError(
             "problem key 'phi' must be a non-empty list of objects, each with exactly one of 'poly' or 'samples'"
         )
+    for descr in cfg["phi"]:
+        _check_keys("phi entry", descr, ("poly", "samples"))
     phi = np.column_stack([
         np.polynomial.polynomial.polyval(grid.nodes, _floats(descr, "poly", 1))
         if "poly" in descr

@@ -54,7 +54,9 @@ __all__ = [
     "simulate_omega2",
 ]
 
-_FAMILIES = {"normal_location": 1, "normal_location_scale": 2, "exponential_rate": 1}
+# the theta0 components of each catalog family, all of them estimated;
+# every component but the location mu must be positive
+_FAMILIES = {"normal_location": ("mu",), "normal_location_scale": ("mu", "sigma"), "exponential_rate": ("lam",)}
 
 Q_VS_S_TOL = 1e-6
 MODEL_GRID_SIZE = 500
@@ -82,22 +84,16 @@ class FamilySpec:
         object.__setattr__(self, "theta0", tuple(float(v) for v in self.theta0))
         if not all(math.isfinite(v) for v in self.theta0):
             raise ValueError("theta0 must be finite")
-        if self.family == "normal_location" and len(self.theta0) != 1:
-            raise ValueError("normal_location takes theta0 = (mu,)")
-        if self.family == "normal_location_scale":
-            if len(self.theta0) != 2:
-                raise ValueError("normal_location_scale takes theta0 = (mu, sigma)")
-            if self.theta0[1] <= 0:
-                raise ValueError("sigma must be positive")
-        if self.family == "exponential_rate":
-            if len(self.theta0) != 1:
-                raise ValueError("exponential_rate takes theta0 = (lam,)")
-            if self.theta0[0] <= 0:
-                raise ValueError("rate must be positive")
+        names = _FAMILIES[self.family]
+        if len(self.theta0) != len(names):
+            raise ValueError(f"{self.family} takes theta0 = ({', '.join(names)})")
+        for name, v in zip(names, self.theta0):
+            if name != "mu" and v <= 0:
+                raise ValueError(f"{name} must be positive, got {v}")
 
     @property
     def m(self) -> int:
-        return _FAMILIES[self.family]
+        return len(_FAMILIES[self.family])
 
 
 def normal_location(mu: float = 0.0) -> FamilySpec:
@@ -256,13 +252,13 @@ def _mle_transform(fam: FamilySpec, x: np.ndarray) -> np.ndarray:
 
 
 def _draw(fam: FamilySpec, rng: np.random.Generator, shape) -> np.ndarray:
-    """Samples from F(., theta0): normals from ``Generator.standard_normal``
-    (the ziggurat), exponentials by inverse CDF of uniforms."""
-    if fam.family == "normal_location":
-        return fam.theta0[0] + rng.standard_normal(shape)
-    if fam.family == "normal_location_scale":
-        return fam.theta0[0] + fam.theta0[1] * rng.standard_normal(shape)
-    return -np.log1p(-rng.random(shape)) / fam.theta0[0]
+    """Samples from F(., theta0): exponentials by inverse CDF of uniforms,
+    normals as mu + sigma z with z from ``Generator.standard_normal`` (the
+    ziggurat) and sigma = 1 for the location family."""
+    if fam.family == "exponential_rate":
+        return -np.log1p(-rng.random(shape)) / fam.theta0[0]
+    sigma = fam.theta0[1] if fam.m == 2 else 1.0
+    return fam.theta0[0] + sigma * rng.standard_normal(shape)
 
 
 def simulate_omega2(fam: FamilySpec, n: int, reps: int, seed: int) -> np.ndarray:

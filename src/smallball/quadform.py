@@ -337,68 +337,65 @@ def cdf_saddlepoint(w: WeightSeq, r: float) -> ProbabilityEstimate:
 
 def _solve_saddle(mu: np.ndarray, r: float) -> tuple[float, float]:
     """Root s of K'(s) = r on the CGF domain (-inf, 1/(2 mu_1)), and K''
-    from the last pass, at a point within 1e-12 relative of s.  K' is
-    increasing from 0 to +inf there, so every r > 0 has a unique tilt.
+    from the last pass.  K' is increasing from 0 to +inf there, so every
+    r > 0 has a unique tilt.
 
-    Newton's method on log K' = log r runs in x = log(-s) when K'(0) > r
-    and in y = -log(1 - 2 mu_1 s) when K'(0) < r; in these variables
-    log K' is close to linear in both deep tails.  Each step reads K' and
-    K'' from one pass over the weights.  The iteration starts at the end of
-    a closed-form sign bracket, keeps that bracket, bisects it when a step
-    would leave it, and stops on a step that moves s by less than 1e-12
-    relative.  That test comes before the bracket test, so a step at the
+    Newton's method runs on log K' = log r in the one variable
+    y = -log(1 - 2 mu_1 s), which maps the whole domain onto the real line,
+    s < 0 onto y < 0, and in which log K' is close to linear in both deep
+    tails.  Each step reads K' and K'' from one pass over the weights.
+    Since K'(0) e^-y <= K'(s) <= N / (-2 s) below the mean and
+    mu_1 e^y <= K'(s) <= K'(0) e^y above it, the iteration starts at
+    y = log(r / K'(0)) and keeps a sign bracket whose other end is
+    -log1p(mu_1 N / r) below the mean and log(r / mu_1) above it; a step
+    that would leave the bracket bisects it.  The iteration stops, and
+    returns s moved by the step, once that step moves s by less than 1e-12
+    relative or K'(s) matches r to 1e-14 relative.  The second test is the
+    rounding floor within about 1e-4 of the mean, where s is too small for
+    the first.  Both come before the bracket test, so a step at the
     rounding floor ends the iteration instead of starting bisections.  Far
     enough in the left tail K'' underflows to zero (r <= 1e-160 on 2000
     weights mu_k = 1/(pi k)^2) and the step is undefined; that raises
-    NumericError.  So does the right tail once y passes about -log(eps)
-    (r >= 6e14 on those weights), where s rounds onto the pole
-    1/(2 mu_1); it raises before the pass there.
+    NumericError, as does a bracket end where 1 - 2 mu_1 s passes exp(700)
+    (r <= 1e-302 on those weights).  So does the right tail once y passes
+    about -log(eps) (r >= 6e14 on those weights), where s rounds onto the
+    pole 1/(2 mu_1); it raises before the pass there.
     """
-    k1, k2 = _cgf12(0.0, mu)
-    if k1 == r:
-        return 0.0, k2
-    if k1 > r:
-        # K'(0) / (1 - 2 s mu_1) <= K'(s) <= N / (-2 s) on s < 0
-        s_lo, s_hi = -(k1 - r) / (2.0 * r * mu[0]), -mu.size / (2.0 * r)
-        if not math.isfinite(s_hi):
-            raise NumericError("saddle equation has no finite bracket")
-        side, lo, hi = -1.0, math.log(-s_lo), math.log(-s_hi)
-        to_s = lambda x: -math.exp(x)  # noqa: E731
-        ds_dx = lambda s: s  # noqa: E731
-    else:
-        # mu_1 / (1 - 2 s mu_1) <= K'(s) <= K'(0) / (1 - 2 s mu_1) on s > 0
-        side, lo, hi = 1.0, math.log(r / k1), math.log(r / mu[0])
+    k1 = float(mu.sum())
+    edge = -math.log1p(float(mu[0]) * mu.size / r) if r < k1 else math.log(r / mu[0])
+    if edge < -700.0:
+        raise NumericError(
+            f"saddle equation: r = {r:.6g} is so far below the mean that 1 - 2 mu_1 s overflows"
+        )
 
-        def to_s(y):
-            # beyond y ~ -log(eps), s rounds onto the pole, where K' is infinite
-            s = -math.expm1(-y) / (2.0 * mu[0])
-            if 2.0 * s * mu[0] >= 1.0:
-                raise NumericError(
-                    f"saddle equation: r = {r:.6g} is so far above the mean that s rounds "
-                    f"onto the pole 1/(2 mu_1) = {0.5 / mu[0]:.6g}"
-                )
-            return s
+    def to_s(y):
+        # beyond y ~ -log(eps), s rounds onto the pole, where K' is infinite
+        s = -math.expm1(-y) / (2.0 * mu[0])
+        if 2.0 * s * mu[0] >= 1.0:
+            raise NumericError(
+                f"saddle equation: r = {r:.6g} is so far above the mean that s rounds "
+                f"onto the pole 1/(2 mu_1) = {0.5 / mu[0]:.6g}"
+            )
+        return s
 
-        ds_dx = lambda s: 0.5 / mu[0] - s  # noqa: E731
-    # g = side * log(K'(s) / r) increases through its root on [lo, hi]
-    x = lo
+    # g = log(K'(s) / r) increases through its root on [lo, hi]
+    y = math.log(r / k1)
+    lo, hi = min(y, edge), max(y, edge)
     for _ in range(200):
-        s = to_s(x)
+        s = to_s(y)
         k1, k2 = _cgf12(s, mu)
         if k2 == 0.0:
             raise NumericError(f"saddle equation: K'' underflows at s = {s:.3e}")
-        g = side * math.log(k1 / r)
-        if g == 0.0:
-            return s, k2
+        g = math.log(k1 / r)
         if g < 0.0:
-            lo = x
+            lo = y
         else:
-            hi = x
-        slope = ds_dx(s)
-        step = -g * k1 / (side * k2 * slope)
-        if abs(step * slope) <= 1e-12 * abs(s):
-            return to_s(x + step), k2
-        x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
+            hi = y
+        ds_dy = 0.5 / mu[0] - s
+        step = -g * k1 / (k2 * ds_dy)
+        if abs(g) <= 1e-14 or abs(step * ds_dy) <= 1e-12 * abs(s):
+            return to_s(y + step), k2
+        y = y + step if lo < y + step < hi else 0.5 * (lo + hi)
     raise NumericError("saddle equation: Newton iteration did not converge")
 
 

@@ -359,16 +359,32 @@ def test_removed_options_rejected(tmp_path, monkeypatch, argv):
         ({"kernel": {"type": "bridge"}, "grid_size": True, "phi": [{"poly": [1.0]}], "A": [[6.0]]}, "'grid_size'"),
         ({"kernel": {"type": "ou", "alpha": 1.0}, "grid_size": 50, "phi": [{"poly": [1.0]}], "A": [[6.0]]},
          "unknown kernel type 'ou'"),
+        ({"kernel": {"type": "ornstein_uhlenbeck", "alpha": 1.0, "foo": 1}, "grid_size": 50,
+          "phi": [{"poly": [1.0]}], "A": [[6.0]]},
+         "kernel key 'foo'"),
+        ({"kernel": {"type": "sampled", "grid": [0.25, 0.75], "matrix": [[1.0, 0.5], [0.5, 1.0]],
+                     "diag_jmp": [1.0, 1.0]}, "phi": [{"poly": [1.0]}], "A": [[1.0]]},
+         "kernel key 'diag_jmp'"),
+        ({"kernel": {"type": "bridge"}, "grid_size": 50, "phi": [{"poly": [1.0], "extra": 1}], "A": [[6.0]]},
+         "phi entry key 'extra'"),
+        ({"kernel": {"type": "ornstein_uhlenbeck"}, "grid_size": 50, "phi": [{"poly": [1.0]}], "A": [[6.0]]},
+         "kernel key 'alpha' must be a number"),
+        ({"kernel": {"type": "ornstein_uhlenbeck", "alpha": "fast"}, "grid_size": 50,
+          "phi": [{"poly": [1.0]}], "A": [[6.0]]},
+         "kernel key 'alpha' must be a number"),
     ],
     ids=["unknown_key", "poly_and_samples", "descriptor_not_an_object", "grid_size_with_sampled_kernel",
          "kernel_not_an_object", "phi_not_a_list", "phi_entry_not_an_object", "poly_not_a_list",
          "green_order_not_an_integer", "green_order_bool", "poly_empty", "phi_empty", "grid_not_a_list",
-         "grid_size_not_an_integer", "grid_size_bool", "ou_spelled_short"],
+         "grid_size_not_an_integer", "grid_size_bool", "ou_spelled_short", "ou_unknown_key",
+         "sampled_diag_jump_misspelt", "phi_entry_unknown_key", "ou_alpha_missing", "ou_alpha_not_a_number"],
 )
 def test_perturb_problem_keys_checked(tmp_path, capsys, cfg, key):
-    # a key the problem does not read, one another key already fixes, or a
-    # value of the wrong JSON type is an argument error that names it, not a
-    # silent default; the OU kernel type has one spelling, "ornstein_uhlenbeck"
+    # a key the problem, its kernel or a phi entry does not read, one another
+    # key already fixes, or a value of the wrong JSON type is an argument
+    # error that names it, not a silent default (a misspelt "diag_jump" once
+    # dropped the kink correction); the OU kernel type has one spelling,
+    # "ornstein_uhlenbeck"
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(cfg))
     rep = tmp_path / "rep.json"

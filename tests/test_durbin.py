@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,29 @@ class TestPsi:
         theta0[i] = bad
         with pytest.raises(ValueError, match="theta0 must be finite"):
             FamilySpec(family, tuple(theta0))
+
+    @pytest.mark.parametrize(
+        "family, names",
+        [("normal_location", ("mu",)), ("normal_location_scale", ("mu", "sigma")), ("exponential_rate", ("lam",))],
+        ids=["normal_location", "normal_location_scale", "exponential_rate"],
+    )
+    def test_theta0_components_checked(self, family, names):
+        # theta0 holds one value per named component, all of them estimated,
+        # and every component but the location mu is positive
+        from smallball import FamilySpec
+
+        good = (0.0, 1.0) if family == "normal_location_scale" else (1.0,)
+        assert FamilySpec(family, good).m == len(names)
+        for wrong in (good + (1.0,), good[:-1]):
+            with pytest.raises(ValueError, match=re.escape(f"{family} takes theta0 = ({', '.join(names)})")):
+                FamilySpec(family, wrong)
+        for bad in (0.0, -1.0):
+            theta0 = good[:-1] + (bad,)
+            if names[-1] == "mu":
+                assert FamilySpec(family, theta0).theta0 == theta0
+            else:
+                with pytest.raises(ValueError, match=f"{names[-1]} must be positive"):
+                    FamilySpec(family, theta0)
 
 
 class TestFisher:

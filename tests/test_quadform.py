@@ -119,36 +119,62 @@ class TestSaddlepoint:
     @pytest.mark.parametrize("delta", [0.0, -0.5], ids=["bridge", "wiener"])
     def test_newton_saddle_matches_brentq(self, monkeypatch, delta):
         # the cdf_curve saddlepoint heads, from the deep tail to past the
-        # mean (eps = 0.41 for the bridge, 0.71 for the Wiener process);
-        # every call takes at most 10 fused K'/K'' passes and lands on the
+        # mean (eps = 0.41 for the bridge, 0.71 for the Wiener process), and
+        # the mean K'(0) itself and 1e-9 relative to either side of it;
+        # every solve takes at most 10 fused K'/K'' passes and lands on the
         # root of a full-precision brentq solve
         w = _closed_form_weights(delta, n=100_000)
         mu = w.head
         passes, saddles = [], []
-        real_cgf12, real_solve = quadform._cgf12, quadform._solve_saddle
+        real_cgf12 = quadform._cgf12
 
         def counting(s, mu):
             passes[-1] += 1
             return real_cgf12(s, mu)
 
-        def recording(mu, r):
-            s, k2 = real_solve(mu, r)
-            saddles.append(s)
-            return s, k2
-
         monkeypatch.setattr(quadform, "_cgf12", counting)
-        monkeypatch.setattr(quadform, "_solve_saddle", recording)
-        for eps in np.geomspace(0.003, 0.8, 16):
+        mean, k2_mean = float(mu.sum()), 2.0 * float(mu @ mu)
+        radii = [eps * eps - w.tail_sum_bound for eps in np.geomspace(0.003, 0.8, 16)]
+        for r in radii + [mean * (1.0 - 1e-9), mean, mean * (1.0 + 1e-9)]:
             passes.append(0)
-            cdf_saddlepoint(w, eps * eps)
-            r = eps * eps - w.tail_sum_bound
+            saddles.append(quadform._solve_saddle(mu, r)[0])
             f = lambda s: float(np.sum(mu / (1.0 - 2.0 * s * mu))) - r  # noqa: E731
             # K'(s) <= N / (-2 s) below 0 and K'(s) >= mu_1 / (1 - 2 s mu_1) above
             lo, hi = (-mu.size / (2.0 * r), 0.0) if f(0.0) > 0 else (0.0, (1.0 - mu[0] / r) / (2.0 * mu[0]))
             s_ref = brentq(f, lo, hi, xtol=1e-300, rtol=8.9e-16, maxiter=200)
             assert passes[-1] <= 10
-            assert saddles[-1] == pytest.approx(s_ref, rel=1e-12, abs=0.0)
+            # 1e-9 from the mean the rounding of K' fixes s only to about
+            # 1e-7 relative, for brentq as for Newton; there both roots must
+            # give the same K' to 1e-13 relative, |s - s_ref| K''(0) <= 1e-13 r
+            tol = 0.0 if r in radii else 1e-13 * r / k2_mean
+            assert saddles[-1] == pytest.approx(s_ref, rel=1e-12, abs=tol)
         assert min(saddles) < 0 < max(saddles)
+        assert saddles[-2] == 0.0
+
+    @pytest.mark.parametrize("delta, n", [(0.0, 100_000), (-0.5, 100_000), (0.0, 10)],
+                             ids=["bridge", "wiener", "bridge_10"])
+    def test_saddle_near_the_mean(self, monkeypatch, delta, n):
+        # within about 1e-4 relative of the mean K'(0) no step can move s by
+        # less than 1e-12 relative of itself, so the solve also stops once
+        # K'(s) matches r to rounding; on these radii about a quarter of the
+        # solves once ran 200 passes and raised "did not converge"
+        mu = _closed_form_weights(delta, n=n).head
+        mean = float(mu.sum())
+        passes = []
+        real_cgf12 = quadform._cgf12
+
+        def counting(s, mu):
+            passes[-1] += 1
+            return real_cgf12(s, mu)
+
+        monkeypatch.setattr(quadform, "_cgf12", counting)
+        for e in np.geomspace(1e-14, 1e-2, 25):
+            for r in (mean * (1.0 - e), mean * (1.0 + e)):
+                passes.append(0)
+                s, _ = quadform._solve_saddle(mu, r)
+                assert passes[-1] <= 10
+                assert (s < 0.0) == (r < mean)
+                assert float(np.sum(mu / (1.0 - 2.0 * s * mu))) == pytest.approx(r, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("delta", [0.0, -0.5], ids=["bridge", "wiener"])
     def test_lr_reads_k2_of_the_last_newton_pass(self, monkeypatch, delta):
@@ -214,6 +240,15 @@ class TestSaddlepoint:
         # on 2000 bridge weights a = mu / (1 - 2 s mu) is below 1e-162 at the
         # saddle, so K'' = 2 a.a underflows and no Newton step is defined
         with pytest.raises(NumericError, match="underflows"):
+            cdf_saddlepoint(bridge_weights(2000), r)
+
+    @pytest.mark.parametrize("r", [1e-304, 1e-306, 5e-324])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tilt_variable_overflow_raises(self, r):
+        # on 2000 bridge weights the far bracket end 1 - 2 mu_1 s = 1 + mu_1 N / r
+        # passes exp(700) below r ~ 1e-302: a NumericError, not an
+        # OverflowError from expm1
+        with pytest.raises(NumericError, match="overflows"):
             cdf_saddlepoint(bridge_weights(2000), r)
 
     def test_one_cgf_pass_per_call(self, monkeypatch):
