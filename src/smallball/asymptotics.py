@@ -34,7 +34,7 @@ import numpy as np
 from scipy.integrate import quad  # noqa: F401  (benchmark/tracing.py counts calls to asymptotics.quad)
 from scipy.special import betainc, gammaln
 
-from .errors import NumericError
+from .errors import NumericError, _check_integer, _check_positive
 
 __all__ = [
     "AsymptoticForm",
@@ -65,16 +65,12 @@ class AsymptoticForm:
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.amplitude, self.power, self.order, self.rate)):
             raise ValueError("amplitude, power, order and rate must be finite")
-        if self.amplitude <= 0:
-            raise ValueError("amplitude must be positive")
-        if self.order <= 0:
-            raise ValueError("order must be positive")
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
+        for name in ("amplitude", "order", "rate"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
 
     def log_evaluate(self, x: float) -> float:
-        if x <= 0:
-            raise ValueError("x must be positive")
+        x = _check_positive("x", x)
         return math.log(self.amplitude) + self.power * math.log(x) - self.rate * x ** (-self.order)
 
     def evaluate(self, x: float) -> float:
@@ -84,8 +80,7 @@ class AsymptoticForm:
 def differentiate_form(form: AsymptoticForm, m: int) -> AsymptoticForm:
     """m-th derivative of the form: the exponential survives untouched while
     the amplitude gains (rate*order)^m and the power drops by m*(order+1)."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    _check_integer("m", m, 0)
     if m == 0:
         return form
     return AsymptoticForm(
@@ -113,8 +108,7 @@ def green_rate(l: int) -> tuple[float, float]:
     """Decay order d and rate D of the squared-norm small-ball exponent for
     a Green process of differential order 2l:
     d = 1/(2l-1), D = (2d)^(-1) (2l sin(pi/(2l)))^(-d-1)."""
-    if l < 1:
-        raise ValueError("green order l must be a positive integer")
+    _check_integer("green order l", l, 1)
     d = 1.0 / (2.0 * l - 1.0)
     rate = (2.0 * l * math.sin(math.pi / (2.0 * l))) ** (-d - 1.0) / (2.0 * d)
     return d, rate
@@ -179,8 +173,7 @@ def naznik_asymptotic(theta: float, delta: float, d: float, eps: float) -> float
     """log P{sum (theta(k+delta))^(-d) xi_k^2 < eps^2} per the explicit
     power-law asymptotics; an exponent eps^(-2/(d-1)) that overflows raises
     NumericError."""
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError("eps must be positive and finite")
+    eps = _check_positive("eps", eps)
     gamma, amp, coef = naznik_params(theta, delta, d)
     try:
         scale = eps ** (-2.0 / (d - 1.0))
@@ -285,16 +278,13 @@ def tilt_integrals(phi: PowerLawPhi, u: float) -> tuple[float, float, float]:
     """(I0, I1, I2) of the tilt u: I0 = int ln f(u phi), I1 = int u phi (ln f)',
     I2 = int (u phi)^2 (ln f)'', each int_1^inf dt, in closed form (see
     ``_tilt_pass``); integrals beyond double precision raise NumericError."""
-    if not (u > 0 and math.isfinite(u)):
-        raise ValueError("tilt u must be positive and finite")
-    i0, i1, i2 = _tilt_pass(phi, math.log(u))
+    i0, i1, i2 = _tilt_pass(phi, math.log(_check_positive("tilt u", u)))
     return float(i0), float(i1), float(i2)
 
 
 def _solve_tilt(spec: PowerLawPhi, r: float) -> tuple[float, float, float]:
     """(u, I1(u), I2(u)) at the root u of I1(u) + u r = 0; see dll_root."""
-    if not (r > 0 and math.isfinite(r)):
-        raise ValueError("r must be positive and finite")
+    r = _check_positive("r", r)
     d = spec.d
     try:
         mass = spec.theta ** (-d) * (1.0 + spec.delta) ** (1.0 - d) / (d - 1.0)

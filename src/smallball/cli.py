@@ -28,7 +28,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, asymptotics, durbin, kernels, perturbation, quadform
-from .errors import SmallBallError
+from .errors import SmallBallError, _check_integer, _check_positive
 from .grids import Grid, gauss_legendre_grid
 from .spectral import nystrom_spectrum
 
@@ -75,10 +75,11 @@ def _floats(cfg: dict, key: str, ndim: int) -> np.ndarray:
     other value is an argument error that names the key."""
     try:
         value = np.asarray(cfg[key], dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         value = None
     if value is None or value.ndim != ndim or value.size == 0:
-        raise ValueError(f"key {key!r} must be a non-empty list of {'lists of ' * (ndim - 1)}numbers")
+        lists = "lists of " * (ndim - 1)
+        raise ValueError(f"key {key!r} must be a non-empty list of {lists}numbers in the double range")
     return value
 
 
@@ -106,10 +107,7 @@ def _kernel_from_config(cfg: dict) -> kernels.KernelSpec:
     if kind == "bridge":
         return kernels.bridge()
     if kind == "ornstein_uhlenbeck":
-        alpha = cfg.get("alpha")
-        if type(alpha) not in (int, float):
-            raise ValueError(f"kernel key 'alpha' must be a number, got {alpha!r}")
-        return kernels.ornstein_uhlenbeck(alpha)
+        return kernels.ornstein_uhlenbeck(_check_positive("kernel key 'alpha'", cfg.get("alpha")))
     nodes = _floats(cfg, "grid", 1)
     weights = _floats(cfg, "weights", 1) if "weights" in cfg else np.full(nodes.size, 1.0 / nodes.size)
     jump = None if cfg.get("diag_jump") is None else _floats(cfg, "diag_jump", 1)
@@ -179,8 +177,7 @@ def _cmd_exact(args) -> tuple[dict, dict, dict]:
 def _cmd_asymptotic(args) -> tuple[dict, dict, dict]:
     theta = _pi_aware(args.theta)
     inputs = {"law": args.law, "theta": theta, "delta": args.delta, "d": args.d, "eps": args.eps}
-    if not (args.eps > 0 and math.isfinite(args.eps)):
-        raise ValueError("eps must be positive and finite")
+    _check_positive("eps", args.eps)
     if args.law == "naznik":
         params = asymptotics.naznik_params(theta, args.delta, args.d)
         log_p = asymptotics.naznik_asymptotic(theta, args.delta, args.d, args.eps)
@@ -218,8 +215,7 @@ def _cmd_perturb(args) -> tuple[dict, dict, dict]:
         grid = kernel.grid
     else:
         size = cfg.get("grid_size", 1000)
-        if type(size) is not int:
-            raise ValueError("problem key 'grid_size' must be an integer")
+        _check_integer("problem key 'grid_size'", size, 1)
         grid = gauss_legendre_grid(size)
     if not isinstance(cfg["phi"], list) or not cfg["phi"] or not all(
         isinstance(descr, dict) and ("poly" in descr) != ("samples" in descr) for descr in cfg["phi"]

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import kernels, perturbation
-from .errors import ConsistencyError, _check_integer
+from .errors import ConsistencyError, _check_integer, _check_positive
 from .grids import Grid, graded_endpoint_grid
 from .quadform import SAMPLER_BLOCK, _norm_pdf, _sharded_map
 
@@ -88,8 +88,8 @@ class FamilySpec:
         if len(self.theta0) != len(names):
             raise ValueError(f"{self.family} takes theta0 = ({', '.join(names)})")
         for name, v in zip(names, self.theta0):
-            if name != "mu" and v <= 0:
-                raise ValueError(f"{name} must be positive, got {v}")
+            if name != "mu":
+                _check_positive(name, v)
 
     @property
     def m(self) -> int:

@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import _check_integer
+
 __all__ = ["Grid", "gauss_legendre_grid", "graded_endpoint_grid"]
 
 _WEIGHT_SUM_TOL = 1e-12
@@ -26,28 +28,29 @@ class Grid:
     """Quadrature nodes and weights on (0, 1).
 
     Nodes are strictly increasing and interior; weights are positive and sum
-    to the interval length 1.
+    to the interval length 1, so a grid is non-empty.  Both are read-only
+    copies, which no caller can change after the checks.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        if nodes.ndim != 1 or weights.shape != nodes.shape:
-            raise ValueError("nodes and weights must be 1-d arrays of equal length")
-        if nodes.size:
-            if not (np.all(np.diff(nodes) > 0)):
-                raise ValueError("nodes must be strictly increasing")
-            if nodes[0] <= 0.0 or nodes[-1] >= 1.0:
-                raise ValueError("nodes must lie in the open interval (0, 1)")
-            if not np.all(weights > 0):
-                raise ValueError("weights must be positive")
-            if abs(weights.sum() - 1.0) > _WEIGHT_SUM_TOL:
-                raise ValueError("weights must sum to 1 (interval length)")
+        nodes = np.array(self.nodes, dtype=float)
+        weights = np.array(self.weights, dtype=float)
+        if nodes.ndim != 1 or weights.shape != nodes.shape or nodes.size == 0:
+            raise ValueError("nodes and weights must be non-empty 1-d arrays of equal length")
+        if not np.all(np.diff(nodes) > 0):
+            raise ValueError("nodes must be strictly increasing")
+        if nodes[0] <= 0.0 or nodes[-1] >= 1.0:
+            raise ValueError("nodes must lie in the open interval (0, 1)")
+        if not np.all(weights > 0):
+            raise ValueError("weights must be positive")
+        if abs(weights.sum() - 1.0) > _WEIGHT_SUM_TOL:
+            raise ValueError("weights must sum to 1 (interval length)")
+        for name, arr in (("nodes", nodes), ("weights", weights)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def size(self) -> int:
@@ -65,20 +68,18 @@ class Grid:
         return bool(np.allclose(self.nodes, other.nodes, rtol=0, atol=tol))
 
 
-@lru_cache(maxsize=16)
 def gauss_legendre_grid(n: int) -> Grid:
-    """n-point Gauss-Legendre rule mapped from [-1, 1] to (0, 1).
+    """n-point Gauss-Legendre rule mapped from [-1, 1] to (0, 1), memoised
+    per n because ``leggauss`` costs O(n^3); every caller shares the grid.
+    n is checked first, because the cache takes True, 1.0 and 1 for one key."""
+    _check_integer("grid size n", n, 1)
+    return _gauss_legendre_grid(n)
 
-    Memoised per n, because ``leggauss`` costs O(n^3).  Every caller shares
-    the returned grid, so its nodes and weights are read-only.
-    """
-    if n < 1:
-        raise ValueError(f"grid size must be >= 1, got {n}")
+
+@lru_cache(maxsize=16)
+def _gauss_legendre_grid(n: int) -> Grid:
     x, w = np.polynomial.legendre.leggauss(n)
-    grid = Grid(nodes=(x + 1.0) / 2.0, weights=w / 2.0)
-    grid.nodes.flags.writeable = False
-    grid.weights.flags.writeable = False
-    return grid
+    return Grid(nodes=(x + 1.0) / 2.0, weights=w / 2.0)
 
 
 def graded_endpoint_grid(n: int) -> Grid:
@@ -89,8 +90,7 @@ def graded_endpoint_grid(n: int) -> Grid:
     nodes stay strictly interior.  The right half mirrors the left.  ``n``
     is the approximate total node count.
     """
-    if n < 8:
-        raise ValueError(f"graded grid needs n >= 8, got {n}")
+    _check_integer("grid size n", n, 8)
     per_panel = max(2, int(round(n / (2 * GRADED_LEVELS))))
     xg, wg = np.polynomial.legendre.leggauss(per_panel)
     nodes = []

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .asymptotics import AsymptoticForm, abel_reduce, differentiate_form
-from .errors import DataError, NumericError, _check_integer
+from .errors import DataError, NumericError, _check_integer, _check_positive
 from .grids import Grid
 from .kernels import ROW_BLOCK, KernelSpec
 from .quadform import _log_product_drift
@@ -154,12 +154,20 @@ def gram_q(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> np.ndarray:
     return q
 
 
-def d_matrix(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """D = -A - A^T + A Q A^T (always symmetric)."""
+def _check_aq(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A and Q as float arrays, checked to be finite square matrices of one size."""
     a = np.asarray(a, dtype=float)
     q = np.asarray(q, dtype=float)
     if a.shape != q.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("A and Q must be square matrices of equal dimension")
+    if not (np.isfinite(a).all() and np.isfinite(q).all()):
+        raise ValueError("A and Q must be finite")
+    return a, q
+
+
+def d_matrix(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """D = -A - A^T + A Q A^T (always symmetric)."""
+    a, q = _check_aq(a, q)
     d = -a - a.T + a @ q @ a.T
     return 0.5 * (d + d.T)
 
@@ -179,7 +187,9 @@ def perturbed_kernel(kernel_mat: np.ndarray, psi: np.ndarray, d: np.ndarray) -> 
     or ValueError is raised.  The upper triangle is K + (psi D) psi^T, one
     row block at a time, and the lower triangle is its mirror, so the
     result is exactly symmetric and the lower triangle of ``kernel_mat`` is
-    not read.  ``sampled`` keeps the result without a copy.
+    not read.  Each row block of the result is checked, so a non-finite
+    ``kernel_mat`` raises ValueError and an overflow NumericError.
+    ``sampled`` keeps the result without a copy.
     """
     kernel_mat = np.asarray(kernel_mat, dtype=float)
     psi = np.asarray(psi, dtype=float)
@@ -196,7 +206,7 @@ def perturbed_kernel(kernel_mat: np.ndarray, psi: np.ndarray, d: np.ndarray) -> 
     m = psi.shape[1]
     if d.shape != (m, m):
         raise ValueError(f"d must be {m} x {m} to match psi {psi.shape}, got shape {d.shape}")
-    for name, arr in (("kernel_mat", kernel_mat), ("psi", psi), ("d", d)):
+    for name, arr in (("psi", psi), ("d", d)):
         if not np.isfinite(arr).all():
             raise ValueError(f"{name} must be finite")
     p = psi @ d
@@ -206,6 +216,10 @@ def perturbed_kernel(kernel_mat: np.ndarray, psi: np.ndarray, d: np.ndarray) -> 
         upper = out[lo:hi, lo:]
         np.matmul(p[lo:hi], psi[lo:].T, out=upper)
         upper += kernel_mat[lo:hi, lo:]
+        if not np.isfinite(upper).all():
+            if not np.isfinite(kernel_mat[lo:hi, lo:]).all():
+                raise ValueError("kernel_mat must be finite")
+            raise NumericError("G0 + psi^T D psi overflows double precision")
         # the square on the diagonal takes its lower part from its upper
         square = upper[:, : hi - lo]
         below = np.tril_indices(hi - lo, -1)
@@ -240,10 +254,7 @@ def classify(a: np.ndarray, q: np.ndarray) -> Classification:
     CLASSIFY_TOL * max(s_max, 1); s = 0 is non-critical, s = m critical
     (A = Q^{-1}), else partially critical of rank s.
     """
-    a = np.asarray(a, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if a.shape != q.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("A and Q must be square matrices of equal dimension")
+    a, q = _check_aq(a, q)
     m = a.shape[0]
     sv = np.linalg.svd(np.eye(m) - a.T @ q, compute_uv=False)
     cut = CLASSIFY_TOL * max(float(sv[0]) if sv.size else 0.0, 1.0)
@@ -351,10 +362,8 @@ def theorem2_closed(base: AsymptoticForm, m: int, prefactor: float) -> Asymptoti
     Net effect on (A, alpha, beta, D): amplitude gains
     prefactor * (2 D beta)^(m/2) and the power drops by m (beta+1)/2.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if prefactor <= 0:
-        raise ValueError("prefactor must be positive")
+    _check_integer("m", m, 0)
+    prefactor = _check_positive("prefactor", prefactor)
     form = differentiate_form(base, m)
     for _ in range(m):
         form = abel_reduce(form)
@@ -380,10 +389,8 @@ def theorem2_convolution_numeric(
     square-root endpoint.  Cross-check for the closed pipeline on synthetic
     integrands; cost grows geometrically with m.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not (r > 0 and math.isfinite(r)):
-        raise ValueError("r must be positive and finite")
+    _check_integer("m", m, 1)
+    r = _check_positive("r", r)
 
     def level(j: int, upper: float) -> float:
         inner = f0_derivative if j == 1 else (lambda x: level(j - 1, x))
@@ -406,11 +413,9 @@ def theorem3_asymptotic(l: int, m: int, prefactor: float, eps: float) -> float:
         prefactor * (2l sin(pi/(2l)) eps^2)^(-l m / (2l - 1));
 
     multiply by P{||X_0|| <= eps} to get the perturbed probability."""
-    if l < 1:
-        raise ValueError("green order l must be a positive integer")
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError("eps must be positive and finite")
+    _check_integer("green order l", l, 1)
+    _check_integer("m", m, 0)
+    prefactor = _check_positive("prefactor", prefactor)
+    eps = _check_positive("eps", eps)
     base = 2.0 * l * math.sin(math.pi / (2.0 * l)) * eps * eps
     return prefactor * base ** (-(l * m) / (2.0 * l - 1.0))

@@ -34,7 +34,7 @@ from scipy.optimize import brentq  # noqa: F401  (benchmark/tracing.py counts ca
 from scipy.special import log_ndtr, ndtr
 from scipy.special import ndtri  # noqa: F401  (benchmark/tracing.py times calls to quadform.ndtri)
 
-from .errors import NumericError, _check_integer
+from .errors import NumericError, _check_integer, _check_positive
 
 __all__ = [
     "WeightSeq",
@@ -220,14 +220,13 @@ def cdf_gil_pelaez(w: WeightSeq, r: float) -> ProbabilityEstimate:
     ``GIL_PELAEZ_TOL``.  Intended for central probabilities; the deep left
     tail belongs to ``cdf_saddlepoint``.
     """
-    if not (r > 0 and math.isfinite(r)):
-        raise ValueError("r must be positive and finite")
+    r = _check_positive("r", r)
     tail = w.tail_sum_bound
     r_eff = r - tail
     # the error of treating the tail as a deterministic shift is cdf(r) -
     # cdf(r - tail_sum_bound), and the main value is 0 if r_eff <= 0
     rs = [r_eff, r] if tail > 0 and r_eff > 0 else [r]
-    values, errs = _gp_values(w.head, np.array(rs), GIL_PELAEZ_TOL)
+    values, errs = _gp_values(w.head, np.array(rs))
     value, err = (float(values[0]), float(errs[0])) if r_eff > 0 else (0.0, 0.0)
     if tail > 0:
         err += max(float(values[-1]) - value, 0.0)
@@ -236,10 +235,10 @@ def cdf_gil_pelaez(w: WeightSeq, r: float) -> ProbabilityEstimate:
     return ProbabilityEstimate(value_c, log_value, err, "gil_pelaez")
 
 
-def _gp_values(mu: np.ndarray, rs: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """F(r) and its error bound at each radius in ``rs``, from one t-grid:
-    T is cut for the smallest radius, the strictest, and the panels are
-    sized for the largest, which oscillates most."""
+def _gp_values(mu: np.ndarray, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F(r) and its error bound at each radius in ``rs``, from one t-grid at
+    ``GIL_PELAEZ_TOL``: T is cut for the smallest radius, the strictest,
+    and the panels are sized for the largest, which oscillates most."""
     n = mu.size
     # P{Q < r} <= prod_j P{mu_j xi_j^2 < r} <= prod_j sqrt(2r/(pi mu_j));
     # where that bound is already negligible, skip the oscillatory integral
@@ -262,7 +261,7 @@ def _gp_values(mu: np.ndarray, rs: np.ndarray, tol: float) -> tuple[np.ndarray, 
         theta_T, log_rho_T = _imhof_parts(mu, T)
         g_T = math.exp(-log_rho_T) / T
         resid_num = (1.0 + 0.5 * n) * g_T / T + g_T * theta_slope(T)
-        if resid_num / (r_min * r_min) <= 0.5 * tol:
+        if resid_num / (r_min * r_min) <= 0.5 * GIL_PELAEZ_TOL:
             break
         T *= 1.6
     else:
@@ -280,7 +279,7 @@ def _gp_values(mu: np.ndarray, rs: np.ndarray, tol: float) -> tuple[np.ndarray, 
     slope_T = rs - theta_slope(T)
     total += g_T * np.cos(theta_T - T * rs) / slope_T
     err += np.abs(resid_num / (slope_T * slope_T))
-    if err.max() > max(100.0 * tol, 1e-6):
+    if err.max() > max(100.0 * GIL_PELAEZ_TOL, 1e-6):
         raise NumericError(f"gil_pelaez inversion did not converge (err={err.max():.2e})")
     values[live] = 0.5 - total / math.pi
     errs[live] = err
@@ -316,8 +315,7 @@ def cdf_saddlepoint(w: WeightSeq, r: float) -> ProbabilityEstimate:
     iteration.  Near the mean the 1/w - 1/u cancellation is replaced by its
     limit K'''/(6 K''^{3/2}).
     """
-    if not (r > 0 and math.isfinite(r)):
-        raise ValueError("r must be positive and finite")
+    r = _check_positive("r", r)
     mu = w.head
     r_eff = r - w.tail_sum_bound
     if r_eff <= 0:
@@ -486,8 +484,7 @@ def cdf_monte_carlo(w: WeightSeq, r: float, n_samples: int, seed: int) -> Probab
     """
     _check_integer("n_samples", n_samples, 1)
     _check_integer("seed", seed, 0)
-    if not (r > 0 and math.isfinite(r)):
-        raise ValueError("r must be positive and finite")
+    r = _check_positive("r", r)
     threshold = r - w.tail_sum_bound
     mu = w.head
     block = max(1, SAMPLER_BLOCK // mu.size)

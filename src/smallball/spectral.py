@@ -127,23 +127,19 @@ def kink_correction(jump: np.ndarray, grid: Grid) -> np.ndarray:
     """
     t, w = grid.nodes, grid.weights
     c, s = np.cumsum(w), np.cumsum(t * w)
-    # c[-1:] and s[-1:] are the totals, and empty on an empty grid
-    quad_abs = t * (2.0 * c - c[-1:]) + s[-1:] - 2.0 * s
+    quad_abs = t * (2.0 * c - c[-1]) + s[-1] - 2.0 * s
     exact_abs = t * t - t + 0.5
     return 0.5 * jump * (quad_abs - exact_abs)
 
 
 def _as_samples(funcs: np.ndarray, grid: Grid) -> np.ndarray:
     """Function samples as an (n, m) array with one function per column;
-    a 1-d array is one function and an (m, n) array is transposed."""
+    a 1-d array is one function."""
     f = np.asarray(funcs, dtype=float)
     if f.ndim == 1:
         f = f[:, None]
-    if f.shape[0] != grid.size:
-        if f.shape[1] == grid.size:
-            f = f.T
-        else:
-            raise ValueError("function samples do not align with the grid")
+    if f.ndim != 2 or f.shape[0] != grid.size:
+        raise ValueError(f"function samples must be ({grid.size},) or ({grid.size}, m), got shape {f.shape}")
     return f
 
 

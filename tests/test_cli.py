@@ -372,12 +372,20 @@ def test_removed_options_rejected(tmp_path, monkeypatch, argv):
         ({"kernel": {"type": "ornstein_uhlenbeck", "alpha": "fast"}, "grid_size": 50,
           "phi": [{"poly": [1.0]}], "A": [[6.0]]},
          "kernel key 'alpha' must be a number"),
+        # a JSON integer beyond the double range once ended in an OverflowError traceback
+        ({"kernel": {"type": "bridge"}, "grid_size": 50, "phi": [{"poly": [10**400]}], "A": [[6.0]]}, "'poly'"),
+        ({"kernel": {"type": "bridge"}, "grid_size": 50, "phi": [{"poly": [1.0]}], "A": [[10**400]]}, "'A'"),
+        ({"kernel": {"type": "ornstein_uhlenbeck", "alpha": 10**400}, "grid_size": 50,
+          "phi": [{"poly": [1.0]}], "A": [[6.0]]},
+         "kernel key 'alpha' must be positive and finite"),
+        ({"kernel": {"type": "bridge"}, "grid_size": 10**400, "phi": [{"poly": [1.0]}], "A": [[6.0]]}, "'grid_size'"),
     ],
     ids=["unknown_key", "poly_and_samples", "descriptor_not_an_object", "grid_size_with_sampled_kernel",
          "kernel_not_an_object", "phi_not_a_list", "phi_entry_not_an_object", "poly_not_a_list",
          "green_order_not_an_integer", "green_order_bool", "poly_empty", "phi_empty", "grid_not_a_list",
          "grid_size_not_an_integer", "grid_size_bool", "ou_spelled_short", "ou_unknown_key",
-         "sampled_diag_jump_misspelt", "phi_entry_unknown_key", "ou_alpha_missing", "ou_alpha_not_a_number"],
+         "sampled_diag_jump_misspelt", "phi_entry_unknown_key", "ou_alpha_missing", "ou_alpha_not_a_number",
+         "poly_beyond_double", "a_beyond_double", "ou_alpha_beyond_double", "grid_size_beyond_double"],
 )
 def test_perturb_problem_keys_checked(tmp_path, capsys, cfg, key):
     # a key the problem, its kernel or a phi entry does not read, one another

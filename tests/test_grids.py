@@ -65,6 +65,18 @@ def test_grid_validation():
         Grid(nodes=np.array([0.2, 0.5]), weights=np.array([0.5, -0.5]))
 
 
+def test_grid_keeps_read_only_copies():
+    # a grid once aliased its caller's arrays, so a later write broke the
+    # sum-to-1 invariant unseen
+    nodes, weights = np.array([0.25, 0.75]), np.array([0.5, 0.5])
+    g = Grid(nodes=nodes, weights=weights)
+    weights[0] = 2.0
+    nodes[0] = -1.0
+    assert g.weights.tolist() == [0.5, 0.5] and g.nodes.tolist() == [0.25, 0.75]
+    with pytest.raises(ValueError):
+        g.weights[0] = 2.0
+
+
 def test_graded_grid_basics():
     g = graded_endpoint_grid(500)
     assert abs(g.weights.sum() - 1.0) < 1e-12

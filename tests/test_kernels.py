@@ -59,8 +59,10 @@ def test_two_node_bridge_matrix():
 
 
 def test_empty_grid():
-    grid = Grid(nodes=np.array([]), weights=np.array([]))
-    assert kernel_matrix(wiener(), grid).shape == (0, 0)
+    # an empty grid cannot have weights that sum to 1, so it is refused before
+    # any kernel matrix is built on it
+    with pytest.raises(ValueError, match="non-empty"):
+        kernel_matrix(wiener(), Grid(nodes=np.array([]), weights=np.array([])))
 
 
 def test_wiener_weighted_trace():

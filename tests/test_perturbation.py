@@ -216,6 +216,13 @@ class TestPerturbedKernel:
         with pytest.raises(ValueError, match=f"{where} must be finite"):
             perturbed_kernel(**args)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflow_rejected(self):
+        # finite inputs whose sum overflows once gave an all-inf matrix,
+        # whose annihilation residual then read inf
+        with pytest.raises(NumericError, match="overflows"):
+            perturbed_kernel(np.eye(3), np.full(3, 1e200), np.array([[1e200]]))
+
 
 class TestClassify:
     def test_zero_matrix_non_critical(self):

@@ -346,7 +346,7 @@ class TestTailShift:
         est = cdf_gil_pelaez(w, r)
         assert est.value == 0.0
         assert est.log_value == -math.inf
-        values, _ = quadform._gp_values(w.head, np.array([r]), quadform.GIL_PELAEZ_TOL)
+        values, _ = quadform._gp_values(w.head, np.array([r]))
         assert est.error_bound == max(values[0], 0.0)
 
     # a short head with a wide tail, so that many draws fall in [r - tail, r)

@@ -385,9 +385,6 @@ def test_fourier_of_eigenfunction(bridge_spectrum_2000):
     a = coeffs.a[:, 0]
     assert abs(a[0] - 1.0) < 1e-8
     assert np.abs(a[1:]).max() < 1e-8
-    # one function per row is read as its transpose
-    cols = s.eigvecs[:, :3]
-    np.testing.assert_array_equal(fourier_coefficients(s, cols.T).a, fourier_coefficients(s, cols).a)
 
 
 def test_fourier_of_zero(bridge_spectrum_2000):
