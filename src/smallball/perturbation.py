@@ -277,6 +277,7 @@ def theorem1_factor(a: np.ndarray, q: np.ndarray) -> float:
     parameter matrices with the same D (for m = 1, A and 2/Q - A) have the
     same covariance and the same factor, whatever the sign of the
     determinant."""
+    a, q = _check_aq(a, q)
     cls = classify(a, q)
     if cls.label != NON_CRITICAL:
         raise NumericError(
@@ -412,10 +413,15 @@ def theorem3_asymptotic(l: int, m: int, prefactor: float, eps: float) -> float:
 
         prefactor * (2l sin(pi/(2l)) eps^2)^(-l m / (2l - 1));
 
-    multiply by P{||X_0|| <= eps} to get the perturbed probability."""
+    multiply by P{||X_0|| <= eps} to get the perturbed probability.  The
+    factor is formed in logs, so eps^2 may underflow; a factor beyond the
+    double range raises NumericError."""
     _check_integer("green order l", l, 1)
     _check_integer("m", m, 0)
     prefactor = _check_positive("prefactor", prefactor)
     eps = _check_positive("eps", eps)
-    base = 2.0 * l * math.sin(math.pi / (2.0 * l)) * eps * eps
-    return prefactor * base ** (-(l * m) / (2.0 * l - 1.0))
+    log_base = math.log(2.0 * l * math.sin(math.pi / (2.0 * l))) + 2.0 * math.log(eps)
+    try:
+        return math.exp(math.log(prefactor) - (l * m) / (2.0 * l - 1.0) * log_base)
+    except OverflowError:
+        raise NumericError(f"critical transfer factor overflows the double range at eps = {eps!r}") from None

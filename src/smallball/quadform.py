@@ -19,6 +19,17 @@ order), so the evaluators treat it as the deterministic shift
 r -> r - tail_sum_bound and report the shift sensitivity
 cdf(r) - cdf(r - tail_sum_bound) inside the error bound; Gil-Pelaez takes
 both radii from the same inversion.
+
+Inversion and saddlepoint read their weight sums from one evaluator per
+``WeightSeq``, built on first use.  The phase theta0(t), the amplitude
+log rho(t) and the cumulant generating function K(s) with its first three
+derivatives are each a sum over k of f(2 x mu_k), x = t or s.  The weights
+with 2 |x| mu_k <= 1/2, the small ones, are summed by the Taylor series of
+f truncated after the 75th power, through power sums of the weights stored
+at about four split points per octave of the index; the truncation error
+is below 1e-17 relative.  Only the leading weights are summed term by
+term, so an evaluation costs about one transcendental per leading weight
+instead of one per weight.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad  # noqa: F401  (benchmark/tracing.py counts calls to quadform.quad)
@@ -62,7 +74,9 @@ class WeightSeq:
     """Positive non-increasing weights mu_1..mu_N plus a tail descriptor.
 
     ``tail_sum_bound`` bounds sum_{k>N} mu_k for the discarded tail of an
-    infinite sequence; zero means the sequence is exactly finite.
+    infinite sequence; zero means the sequence is exactly finite.  ``head``
+    is a read-only copy, so no caller can change it after the checks or
+    under the power sums its evaluator stores on first use.
     """
 
     head: np.ndarray
@@ -70,8 +84,7 @@ class WeightSeq:
     label: str = ""
 
     def __post_init__(self):
-        head = np.asarray(self.head, dtype=float).ravel()
-        object.__setattr__(self, "head", head)
+        head = np.array(self.head, dtype=float).ravel()
         if head.size == 0:
             raise ValueError("weight sequence must be non-empty")
         if not np.all(np.isfinite(head)):
@@ -84,10 +97,16 @@ class WeightSeq:
             raise ValueError("tail_sum_bound must be finite")
         if self.tail_sum_bound < 0:
             raise ValueError("tail_sum_bound must be >= 0")
+        head.flags.writeable = False
+        object.__setattr__(self, "head", head)
 
     @property
     def total(self) -> float:
         return float(self.head.sum())
+
+    @cached_property
+    def _evaluator(self) -> "_Evaluator":
+        return _Evaluator(self.head)
 
 
 @dataclass(frozen=True)
@@ -104,18 +123,208 @@ class ProbabilityEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Gil-Pelaez / Imhof inversion
+# Power-sum evaluator of the characteristic function and the CGF
 # ---------------------------------------------------------------------------
 
+# Every weight sum the evaluators read is sum_k f(2 x mu_k) for one argument
+# x: t for theta0 and log rho, s for K and its derivatives.  A term with
+# |2 x mu_k| <= _SERIES_DELTA = d is summed by the Taylor series of f up to
+# the power _SERIES_POWERS = P, through stored power sums of the weights;
+# the leading weights, where 2 |x| mu_k > d, are summed directly.  The
+# slowest series is K''' = 8 sum mu^3 (1 - u)^-3 = 8 sum mu^3 sum_j
+# C(j+2, 2) u^j with u = 2 s mu, which keeps j <= P - 3.  For |u| <= d the
+# dropped part is at most C(P, 2) d^(P-2) / (1 - d)^3 of 8 mu^3, and the
+# term is at least 8 mu^3 / (1 + d)^3, so the relative truncation error is
+# at most C(P, 2) d^(P-2) ((1 + d) / (1 - d))^3 = 2775 * 2^-73 * 27 =
+# 7.9e-18.  K'' and K' keep one and two more powers, and K, theta0, theta0'
+# and log rho have smaller coefficients, so their bounds are smaller
+# still.  The terms of each sum share one sign, so each bound holds for
+# the sum as well.
+_SERIES_DELTA = 0.5
+_SERIES_POWERS = 75
+# split points per octave of the weight index: the directly summed part
+# has at most 2^(1/4), about 1.19 times, the terms it needs, plus one
+_SPLITS_PER_OCTAVE = 4
+# elements of the scratch buffer of one evaluator call, and of each block of
+# Gauss-Kronrod nodes: 512 KiB whatever the weight or panel count
+_BLOCK = 1 << 16
 
-def _imhof_parts(mu: np.ndarray, t):
-    """Phase theta0(t) and amplitude log rho(t) of the characteristic
-    function prod (1 - 2 i mu_k t)^(-1/2); t is a scalar or an array, and
-    both results have its shape."""
-    t = np.asarray(t, dtype=float)[..., None]
-    theta = 0.5 * np.arctan(2.0 * mu * t).sum(axis=-1)
-    log_rho = 0.25 * np.log1p(4.0 * mu * mu * t * t).sum(axis=-1)
-    return theta, log_rho
+
+class _Evaluator:
+    """theta0 and log rho of the characteristic function, and K, K', K''
+    and K''' of the cumulant generating function, of one weight sequence.
+
+    The split points K_0 = 0 < K_1 < .. < K_L = N grow by a factor of about
+    2^(1/_SPLITS_PER_OCTAVE).  For each one the power sums
+    R_p = sum_{k >= K} (mu_k / S)^p, p = 0.._SERIES_POWERS, are stored on
+    the scale S, the power of two in (M/2, M] of the suffix maximum
+    M = max_{k >= K} mu_k (the weights may rise by 1e-12 mu_1).  An argument
+    x reads the first split point where 2 |x| M <= _SERIES_DELTA: the
+    series in z = 2 x S there covers the suffix, and the weights before it
+    are summed directly in one scratch buffer.  The table has L + 1, about
+    4 log2 N, rows.  R_1 at K = 0 is the weight total scaled exactly, so
+    K'(0) is ``WeightSeq.total`` bit for bit.
+    """
+
+    def __init__(self, mu: np.ndarray):
+        n, top = mu.size, _SERIES_POWERS
+        self.mu = mu
+        self.total = float(mu.sum())
+        steps = np.floor(2.0 ** (np.arange(_SPLITS_PER_OCTAVE * math.log2(n) + 1) / _SPLITS_PER_OCTAVE))
+        steps = np.unique(steps.astype(np.intp))
+        self._split = np.concatenate([[0], steps[steps < n], [n]])
+        suffix_max = np.maximum.accumulate(np.maximum.reduceat(mu, self._split[:-1])[::-1])[::-1]
+        self._limit = np.append(_SERIES_DELTA / (2.0 * suffix_max), np.inf)
+        self._scale = np.append(np.ldexp(1.0, np.frexp(suffix_max)[1] - 1), 0.0)
+        p = np.arange(top + 1)
+        sums = np.zeros((self._split.size, top + 1))
+        for j in range(self._split.size - 2, -1, -1):
+            x = mu[self._split[j]:self._split[j + 1]] / self._scale[j]
+            sums[j] = _power_sums(x, top) + sums[j + 1] * (self._scale[j + 1] / self._scale[j]) ** p
+        sums[0, 1] = self.total / self._scale[0]
+
+        def shifted(q):  # R_{p+q} in column p
+            out = np.zeros_like(sums)
+            out[:, : top + 1 - q] = sums[:, q:]
+            return out
+
+        inv = 1.0 / np.maximum(p, 1)
+        odd, even = p % 2 == 1, (p % 2 == 0) & (p > 0)
+        # theta0 = 1/2 sum arctan z_k and log rho = 1/4 sum log1p(z_k^2), z_k = 2 t mu_k
+        self._phase_coef = np.stack(
+            [
+                np.where(odd, 0.5 * (-1.0) ** (p // 2) * inv, 0.0) * sums,
+                np.where(even, 0.5 * (-1.0) ** (p // 2 + 1) * inv, 0.0) * sums,
+            ],
+            axis=1,
+        )
+        # theta0' / S = sum (mu_k / S) / (1 + z_k^2)
+        self._slope_coef = np.where(p % 2 == 0, (-1.0) ** (p // 2), 0.0) * shifted(1)
+        # K = 1/2 sum z^p R_p / p, K' / S, K'' / S^2 and K''' / S^3 with z = 2 s S
+        self._cgf_coef = np.stack(
+            [0.5 * (p > 0) * inv * sums, shifted(1), 2.0 * (p + 1) * shifted(2), 4.0 * (p + 1) * (p + 2) * shifted(3)],
+            axis=1,
+        )
+
+    def _at(self, x: float) -> tuple[int, int, np.ndarray]:
+        """Split level j of the scalar x, its split point, and z^0 .. z^P
+        for z = 2 x S_j."""
+        j = int(np.searchsorted(self._limit, abs(x)))
+        powers = np.full(_SERIES_POWERS + 1, 2.0 * x * self._scale[j])
+        powers[0] = 1.0
+        return j, int(self._split[j]), np.cumprod(powers, out=powers)
+
+    def phase(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """theta0(t) = 1/2 sum arctan(2 mu_k t) and
+        log rho(t) = 1/4 sum log1p(4 mu_k^2 t^2) at every t of a non-empty
+        array; both results have its shape.
+
+        The arguments are sorted by split level.  The series part takes the
+        powers of every z = 2 t S at once and one product with each level's
+        row of power sums; the direct part takes each level's leading
+        weights.  Both work in blocks of one scratch buffer."""
+        t = np.asarray(t, dtype=float)
+        level = np.searchsorted(self._limit, np.abs(t.ravel()))
+        order = np.argsort(level, kind="stable")
+        level, ts = level[order], t.ravel()[order]
+        starts = np.searchsorted(level, np.arange(self._split.size + 1))
+        groups = np.flatnonzero(np.diff(starts))
+        out = np.empty((2, ts.size))
+        buf = np.empty(max(_BLOCK, 2 * int(self._split[groups[-1]])))
+        cols = buf.size // (_SERIES_POWERS + 1)
+        for i in range(0, ts.size, cols):
+            e = min(i + cols, ts.size)
+            powers = buf[: (_SERIES_POWERS + 1) * (e - i)].reshape(_SERIES_POWERS + 1, e - i)
+            np.multiply(ts[i:e], 2.0 * self._scale[level[i:e]], out=powers[1])
+            _fill_powers(powers)
+            for j in groups:
+                lo, hi = max(starts[j], i), min(starts[j + 1], e)
+                if lo < hi:
+                    out[:, lo:hi] = self._phase_coef[j] @ powers[:, lo - i : hi - i]
+        for j in groups[self._split[groups] > 0]:
+            k = int(self._split[j])
+            rows = buf.size // (2 * k)
+            for lo in range(starts[j], starts[j + 1], rows):
+                hi = min(lo + rows, starts[j + 1])
+                z = buf[: (hi - lo) * k].reshape(hi - lo, k)
+                z2 = buf[(hi - lo) * k : 2 * (hi - lo) * k].reshape(hi - lo, k)
+                np.multiply((2.0 * ts[lo:hi])[:, None], self.mu[:k], out=z)
+                np.square(z, out=z2)
+                out[0, lo:hi] += 0.5 * np.arctan(z, out=z).sum(axis=1)
+                out[1, lo:hi] += 0.25 * np.log1p(z2, out=z2).sum(axis=1)
+        theta, log_rho = np.empty(ts.size), np.empty(ts.size)
+        theta[order], log_rho[order] = out
+        return theta.reshape(t.shape), log_rho.reshape(t.shape)
+
+    def phase_at(self, t: float) -> tuple[float, float, float]:
+        """theta0(t), log rho(t) and theta0'(t) = sum mu_k / (1 + 4 mu_k^2 t^2)
+        at a scalar t."""
+        j, k, powers = self._at(t)
+        z = (2.0 * t) * self.mu[:k]
+        th, lr = self._phase_coef[j] @ powers
+        slope = self._scale[j] * float(self._slope_coef[j] @ powers)
+        z2 = z * z
+        return (
+            0.5 * float(np.arctan(z).sum()) + th,
+            0.25 * float(np.log1p(z2).sum()) + lr,
+            float(np.sum(self.mu[:k] / (1.0 + z2))) + slope,
+        )
+
+    def _tilted(self, s: float, k: int) -> np.ndarray:
+        """mu_k / (1 - 2 s mu_k) over the leading k weights, in one array."""
+        a = np.multiply(self.mu[:k], -2.0 * s)
+        a += 1.0
+        return np.divide(self.mu[:k], a, out=a)
+
+    def cgf(self, s: float) -> float:
+        """K(s) = -1/2 sum log1p(-2 s mu_k)."""
+        j, k, powers = self._at(s)
+        u = np.multiply(self.mu[:k], -2.0 * s)
+        return -0.5 * float(np.log1p(u, out=u).sum()) + float(self._cgf_coef[j, 0] @ powers)
+
+    def cgf12(self, s: float) -> tuple[float, float]:
+        """K'(s) = sum a_k and K''(s) = 2 sum a_k^2, a_k = mu_k / (1 - 2 s mu_k),
+        from one pass over the leading weights."""
+        j, k, powers = self._at(s)
+        a = self._tilted(s, k)
+        c1, c2 = self._cgf_coef[j, 1:3] @ powers
+        scale = self._scale[j]
+        return float(a.sum()) + scale * c1, 2.0 * float(a @ a) + scale * (scale * c2)
+
+    def cgf3(self, s: float) -> float:
+        """K'''(s) = 8 sum a_k^3."""
+        j, k, powers = self._at(s)
+        a = self._tilted(s, k)
+        scale = self._scale[j]
+        return 8.0 * float((a * a) @ a) + scale * (scale * (scale * float(self._cgf_coef[j, 3] @ powers)))
+
+
+def _fill_powers(powers: np.ndarray) -> np.ndarray:
+    """Rows z^0, z^1, .. of ``powers``, whose row 1 holds z on entry; each
+    doubling step multiplies the rows it has by the next power of z."""
+    powers[0] = 1.0
+    have = 2
+    while have < powers.shape[0]:
+        m = min(have, powers.shape[0] - have)
+        np.multiply(powers[:m], powers[have - 1] * powers[1], out=powers[have : have + m])
+        have += m
+    return powers
+
+
+def _power_sums(x: np.ndarray, top: int) -> np.ndarray:
+    """sum_k x_k^p for p = 0..top, in blocks of at most _BLOCK powers."""
+    out = np.zeros(top + 1)
+    cols = max(1, _BLOCK // (top + 1))
+    for i in range(0, x.size, cols):
+        powers = np.empty((top + 1, min(cols, x.size - i)))
+        powers[1] = x[i : i + cols]
+        out += _fill_powers(powers).sum(axis=1)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Gil-Pelaez / Imhof inversion
+# ---------------------------------------------------------------------------
 
 
 # QUADPACK qk21: the 21-point Kronrod rule and its embedded 10-point Gauss
@@ -149,30 +358,27 @@ _G_WEIGHTS[1:10:2] = _WG
 _G_WEIGHTS[11:20:2] = _WG[::-1]
 # quad's default tolerances, which decide whether its first step is final
 _QUAD_EPS = 1.49e-8
-# elements of the (t, mu_k) outer product evaluated at once; this bounds each
-# temporary at 512 KiB whatever the panel count
-_BLOCK = 1 << 16
 # passes that may halve a failing panel; the panel at t = 0 needs at most 5
 _MAX_HALVINGS = 12
 GIL_PELAEZ_TOL = 1e-9
 
 
-def _integrate_panels(mu: np.ndarray, rs: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _integrate_panels(ev: _Evaluator, rs: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each radius r in ``rs``, the sum over the panels
     [edges[i], edges[i+1]] of int sin(theta0(t) - t r) / (t rho(t)) dt, and
     the sum of the error estimates.
 
     Each pass applies quad's first step, the 21-point Gauss-Kronrod rule
     with QUADPACK's error estimate, to all pending panels at once.  theta0
-    and rho do not depend on r, so they are evaluated once per node and
-    serve every radius.  A panel is accepted when it meets quad's default
+    and rho do not depend on r, so they are evaluated once per node, in
+    blocks of ``_BLOCK`` nodes, and serve every radius.  A panel is accepted when it meets quad's default
     tolerances at every radius; the others, typically only the one at
     t = 0, are halved for the next pass, unless they were halved
     ``_MAX_HALVINGS`` times or the next pass would outgrow the first.  Then
     they are kept with their error estimates for the caller to judge.
     """
     a, b = edges[:-1], edges[1:]
-    per_block = max(1, _BLOCK // (_GK_NODES.size * mu.size))
+    per_block = _BLOCK // _GK_NODES.size
     r_col = rs[:, None, None]
     total = np.zeros(rs.size)
     err_sum = np.zeros(rs.size)
@@ -183,7 +389,7 @@ def _integrate_panels(mu: np.ndarray, rs: np.ndarray, edges: np.ndarray) -> tupl
         f = np.empty((rs.size,) + nodes.shape)
         for i in range(0, a.size, per_block):
             t = nodes[i:i + per_block]
-            theta, log_rho = _imhof_parts(mu, t)
+            theta, log_rho = ev.phase(t)
             f[:, i:i + per_block] = np.sin(theta - t * r_col) * np.exp(-log_rho) / t
         res_k = f @ _GK_WEIGHTS
         res_g = f @ _G_WEIGHTS
@@ -217,7 +423,10 @@ def cdf_gil_pelaez(w: WeightSeq, r: float) -> ProbabilityEstimate:
     remainder drops below ``GIL_PELAEZ_TOL``, and that first by-parts term
     is added back.  With a tail, F(r - tail_sum_bound) and the shift bound
     F(r) come from one inversion on a shared t-grid, both at
-    ``GIL_PELAEZ_TOL``.  Intended for central probabilities; the deep left
+    ``GIL_PELAEZ_TOL``.  theta0 and rho at each node split the weights at
+    2 t mu_k = 1/2: the smaller ones are summed by the arctan and log1p
+    series on stored power sums, to 1e-17 relative, and only the leading
+    ones term by term.  Intended for central probabilities; the deep left
     tail belongs to ``cdf_saddlepoint``.
     """
     r = _check_positive("r", r)
@@ -226,7 +435,7 @@ def cdf_gil_pelaez(w: WeightSeq, r: float) -> ProbabilityEstimate:
     # the error of treating the tail as a deterministic shift is cdf(r) -
     # cdf(r - tail_sum_bound), and the main value is 0 if r_eff <= 0
     rs = [r_eff, r] if tail > 0 and r_eff > 0 else [r]
-    values, errs = _gp_values(w.head, np.array(rs))
+    values, errs = _gp_values(w._evaluator, np.array(rs))
     value, err = (float(values[0]), float(errs[0])) if r_eff > 0 else (0.0, 0.0)
     if tail > 0:
         err += max(float(values[-1]) - value, 0.0)
@@ -235,10 +444,11 @@ def cdf_gil_pelaez(w: WeightSeq, r: float) -> ProbabilityEstimate:
     return ProbabilityEstimate(value_c, log_value, err, "gil_pelaez")
 
 
-def _gp_values(mu: np.ndarray, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gp_values(ev: _Evaluator, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """F(r) and its error bound at each radius in ``rs``, from one t-grid at
     ``GIL_PELAEZ_TOL``: T is cut for the smallest radius, the strictest,
     and the panels are sized for the largest, which oscillates most."""
+    mu = ev.mu
     n = mu.size
     # P{Q < r} <= prod_j P{mu_j xi_j^2 < r} <= prod_j sqrt(2r/(pi mu_j));
     # where that bound is already negligible, skip the oscillatory integral
@@ -248,19 +458,15 @@ def _gp_values(mu: np.ndarray, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not live.any():
         return values, errs
     rs = rs[live]
-
-    def theta_slope(t):
-        return float(np.sum(mu / (1.0 + 4.0 * mu * mu * t * t)))
-
     # truncation point: after one integration by parts the remainder is
     # O((|g'| + g * theta0') / r^2) with g = 1 / (t rho); expand T until
     # that is small
     r_min = float(rs.min())
     T = 10.0 / mu[0]
     while T < 1e15:
-        theta_T, log_rho_T = _imhof_parts(mu, T)
+        theta_T, log_rho_T, slope_T = ev.phase_at(T)
         g_T = math.exp(-log_rho_T) / T
-        resid_num = (1.0 + 0.5 * n) * g_T / T + g_T * theta_slope(T)
+        resid_num = (1.0 + 0.5 * n) * g_T / T + g_T * slope_T
         if resid_num / (r_min * r_min) <= 0.5 * GIL_PELAEZ_TOL:
             break
         T *= 1.6
@@ -274,9 +480,9 @@ def _gp_values(mu: np.ndarray, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         )
     n_panels = int(max(1.5 * n_osc, 20.0))
     edges = np.linspace(0.0, T, n_panels + 1)
-    total, err = _integrate_panels(mu, rs, edges)
+    total, err = _integrate_panels(ev, rs, edges)
     # leading by-parts term of the cut tail
-    slope_T = rs - theta_slope(T)
+    slope_T = rs - slope_T
     total += g_T * np.cos(theta_T - T * rs) / slope_T
     err += np.abs(resid_num / (slope_T * slope_T))
     if err.max() > max(100.0 * GIL_PELAEZ_TOL, 1e-6):
@@ -291,20 +497,6 @@ def _gp_values(mu: np.ndarray, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _cgf(s: float, mu: np.ndarray) -> float:
-    return -0.5 * float(np.sum(np.log1p(-2.0 * s * mu)))
-
-
-def _cgf12(s: float, mu: np.ndarray) -> tuple[float, float]:
-    """K'(s) and K''(s) from one pass over the weights."""
-    a = mu / (1.0 - 2.0 * s * mu)
-    return float(a.sum()), 2.0 * float(a @ a)
-
-
-def _cgf3(s: float, mu: np.ndarray) -> float:
-    return float(np.sum(8.0 * mu**3 / (1.0 - 2.0 * s * mu) ** 3))
-
-
 def cdf_saddlepoint(w: WeightSeq, r: float) -> ProbabilityEstimate:
     """Lugannani-Rice approximation of P{sum mu_k xi_k^2 < r} in the left
     tail r < sum mu_k.
@@ -313,15 +505,18 @@ def cdf_saddlepoint(w: WeightSeq, r: float) -> ProbabilityEstimate:
     function K(s) = -1/2 sum log(1 - 2 s mu_k); the tilt exists for every
     0 < r < sum mu_k, and ``_solve_saddle`` finds it by a safeguarded Newton
     iteration.  Near the mean the 1/w - 1/u cancellation is replaced by its
-    limit K'''/(6 K''^{3/2}).
+    limit K'''/(6 K''^{3/2}).  K and its derivatives split the weights at
+    2 |s| mu_k = 1/2: the smaller ones are summed by their series in
+    u = 2 s mu_k on stored power sums, to 1e-17 relative, and only the
+    leading ones term by term.
     """
     r = _check_positive("r", r)
-    mu = w.head
     r_eff = r - w.tail_sum_bound
     if r_eff <= 0:
         return ProbabilityEstimate(0.0, -np.inf, 0.0, "saddlepoint")
-    s, k2 = _solve_saddle(mu, r_eff)
-    log_value, w_hat = _lr_logcdf(mu, r_eff, s, k2)
+    ev = w._evaluator
+    s, k2 = _solve_saddle(ev, r_eff)
+    log_value, w_hat = _lr_logcdf(ev, r_eff, s, k2)
     # relative accuracy of LR is O(1/w^2); quote it through the saddle scale
     rel = 1.0 / max(w_hat * w_hat, 1.0)
     value = math.exp(log_value) if log_value > -700 else 0.0
@@ -333,7 +528,7 @@ def cdf_saddlepoint(w: WeightSeq, r: float) -> ProbabilityEstimate:
     return ProbabilityEstimate(value, log_value, err, "saddlepoint")
 
 
-def _solve_saddle(mu: np.ndarray, r: float) -> tuple[float, float]:
+def _solve_saddle(ev: _Evaluator, r: float) -> tuple[float, float]:
     """Root s of K'(s) = r on the CGF domain (-inf, 1/(2 mu_1)), and K''
     from the last pass.  K' is increasing from 0 to +inf there, so every
     r > 0 has a unique tilt.
@@ -341,7 +536,7 @@ def _solve_saddle(mu: np.ndarray, r: float) -> tuple[float, float]:
     Newton's method runs on log K' = log r in the one variable
     y = -log(1 - 2 mu_1 s), which maps the whole domain onto the real line,
     s < 0 onto y < 0, and in which log K' is close to linear in both deep
-    tails.  Each step reads K' and K'' from one pass over the weights.
+    tails.  Each step reads K' and K'' from one ``_Evaluator.cgf12`` pass.
     Since K'(0) e^-y <= K'(s) <= N / (-2 s) below the mean and
     mu_1 e^y <= K'(s) <= K'(0) e^y above it, the iteration starts at
     y = log(r / K'(0)) and keeps a sign bracket whose other end is
@@ -359,7 +554,8 @@ def _solve_saddle(mu: np.ndarray, r: float) -> tuple[float, float]:
     about -log(eps) (r >= 6e14 on those weights), where s rounds onto the
     pole 1/(2 mu_1); it raises before the pass there.
     """
-    k1 = float(mu.sum())
+    mu = ev.mu
+    k1 = ev.total
     edge = -math.log1p(float(mu[0]) * mu.size / r) if r < k1 else math.log(r / mu[0])
     if edge < -700.0:
         raise NumericError(
@@ -381,7 +577,7 @@ def _solve_saddle(mu: np.ndarray, r: float) -> tuple[float, float]:
     lo, hi = min(y, edge), max(y, edge)
     for _ in range(200):
         s = to_s(y)
-        k1, k2 = _cgf12(s, mu)
+        k1, k2 = ev.cgf12(s)
         if k2 == 0.0:
             raise NumericError(f"saddle equation: K'' underflows at s = {s:.3e}")
         g = math.log(k1 / r)
@@ -404,16 +600,16 @@ def _norm_pdf(z):
     return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
-def _lr_logcdf(mu: np.ndarray, r: float, s: float, k2: float) -> tuple[float, float]:
+def _lr_logcdf(ev: _Evaluator, r: float, s: float, k2: float) -> tuple[float, float]:
     """Lugannani-Rice log P{Q < r} at the saddle s and its K''(s) = k2, both
-    from _solve_saddle(mu, r), and the signed root
+    from _solve_saddle(ev, r), and the signed root
     w_hat = sign(s) sqrt(2 (s r - K(s)))."""
-    k0 = _cgf(s, mu)
+    k0 = ev.cgf(s)
     arg = 2.0 * (s * r - k0)
     w_hat = math.copysign(math.sqrt(max(arg, 0.0)), s)
     if abs(w_hat) < 1e-5:
         # limiting form at the mean
-        corr = _cgf3(s, mu) / (6.0 * k2**1.5)
+        corr = ev.cgf3(s) / (6.0 * k2**1.5)
         p = ndtr(w_hat) + _norm_pdf(w_hat) * corr
         return math.log(p), w_hat
     u_hat = s * math.sqrt(k2)

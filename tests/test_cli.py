@@ -226,6 +226,19 @@ def test_perturb_critical_theorem3(tmp_path):
     assert report["results"]["theorem3_factor"] == pytest.approx(14.43375673, rel=1e-6)
 
 
+def test_perturb_critical_factor_overflow_exits_3(tmp_path, capsys):
+    # at eps = 1e-200 the theorem 3 factor is beyond the double range: a
+    # numeric failure that names eps and writes no report (eps^2 once
+    # underflowed to 0 and ended in a ZeroDivisionError traceback)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"kernel": {"type": "bridge"}, "grid_size": 200, "phi": [{"poly": [1.0]}], "A": [[12.0]]}))
+    rep = tmp_path / "rep.json"
+    assert run(["perturb", "--config", str(cfg_path), "--eps", "1e-200", "--report", str(rep)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "eps = 1e-200" in err
+    assert not rep.exists()
+
+
 def _identity_kernel_problem(tmp_path, a):
     """Sampled identity-like kernel (no green_order) with two orthonormal
     functions: Q = E, so A = E is critical and diag(1, 0) partially so."""

@@ -262,6 +262,12 @@ class TestTheorem1:
         with pytest.raises(NumericError):
             theorem1_factor(np.array([[12.0]]), np.array([[1.0 / 12.0]]))
 
+    def test_nested_lists(self):
+        # A and Q as nested lists, which classify and d_matrix take too; the
+        # factor once read a.shape of the list and raised AttributeError
+        assert theorem1_factor([[6.0]], [[1.0 / 12.0]]) == pytest.approx(2.0)
+        assert theorem1_factor([[6.0, 0.0], [0.0, 0.0]], [[1.0 / 12.0, 0.0], [0.0, 1.0]]) == pytest.approx(2.0)
+
     @pytest.mark.parametrize("a", [18.0, 24.0, 40.0])
     def test_bridge_beyond_critical_is_positive(self, a):
         # A = 18 and A = 6 give the same D; A = 24 gives D = 0 (G_A = G0)
@@ -528,6 +534,20 @@ class TestTheorem3:
     def test_non_finite_eps_rejected(self, eps):
         with pytest.raises(ValueError, match="eps must be positive and finite"):
             theorem3_asymptotic(1, 1, 1.0, eps)
+
+    @pytest.mark.parametrize("l, m, eps", [(1, 1, 1e-200), (2, 3, 1e-120), (1, 2, 1e-100)])
+    def test_factor_beyond_double_range_raises(self, l, m, eps):
+        # eps^2 = 1e-400 once raised ZeroDivisionError, and (2 sqrt 2 1e-240)^-2
+        # an OverflowError; both factors exceed the double range
+        with pytest.raises(NumericError, match=f"eps = {eps!r}"):
+            theorem3_asymptotic(l, m, 1.0, eps)
+
+    def test_underflowing_eps_square(self):
+        # eps^2 = 1e-340 is below the double range but the factor is not:
+        # (3 eps^2)^(-3/5) at l = 3, and the prefactor alone at m = 0
+        expected = math.exp(-0.6 * (math.log(3.0) - 340.0 * math.log(10.0)))
+        assert theorem3_asymptotic(3, 1, 1.0, 1e-170) == pytest.approx(expected, rel=1e-12)
+        assert theorem3_asymptotic(1, 0, 0.7, 1e-200) == pytest.approx(0.7, rel=1e-15)
 
 
 @pytest.fixture(scope="module")

@@ -126,18 +126,18 @@ class TestSaddlepoint:
         w = _closed_form_weights(delta, n=100_000)
         mu = w.head
         passes, saddles = [], []
-        real_cgf12 = quadform._cgf12
+        real_cgf12 = quadform._Evaluator.cgf12
 
-        def counting(s, mu):
+        def counting(ev, s):
             passes[-1] += 1
-            return real_cgf12(s, mu)
+            return real_cgf12(ev, s)
 
-        monkeypatch.setattr(quadform, "_cgf12", counting)
+        monkeypatch.setattr(quadform._Evaluator, "cgf12", counting)
         mean, k2_mean = float(mu.sum()), 2.0 * float(mu @ mu)
         radii = [eps * eps - w.tail_sum_bound for eps in np.geomspace(0.003, 0.8, 16)]
         for r in radii + [mean * (1.0 - 1e-9), mean, mean * (1.0 + 1e-9)]:
             passes.append(0)
-            saddles.append(quadform._solve_saddle(mu, r)[0])
+            saddles.append(quadform._solve_saddle(w._evaluator, r)[0])
             f = lambda s: float(np.sum(mu / (1.0 - 2.0 * s * mu))) - r  # noqa: E731
             # K'(s) <= N / (-2 s) below 0 and K'(s) >= mu_1 / (1 - 2 s mu_1) above
             lo, hi = (-mu.size / (2.0 * r), 0.0) if f(0.0) > 0 else (0.0, (1.0 - mu[0] / r) / (2.0 * mu[0]))
@@ -158,20 +158,21 @@ class TestSaddlepoint:
         # less than 1e-12 relative of itself, so the solve also stops once
         # K'(s) matches r to rounding; on these radii about a quarter of the
         # solves once ran 200 passes and raised "did not converge"
-        mu = _closed_form_weights(delta, n=n).head
+        w = _closed_form_weights(delta, n=n)
+        mu = w.head
         mean = float(mu.sum())
         passes = []
-        real_cgf12 = quadform._cgf12
+        real_cgf12 = quadform._Evaluator.cgf12
 
-        def counting(s, mu):
+        def counting(ev, s):
             passes[-1] += 1
-            return real_cgf12(s, mu)
+            return real_cgf12(ev, s)
 
-        monkeypatch.setattr(quadform, "_cgf12", counting)
+        monkeypatch.setattr(quadform._Evaluator, "cgf12", counting)
         for e in np.geomspace(1e-14, 1e-2, 25):
             for r in (mean * (1.0 - e), mean * (1.0 + e)):
                 passes.append(0)
-                s, _ = quadform._solve_saddle(mu, r)
+                s, _ = quadform._solve_saddle(w._evaluator, r)
                 assert passes[-1] <= 10
                 assert (s < 0.0) == (r < mean)
                 assert float(np.sum(mu / (1.0 - 2.0 * s * mu))) == pytest.approx(r, rel=1e-13, abs=0.0)
@@ -185,26 +186,26 @@ class TestSaddlepoint:
         w = _closed_form_weights(delta, n=100_000)
         mu = w.head
         last_k2, lr_k2 = [], []
-        real_cgf12, real_lr = quadform._cgf12, quadform._lr_logcdf
+        real_cgf12, real_lr = quadform._Evaluator.cgf12, quadform._lr_logcdf
 
-        def recording_k2(s, mu):
-            k1, k2 = real_cgf12(s, mu)
+        def recording_k2(ev, s):
+            k1, k2 = real_cgf12(ev, s)
             last_k2.append(k2)
             return k1, k2
 
-        def recording(mu, r, s, k2):
+        def recording(ev, r, s, k2):
             lr_k2.append(k2)
-            return real_lr(mu, r, s, k2)
+            return real_lr(ev, r, s, k2)
 
-        monkeypatch.setattr(quadform, "_cgf12", recording_k2)
+        monkeypatch.setattr(quadform._Evaluator, "cgf12", recording_k2)
         monkeypatch.setattr(quadform, "_lr_logcdf", recording)
         for eps in np.geomspace(0.003, 0.8, 12):
             est = cdf_saddlepoint(w, eps * eps)
             assert lr_k2[-1] == last_k2[-1]
             r = eps * eps - w.tail_sum_bound
-            s, _ = quadform._solve_saddle(mu, r)
+            s, _ = quadform._solve_saddle(w._evaluator, r)
             a = mu / (1.0 - 2.0 * s * mu)
-            log_ref, w_hat = real_lr(mu, r, s, 2.0 * float(np.sum(a * a)))
+            log_ref, w_hat = real_lr(w._evaluator, r, s, 2.0 * float(np.sum(a * a)))
             assert est.log_value == pytest.approx(log_ref, rel=1e-11, abs=0.0)
             rel = 1.0 / max(w_hat * w_hat, 1.0)
             value = math.exp(log_ref) if log_ref > -700 else 0.0
@@ -220,13 +221,13 @@ class TestSaddlepoint:
         # NumericError naming the pole, after at most 10 passes and with no
         # numpy warning (1e15 gave inf, 1e16 200 passes and no convergence)
         passes = []
-        real = quadform._cgf12
+        real = quadform._Evaluator.cgf12
 
-        def counting(s, mu):
+        def counting(ev, s):
             passes.append(s)
-            return real(s, mu)
+            return real(ev, s)
 
-        monkeypatch.setattr(quadform, "_cgf12", counting)
+        monkeypatch.setattr(quadform._Evaluator, "cgf12", counting)
         try:
             est = cdf_saddlepoint(bridge_weights(n), r)
         except NumericError as exc:
@@ -254,15 +255,111 @@ class TestSaddlepoint:
     def test_one_cgf_pass_per_call(self, monkeypatch):
         # the error bound reuses the w_hat of the Lugannani-Rice step
         calls = []
-        real = quadform._cgf
+        real = quadform._Evaluator.cgf
 
-        def counting(s, mu):
+        def counting(ev, s):
             calls.append(s)
-            return real(s, mu)
+            return real(ev, s)
 
-        monkeypatch.setattr(quadform, "_cgf", counting)
+        monkeypatch.setattr(quadform._Evaluator, "cgf", counting)
         cdf_saddlepoint(wiener_weights(1000), 0.01)
         assert len(calls) == 1
+
+
+def _evaluator_cases():
+    k = np.arange(1.0, 301.0)
+    flat = np.full(3000, 0.25)
+    flat[1::2] += 0.9e-12  # rises of 0.9e-12 mu_1, which WeightSeq allows
+    return {
+        "tiny": 1e-150 / k**2,
+        "huge": 1e150 / k**2,
+        "flat_with_rises": np.concatenate([[1.0, 0.5], flat]),
+        "equal": np.full(500, 0.3),
+        "single": np.array([0.7]),
+        "bridge_1e5": 1.0 / (np.pi * np.arange(1, 100_001)) ** 2,
+    }
+
+
+# a subnormal result keeps only an absolute accuracy of a few hundred units
+# of 5e-324, in the reference sums as in the evaluator
+_SUBNORMAL_ATOL = 1e-320
+
+
+class TestEvaluator:
+    """The power-sum evaluator against direct, exactly rounded sums over
+    every weight."""
+
+    @pytest.fixture(scope="class", params=list(_evaluator_cases()))
+    def case(self, request):
+        mu = _evaluator_cases()[request.param]
+        return WeightSeq(head=mu)._evaluator, mu
+
+    def test_phase(self, case):
+        ev, mu = case
+        t = np.geomspace(1e-6, 1e6, 49) / mu[0]
+        theta, log_rho = ev.phase(t)
+        ref_theta = [0.5 * math.fsum(np.arctan(2.0 * mu * x)) for x in t]
+        ref_log_rho = [0.25 * math.fsum(np.log1p((2.0 * mu * x) ** 2)) for x in t]
+        np.testing.assert_allclose(theta, ref_theta, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(log_rho, ref_log_rho, rtol=1e-14, atol=0)
+        for x, th, lr in zip(t[::6], theta[::6], log_rho[::6]):
+            slope_ref = math.fsum(mu / (1.0 + (2.0 * mu * x) ** 2))
+            assert ev.phase_at(x) == pytest.approx((th, lr, slope_ref), rel=1e-14, abs=0)
+
+    def test_cgf(self, case):
+        # s from -1e6 to 1 - 1e-6 times the pole 1/(2 mu_1)
+        ev, mu = case
+        pole = 0.5 / mu[0]
+        s = np.concatenate([-np.geomspace(1e6, 1e-6, 49) * pole, [0.0], (1.0 - np.geomspace(1.0, 1e-6, 25)[1:]) * pole])
+        with np.errstate(over="ignore"):
+            for x in s:
+                a = mu / (1.0 - 2.0 * x * mu)
+                ref = (
+                    -0.5 * math.fsum(np.log1p(-2.0 * x * mu)),
+                    math.fsum(a),
+                    2.0 * math.fsum(a * a),
+                    8.0 * math.fsum(a * a * a) if np.all(np.isfinite(a * a * a)) else math.inf,
+                )
+                got = (ev.cgf(x), *ev.cgf12(x), ev.cgf3(x))
+                np.testing.assert_allclose(got, ref, rtol=1e-14, atol=_SUBNORMAL_ATOL, err_msg=f"s = {x!r}")
+
+    def test_mean_is_the_total(self, case):
+        # K'(0) is WeightSeq.total bit for bit, so the radius r = total has
+        # the saddle 0
+        ev, mu = case
+        assert ev.cgf12(0.0)[0] == ev.total == float(mu.sum())
+
+    def test_direct_part_within_a_fifth_of_need(self, case):
+        # an argument x sums the weights directly up to the first split
+        # point where 2 |x| max_{k >= K} mu_k <= delta: at most 2^(1/4) times
+        # the index where that first holds, plus one, from about four split
+        # points per octave
+        ev, mu = case
+        suffix_max = np.maximum.accumulate(mu[::-1])[::-1]
+        assert ev._split.size <= 4 * math.log2(mu.size) + 3
+        for x in np.geomspace(1e-3, 1e8, 67) / mu[0]:
+            need = int(np.count_nonzero(2.0 * x * suffix_max > quadform._SERIES_DELTA))
+            used = int(ev._split[np.searchsorted(ev._limit, x)])
+            assert need <= used <= 2.0**0.25 * need + 1
+
+    def test_truncation_bound(self):
+        # the series of the third derivative, the slowest, keeps the powers
+        # up to P - 3 of |u| <= delta; its relative truncation error is
+        # below 1e-17
+        d, p = quadform._SERIES_DELTA, quadform._SERIES_POWERS
+        assert math.comb(p, 2) * d ** (p - 2) * ((1.0 + d) / (1.0 - d)) ** 3 < 1e-17
+
+    def test_caller_write_leaves_sequence_unchanged(self):
+        # the sequence keeps a read-only copy of the caller's array, so the
+        # power sums stored on first use cannot go stale
+        mu = 1.0 / (np.pi * np.arange(1.0, 51.0)) ** 2
+        w = WeightSeq(head=mu)
+        before = cdf_saddlepoint(w, 0.01)
+        mu[:] = 1.0
+        assert w.head[0] == 1.0 / np.pi**2
+        assert cdf_saddlepoint(w, 0.01) == before
+        with pytest.raises(ValueError, match="read-only"):
+            w.head[0] = 1.0
 
 
 class TestMonteCarlo:
@@ -346,7 +443,7 @@ class TestTailShift:
         est = cdf_gil_pelaez(w, r)
         assert est.value == 0.0
         assert est.log_value == -math.inf
-        values, _ = quadform._gp_values(w.head, np.array([r]))
+        values, _ = quadform._gp_values(w._evaluator, np.array([r]))
         assert est.error_bound == max(values[0], 0.0)
 
     # a short head with a wide tail, so that many draws fall in [r - tail, r)
@@ -660,9 +757,10 @@ class TestInversionMonotonicity:
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
-def _quad_panel_oracle(mu, rs, edges):
+def _quad_panel_oracle(ev, rs, edges):
     """Each panel of the inversion integral through scipy's quad, one call
-    per panel and radius, with a scalar integrand."""
+    per panel and radius, with a scalar integrand summed over the weights."""
+    mu = ev.mu
 
     def integrand(t, r):
         theta = 0.5 * float(np.sum(np.arctan(2.0 * mu * t)))
@@ -738,13 +836,13 @@ class TestPanelOracle:
         # call evaluates theta0 and rho on no more nodes than a call at r
         # alone, up to the slightly later cut of r - tail
         nodes = []
-        real = quadform._imhof_parts
+        real = quadform._Evaluator.phase
 
-        def counting(mu, t):
+        def counting(ev, t):
             nodes[-1] += np.size(t)
-            return real(mu, t)
+            return real(ev, t)
 
-        monkeypatch.setattr(quadform, "_imhof_parts", counting)
+        monkeypatch.setattr(quadform._Evaluator, "phase", counting)
         w = _closed_form_weights({"bridge": 0.0, "wiener": -0.5}[proc])
         for weights in (w, WeightSeq(head=w.head)):
             nodes.append(0)
