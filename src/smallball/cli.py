@@ -28,7 +28,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, asymptotics, durbin, kernels, perturbation, quadform
-from .errors import SmallBallError, _check_integer, _check_positive
+from .errors import SmallBallError, _check_array, _check_integer, _check_positive
 from .grids import Grid, gauss_legendre_grid
 from .spectral import nystrom_spectrum
 
@@ -71,16 +71,9 @@ def _write_csv(path: str, header: str, rows) -> None:
 
 
 def _floats(cfg: dict, key: str, ndim: int) -> np.ndarray:
-    """``cfg[key]`` as a non-empty float array of ``ndim`` dimensions; any
-    other value is an argument error that names the key."""
-    try:
-        value = np.asarray(cfg[key], dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        value = None
-    if value is None or value.ndim != ndim or value.size == 0:
-        lists = "lists of " * (ndim - 1)
-        raise ValueError(f"key {key!r} must be a non-empty list of {lists}numbers in the double range")
-    return value
+    """``cfg[key]`` checked by ``_check_array`` as a list of ``ndim``
+    dimensions, in errors that name the key."""
+    return _check_array(f"key {key!r}", cfg[key], (None,) * ndim)
 
 
 def _check_keys(what: str, cfg: dict, keys) -> None:

@@ -27,14 +27,13 @@ Catalog families (closed-form psi, psi', psi'' and MLE):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import kernels, perturbation
-from .errors import ConsistencyError, _check_integer, _check_positive
+from .errors import ConsistencyError, _check_array, _check_integer, _check_positive
 from .grids import Grid, graded_endpoint_grid
 from .quadform import SAMPLER_BLOCK, _norm_pdf, _sharded_map
 
@@ -81,12 +80,8 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unsupported family {self.family!r}")
-        object.__setattr__(self, "theta0", tuple(float(v) for v in self.theta0))
-        if not all(math.isfinite(v) for v in self.theta0):
-            raise ValueError("theta0 must be finite")
         names = _FAMILIES[self.family]
-        if len(self.theta0) != len(names):
-            raise ValueError(f"{self.family} takes theta0 = ({', '.join(names)})")
+        object.__setattr__(self, "theta0", tuple(_check_array("theta0", self.theta0, (len(names),)).tolist()))
         for name, v in zip(names, self.theta0):
             if name != "mu":
                 _check_positive(name, v)
@@ -163,7 +158,7 @@ def _gram_of_scores(psi_prime: np.ndarray, grid: Grid) -> np.ndarray:
     return 0.5 * (s + s.T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DurbinModel:
     """Validated Durbin perturbation data for one family."""
 

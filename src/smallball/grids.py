@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import _check_integer
+from .errors import _check_array, _check_integer
 
 __all__ = ["Grid", "gauss_legendre_grid", "graded_endpoint_grid"]
 
@@ -23,7 +23,7 @@ _WEIGHT_SUM_TOL = 1e-12
 GRADED_LEVELS = 45
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Quadrature nodes and weights on (0, 1).
 
@@ -36,10 +36,8 @@ class Grid:
     weights: np.ndarray
 
     def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float)
-        weights = np.array(self.weights, dtype=float)
-        if nodes.ndim != 1 or weights.shape != nodes.shape or nodes.size == 0:
-            raise ValueError("nodes and weights must be non-empty 1-d arrays of equal length")
+        nodes = _check_array("nodes", self.nodes, (None,)).copy()
+        weights = _check_array("weights", self.weights, nodes.shape).copy()
         if not np.all(np.diff(nodes) > 0):
             raise ValueError("nodes must be strictly increasing")
         if nodes[0] <= 0.0 or nodes[-1] >= 1.0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, _check_integer, _check_positive
+from .errors import DataError, _check_array, _check_integer, _check_positive
 from .grids import Grid
 
 __all__ = [
@@ -37,7 +37,7 @@ ROW_BLOCK = 64
 _CATALOG = ("wiener", "bridge", "ornstein_uhlenbeck", "sampled")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelSpec:
     """Descriptor of a covariance kernel G0(x, y) on [0, 1].
 
@@ -66,20 +66,10 @@ class KernelSpec:
         if self.variant == "sampled":
             if self.grid is None or self.matrix is None:
                 raise ValueError("sampled kernel needs a grid and a matrix")
-            m = np.asarray(self.matrix, dtype=float)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError("sampled kernel matrix must be square")
-            if m.shape[0] != self.grid.size:
-                raise ValueError("sampled kernel matrix does not match its grid")
-            if not np.isfinite(m).all():
-                raise ValueError("sampled kernel matrix must be finite")
+            n = self.grid.size
+            m = _check_array("matrix", self.matrix, (n, n))
             if self.diag_jump is not None:
-                j = np.asarray(self.diag_jump, dtype=float)
-                if j.shape != (self.grid.size,):
-                    raise ValueError("diag_jump must have one value per grid node")
-                if not np.isfinite(j).all():
-                    raise ValueError("diag_jump must be finite")
-                object.__setattr__(self, "diag_jump", j)
+                object.__setattr__(self, "diag_jump", _check_array("diag_jump", self.diag_jump, (n,)))
             if np.array_equal(m, m.T):
                 # a read-only array that owns its data cannot change under
                 # the spec, so it is kept; anything else is copied
@@ -128,7 +118,7 @@ def sampled(
     return KernelSpec(
         variant="sampled",
         grid=grid,
-        matrix=np.asarray(matrix, dtype=float),
+        matrix=matrix,
         diag_jump=diag_jump,
         green_order=green_order,
     )
@@ -213,8 +203,7 @@ def diagonal_jump(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray | None:
     Returns None when the jump is unknown (sampled kernels without declared
     jump data), in which case no quadrature correction is applied.
     """
-    if spec.variant in ("wiener", "bridge"):
-        return np.ones_like(np.asarray(nodes, dtype=float))
-    if spec.variant == "ornstein_uhlenbeck":
-        return np.full_like(np.asarray(nodes, dtype=float), 2.0 * spec.alpha)
-    return spec.diag_jump
+    if spec.variant == "sampled":
+        return spec.diag_jump
+    jump = 2.0 * spec.alpha if spec.variant == "ornstein_uhlenbeck" else 1.0
+    return np.full_like(_check_array("nodes", nodes, (None,)), jump)

@@ -28,6 +28,7 @@ computable from truncated spectra.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -36,7 +37,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .asymptotics import AsymptoticForm, abel_reduce, differentiate_form
-from .errors import DataError, NumericError, _check_integer, _check_positive
+from .errors import DataError, NumericError, _check_array, _check_integer, _check_positive
 from .grids import Grid
 from .kernels import ROW_BLOCK, KernelSpec
 from .quadform import _log_product_drift
@@ -73,7 +74,7 @@ PARTIALLY_CRITICAL = "partially_critical"
 CRITICAL = "critical"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerturbationSpec:
     """m perturbing functions sampled on a grid, plus the parameter matrix.
 
@@ -86,15 +87,10 @@ class PerturbationSpec:
     grid: Grid
 
     def __post_init__(self):
-        phi = _as_samples(self.phi, self.grid)
-        object.__setattr__(self, "phi", phi)
-        a = np.asarray(self.a_matrix, dtype=float)
-        if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(a))):
-            raise ValueError("perturbing functions and A must be finite")
+        phi = _as_samples("phi", self.phi, self.grid.size)
         m = phi.shape[1]
-        if a.shape != (m, m):
-            raise ValueError(f"A must be {m}x{m} to match {m} functions")
-        object.__setattr__(self, "a_matrix", a)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "a_matrix", _check_array("A", self.a_matrix, (m, m)))
         gram = (phi * self.grid.weights[:, None]).T @ phi
         scale = max(float(np.trace(gram)), 0.0)
         if scale <= 0:
@@ -108,7 +104,7 @@ class PerturbationSpec:
         return self.phi.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramData:
     """psi samples and the induced matrices Q and D."""
 
@@ -131,7 +127,10 @@ def compute_psi(kernel: KernelSpec, phi: np.ndarray, grid: Grid) -> np.ndarray:
     node i.  The kernel is applied one row block at a time, so no n x n
     array is made.
     """
-    return _Discretization(kernel, grid).apply(phi)
+    psi = _Discretization(kernel, grid).apply(_as_samples("phi", phi, grid.size))
+    if not np.isfinite(psi).all():
+        raise NumericError("psi = G0 phi overflows double precision")
+    return psi
 
 
 def gram_q(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> np.ndarray:
@@ -141,8 +140,8 @@ def gram_q(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> np.ndarray:
     the covariance, so it must come out (numerically) symmetric positive
     definite; anything else means the family is degenerate for this kernel.
     """
-    phi = _as_samples(phi, grid)
-    psi = _as_samples(psi, grid)
+    phi = _as_samples("phi", phi, grid.size)
+    psi = _as_samples("psi", psi, grid.size)
     q = (psi * grid.weights[:, None]).T @ phi
     scale = max(float(np.abs(q).max()), 1e-300)
     if not np.allclose(q, q.T, rtol=0, atol=1e-10 * scale):
@@ -155,13 +154,11 @@ def gram_q(phi: np.ndarray, psi: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _check_aq(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A and Q as float arrays, checked to be finite square matrices of one size."""
-    a = np.asarray(a, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if a.shape != q.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("A and Q must be square matrices of equal dimension")
-    if not (np.isfinite(a).all() and np.isfinite(q).all()):
-        raise ValueError("A and Q must be finite")
+    """A and Q checked as finite square matrices of one size."""
+    a = _check_array("A and Q", a, (None, None))
+    q = _check_array("A and Q", q, a.shape)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"A and Q must be square, got shape {a.shape}")
     return a, q
 
 
@@ -191,25 +188,15 @@ def perturbed_kernel(kernel_mat: np.ndarray, psi: np.ndarray, d: np.ndarray) -> 
     ``kernel_mat`` raises ValueError and an overflow NumericError.
     ``sampled`` keeps the result without a copy.
     """
-    kernel_mat = np.asarray(kernel_mat, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    d = np.asarray(d, dtype=float)
+    # a float64 kernel_mat is checked one row block at a time below, and
+    # any other value as a whole when it is converted
+    if not (isinstance(kernel_mat, np.ndarray) and kernel_mat.dtype == np.float64):
+        kernel_mat = _check_array("kernel_mat", kernel_mat, (None, None))
     if kernel_mat.ndim != 2 or kernel_mat.shape[0] != kernel_mat.shape[1]:
         raise ValueError(f"kernel_mat must be square, got shape {kernel_mat.shape}")
     n = kernel_mat.shape[0]
-    if psi.ndim == 1:
-        psi = psi[:, None]
-    if psi.ndim != 2 or psi.shape[0] != n:
-        raise ValueError(
-            f"psi must be ({n},) or ({n}, m) to match kernel_mat {kernel_mat.shape}, got shape {psi.shape}"
-        )
-    m = psi.shape[1]
-    if d.shape != (m, m):
-        raise ValueError(f"d must be {m} x {m} to match psi {psi.shape}, got shape {d.shape}")
-    for name, arr in (("psi", psi), ("d", d)):
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{name} must be finite")
-    p = psi @ d
+    psi = _as_samples("psi", psi, n)
+    p = psi @ _check_array("d", d, (psi.shape[1],) * 2)
     out = np.empty((n, n))
     for lo in range(0, n, ROW_BLOCK):
         hi = min(lo + ROW_BLOCK, n)
@@ -241,10 +228,19 @@ def annihilation_residual(
     phi_j.  The quadrature applies the base kernel's diagonal kink
     correction (the rank-m term is smooth across the diagonal), matching
     how every other operator action in the package is discretized.
+    Every weight is positive and phi is checked, so a non-finite entry of
+    ``perturbed_mat`` reaches its n x m action, which is checked instead;
+    the matrix is read again only to tell that from an overflow.
     """
+    phi = _as_samples("phi", phi, grid.size)
     op = _Discretization(kernel, grid)
     scale = max(float(np.abs(op.apply(phi)).max()), 1e-300)
-    return float(np.abs(op.apply(phi, perturbed_mat)).max()) / scale
+    action = op.apply(phi, perturbed_mat)
+    if not np.isfinite(action).all():
+        if not np.isfinite(perturbed_mat).all():
+            raise ValueError("perturbed_mat must be finite")
+        raise NumericError("G_A phi overflows double precision")
+    return float(np.abs(action).max()) / scale
 
 
 def classify(a: np.ndarray, q: np.ndarray) -> Classification:
@@ -329,30 +325,32 @@ def bateman_ratio(z: complex, coeffs: FourierCoeffs, d: np.ndarray) -> complex:
     """
     lam = coeffs.spectrum.inverse_eigenvalues
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"z must be finite, got {z!r}")
     if z != 0:
         rel_gap = np.min(np.abs(z - lam) / np.abs(lam))
         if rel_gap < 1e-8:
             raise NumericError(f"z = {z} is within tolerance of a base eigenvalue")
     a = coeffs.a
     m = a.shape[1]
-    if np.asarray(d).shape != (m, m):
-        raise ValueError("D dimension does not match the coefficient matrix")
+    d = _check_array("d", d, (m, m))
     if z == 0:
         return complex(1.0)
     weights = lam / (1.0 - lam / z)
     core = (a * weights[:, None]).T @ a
-    return complex(np.linalg.det(np.eye(m) + core @ np.asarray(d, dtype=float)))
+    return complex(np.linalg.det(np.eye(m) + core @ d))
 
 
 def critical_prefactor(q: np.ndarray, phi: np.ndarray, grid: Grid) -> float:
     """sqrt(det Q / det int phi phi^T), the constant of the critical
     transfer."""
-    phi = _as_samples(phi, grid)
+    phi = _as_samples("phi", phi, grid.size)
+    q = _check_array("q", q, (phi.shape[1],) * 2)
     gram = (phi * grid.weights[:, None]).T @ phi
     det_gram = float(np.linalg.det(gram))
     if det_gram <= 1e-14 * max(float(np.trace(gram)) ** phi.shape[1], 1e-300):
         raise DataError("perturbing family Gram matrix is rank deficient")
-    det_q = float(np.linalg.det(np.asarray(q, dtype=float)))
+    det_q = float(np.linalg.det(q))
     return math.sqrt(det_q / det_gram)
 
 

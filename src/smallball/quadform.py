@@ -46,7 +46,7 @@ from scipy.optimize import brentq  # noqa: F401  (benchmark/tracing.py counts ca
 from scipy.special import log_ndtr, ndtr
 from scipy.special import ndtri  # noqa: F401  (benchmark/tracing.py times calls to quadform.ndtri)
 
-from .errors import NumericError, _check_integer, _check_positive
+from .errors import NumericError, _check_array, _check_integer, _check_positive
 
 __all__ = [
     "WeightSeq",
@@ -69,7 +69,7 @@ MC_SHARDS = 16
 SAMPLER_BLOCK = 1 << 17
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightSeq:
     """Positive non-increasing weights mu_1..mu_N plus a tail descriptor.
 
@@ -84,19 +84,13 @@ class WeightSeq:
     label: str = ""
 
     def __post_init__(self):
-        head = np.array(self.head, dtype=float).ravel()
-        if head.size == 0:
-            raise ValueError("weight sequence must be non-empty")
-        if not np.all(np.isfinite(head)):
-            raise ValueError("weights must be finite")
+        head = _check_array("head", self.head, (None,)).copy()
         if not np.all(head > 0):
-            raise ValueError("weights must be strictly positive")
+            raise ValueError("head must be strictly positive")
         if np.any(np.diff(head) > 1e-12 * head[0]):
-            raise ValueError("weights must be non-increasing")
-        if not math.isfinite(self.tail_sum_bound):
-            raise ValueError("tail_sum_bound must be finite")
-        if self.tail_sum_bound < 0:
-            raise ValueError("tail_sum_bound must be >= 0")
+            raise ValueError("head must be non-increasing")
+        if self.tail_sum_bound != 0:
+            object.__setattr__(self, "tail_sum_bound", _check_positive("tail_sum_bound", self.tail_sum_bound))
         head.flags.writeable = False
         object.__setattr__(self, "head", head)
 

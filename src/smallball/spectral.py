@@ -44,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError, NumericError, _check_integer
+from .errors import DataError, NumericError, _check_array, _check_integer
 from .grids import Grid
 from .kernels import PSD_TOL, ROW_BLOCK, KernelSpec, _check_grid, _kernel_diagonal, _kernel_rows, diagonal_jump
 
@@ -64,7 +64,7 @@ EIGENVALUE_FLOOR = 1e-13
 REFLECTION_TOL = 64 * np.finfo(float).eps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Leading eigenvalues and weighted-orthonormal eigenfunction samples.
 
@@ -108,7 +108,7 @@ class Spectrum:
         return 1.0 / self.eigenvalues
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourierCoeffs:
     """Coefficients a[n, j] = <psi_j, u_n> in the weighted inner product."""
 
@@ -132,15 +132,13 @@ def kink_correction(jump: np.ndarray, grid: Grid) -> np.ndarray:
     return 0.5 * jump * (quad_abs - exact_abs)
 
 
-def _as_samples(funcs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Function samples as an (n, m) array with one function per column;
-    a 1-d array is one function."""
-    f = np.asarray(funcs, dtype=float)
-    if f.ndim == 1:
-        f = f[:, None]
-    if f.ndim != 2 or f.shape[0] != grid.size:
-        raise ValueError(f"function samples must be ({grid.size},) or ({grid.size}, m), got shape {f.shape}")
-    return f
+def _as_samples(name: str, funcs: np.ndarray, n: int) -> np.ndarray:
+    """Function samples, checked by ``_check_array``, as an (n, m) array with
+    one function per column; a 1-d array is one function."""
+    # a nested list is read as objects, so a ragged one reaches the check
+    ndim = funcs.ndim if isinstance(funcs, np.ndarray) else np.asarray(funcs, dtype=object).ndim
+    f = _check_array(name, funcs, (n, None) if ndim > 1 else (n,))
+    return f[:, None] if f.ndim == 1 else f
 
 
 class _Discretization:
@@ -184,13 +182,13 @@ class _Discretization:
             diag += self.kink
         return diag
 
-    def apply(self, funcs: np.ndarray, mat: np.ndarray | None = None) -> np.ndarray:
-        """int G(x_i, y) f(y) dy for each sampled f, by the weighted rule plus
-        the kink correction.  The rule runs on the kernel's rows, one block at
-        a time, or on ``mat``: a dense perturbation of the kernel's matrix
+    def apply(self, f: np.ndarray, mat: np.ndarray | None = None) -> np.ndarray:
+        """int G(x_i, y) f(y) dy for each column f of ``f``, (n, m) samples
+        as ``_as_samples`` returns them, by the weighted rule plus the kink
+        correction.  The rule runs on the kernel's rows, one block at a
+        time, or on ``mat``: a dense perturbation of the kernel's matrix
         that is smooth across the diagonal, so its kink is the kernel's.
         """
-        f = _as_samples(funcs, self.grid)
         wf = self.grid.weights[:, None] * f
         if mat is not None:
             action = np.asarray(mat, dtype=float) @ wf
@@ -314,6 +312,6 @@ def fourier_coefficients(spectrum: Spectrum, funcs: np.ndarray) -> FourierCoeffs
 
     ``funcs`` holds one function per column, sampled on ``spectrum.grid``.
     """
-    funcs = _as_samples(funcs, spectrum.grid)
+    funcs = _as_samples("funcs", funcs, spectrum.grid.size)
     a = (spectrum.eigvecs * spectrum.grid.weights[:, None]).T @ funcs
     return FourierCoeffs(a=a, spectrum=spectrum)

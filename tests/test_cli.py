@@ -392,13 +392,19 @@ def test_removed_options_rejected(tmp_path, monkeypatch, argv):
           "phi": [{"poly": [1.0]}], "A": [[6.0]]},
          "kernel key 'alpha' must be positive and finite"),
         ({"kernel": {"type": "bridge"}, "grid_size": 10**400, "phi": [{"poly": [1.0]}], "A": [[6.0]]}, "'grid_size'"),
+        # JSON NaN in a grid once read as a node the kernel's own grid lacked
+        ({"kernel": {"type": "sampled", "grid": [math.nan], "matrix": [[1.0]]}, "phi": [{"poly": [1.0]}],
+          "A": [[1.0]]}, "key 'grid' must be finite"),
+        ({"kernel": {"type": "bridge"}, "grid_size": 50, "phi": [{"poly": ["1.0"]}], "A": [[6.0]]},
+         "key 'poly' must be an array of numbers"),
     ],
     ids=["unknown_key", "poly_and_samples", "descriptor_not_an_object", "grid_size_with_sampled_kernel",
          "kernel_not_an_object", "phi_not_a_list", "phi_entry_not_an_object", "poly_not_a_list",
          "green_order_not_an_integer", "green_order_bool", "poly_empty", "phi_empty", "grid_not_a_list",
          "grid_size_not_an_integer", "grid_size_bool", "ou_spelled_short", "ou_unknown_key",
          "sampled_diag_jump_misspelt", "phi_entry_unknown_key", "ou_alpha_missing", "ou_alpha_not_a_number",
-         "poly_beyond_double", "a_beyond_double", "ou_alpha_beyond_double", "grid_size_beyond_double"],
+         "poly_beyond_double", "a_beyond_double", "ou_alpha_beyond_double", "grid_size_beyond_double",
+         "grid_nan", "poly_string"],
 )
 def test_perturb_problem_keys_checked(tmp_path, capsys, cfg, key):
     # a key the problem, its kernel or a phi entry does not read, one another

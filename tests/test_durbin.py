@@ -125,7 +125,7 @@ class TestPsi:
         good = (0.0, 1.0) if family == "normal_location_scale" else (1.0,)
         assert FamilySpec(family, good).m == len(names)
         for wrong in (good + (1.0,), good[:-1]):
-            with pytest.raises(ValueError, match=re.escape(f"{family} takes theta0 = ({', '.join(names)})")):
+            with pytest.raises(ValueError, match=re.escape(f"theta0 must be a non-empty array of shape ({len(names)},)")):
                 FamilySpec(family, wrong)
         for bad in (0.0, -1.0):
             theta0 = good[:-1] + (bad,)

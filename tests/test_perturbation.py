@@ -78,6 +78,14 @@ class TestComputePsi:
         psi = compute_psi(bridge(), np.zeros(g500.size), g500)
         assert np.abs(psi).max() == 0.0
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflow_rejected(self):
+        # finite inputs whose psi overflows once returned inf
+        grid = gauss_legendre_grid(4)
+        kernel = sampled(grid, 1e300 * kernel_matrix(bridge(), grid))
+        with pytest.raises(NumericError, match="overflows"):
+            compute_psi(kernel, np.full(grid.size, 1e200), grid)
+
 
 class TestGramQ:
     def test_bridge_constant(self, g500):
@@ -172,6 +180,14 @@ class TestPerturbedKernel:
         g_a = perturbed_kernel(kernel_matrix(bridge(), g500), gram.psi, gram.d_matrix)
         assert annihilation_residual(bridge(), g_a, phi, g500) < 1e-9
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_annihilation_overflow_rejected(self):
+        # a finite matrix whose action on a finite phi overflows is a numeric
+        # failure, not a non-finite argument
+        grid = gauss_legendre_grid(4)
+        with pytest.raises(NumericError, match="overflows"):
+            annihilation_residual(bridge(), np.full((4, 4), 1e300), np.full(4, 1e200), grid)
+
     @pytest.mark.parametrize(
         "m,d",
         [(1, [[-9.0]]), (2, [[-12.0, 3.0], [3.0, -8.0]]), (2, [[1.0, 2.0], [2.0, -1.0]])],
@@ -196,10 +212,10 @@ class TestPerturbedKernel:
         "k,psi,d,match",
         [
             (np.ones((50, 49)), np.ones(50), [[1.0]], r"kernel_mat must be square, got shape \(50, 49\)"),
-            (np.ones((50, 50)), np.array([2.0]), [[1.0]], r"psi must be \(50,\) or \(50, m\).*got shape \(1, 1\)"),
-            (np.ones((50, 50)), np.ones((50, 1, 1)), [[1.0]], r"psi must be.*got shape \(50, 1, 1\)"),
-            (np.ones((50, 50)), np.ones((50, 2)), [[1.0]], r"d must be 2 x 2 to match psi \(50, 2\), got shape \(1, 1"),
-            (np.ones((50, 50)), np.ones(50), 1.0, r"d must be 1 x 1.*got shape \(\)"),
+            (np.ones((50, 50)), np.array([2.0]), [[1.0]], r"psi must be a non-empty array of shape \(50,\), got shape \(1,\)"),
+            (np.ones((50, 50)), np.ones((50, 1, 1)), [[1.0]], r"psi must be a non-empty array of shape \(50, any\), got shape \(50, 1, 1\)"),
+            (np.ones((50, 50)), np.ones((50, 2)), [[1.0]], r"d must be a non-empty array of shape \(2, 2\), got shape \(1, 1\)"),
+            (np.ones((50, 50)), np.ones(50), 1.0, r"d must be a non-empty array of shape \(1, 1\), got shape \(\)"),
         ],
         ids=["non_square", "short_psi", "psi_3d", "d_too_small", "d_scalar"],
     )
