@@ -2,14 +2,15 @@
 
 Argument misuse raises the built-in ``ValueError``/``TypeError``.  This module
 is the one place where arguments are checked: every public scalar goes
-through ``_check_positive`` or ``_check_integer``, and every public array
-through ``_check_array``, each of which names it.  The classes
-here cover failures of the *data* (inputs that are syntactically fine but
-numerically inadmissible) and of the *numerics* (iterations or quadratures
-that did not converge).  The CLI maps ValueError and TypeError to exit
-code 2 and SmallBallError to exit code 3.
+through ``_check_positive``, ``_check_integer`` or ``_check_complex``, and
+every public array through ``_check_array``, each of which names it.  The
+classes here cover failures of the *data* (inputs that are syntactically
+fine but numerically inadmissible) and of the *numerics* (iterations or
+quadratures that did not converge).  The CLI maps ValueError and TypeError
+to exit code 2 and SmallBallError to exit code 3.
 """
 
+import cmath
 import numbers
 import sys
 
@@ -44,6 +45,20 @@ def _check_positive(name: str, value) -> float:
     if not 0 < value <= sys.float_info.max:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
     return float(value)
+
+
+def _check_complex(name: str, value) -> complex:
+    """``value`` as a finite complex: TypeError unless it is a number (not a
+    bool or a string), ValueError unless both parts are finite doubles."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Complex):
+        raise TypeError(f"{name} must be a number, got {type(value).__name__} {value!r}")
+    try:
+        z = complex(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got {value!r}") from None
+    if not cmath.isfinite(z):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return z
 
 
 def _check_integer(name: str, value, minimum: int) -> None:

@@ -28,16 +28,14 @@ computable from truncated spectra.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .asymptotics import AsymptoticForm, abel_reduce, differentiate_form
-from .errors import DataError, NumericError, _check_array, _check_integer, _check_positive
+from .errors import DataError, NumericError, _check_array, _check_complex, _check_integer, _check_positive
 from .grids import Grid
 from .kernels import ROW_BLOCK, KernelSpec
 from .quadform import _log_product_drift
@@ -113,7 +111,11 @@ class GramData:
     d_matrix: np.ndarray
 
 
-class Classification(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class Classification:
+    """Rank classification of E_m - A^T Q: the label, the rank defect s and
+    the singular values s was counted from."""
+
     label: str
     rank_defect: int
     singular_values: np.ndarray
@@ -324,9 +326,7 @@ def bateman_ratio(z: complex, coeffs: FourierCoeffs, d: np.ndarray) -> complex:
     them; queries within 1e-8 relative of one raise.
     """
     lam = coeffs.spectrum.inverse_eigenvalues
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise ValueError(f"z must be finite, got {z!r}")
+    z = _check_complex("z", z)
     if z != 0:
         rel_gap = np.min(np.abs(z - lam) / np.abs(lam))
         if rel_gap < 1e-8:
@@ -388,6 +388,8 @@ def theorem2_convolution_numeric(
     square-root endpoint.  Cross-check for the closed pipeline on synthetic
     integrands; cost grows geometrically with m.
     """
+    from scipy.integrate import quad  # the only caller; kept off the import path
+
     _check_integer("m", m, 1)
     r = _check_positive("r", r)
 

@@ -98,6 +98,10 @@ def _with(values, i, bad):
                                        _GRID), ValueError, "perturbed_mat"),
         (lambda: bateman_ratio(-1.0, _COEFFS, _NAN_A), ValueError, "d"),
         (lambda: bateman_ratio(complex(math.nan, 1.0), _COEFFS, _Q), ValueError, "z"),
+        (lambda: bateman_ratio(_HUGE, _COEFFS, _Q), ValueError, "z"),
+        (lambda: bateman_ratio("1+2j", _COEFFS, _Q), TypeError, "z"),
+        (lambda: bateman_ratio(True, _COEFFS, _Q), TypeError, "z"),
+        (lambda: bateman_ratio(None, _COEFFS, _Q), TypeError, "z"),
         (lambda: critical_prefactor(_NAN_A, _ONES, _GRID), ValueError, "q"),
         (lambda: gram_q(_with(_ONES, 3, math.nan), _ONES, _GRID), ValueError, "phi"),
         (lambda: critical_prefactor(_Q, _with(_ONES, 3, math.inf), _GRID), ValueError, "phi"),
@@ -122,7 +126,8 @@ def _with(values, i, bad):
         "convolution_m_fractional", "classify_nan_a", "classify_nan_q", "theorem1_nan", "d_matrix_nan",
         "gil_pelaez_huge_r", "saddlepoint_huge_r", "dll_root_huge_r", "ou_huge_alpha", "ou_string_alpha",
         "graded_grid_huge", "gauss_legendre_bool", "compute_psi_nan_phi", "fourier_nan_funcs",
-        "annihilation_nan_phi", "annihilation_nan_matrix", "bateman_nan_d", "bateman_nan_z", "prefactor_nan_q",
+        "annihilation_nan_phi", "annihilation_nan_matrix", "bateman_nan_d", "bateman_nan_z",
+        "bateman_huge_z", "bateman_string_z", "bateman_bool_z", "bateman_none_z", "prefactor_nan_q",
         "gram_q_nan_phi", "prefactor_inf_phi", "weights_huge_head", "weights_huge_tail", "weights_string_tail",
         "grid_huge_node", "sampled_huge_entry", "spec_huge_a", "classify_huge_a", "compute_psi_huge_phi",
         "perturbed_kernel_huge_d", "grid_nan_node", "weights_2d_head", "normal_location_string",
@@ -160,12 +165,18 @@ def _gram(scale):
         lambda i: PerturbationSpec(phi=_ONES + i, a_matrix=[[6.0]], grid=_GRID),
         lambda i: _gram(1.0 + i),
         lambda i: durbin_model((normal_location, exponential_rate)[i]()),
+        lambda i: classify(np.eye(2), (1.0 + i) * np.eye(2)),
     ],
     ids=["Grid", "WeightSeq", "KernelSpec", "Spectrum", "FourierCoeffs", "PerturbationSpec", "GramData",
-         "DurbinModel"],
+         "DurbinModel", "Classification"],
 )
 def test_equality_is_identity(make):
     # the generated __eq__ compared the array fields and raised "truth value
     # of an array is ambiguous"; each object now equals itself alone
     a, b = make(0), make(1)
     assert a == a and a != b and b != a and a != make(0)
+
+
+@pytest.mark.parametrize("z", [-2, -1.5, np.float64(-1.5), complex(-1.0, 2.0), np.complex128(-1.0 + 2.0j)])
+def test_bateman_ratio_accepts_numbers(z):
+    assert bateman_ratio(z, _COEFFS, _Q) == bateman_ratio(complex(z), _COEFFS, _Q)

@@ -287,11 +287,13 @@ class TestDllAsymptotic:
         assert dll_prefactor() == pytest.approx(0.36787945289894198, rel=1e-8)
 
     def test_no_scalar_quad(self, monkeypatch):
-        # every tilted integral comes from the fixed Gauss-Kronrod pass
+        # every tilted integral comes from the fixed Gauss-Kronrod pass; the
+        # scipy attribute catches a function-local import of quad as well
         def no_quad(*args, **kwargs):
             raise AssertionError("scalar quad called")
 
         monkeypatch.setattr(asymptotics, "quad", no_quad)
+        monkeypatch.setattr("scipy.integrate.quad", no_quad)
         dll_prefactor.cache_clear()
         assert 0.3 < dll_prefactor() < 0.45
         for theta, delta, d in _MEMBERS:

@@ -1,5 +1,7 @@
 """The package namespace."""
 
+import json
+import math
 import os
 import subprocess
 import sys
@@ -35,10 +37,64 @@ def test_star_import_exports_every_name():
     assert "_sharded_map" not in namespace and "_log_product_drift" not in namespace
 
 
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats costs about half a second of import time and nothing in
-    # the package needs it
-    code = "import sys, smallball; sys.exit('scipy.stats' in sys.modules)"
+# scipy packages no library path calls: scipy.stats costs about half a
+# second of import time, scipy.integrate and scipy.optimize together about
+# 0.3 s and 26 MB of resident memory
+UNUSED_SCIPY = ("scipy.stats", "scipy.integrate", "scipy.optimize")
+
+
+def _fresh_run(code: str, *args) -> subprocess.CompletedProcess:
     # the fresh interpreter imports this same copy of the package
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(smallball.__file__)))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env, capture_output=True, text=True)
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.special stays on the import path: the saddlepoint, the Durbin
+    # sampler and the DLL route call it on every op
+    code = f"import sys, smallball; print([m for m in {UNUSED_SCIPY!r} if m in sys.modules], 'scipy.special' in sys.modules)"
+    out = _fresh_run(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[] True"
+
+
+def test_hot_paths_leave_unused_scipy_out(tmp_path):
+    # one small call through each layer the benchmark and the CLI run; none
+    # may import a scipy package the import path leaves out, so no hot path
+    # can reach scipy.integrate.quad or scipy.optimize.brentq
+    weights = tmp_path / "w.csv"
+    weights.write_text("".join(f"{1 / (math.pi * k) ** 2!r}\n" for k in range(1, 51)))
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"kernel": {"type": "bridge"}, "grid_size": 60, "phi": [{"poly": [1.0]}], "A": [[12.0]]}))
+    code = """
+import sys
+import numpy as np
+import smallball as sb
+from smallball import cli
+
+grid = sb.gauss_legendre_grid(60)
+bridge = sb.bridge()
+spec0 = sb.nystrom_spectrum(bridge, grid, 10)
+phi = np.ones(grid.size)
+gram = sb.build_gram(bridge, sb.PerturbationSpec(phi=phi, a_matrix=[[6.0]], grid=grid))
+sb.classify([[6.0]], gram.q_matrix)
+sb.theorem1_factor([[6.0]], gram.q_matrix)
+g_a = sb.perturbed_kernel(sb.kernel_matrix(bridge, grid), gram.psi, gram.d_matrix)
+sb.nystrom_spectrum(sb.sampled(grid, g_a, diag_jump=np.ones(grid.size), green_order=1), grid, 10)
+sb.annihilation_residual(bridge, g_a, phi, grid)
+w = sb.WeightSeq(head=spec0.eigenvalues)
+sb.cdf_gil_pelaez(w, 0.1)
+sb.cdf_saddlepoint(w, 0.02)
+sb.cdf_monte_carlo(w, 0.1, 1000, 1)
+sb.naznik_asymptotic(np.pi, 0.0, 2.0, 0.05)
+sb.dll_asymptotic(sb.PowerLawPhi(np.pi, 0.0, 2.0), 1e-3)
+fam = sb.normal_location()
+sb.durbin_kernel_spec(fam, grid)
+sb.simulate_omega2(fam, 20, 100, 1)
+assert cli.run(["exact", "--weights", sys.argv[1], "--r", "0.05", "--method", "saddle", "--report", sys.argv[3]]) == 0
+assert cli.run(["perturb", "--config", sys.argv[2], "--eps", "0.05", "--report", sys.argv[3]]) == 0
+"""
+    code += f"print([m for m in {UNUSED_SCIPY!r} if m in sys.modules])\n"
+    out = _fresh_run(code, weights, problem, tmp_path / "report.json")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

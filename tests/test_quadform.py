@@ -804,13 +804,14 @@ class TestPanelOracle:
 
     def _compare(self, monkeypatch, w, r):
         quad_calls = []
-        real_quad = quadform.quad
 
         def spy_quad(*args, **kwargs):
             quad_calls.append(args[1:3])
-            return real_quad(*args, **kwargs)
+            return scipy_quad(*args, **kwargs)
 
+        # the scipy attribute catches a function-local import of quad as well
         monkeypatch.setattr(quadform, "quad", spy_quad)
+        monkeypatch.setattr("scipy.integrate.quad", spy_quad)
         new = cdf_gil_pelaez(w, r)
         monkeypatch.setattr(quadform, "_integrate_panels", _quad_panel_oracle)
         ref = cdf_gil_pelaez(w, r)
