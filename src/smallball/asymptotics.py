@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import betainc, gammaln
 
-from .errors import NumericError, _check_integer, _check_positive
+from .errors import NumericError, _check_integer, _check_positive, _check_real
 
 __all__ = [
     "AsymptoticForm",
@@ -65,7 +65,11 @@ def __getattr__(name):
 
 @dataclass(frozen=True)
 class AsymptoticForm:
-    """F(x) ~ amplitude * x^power * exp(-rate * x^(-order)) as x -> 0+."""
+    """F(x) ~ amplitude * x^power * exp(-rate * x^(-order)) as x -> 0+.
+
+    The power is a finite real and the other three are positive; the form
+    algebra below raises NumericError for a form it cannot hold in doubles.
+    """
 
     amplitude: float
     power: float
@@ -73,28 +77,51 @@ class AsymptoticForm:
     rate: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.amplitude, self.power, self.order, self.rate)):
-            raise ValueError("amplitude, power, order and rate must be finite")
-        for name in ("amplitude", "order", "rate"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("amplitude", "power", "order", "rate"):
+            value = _check_real(name, getattr(self, name), positive=name != "power")
+            object.__setattr__(self, name, value)
 
     def log_evaluate(self, x: float) -> float:
+        """log F(x); a value beyond the double range raises NumericError."""
         x = _check_positive("x", x)
-        return math.log(self.amplitude) + self.power * math.log(x) - self.rate * x ** (-self.order)
+        try:
+            out = math.log(self.amplitude) + self.power * math.log(x) - self.rate * x ** (-self.order)
+        except OverflowError:
+            out = math.nan
+        if not math.isfinite(out):
+            raise NumericError(f"log F(x) of {self} leaves the double range at x = {x!r}")
+        return out
 
     def evaluate(self, x: float) -> float:
-        return math.exp(self.log_evaluate(x))
+        try:
+            return math.exp(self.log_evaluate(x))
+        except OverflowError:
+            raise NumericError(f"F(x) of {self} overflows the double range at x = {x!r}") from None
+
+
+def _derived_form(what: str, amplitude: float, power: float, order: float, rate: float) -> AsymptoticForm:
+    """The form that ``what`` computed from valid forms.  An amplitude or
+    power that left the double range is a result the doubles cannot hold,
+    so it raises NumericError, not the constructor's argument error."""
+    if not (0.0 < amplitude <= sys.float_info.max and math.isfinite(power)):
+        raise NumericError(f"{what} leaves the double range: amplitude {amplitude!r}, power {power!r}")
+    return AsymptoticForm(amplitude=amplitude, power=power, order=order, rate=rate)
 
 
 def differentiate_form(form: AsymptoticForm, m: int) -> AsymptoticForm:
     """m-th derivative of the form: the exponential survives untouched while
-    the amplitude gains (rate*order)^m and the power drops by m*(order+1)."""
+    the amplitude gains (rate*order)^m and the power drops by m*(order+1);
+    an amplitude or power beyond the double range raises NumericError."""
     _check_integer("m", m, 0)
     if m == 0:
         return form
-    return AsymptoticForm(
-        amplitude=form.amplitude * (form.rate * form.order) ** m,
+    try:
+        gain = (form.rate * form.order) ** m
+    except OverflowError:
+        gain = math.inf
+    return _derived_form(
+        "differentiate_form",
+        amplitude=form.amplitude * gain,
         power=form.power - m * (form.order + 1.0),
         order=form.order,
         rate=form.rate,
@@ -105,9 +132,14 @@ def abel_reduce(form: AsymptoticForm) -> AsymptoticForm:
     """Asymptotics of the Abel convolution
     int_0^r x^power exp(-rate x^(-order)) (r - x)^(-1/2) dx:
     amplitude gains sqrt(pi / (rate * order)) and the power rises by
-    (order + 1)/2."""
-    return AsymptoticForm(
-        amplitude=form.amplitude * math.sqrt(math.pi / (form.rate * form.order)),
+    (order + 1)/2; an amplitude beyond the double range raises NumericError."""
+    try:
+        gain = math.sqrt(math.pi / (form.rate * form.order))
+    except ZeroDivisionError:  # rate * order underflows
+        gain = math.inf
+    return _derived_form(
+        "abel_reduce",
+        amplitude=form.amplitude * gain,
         power=form.power + (form.order + 1.0) / 2.0,
         order=form.order,
         rate=form.rate,
@@ -215,10 +247,9 @@ class PowerLawPhi:
     d: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.theta, self.delta, self.d)):
-            raise ValueError("theta, delta and d must be finite")
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
+        for name in ("theta", "delta", "d"):
+            value = _check_real(name, getattr(self, name), positive=name == "theta")
+            object.__setattr__(self, name, value)
         if self.d <= 1:
             raise ValueError("d must exceed 1 for integrability")
         if self.delta <= -1:

@@ -9,7 +9,11 @@ Some subcommands also write CSV tables; ``perturb`` reports the factor its
 classification calls for, and both ``asymptotic`` laws read the member
 (theta, delta, d) and the radius eps from the same options.  Every value
 has one spelling, its flag, and no option may be abbreviated; ``--config``
-is the ``perturb`` problem file, and no other subcommand takes it.  Exit
+is the ``perturb`` problem file, and no other subcommand takes it.  Each
+value is accepted only where it is read: ``spectrum`` builds its kernel
+from the problem file's kernel table, so ``--kernel`` takes its catalog
+types and ``--alpha`` goes with ``ornstein_uhlenbeck`` alone, and a flag
+that one mode reads (``_MODE_FLAGS``) is an argument error outside it.  Exit
 codes: 0 success, 2 argument errors (ValueError, TypeError, an unreadable
 file), 3 numeric or consistency failures; a failing ``validate`` suite,
 also one whose row raised, writes its report first, with
@@ -76,31 +80,43 @@ def _floats(cfg: dict, key: str, ndim: int) -> np.ndarray:
     return _check_array(f"key {key!r}", cfg[key], (None,) * ndim)
 
 
-def _check_keys(what: str, cfg: dict, keys) -> None:
-    """Reject any key of ``cfg`` outside ``keys`` as an argument error that
-    names it, so a misspelt key is not read as an absent one."""
+def _check_keys(what: str, cfg: dict, keys: tuple) -> None:
+    """Check ``cfg`` against ``keys`` = (required, optional): a key outside
+    both, so a misspelt key is not read as an absent one, and a missing
+    required key are argument errors that name the key."""
+    required, optional = keys
     for key in cfg:
-        if key not in keys:
-            raise ValueError(f"{what} key {key!r} is not one of {list(keys)}")
+        if key not in required and key not in optional:
+            raise ValueError(f"{what} key {key!r} is not one of {[*required, *optional]}")
+    for key in required:
+        if key not in cfg:
+            raise ValueError(f"{what} is missing key {key!r}")
+
+
+# (required, optional) keys of each kernel type, of a problem and of a phi entry
+_KERNEL_KEYS = {
+    "wiener": (("type",), ()),
+    "bridge": (("type",), ()),
+    "ornstein_uhlenbeck": (("type", "alpha"), ()),
+    "sampled": (("type", "grid", "matrix"), ("weights", "diag_jump", "green_order")),
+}
+_PROBLEM_KEYS = (("kernel", "phi", "A"), ("grid_size",))
+_PHI_KEYS = ((), ("poly", "samples"))
 
 
 def _kernel_from_config(cfg: dict) -> kernels.KernelSpec:
+    """The kernel of a problem file's kernel object, and of ``spectrum``'s
+    ``--kernel`` and ``--alpha``."""
     kind = cfg.get("type")
-    keys = {
-        "wiener": ("type",),
-        "bridge": ("type",),
-        "ornstein_uhlenbeck": ("type", "alpha"),
-        "sampled": ("type", "grid", "weights", "diag_jump", "matrix", "green_order"),
-    }
-    if not (isinstance(kind, str) and kind in keys):
+    if not (isinstance(kind, str) and kind in _KERNEL_KEYS):
         raise ValueError(f"unknown kernel type {kind!r}")
-    _check_keys("kernel", cfg, keys[kind])
+    _check_keys(f"{kind} kernel", cfg, _KERNEL_KEYS[kind])
     if kind == "wiener":
         return kernels.wiener()
     if kind == "bridge":
         return kernels.bridge()
     if kind == "ornstein_uhlenbeck":
-        return kernels.ornstein_uhlenbeck(_check_positive("kernel key 'alpha'", cfg.get("alpha")))
+        return kernels.ornstein_uhlenbeck(_check_positive("kernel key 'alpha'", cfg["alpha"]))
     nodes = _floats(cfg, "grid", 1)
     weights = _floats(cfg, "weights", 1) if "weights" in cfg else np.full(nodes.size, 1.0 / nodes.size)
     jump = None if cfg.get("diag_jump") is None else _floats(cfg, "diag_jump", 1)
@@ -117,13 +133,31 @@ def _kernel_from_config(cfg: dict) -> kernels.KernelSpec:
 # ---------------------------------------------------------------------------
 
 
+# flags that one mode of a subcommand reads: subcommand -> (mode, {flag: default})
+_MODE_FLAGS = {
+    "exact": ("--method mc", {"samples": 100_000, "seed": 0}),
+    "durbin": ("--simulate", {"n": 500, "reps": 10_000, "seed": 0, "out": None}),
+}
+
+
+def _mode_flags(args, active: bool) -> dict:
+    """The values of the flags that only the subcommand's mode reads, each
+    as given or else its default, if the mode is ``active``, and {} if not;
+    a flag given outside its mode is an argument error that names it."""
+    mode, defaults = _MODE_FLAGS[args.command]
+    if not active:
+        given = [f"--{name}" for name in defaults if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"only {mode} reads {', '.join(given)}")
+        return {}
+    return {name: default if getattr(args, name) is None else getattr(args, name) for name, default in defaults.items()}
+
+
 def _cmd_spectrum(args) -> tuple[dict, dict, dict]:
-    if not math.isfinite(args.alpha):
-        raise ValueError(f"alpha must be finite, got {args.alpha}")
-    if args.kernel == "ou":
-        spec = kernels.ornstein_uhlenbeck(args.alpha)
-    else:
-        spec = kernels.bridge() if args.kernel == "bridge" else kernels.wiener()
+    cfg = {"type": args.kernel}
+    if args.alpha is not None:
+        cfg["alpha"] = args.alpha
+    spec = _kernel_from_config(cfg)
     grid = gauss_legendre_grid(args.n)
     spectrum = nystrom_spectrum(spec, grid, args.k)
     mu = spectrum.eigenvalues
@@ -145,13 +179,14 @@ def _cmd_spectrum(args) -> tuple[dict, dict, dict]:
 
 
 def _cmd_exact(args) -> tuple[dict, dict, dict]:
+    mc = _mode_flags(args, args.method == "mc")
     w = quadform.read_weights(args.weights)
     if args.method == "gilpelaez":
         est = quadform.cdf_gil_pelaez(w, args.r)
     elif args.method == "saddle":
         est = quadform.cdf_saddlepoint(w, args.r)
     else:
-        est = quadform.cdf_monte_carlo(w, args.r, args.samples, args.seed)
+        est = quadform.cdf_monte_carlo(w, args.r, mc["samples"], mc["seed"])
     return (
         {
             "weights": str(args.weights),
@@ -159,8 +194,8 @@ def _cmd_exact(args) -> tuple[dict, dict, dict]:
             "tail_sum_bound": w.tail_sum_bound,
             "r": args.r,
             "method": args.method,
-            "samples": args.samples if args.method == "mc" else None,
-            "seed": args.seed if args.method == "mc" else None,
+            "samples": mc.get("samples"),
+            "seed": mc.get("seed"),
         },
         {"value": est.value, "log_value": est.log_value},
         {"error_bound": est.error_bound},
@@ -190,12 +225,12 @@ def _cmd_asymptotic(args) -> tuple[dict, dict, dict]:
     return inputs, results, {"r": r}
 
 
-_PROBLEM_KEYS = ("kernel", "grid_size", "phi", "A")
-
-
 def _cmd_perturb(args) -> tuple[dict, dict, dict]:
     with open(args.problem, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except RecursionError:
+            raise ValueError("problem nests deeper than the JSON parser reads") from None
     if not isinstance(cfg, dict):
         raise ValueError("problem must be a JSON object")
     _check_keys("problem", cfg, _PROBLEM_KEYS)
@@ -217,7 +252,7 @@ def _cmd_perturb(args) -> tuple[dict, dict, dict]:
             "problem key 'phi' must be a non-empty list of objects, each with exactly one of 'poly' or 'samples'"
         )
     for descr in cfg["phi"]:
-        _check_keys("phi entry", descr, ("poly", "samples"))
+        _check_keys("phi entry", descr, _PHI_KEYS)
     phi = np.column_stack([
         np.polynomial.polynomial.polyval(grid.nodes, _floats(descr, "poly", 1))
         if "poly" in descr
@@ -269,6 +304,7 @@ _FAMILY_SLUGS = {
 
 
 def _cmd_durbin(args) -> tuple[dict, dict, dict]:
+    sim = _mode_flags(args, args.simulate)
     fam = _FAMILY_SLUGS[args.family]()
     model = durbin.durbin_model(fam)
     results: dict = {
@@ -281,9 +317,9 @@ def _cmd_durbin(args) -> tuple[dict, dict, dict]:
     }
     inputs: dict = {"family": args.family}
     if args.simulate:
-        stats = durbin.simulate_omega2(fam, args.n, args.reps, args.seed)
-        if args.out:
-            _write_csv(args.out, "omega2", [(float(v),) for v in stats])
+        stats = durbin.simulate_omega2(fam, sim["n"], sim["reps"], sim["seed"])
+        if sim["out"]:
+            _write_csv(sim["out"], "omega2", [(float(v),) for v in stats])
         qs = {f"q{int(100 * p)}": float(np.quantile(stats, p)) for p in (0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95)}
         mean = float(stats.mean())
         results.update(
@@ -294,7 +330,7 @@ def _cmd_durbin(args) -> tuple[dict, dict, dict]:
                 "mean_minus_limit_trace": mean - model.trace,
             }
         )
-        inputs.update({"n": args.n, "reps": args.reps, "seed": args.seed})
+        inputs.update({"n": sim["n"], "reps": sim["reps"], "seed": sim["seed"]})
     return inputs, results, diagnostics
 
 
@@ -387,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--report", help="JSON report path (default stdout)")
 
     p = add_parser("spectrum", parents=[report], help="Nystrom spectrum of a catalog kernel")
-    p.add_argument("--kernel", choices=("bridge", "wiener", "ou"), required=True)
-    p.add_argument("--alpha", type=float, default=1.0, help="OU rate")
+    p.add_argument("--kernel", choices=("bridge", "wiener", "ornstein_uhlenbeck"), required=True)
+    p.add_argument("--alpha", type=float, help="ornstein_uhlenbeck rate, required there and refused elsewhere")
     p.add_argument("--n", type=int, default=1000, help="Gauss-Legendre grid size")
     p.add_argument("--k", type=int, default=10, help="number of eigenvalues")
     p.add_argument("--out", help="CSV output path (k, mu_k)")
@@ -399,8 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True, help="CSV weight file, one mu per line")
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--method", choices=("gilpelaez", "saddle", "mc"), default="gilpelaez")
-    p.add_argument("--samples", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
+    mode, defaults = _MODE_FLAGS["exact"]
+    p.add_argument("--samples", type=int, help=f"Monte Carlo draws ({mode} only, default {defaults['samples']})")
+    p.add_argument("--seed", type=int, help=f"Monte Carlo seed ({mode} only, default {defaults['seed']})")
     p.set_defaults(func=_cmd_exact)
 
     p = add_parser("asymptotic", parents=[report], help="closed-form small-ball asymptotics")
@@ -419,10 +456,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("durbin", parents=[report], help="Durbin limiting processes and the omega^2 simulator")
     p.add_argument("--family", choices=tuple(_FAMILY_SLUGS), required=True)
     p.add_argument("--simulate", action="store_true")
-    p.add_argument("--n", type=int, default=500)
-    p.add_argument("--reps", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="CSV of simulated statistics")
+    mode, defaults = _MODE_FLAGS["durbin"]
+    p.add_argument("--n", type=int, help=f"sample size ({mode} only, default {defaults['n']})")
+    p.add_argument("--reps", type=int, help=f"replications ({mode} only, default {defaults['reps']})")
+    p.add_argument("--seed", type=int, help=f"simulator seed ({mode} only, default {defaults['seed']})")
+    p.add_argument("--out", help=f"CSV of simulated statistics ({mode} only)")
     p.set_defaults(func=_cmd_durbin)
 
     p = add_parser("validate", parents=[report], help="run the core validation suite")

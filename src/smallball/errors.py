@@ -2,8 +2,9 @@
 
 Argument misuse raises the built-in ``ValueError``/``TypeError``.  This module
 is the one place where arguments are checked: every public scalar goes
-through ``_check_positive``, ``_check_integer`` or ``_check_complex``, and
-every public array through ``_check_array``, each of which names it.  The
+through ``_check_real`` (or ``_check_positive``, built on it),
+``_check_integer`` or ``_check_complex``, and every public array through
+``_check_array``, each of which names it.  The
 classes here cover failures of the *data* (inputs that are syntactically
 fine but numerically inadmissible) and of the *numerics* (iterations or
 quadratures that did not converge).  The CLI maps ValueError and TypeError
@@ -11,6 +12,7 @@ to exit code 2 and SmallBallError to exit code 3.
 """
 
 import cmath
+import math
 import numbers
 import sys
 
@@ -37,14 +39,24 @@ class ConsistencyError(SmallBallError):
     """A cross-validation step disagreed beyond its tolerance."""
 
 
-def _check_positive(name: str, value) -> float:
-    """``value`` as a float in (0, inf): TypeError unless it is a real number
-    (not a bool), ValueError unless it is positive and within the double range."""
+def _check_real(name: str, value, positive: bool = False) -> float:
+    """``value`` as a finite float, in (0, inf) if ``positive``: TypeError
+    unless it is a real number (not a bool), ValueError outside the double
+    range (as for an int such as 10**400) or, if ``positive``, at or below 0."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a number, got {type(value).__name__} {value!r}")
-    if not 0 < value <= sys.float_info.max:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x) or (positive and x <= 0):
+        raise ValueError(f"{name} must be {'positive and ' if positive else ''}finite, got {value!r}")
+    return x
+
+
+def _check_positive(name: str, value) -> float:
+    """``value`` as a float in (0, inf), checked by ``_check_real``."""
+    return _check_real(name, value, positive=True)
 
 
 def _check_complex(name: str, value) -> complex:
@@ -84,7 +96,8 @@ def _check_array(name: str, value, shape: tuple) -> np.ndarray:
             arr = np.asarray(value, dtype=object)
         except ValueError:  # nested arrays of different shapes
             raise ValueError(ragged) from None
-        for v in arr.flat:
+        # reshape, not .flat, whose iterator stops at 32 dimensions of 64
+        for v in arr.reshape(-1):
             if isinstance(v, (list, tuple, np.ndarray)):
                 raise ValueError(ragged)
             if isinstance(v, bool) or not isinstance(v, numbers.Real):

@@ -90,16 +90,13 @@ def graded_endpoint_grid(n: int) -> Grid:
     """
     _check_integer("grid size n", n, 8)
     per_panel = max(2, int(round(n / (2 * GRADED_LEVELS))))
-    xg, wg = np.polynomial.legendre.leggauss(per_panel)
-    nodes = []
-    weights = []
-    for level in range(GRADED_LEVELS):
-        b = 0.5 ** (level + 1)
-        a = 0.5 ** (level + 2) if level < GRADED_LEVELS - 1 else 0.0
-        nodes.append((xg + 1.0) / 2.0 * (b - a) + a)
-        weights.append(wg / 2.0 * (b - a))
-    left_nodes = np.concatenate(nodes)
-    left_weights = np.concatenate(weights)
+    panel = gauss_legendre_grid(per_panel)
+    levels = np.arange(GRADED_LEVELS)
+    b = 0.5 ** (levels + 1)
+    a = np.append(0.5 ** (levels[:-1] + 2), 0.0)
+    # one panel per row, the panels in level order
+    left_nodes = (panel.nodes * (b - a)[:, None] + a[:, None]).ravel()
+    left_weights = (panel.weights * (b - a)[:, None]).ravel()
     all_nodes = np.concatenate([left_nodes, 1.0 - left_nodes])
     all_weights = np.concatenate([left_weights, left_weights])
     order = np.argsort(all_nodes)

@@ -34,16 +34,28 @@ PSD_TOL = 1e-10
 # rows per block wherever an n x n kernel array is built or applied
 ROW_BLOCK = 64
 
-_CATALOG = ("wiener", "bridge", "ornstein_uhlenbeck", "sampled")
+# the fields besides ``variant`` that each variant reads; the others stay None
+_FIELDS = {
+    "wiener": (),
+    "bridge": (),
+    "ornstein_uhlenbeck": ("alpha",),
+    "sampled": ("green_order", "grid", "matrix", "diag_jump"),
+}
+# a catalog kernel's Green order follows from its variant
+_GREEN_ORDER = {"wiener": 1, "bridge": 1, "ornstein_uhlenbeck": None}
 
 
 @dataclass(frozen=True, eq=False)
 class KernelSpec:
     """Descriptor of a covariance kernel G0(x, y) on [0, 1].
 
-    ``green_order`` is user-declared metadata: the half-order l of the
-    differential operator whose Green function the kernel is, when known.
-    It is never derived from the kernel itself.
+    A spec takes only the fields its variant reads: ``alpha`` on
+    ``ornstein_uhlenbeck``; ``grid``, ``matrix``, ``diag_jump`` and
+    ``green_order`` on ``sampled``.  ``green_order`` is the half-order l of
+    the differential operator whose Green function the kernel is: the
+    variant fixes it for a catalog kernel (1 for Wiener and bridge, None
+    for OU), and a sampled kernel may declare it; it is never derived from
+    the kernel's values.
     """
 
     variant: str
@@ -54,8 +66,13 @@ class KernelSpec:
     diag_jump: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.variant not in _CATALOG:
+        if self.variant not in _FIELDS:
             raise ValueError(f"unknown kernel variant {self.variant!r}")
+        for name in ("alpha", "green_order", "grid", "matrix", "diag_jump"):
+            if getattr(self, name) is not None and name not in _FIELDS[self.variant]:
+                raise ValueError(f"{name} must be None on a {self.variant} kernel, which does not read it")
+        if self.variant in _GREEN_ORDER:
+            object.__setattr__(self, "green_order", _GREEN_ORDER[self.variant])
         if self.variant == "ornstein_uhlenbeck":
             alpha = _check_positive("ornstein_uhlenbeck finite rate alpha", self.alpha)
             if alpha > 0.5 * np.finfo(float).max:
@@ -85,12 +102,12 @@ class KernelSpec:
 
 def wiener() -> KernelSpec:
     """Standard Wiener process covariance min(s, t)."""
-    return KernelSpec(variant="wiener", green_order=1)
+    return KernelSpec(variant="wiener")
 
 
 def bridge() -> KernelSpec:
     """Brownian bridge covariance min(s, t) - st."""
-    return KernelSpec(variant="bridge", green_order=1)
+    return KernelSpec(variant="bridge")
 
 
 def ornstein_uhlenbeck(alpha: float) -> KernelSpec:

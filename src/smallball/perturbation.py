@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .asymptotics import AsymptoticForm, abel_reduce, differentiate_form
+from .asymptotics import AsymptoticForm, _derived_form, abel_reduce, differentiate_form
 from .errors import DataError, NumericError, _check_array, _check_complex, _check_integer, _check_positive
 from .grids import Grid
 from .kernels import ROW_BLOCK, KernelSpec
@@ -359,14 +359,16 @@ def theorem2_closed(base: AsymptoticForm, m: int, prefactor: float) -> Asymptoti
     the Abel smoothing m times, and scale by prefactor * (2/pi)^(m/2).
 
     Net effect on (A, alpha, beta, D): amplitude gains
-    prefactor * (2 D beta)^(m/2) and the power drops by m (beta+1)/2.
+    prefactor * (2 D beta)^(m/2) and the power drops by m (beta+1)/2.  A
+    form beyond the double range raises NumericError.
     """
     _check_integer("m", m, 0)
     prefactor = _check_positive("prefactor", prefactor)
     form = differentiate_form(base, m)
     for _ in range(m):
         form = abel_reduce(form)
-    return AsymptoticForm(
+    return _derived_form(
+        "theorem2_closed",
         amplitude=form.amplitude * prefactor * (2.0 / math.pi) ** (m / 2.0),
         power=form.power,
         order=form.order,

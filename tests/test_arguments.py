@@ -119,6 +119,14 @@ def _with(values, i, bad):
         (lambda: normal_location("0.5"), TypeError, "theta0"),
         (lambda: normal_location(True), TypeError, "theta0"),
         (lambda: PerturbationSpec(phi=[[1.0] * 8, [1.0] * 7], a_matrix=[[1.0]], grid=_GRID), ValueError, "phi"),
+        (lambda: PowerLawPhi(_HUGE, 0, 2), ValueError, "theta"),
+        (lambda: PowerLawPhi(True, 0, 2.0), TypeError, "theta"),
+        (lambda: PowerLawPhi(math.pi, 0, "2"), TypeError, "d"),
+        (lambda: PowerLawPhi(math.pi, _HUGE, 2), ValueError, "delta"),
+        (lambda: AsymptoticForm(_HUGE, 0, 1, 1), ValueError, "amplitude"),
+        (lambda: AsymptoticForm(True, 0, 1, 1), TypeError, "amplitude"),
+        (lambda: AsymptoticForm(1.0, "0", 1, 1), TypeError, "power"),
+        (lambda: AsymptoticForm(1.0, 0, 1, _HUGE), ValueError, "rate"),
     ],
     ids=[
         "theorem3_l_fractional", "theorem3_m_fractional", "theorem3_prefactor_nan", "green_rate_fractional",
@@ -131,12 +139,14 @@ def _with(values, i, bad):
         "gram_q_nan_phi", "prefactor_inf_phi", "weights_huge_head", "weights_huge_tail", "weights_string_tail",
         "grid_huge_node", "sampled_huge_entry", "spec_huge_a", "classify_huge_a", "compute_psi_huge_phi",
         "perturbed_kernel_huge_d", "grid_nan_node", "weights_2d_head", "normal_location_string",
-        "normal_location_bool", "spec_ragged_phi",
+        "normal_location_bool", "spec_ragged_phi", "power_law_huge_theta", "power_law_bool_theta",
+        "power_law_string_d", "power_law_huge_delta", "form_huge_amplitude", "form_bool_amplitude",
+        "form_string_power", "form_huge_rate",
     ],
 )
 def test_bad_argument_named(call, error, name):
     # each of these once returned a number, nan or a grid, or raised
-    # OverflowError, RecursionError or LinAlgError
+    # OverflowError, RecursionError, LinAlgError or a TypeError naming no argument
     with pytest.raises(error, match=rf"^{re.escape(name)} must be"):
         call()
 

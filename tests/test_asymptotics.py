@@ -21,6 +21,7 @@ from smallball import (
     naznik_asymptotic,
     naznik_form,
     naznik_params,
+    theorem2_closed,
 )
 from smallball import asymptotics
 from smallball.asymptotics import tilt_integrals
@@ -242,7 +243,8 @@ class TestDllRoot:
         # and an infinite one reported the mass of phi as 0
         args = [math.pi, 0.0, 2.0]
         args[slot] = bad
-        with pytest.raises(ValueError, match="theta, delta and d must be finite"):
+        name = ("theta", "delta", "d")[slot]
+        with pytest.raises(ValueError, match=rf"^{name} must be (positive and )?finite, got {bad}"):
             PowerLawPhi(*args)
 
 
@@ -422,8 +424,27 @@ class TestGreenForms:
     def test_non_finite_form_rejected(self, bad, slot):
         args = [1.0, 0.0, 1.0, 1.0]
         args[slot] = bad
-        with pytest.raises(ValueError, match="must be finite"):
+        name = ("amplitude", "power", "order", "rate")[slot]
+        with pytest.raises(ValueError, match=rf"^{name} must be (positive and )?finite, got {bad}"):
             AsymptoticForm(*args)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: naznik_form(math.pi, 0, 1.5).log_evaluate(1e-200),
+            lambda: AsymptoticForm(1.0, 10.0, 1.0, 1.0).evaluate(1e40),
+            lambda: differentiate_form(green_base_form(1), 10**6),
+            lambda: abel_reduce(AsymptoticForm(1.0, 0.0, 1e-200, 1e-200)),
+            lambda: theorem2_closed(AsymptoticForm(1e-300, 0.0, 1.0, 1.0), 1, 1e-100),
+        ],
+        ids=["log_evaluate_overflow", "evaluate_overflow", "differentiate_underflow", "abel_zero_rate_order",
+             "theorem2_underflow"],
+    )
+    def test_result_beyond_double_range_is_numeric_error(self, call):
+        # valid arguments whose result the doubles cannot hold: these once
+        # raised OverflowError, ZeroDivisionError or "amplitude must be positive"
+        with pytest.raises(NumericError, match="double range"):
+            call()
 
 
 @settings(deadline=None, max_examples=25)

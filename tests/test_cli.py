@@ -170,11 +170,13 @@ def test_asymptotic_negative_eps_rejected(tmp_path, capsys, law):
     assert not rep.exists()
 
 
-@pytest.mark.parametrize("kernel", ["bridge", "wiener", "ou"])
+@pytest.mark.parametrize("kernel", ["bridge", "wiener", "ornstein_uhlenbeck"])
 def test_spectrum_trace_without_kernel_matrix(tmp_path, monkeypatch, kernel):
     # the weighted trace reads the kernel diagonal in O(n) and equals, bit
     # for bit, the same sum over the diagonal of the full matrix
-    spec = {"bridge": kernels.bridge(), "wiener": kernels.wiener(), "ou": kernels.ornstein_uhlenbeck(1.7)}[kernel]
+    spec = {"bridge": kernels.bridge(), "wiener": kernels.wiener(),
+            "ornstein_uhlenbeck": kernels.ornstein_uhlenbeck(1.7)}[kernel]
+    alpha = ["--alpha", "1.7"] if kernel == "ornstein_uhlenbeck" else []
     grid = gauss_legendre_grid(200)
     expected = float(np.sum(grid.weights * np.diag(kernels.kernel_matrix(spec, grid))))
 
@@ -183,9 +185,66 @@ def test_spectrum_trace_without_kernel_matrix(tmp_path, monkeypatch, kernel):
 
     monkeypatch.setattr(kernels, "kernel_matrix", no_matrix)
     rep = tmp_path / "rep.json"
-    assert run(["spectrum", "--kernel", kernel, "--alpha", "1.7", "--n", "200", "--k", "3",
-                "--report", str(rep)]) == 0
-    assert read_json(rep)["diagnostics"]["weighted_trace"] == expected
+    assert run(["spectrum", "--kernel", kernel, *alpha, "--n", "200", "--k", "3", "--report", str(rep)]) == 0
+    report = read_json(rep)
+    assert report["diagnostics"]["weighted_trace"] == expected
+    assert report["inputs"]["kernel"] == kernel
+    assert report["inputs"]["alpha"] == (1.7 if alpha else None)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["spectrum", "--kernel", "bridge", "--alpha", "7", "--n", "20"], "'alpha'"),
+        (["spectrum", "--kernel", "wiener", "--alpha", "1", "--n", "20"], "'alpha'"),
+        (["spectrum", "--kernel", "ou", "--alpha", "1", "--n", "20"], "--kernel"),
+        (["spectrum", "--kernel", "ornstein_uhlenbeck", "--n", "20"], "missing key 'alpha'"),
+        (["exact", "--weights", "w.csv", "--r", "0.5", "--method", "saddle", "--samples", "5"], "--samples"),
+        (["exact", "--weights", "w.csv", "--r", "0.5", "--method", "gilpelaez", "--seed", "1"], "--seed"),
+        (["exact", "--weights", "w.csv", "--r", "0.5", "--samples", "5", "--seed", "9"], "--samples, --seed"),
+        (["durbin", "--family", "normal-location", "--out", "s.csv"], "--out"),
+        (["durbin", "--family", "normal-location", "--reps", "10"], "--reps"),
+        (["durbin", "--family", "normal-location", "--n", "10"], "--n"),
+        (["durbin", "--family", "normal-location", "--seed", "1"], "--seed"),
+    ],
+    ids=["bridge_alpha", "wiener_alpha", "ou_spelled_short", "ou_without_alpha", "saddle_samples",
+         "gilpelaez_seed", "default_method_samples_seed", "durbin_out", "durbin_reps", "durbin_n", "durbin_seed"],
+)
+def test_flag_outside_its_mode_rejected(tmp_path, monkeypatch, capsys, argv, flag):
+    # each of these once exited 0 and ignored the flag; --alpha went into a
+    # bridge's report, and --out wrote no CSV
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "w.csv").write_text("0.5\n0.25\n")
+    assert run(argv + ["--report", "rep.json"]) == 2
+    assert flag in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w.csv"]
+
+
+def test_mode_applies_flag_defaults(tmp_path, monkeypatch):
+    # --method mc and --simulate read their flags' defaults when not given
+    calls = []
+    saddle = quadform.cdf_saddlepoint
+
+    def monte_carlo(w, r, n, seed):
+        calls.append((n, seed))
+        return saddle(w, r)
+
+    def simulate(fam, n, reps, seed):
+        calls.append((n, reps, seed))
+        return np.linspace(0.1, 1.0, 10)
+
+    monkeypatch.setattr(quadform, "cdf_monte_carlo", monte_carlo)
+    monkeypatch.setattr(durbin, "simulate_omega2", simulate)
+    wfile = tmp_path / "w.csv"
+    wfile.write_text("0.5\n0.25\n")
+    rep = tmp_path / "rep.json"
+    assert run(["exact", "--weights", str(wfile), "--r", "0.5", "--method", "mc", "--report", str(rep)]) == 0
+    assert read_json(rep)["inputs"]["samples"] == 100000 and read_json(rep)["inputs"]["seed"] == 0
+    assert run(["durbin", "--family", "normal-location", "--simulate", "--report", str(rep)]) == 0
+    assert {k: read_json(rep)["inputs"][k] for k in ("n", "reps", "seed")} == {"n": 500, "reps": 10000, "seed": 0}
+    assert calls == [(100000, 0), (500, 10000, 0)]
+    assert run(["exact", "--weights", str(wfile), "--r", "0.5", "--report", str(rep)]) == 0
+    assert read_json(rep)["inputs"]["samples"] is None and read_json(rep)["inputs"]["seed"] is None
 
 
 def test_perturb_classify_and_factors(tmp_path):
@@ -381,7 +440,7 @@ def test_removed_options_rejected(tmp_path, monkeypatch, argv):
         ({"kernel": {"type": "bridge"}, "grid_size": 50, "phi": [{"poly": [1.0], "extra": 1}], "A": [[6.0]]},
          "phi entry key 'extra'"),
         ({"kernel": {"type": "ornstein_uhlenbeck"}, "grid_size": 50, "phi": [{"poly": [1.0]}], "A": [[6.0]]},
-         "kernel key 'alpha' must be a number"),
+         "ornstein_uhlenbeck kernel is missing key 'alpha'"),
         ({"kernel": {"type": "ornstein_uhlenbeck", "alpha": "fast"}, "grid_size": 50,
           "phi": [{"poly": [1.0]}], "A": [[6.0]]},
          "kernel key 'alpha' must be a number"),
@@ -397,6 +456,20 @@ def test_removed_options_rejected(tmp_path, monkeypatch, argv):
           "A": [[1.0]]}, "key 'grid' must be finite"),
         ({"kernel": {"type": "bridge"}, "grid_size": 50, "phi": [{"poly": ["1.0"]}], "A": [[6.0]]},
          "key 'poly' must be an array of numbers"),
+        # a missing key once read "argument error: 'phi'", naming no object
+        ({"kernel": {"type": "bridge"}, "grid_size": 50, "A": [[6.0]]}, "problem is missing key 'phi'"),
+        ({"grid_size": 50, "phi": [{"poly": [1.0]}], "A": [[6.0]]}, "problem is missing key 'kernel'"),
+        ({"kernel": {"type": "bridge"}, "grid_size": 50, "phi": [{"poly": [1.0]}]}, "problem is missing key 'A'"),
+        ({"kernel": {"type": "sampled", "grid": [0.25, 0.75]}, "phi": [{"poly": [1.0]}], "A": [[1.0]]},
+         "sampled kernel is missing key 'matrix'"),
+        ({"kernel": {"type": "sampled", "matrix": [[1.0]]}, "phi": [{"poly": [1.0]}], "A": [[1.0]]},
+         "sampled kernel is missing key 'grid'"),
+        # nested past the JSON parser's recursion limit: once a RecursionError traceback
+        ('{"kernel": {"type": "bridge"}, "grid_size": 50, "phi": ' + "[" * 100_000 + "]" * 100_000
+         + ', "A": [[6.0]]}', "nests deeper"),
+        # nested past numpy's 32 iterator dimensions: once a RuntimeError traceback
+        ('{"kernel": {"type": "bridge"}, "grid_size": 50, "phi": [{"poly": [1.0]}], "A": '
+         + "[" * 900 + "6.0" + "]" * 900 + "}", "key 'A' must be"),
     ],
     ids=["unknown_key", "poly_and_samples", "descriptor_not_an_object", "grid_size_with_sampled_kernel",
          "kernel_not_an_object", "phi_not_a_list", "phi_entry_not_an_object", "poly_not_a_list",
@@ -404,7 +477,8 @@ def test_removed_options_rejected(tmp_path, monkeypatch, argv):
          "grid_size_not_an_integer", "grid_size_bool", "ou_spelled_short", "ou_unknown_key",
          "sampled_diag_jump_misspelt", "phi_entry_unknown_key", "ou_alpha_missing", "ou_alpha_not_a_number",
          "poly_beyond_double", "a_beyond_double", "ou_alpha_beyond_double", "grid_size_beyond_double",
-         "grid_nan", "poly_string"],
+         "grid_nan", "poly_string", "phi_missing", "kernel_missing", "a_missing", "sampled_matrix_missing",
+         "sampled_grid_missing", "nested_past_json_limit", "nested_past_numpy_dims"],
 )
 def test_perturb_problem_keys_checked(tmp_path, capsys, cfg, key):
     # a key the problem, its kernel or a phi entry does not read, one another
@@ -413,7 +487,7 @@ def test_perturb_problem_keys_checked(tmp_path, capsys, cfg, key):
     # dropped the kink correction); the OU kernel type has one spelling,
     # "ornstein_uhlenbeck"
     path = tmp_path / "problem.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     rep = tmp_path / "rep.json"
     assert run(["perturb", "--config", str(path), "--report", str(rep)]) == 2
     err = capsys.readouterr().err
@@ -464,20 +538,21 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert run(["exact", "--weights", str(wfile), "--r", "-1.0"]) == 2
     # non-finite inputs are rejected at the boundary
     assert run(["exact", "--weights", str(wfile), "--r", "nan", "--method", "mc"]) == 2
-    assert run(["spectrum", "--kernel", "ou", "--alpha", "inf", "--n", "20", "--k", "2"]) == 2
-    # every kernel reads --alpha into its report, so a non-finite one is
-    # rejected even where the kernel does not use it
-    for kernel in ("bridge", "wiener", "ou"):
-        for bad in ("nan", "inf", "-inf"):
+    # ornstein_uhlenbeck alone reads --alpha, which must be positive and
+    # finite; the other kernels refuse any --alpha, finite or not
+    for kernel, message in (("bridge", "bridge kernel key 'alpha' is not one of"),
+                            ("wiener", "wiener kernel key 'alpha' is not one of"),
+                            ("ornstein_uhlenbeck", "kernel key 'alpha' must be positive and finite")):
+        for bad in ("nan", "inf", "-inf", "0", "-1.5"):
             capsys.readouterr()
             rep = tmp_path / "alpha.json"
             assert run(["spectrum", "--kernel", kernel, f"--alpha={bad}", "--n", "20", "--k", "2",
                         "--report", str(rep)]) == 2
-            assert "alpha must be finite" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
             assert not rep.exists()
     capsys.readouterr()
     assert run(["asymptotic", "--law", "dll", "--theta", "nan"]) == 2
-    assert "must be finite" in capsys.readouterr().err
+    assert "theta must be positive and finite" in capsys.readouterr().err
     # dll reads r = eps^2, which must be finite too
     assert run(["asymptotic", "--law", "dll", "--eps", "1e300"]) == 2
     assert "eps^2 must be finite" in capsys.readouterr().err
@@ -565,7 +640,8 @@ def test_ou_rate_with_overflowing_jump_is_argument_error(tmp_path, capsys):
     # 2 alpha, the kink diagonal, overflows: an argument error naming alpha,
     # not "Eigenvalues did not converge"
     rep = tmp_path / "rep.json"
-    assert run(["spectrum", "--kernel", "ou", "--alpha", "1e308", "--n", "10", "--k", "2", "--report", str(rep)]) == 2
+    assert run(["spectrum", "--kernel", "ornstein_uhlenbeck", "--alpha", "1e308", "--n", "10", "--k", "2",
+                "--report", str(rep)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("argument error:") and "alpha" in err
     assert not rep.exists()
@@ -575,7 +651,8 @@ def test_under_resolved_ou_spectrum_exits_3(tmp_path, capsys):
     # at alpha * h >> 1 the kink diagonal swamps the kernel; this run once
     # exited 0 with an empty eigenvalue list
     rep = tmp_path / "rep.json"
-    assert run(["spectrum", "--kernel", "ou", "--alpha", "1e6", "--n", "100", "--k", "5", "--report", str(rep)]) == 3
+    assert run(["spectrum", "--kernel", "ornstein_uhlenbeck", "--alpha", "1e6", "--n", "100", "--k", "5",
+                "--report", str(rep)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "alpha=1e+06" in err and "n=100" in err
     assert not rep.exists()

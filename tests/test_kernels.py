@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from smallball import (
     DataError,
     Grid,
+    KernelSpec,
     bridge,
     diagonal_jump,
     gauss_legendre_grid,
@@ -35,6 +36,33 @@ def test_green_order_metadata():
     assert wiener().green_order == 1
     assert bridge().green_order == 1
     assert ornstein_uhlenbeck(2.0).green_order is None
+
+
+_G4 = gauss_legendre_grid(4)
+_B4 = kernel_matrix(bridge(), _G4)
+
+
+@pytest.mark.parametrize(
+    "variant, fields, name",
+    [
+        ("bridge", {"green_order": 2}, "green_order"),
+        ("wiener", {"green_order": 1}, "green_order"),
+        ("ornstein_uhlenbeck", {"alpha": 1.0, "green_order": 1}, "green_order"),
+        ("wiener", {"alpha": 3.0}, "alpha"),
+        ("bridge", {"grid": _G4, "matrix": _B4}, "grid"),
+        ("bridge", {"matrix": _B4}, "matrix"),
+        ("wiener", {"diag_jump": np.ones(4)}, "diag_jump"),
+        ("ornstein_uhlenbeck", {"alpha": 1.0, "grid": _G4}, "grid"),
+        ("sampled", {"grid": _G4, "matrix": _B4, "alpha": 1.0}, "alpha"),
+    ],
+    ids=["bridge_green_order", "wiener_green_order", "ou_green_order", "wiener_alpha", "bridge_grid_matrix",
+         "bridge_matrix", "wiener_diag_jump", "ou_grid", "sampled_alpha"],
+)
+def test_spec_takes_only_fields_its_variant_reads(variant, fields, name):
+    # each was accepted, and a bridge's green_order 2 would have reached
+    # theorem3_asymptotic as l = 2
+    with pytest.raises(ValueError, match=rf"^{name} must be None on a {variant} kernel"):
+        KernelSpec(variant=variant, **fields)
 
 
 @pytest.mark.parametrize("order, error", [(True, TypeError), (1.0, TypeError), ("1", TypeError), (0, ValueError)])
