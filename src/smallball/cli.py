@@ -13,11 +13,12 @@ is the ``perturb`` problem file, and no other subcommand takes it.  Each
 value is accepted only where it is read: ``spectrum`` builds its kernel
 from the problem file's kernel table, so ``--kernel`` takes its catalog
 types and ``--alpha`` goes with ``ornstein_uhlenbeck`` alone, and a flag
-that one mode reads (``_MODE_FLAGS``) is an argument error outside it.  Exit
-codes: 0 success, 2 argument errors (ValueError, TypeError, an unreadable
-file), 3 numeric or consistency failures; a failing ``validate`` suite,
-also one whose row raised, writes its report first, with
-``results.passed`` false.
+that one mode reads (``_MODE_FLAGS``) is an argument error outside it;
+``validate`` formats the checks of the rows of ``criteria.CRITERIA`` at
+n = VALIDATE_SIZE and has none of its own.  Exit codes: 0 success, 2
+argument errors (ValueError, TypeError, an unreadable file), 3 numeric or
+consistency failures; a failing ``validate`` suite, also one whose row
+raised, writes its report first, with ``results.passed`` false.
 """
 
 from __future__ import annotations
@@ -31,13 +32,14 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, asymptotics, durbin, kernels, perturbation, quadform
+from . import __version__, asymptotics, criteria, durbin, kernels, perturbation, quadform
 from .errors import SmallBallError, _check_array, _check_integer, _check_positive
 from .grids import Grid, gauss_legendre_grid
 from .spectral import nystrom_spectrum
 
 # wide enough to accept pi literals quoted to 9+ significant digits
 PI_LITERAL_TOL = 1e-8
+VALIDATE_SIZE = 500  # the grid size at which validate runs the criteria table
 
 
 def _pi_aware(value: float) -> float:
@@ -335,73 +337,20 @@ def _cmd_durbin(args) -> tuple[dict, dict, dict]:
 
 
 def _cmd_validate(args) -> tuple[dict, dict, dict]:
-    checks = []
+    checks, inputs = [], criteria.Inputs(VALIDATE_SIZE)
     try:
-        for name, value, target, tol in _core_suite():
-            passed = value == target if isinstance(target, str) else abs(value - target) <= tol
-            checks.append(
-                {"check": name, "value": value, "target": target, "tolerance": tol, "passed": bool(passed)}
-            )
+        for row in criteria.CRITERIA:
+            checks += [{"criterion": row.id, "check": c.name, "value": c.value, "target": c.target,
+                        "tolerance": c.tolerance, "passed": c.passed} for c in row.checks(inputs)]
     except SmallBallError as exc:
         # a row that cannot be computed fails the suite, which stops there
-        checks.append({"check": "raised", "error": str(exc), "passed": False})
+        checks.append({"criterion": row.id, "check": "raised", "error": str(exc), "passed": False})
     n_failed = sum(not c["passed"] for c in checks)
     return (
-        {},
+        {"n": VALIDATE_SIZE},
         {"passed": n_failed == 0, "checks": checks},
         {"n_checks": len(checks), "n_failed": n_failed},
     )
-
-
-def _core_suite():
-    """Determinant, criticality and consistency checks at desk scale, as
-    (name, value, target, tolerance) rows; a string target must match
-    exactly."""
-    grid = gauss_legendre_grid(500)
-    spec0 = nystrom_spectrum(kernels.bridge(), grid, 300)
-    yield "bridge_mu1", float(spec0.eigenvalues[0]), 1.0 / math.pi**2, 1e-6
-
-    phi = np.ones(grid.size)
-    pspec = perturbation.PerturbationSpec(phi=phi, a_matrix=np.array([[6.0]]), grid=grid)
-    gram = perturbation.build_gram(kernels.bridge(), pspec)
-    yield "bridge_gram_q", float(gram.q_matrix[0, 0]), 1.0 / 12.0, 1e-8
-    yield "theorem1_factor", perturbation.theorem1_factor(pspec.a_matrix, gram.q_matrix), 2.0, 1e-6
-
-    g_a = perturbation.perturbed_kernel(
-        kernels.kernel_matrix(kernels.bridge(), grid), gram.psi, gram.d_matrix
-    )
-    jump = kernels.diagonal_jump(kernels.bridge(), grid.nodes)
-    spec_a = nystrom_spectrum(kernels.sampled(grid, g_a, diag_jump=jump), grid, 300)
-    yield "theorem1_product", perturbation.spectral_product_check(spec0, spec_a, 100).value, 0.25, 0.01
-
-    # critical configuration: A = Q^{-1} = 12
-    crit = perturbation.PerturbationSpec(phi=phi, a_matrix=np.array([[12.0]]), grid=grid)
-    gram_c = perturbation.build_gram(kernels.bridge(), crit)
-    cls = perturbation.classify(crit.a_matrix, gram_c.q_matrix)
-    yield "critical_classification", cls.label, perturbation.CRITICAL, 0.0
-    g_c = perturbation.perturbed_kernel(
-        kernels.kernel_matrix(kernels.bridge(), grid), gram_c.psi, gram_c.d_matrix
-    )
-    resid = perturbation.annihilation_residual(kernels.bridge(), g_c, phi, grid)
-    yield "critical_annihilation", resid, 0.0, 1e-9
-
-    for slug, ctor in _FAMILY_SLUGS.items():
-        model = durbin.durbin_model(ctor())
-        gap = float(np.abs(model.q_matrix - model.fisher).max())
-        yield f"durbin_q_vs_s_{slug.replace('-', '_')}", gap, 0.0, durbin.Q_VS_S_TOL
-
-    params = asymptotics.naznik_params(math.pi, -0.5, 2.0)
-    yield "naznik_wiener_amplitude", params.amplitude, 4.0 / math.sqrt(math.pi), 1e-12
-    yield "naznik_wiener_coefficient", params.exponent_coefficient, 0.125, 1e-12
-
-    for order in (1, 2):
-        for m in (1, 2):
-            base = asymptotics.green_base_form(order, amplitude=1.0, power=0.0)
-            closed = perturbation.theorem2_closed(base, m, 1.0)
-            eps = 0.1
-            lhs = math.exp(closed.log_evaluate(eps**2) - base.log_evaluate(eps**2))
-            rhs = perturbation.theorem3_asymptotic(order, m, 1.0, eps)
-            yield f"theorem2_vs_theorem3_l{order}_m{m}", lhs / rhs, 1.0, 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help=f"CSV of simulated statistics ({mode} only)")
     p.set_defaults(func=_cmd_durbin)
 
-    p = add_parser("validate", parents=[report], help="run the core validation suite")
+    p = add_parser("validate", parents=[report], help="run the criteria table c01-c11 at n = 500")
     p.set_defaults(func=_cmd_validate)
     return parser
 

@@ -20,7 +20,10 @@ from .errors import _check_array, _check_integer
 __all__ = ["Grid", "gauss_legendre_grid", "graded_endpoint_grid"]
 
 _WEIGHT_SUM_TOL = 1e-12
+# the deepest grading of graded_endpoint_grid, and the relative accuracy to
+# which its mirrored nodes keep 1 - t
 GRADED_LEVELS = 45
+MIRROR_TOL = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,8 +58,12 @@ class Grid:
         return self.nodes.size
 
     def integrate(self, values: np.ndarray) -> float | np.ndarray:
-        """Quadrature sum along the first axis of ``values``."""
-        return np.tensordot(self.weights, np.asarray(values), axes=(0, 0))
+        """Quadrature sum along the first axis of ``values``, which
+        ``_check_array`` checks with that axis of the grid's size."""
+        # a nested list is read as objects, so a ragged one reaches the check
+        ndim = values.ndim if isinstance(values, np.ndarray) else np.asarray(values, dtype=object).ndim
+        values = _check_array("values", values, (self.size,) + (None,) * (ndim - 1))
+        return np.tensordot(self.weights, values, axes=(0, 0))
 
     def same_nodes(self, other: "Grid", tol: float = 0.0) -> bool:
         if self.size != other.size:
@@ -84,14 +91,27 @@ def graded_endpoint_grid(n: int) -> Grid:
     """Composite Gauss rule on dyadic panels graded toward both endpoints.
 
     The left half (0, 1/2] is tiled by panels [2^-(l+2), 2^-(l+1)] for
-    l = 0..L-2 and a closing panel [0, 2^-L], L = GRADED_LEVELS; Gauss
-    nodes stay strictly interior.  The right half mirrors the left.  ``n``
-    is the approximate total node count.
+    l = 0..L-2 and a closing panel [0, 2^-L], each with p = n / (2L) Gauss
+    nodes (at least 2); Gauss nodes stay strictly interior.  The right half
+    mirrors the left, its node t = 1 - x rounded to a double, so ``n`` is
+    the approximate total node count.
+
+    The depth L is the largest up to GRADED_LEVELS at which the smallest
+    left node x keeps 1 - x to MIRROR_TOL relative accuracy: rounding moves
+    1 - x by less than the spacing eps of doubles below 1, so x >= eps /
+    MIRROR_TOL suffices.  The smallest p-point Gauss node on [0, 1] exceeds
+    sin^2(pi / (4p + 2)) (Bruns' bound on the Legendre zeros), and 2^-L
+    times that bound sets L.  Deeper panels mirror to nodes whose 1 - t is
+    ever less exact, and below x = eps / 2 to t = 1 itself.
     """
     _check_integer("grid size n", n, 8)
-    per_panel = max(2, int(round(n / (2 * GRADED_LEVELS))))
+    floor = np.finfo(float).epsneg / MIRROR_TOL
+    for depth in range(GRADED_LEVELS, 0, -1):
+        per_panel = max(2, int(round(n / (2 * depth))))
+        if depth == 1 or 0.5**depth * np.sin(np.pi / (4 * per_panel + 2)) ** 2 >= floor:
+            break
     panel = gauss_legendre_grid(per_panel)
-    levels = np.arange(GRADED_LEVELS)
+    levels = np.arange(depth)
     b = 0.5 ** (levels + 1)
     a = np.append(0.5 ** (levels[:-1] + 2), 0.0)
     # one panel per row, the panels in level order

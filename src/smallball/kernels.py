@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, _check_array, _check_integer, _check_positive
+from .errors import DataError, _check_array, _check_integer, _check_positive, _check_real
 from .grids import Grid
 
 __all__ = [
@@ -169,6 +169,7 @@ def kernel_eval(spec: KernelSpec, x: float, y: float) -> float:
 
     Sampled kernels can only be queried at their own grid nodes.
     """
+    x, y = _check_real("x", x), _check_real("y", y)
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
         raise ValueError(f"coordinates must lie in [0, 1], got ({x}, {y})")
     if spec.variant == "sampled":

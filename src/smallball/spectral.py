@@ -125,6 +125,7 @@ def kink_correction(jump: np.ndarray, grid: Grid) -> np.ndarray:
     The grid's nodes are increasing, so with C and S the running sums of
     w and x*w the quadrature sum is x_i (2 C_i - C_n) + S_n - 2 S_i, in O(n).
     """
+    jump = _check_array("jump", jump, (grid.size,))
     t, w = grid.nodes, grid.weights
     c, s = np.cumsum(w), np.cumsum(t * w)
     quad_abs = t * (2.0 * c - c[-1]) + s[-1] - 2.0 * s

@@ -1,25 +1,22 @@
 """Shared fixtures: the expensive reference spectra are built once per
-session and reused across spectral, perturbation and acceptance tests."""
+session and reused across spectral, perturbation and acceptance tests.
+The n = 2000 data comes from the criteria table's ``Inputs``, so the
+acceptance rows read the same spectra as the unit tests."""
 
-import numpy as np
 import pytest
 
-from smallball import (
-    PerturbationSpec,
-    bridge,
-    build_gram,
-    gauss_legendre_grid,
-    kernel_matrix,
-    nystrom_spectrum,
-    perturbed_kernel,
-    sampled,
-    wiener,
-)
+from smallball import gauss_legendre_grid, nystrom_spectrum, wiener
+from smallball.criteria import Inputs
 
 
 @pytest.fixture(scope="session")
-def gl2000():
-    return gauss_legendre_grid(2000)
+def full_inputs():
+    return Inputs(2000)
+
+
+@pytest.fixture(scope="session")
+def gl2000(full_inputs):
+    return full_inputs.grid
 
 
 @pytest.fixture(scope="session")
@@ -28,8 +25,8 @@ def gl1000():
 
 
 @pytest.fixture(scope="session")
-def bridge_spectrum_2000(gl2000):
-    return nystrom_spectrum(bridge(), gl2000, 400)
+def bridge_spectrum_2000(full_inputs):
+    return full_inputs.bridge
 
 
 @pytest.fixture(scope="session")
@@ -38,30 +35,20 @@ def wiener_spectrum_2000(gl2000):
 
 
 @pytest.fixture(scope="session")
-def bridge_gram_a6(gl2000):
-    spec = PerturbationSpec(phi=np.ones(gl2000.size), a_matrix=np.array([[6.0]]), grid=gl2000)
-    return spec, build_gram(bridge(), spec)
+def bridge_gram_a6(full_inputs):
+    return full_inputs.a6[:2]
 
 
 @pytest.fixture(scope="session")
-def bridge_gram_a12(gl2000):
-    spec = PerturbationSpec(phi=np.ones(gl2000.size), a_matrix=np.array([[12.0]]), grid=gl2000)
-    return spec, build_gram(bridge(), spec)
-
-
-def _perturbed_spectrum(grid, gram):
-    g_a = perturbed_kernel(kernel_matrix(bridge(), grid), gram.psi, gram.d_matrix)
-    ker = sampled(grid, g_a, diag_jump=np.ones(grid.size), green_order=1)
-    return nystrom_spectrum(ker, grid, 400)
+def bridge_gram_a12(full_inputs):
+    return full_inputs.a12[:2]
 
 
 @pytest.fixture(scope="session")
-def perturbed_spectrum_a6(gl2000, bridge_gram_a6):
-    _, gram = bridge_gram_a6
-    return _perturbed_spectrum(gl2000, gram)
+def perturbed_spectrum_a6(full_inputs):
+    return full_inputs.a6[2]
 
 
 @pytest.fixture(scope="session")
-def perturbed_spectrum_a12(gl2000, bridge_gram_a12):
-    _, gram = bridge_gram_a12
-    return _perturbed_spectrum(gl2000, gram)
+def perturbed_spectrum_a12(full_inputs):
+    return full_inputs.a12[2]

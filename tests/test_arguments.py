@@ -33,7 +33,9 @@ from smallball import (
     gram_q,
     green_base_form,
     green_rate,
+    kernel_eval,
     kernel_matrix,
+    kink_correction,
     normal_location,
     nystrom_spectrum,
     ornstein_uhlenbeck,
@@ -127,6 +129,11 @@ def _with(values, i, bad):
         (lambda: AsymptoticForm(True, 0, 1, 1), TypeError, "amplitude"),
         (lambda: AsymptoticForm(1.0, "0", 1, 1), TypeError, "power"),
         (lambda: AsymptoticForm(1.0, 0, 1, _HUGE), ValueError, "rate"),
+        (lambda: kernel_eval(bridge(), True, 0.5), TypeError, "x"),
+        (lambda: kernel_eval(bridge(), 0.5, "0.5"), TypeError, "y"),
+        (lambda: kink_correction(np.full(_GRID.size, math.nan), _GRID), ValueError, "jump"),
+        (lambda: kink_correction(np.ones(_GRID.size - 1), _GRID), ValueError, "jump"),
+        (lambda: _GRID.integrate(_with(_ONES, 0, math.nan)), ValueError, "values"),
     ],
     ids=[
         "theorem3_l_fractional", "theorem3_m_fractional", "theorem3_prefactor_nan", "green_rate_fractional",
@@ -141,7 +148,8 @@ def _with(values, i, bad):
         "perturbed_kernel_huge_d", "grid_nan_node", "weights_2d_head", "normal_location_string",
         "normal_location_bool", "spec_ragged_phi", "power_law_huge_theta", "power_law_bool_theta",
         "power_law_string_d", "power_law_huge_delta", "form_huge_amplitude", "form_bool_amplitude",
-        "form_string_power", "form_huge_rate",
+        "form_string_power", "form_huge_rate", "kernel_eval_bool_x", "kernel_eval_string_y",
+        "kink_correction_nan_jump", "kink_correction_short_jump", "grid_integrate_nan",
     ],
 )
 def test_bad_argument_named(call, error, name):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from smallball import asymptotics, cli, durbin, kernels, quadform
+from smallball import asymptotics, cli, criteria, durbin, kernels, quadform
 from smallball.cli import run
 from smallball.grids import gauss_legendre_grid
 
@@ -523,10 +523,14 @@ def test_durbin_simulate_csv_determinism(tmp_path):
 
 
 def test_validate_core(tmp_path):
+    # validate formats the criteria table's rows at n = 500, in table order
     rep = tmp_path / "rep.json"
     assert run(["validate", "--report", str(rep)]) == 0
-    report = read_json(rep)
-    assert report["results"]["passed"] is True
+    results = read_json(rep)["results"]
+    assert results["passed"] is True
+    inputs = criteria.Inputs(500)
+    want = [(row.id, c.name) for row in criteria.CRITERIA for c in row.checks(inputs)]
+    assert [(c["criterion"], c["check"]) for c in results["checks"]] == want
 
 
 def test_exit_codes(tmp_path, capsys, monkeypatch):
@@ -735,7 +739,8 @@ def test_validate_row_that_raises_fails_the_suite(tmp_path, capsys, monkeypatch)
 
 
 def test_failing_validate_writes_report_and_exits_3(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_core_suite", lambda: iter([("broken", 1.0, 0.0, 0.5)]))
+    broken = criteria.Criterion("c01", "broken", ("one", "other"), lambda inputs: [criteria.Check("broken", 1.0, 0.0, 0.5)])
+    monkeypatch.setattr(criteria, "CRITERIA", [broken])
     rep = tmp_path / "rep.json"
     assert run(["validate", "--report", str(rep)]) == 3
     assert capsys.readouterr().err == "error: validation suite failed; see report\n"

@@ -99,3 +99,14 @@ def test_graded_grid_halving_diagnostic():
     err_full = abs(float(full.integrate(f(full.nodes))) - 2.0)
     err_half = abs(float(half.integrate(f(half.nodes))) - 2.0)
     assert err_full < err_half
+
+
+def test_graded_grid_mirror_is_exact_for_every_size():
+    # the deepest panel once mirrored to t = 1.0 and raised for every
+    # n >= 2386; each right node t now keeps 1 - t within 1e-4 relative of
+    # its left partner x (1 - t is exact in doubles for t >= 1/2)
+    for n in range(8, 5001):
+        nodes = graded_endpoint_grid(n).nodes
+        half = nodes.size // 2
+        left, right = nodes[:half], nodes[half:][::-1]
+        assert np.all(np.abs((1.0 - right) - left) <= 1e-4 * left), n
