@@ -33,6 +33,9 @@ __all__ = [
 PSD_TOL = 1e-10
 # rows per block wherever an n x n kernel array is built or applied
 ROW_BLOCK = 64
+# side of the square tiles in which a sampled matrix is compared with its
+# transpose: two 128 KiB tiles at a time
+_SYMMETRY_TILE = 128
 
 # the fields besides ``variant`` that each variant reads; the others stay None
 _FIELDS = {
@@ -87,7 +90,7 @@ class KernelSpec:
             m = _check_array("matrix", self.matrix, (n, n))
             if self.diag_jump is not None:
                 object.__setattr__(self, "diag_jump", _check_array("diag_jump", self.diag_jump, (n,)))
-            if np.array_equal(m, m.T):
+            if _exactly_symmetric(m):
                 # a read-only array that owns its data cannot change under
                 # the spec, so it is kept; anything else is copied
                 if m.flags.writeable or not m.flags.owndata:
@@ -98,6 +101,18 @@ class KernelSpec:
                 m = 0.5 * (m + m.T)
             m.flags.writeable = False
             object.__setattr__(self, "matrix", m)
+
+
+def _exactly_symmetric(m: np.ndarray) -> bool:
+    """m == m.T entry for entry, for a finite square m.  Each tile on or
+    above the diagonal is compared with the transpose of its mirror, and
+    the first tile that differs ends the comparison."""
+    n, step = m.shape[0], _SYMMETRY_TILE
+    for lo in range(0, n, step):
+        for col in range(lo, n, step):
+            if not np.array_equal(m[lo : lo + step, col : col + step], m[col : col + step, lo : lo + step].T):
+                return False
+    return True
 
 
 def wiener() -> KernelSpec:

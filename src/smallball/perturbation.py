@@ -200,6 +200,9 @@ def perturbed_kernel(kernel_mat: np.ndarray, psi: np.ndarray, d: np.ndarray) -> 
     psi = _as_samples("psi", psi, n)
     p = psi @ _check_array("d", d, (psi.shape[1],) * 2)
     out = np.empty((n, n))
+    # the strict lower triangle of a k x k square, k <= ROW_BLOCK, is the
+    # first k (k - 1) / 2 entries of the ROW_BLOCK one, in row-major order
+    rows, cols = np.tril_indices(min(ROW_BLOCK, n), -1)
     for lo in range(0, n, ROW_BLOCK):
         hi = min(lo + ROW_BLOCK, n)
         upper = out[lo:hi, lo:]
@@ -211,7 +214,7 @@ def perturbed_kernel(kernel_mat: np.ndarray, psi: np.ndarray, d: np.ndarray) -> 
             raise NumericError("G0 + psi^T D psi overflows double precision")
         # the square on the diagonal takes its lower part from its upper
         square = upper[:, : hi - lo]
-        below = np.tril_indices(hi - lo, -1)
+        below = rows[: (hi - lo) * (hi - lo - 1) // 2], cols[: (hi - lo) * (hi - lo - 1) // 2]
         square[below] = square.T[below]
         out[lo:hi, :lo] = out[:lo, lo:hi].T
     out.flags.writeable = False

@@ -5,7 +5,8 @@ Three evaluators with complementary ranges:
 * ``cdf_gil_pelaez`` inverts the characteristic function; accurate for
   central probabilities (P >~ 1e-6) where it reaches ~1e-8 absolute.  The
   phase and amplitude of the characteristic function do not depend on r,
-  so one t-grid serves every radius a call needs.
+  so one t-grid serves every radius a call needs, and the weight
+  sequence's evaluator keeps the grid's values for later calls.
 * ``cdf_saddlepoint`` is a Lugannani-Rice left-tail approximation on the
   exact cumulant generating function; returns log-probabilities reliably
   down to e^-10000 where inversion cancels catastrophically.  Its saddle
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -157,6 +159,10 @@ _SPLITS_PER_OCTAVE = 4
 # elements of the scratch buffer of one evaluator call, and of each block of
 # Gauss-Kronrod nodes: 512 KiB whatever the weight or panel count
 _BLOCK = 1 << 16
+# doubles of Gil-Pelaez phase tables and their keys one evaluator keeps:
+# 1 MiB per weight sequence, for as long as the sequence lives, plus a few
+# hundred bytes of Python object headers per table
+_TABLE_BUDGET = 2 * _BLOCK
 
 
 class _Evaluator:
@@ -173,6 +179,19 @@ class _Evaluator:
     are summed directly in one scratch buffer.  The table has L + 1, about
     4 log2 N, rows.  R_1 at K = 0 is the weight total scaled exactly, so
     K'(0) is ``WeightSeq.total`` bit for bit.
+
+    Gil-Pelaez reads one more store, filled on first need, since theta0
+    and rho do not depend on the radius: ``phase_table`` keeps theta0 and
+    g = 1 / (t rho) at the Gauss-Kronrod nodes of one inversion pass, keyed
+    by the pass's panel endpoints, while the tables and their keys fit
+    ``_TABLE_BUDGET`` doubles; a table that does not fit is not stored.
+    That memory belongs to the sequence and is kept as long as the sequence
+    is.  The tables pay off only when calls on one sequence repeat a grid,
+    as radii a few per cent apart do; the radii of one cold curve share
+    few grids.  A stored table holds the bits a fresh evaluation gives, so
+    a hit and a miss return the same result.  Threads may share an
+    evaluator: two that miss the same table at once both compute it, and
+    one copy is kept.
     """
 
     def __init__(self, mu: np.ndarray):
@@ -214,6 +233,9 @@ class _Evaluator:
             [0.5 * (p > 0) * inv * sums, shifted(1), 2.0 * (p + 1) * shifted(2), 4.0 * (p + 1) * (p + 2) * shifted(3)],
             axis=1,
         )
+        self._tables: dict[tuple[bytes, bytes], np.ndarray] = {}
+        self._table_room = _TABLE_BUDGET
+        self._table_lock = threading.Lock()
 
     def _at(self, x: float) -> tuple[int, int, np.ndarray]:
         """Split level j of the scalar x, its split point, and z^0 .. z^P
@@ -278,6 +300,32 @@ class _Evaluator:
             0.25 * float(np.log1p(z2).sum()) + lr,
             float(np.sum(self.mu[:k] / (1.0 + z2))) + slope,
         )
+
+    def phase_g(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """theta0(t) and g(t) = exp(-log rho(t)) / t at every t of an array."""
+        theta, log_rho = self.phase(t)
+        return theta, np.exp(-log_rho) / t
+
+    def phase_table(self, a: np.ndarray, b: np.ndarray, nodes: np.ndarray) -> np.ndarray | None:
+        """theta0 and g stacked as (2,) + nodes.shape at ``nodes``, the
+        Gauss-Kronrod nodes of the panels [a_i, b_i] of one inversion pass,
+        one row per panel.  The panel ends are the key; they fix every node
+        bit for bit.  A miss fills the table ``_PANELS_PER_BLOCK`` panels at
+        a time, as a streamed pass evaluates them, and stores it if it and
+        its key fit the room left of ``_TABLE_BUDGET``; None means they do
+        not fit."""
+        key = (a.tobytes(), b.tobytes())
+        table = self._tables.get(key)
+        size = 2 * nodes.size + a.size + b.size
+        if table is None and size <= self._table_room:
+            table = np.empty((2,) + nodes.shape)
+            for i in range(0, a.size, _PANELS_PER_BLOCK):
+                table[:, i : i + _PANELS_PER_BLOCK] = self.phase_g(nodes[i : i + _PANELS_PER_BLOCK])
+            with self._table_lock:
+                if key not in self._tables and size <= self._table_room:
+                    self._tables[key] = table
+                    self._table_room -= size
+        return table
 
     def _tilted(self, s: float, k: int) -> np.ndarray:
         """mu_k / (1 - 2 s mu_k) over the leading k weights, in one array."""
@@ -365,29 +413,38 @@ _GK_WEIGHTS = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _G_WEIGHTS = np.zeros(21)
 _G_WEIGHTS[1:10:2] = _WG
 _G_WEIGHTS[11:20:2] = _WG[::-1]
+# panels per block of _BLOCK nodes
+_PANELS_PER_BLOCK = _BLOCK // _GK_NODES.size
 # quad's default tolerances, which decide whether its first step is final
 _QUAD_EPS = 1.49e-8
 # passes that may halve a failing panel; the panel at t = 0 needs at most 5
 _MAX_HALVINGS = 12
 GIL_PELAEZ_TOL = 1e-9
+# beyond this many oscillations before decay the inversion is refused
+_MAX_OSCILLATIONS = 50000
+# panel counts ceil(20 * 2^(j/8)): 1.5 panels per oscillation rounded up to
+# the ladder, so nearby radii share a t-grid, up to 1.5 * _MAX_OSCILLATIONS;
+# a count m becomes at most 2^(1/8) m + 1
+_PANEL_LADDER = np.ceil(20.0 * 2.0 ** (np.arange(97) / 8.0)).astype(int)
 
 
 def _integrate_panels(ev: _Evaluator, rs: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each radius r in ``rs``, the sum over the panels
-    [edges[i], edges[i+1]] of int sin(theta0(t) - t r) / (t rho(t)) dt, and
-    the sum of the error estimates.
+    [edges[i], edges[i+1]] of int sin(theta0(t) - t r) g(t) dt,
+    g = 1 / (t rho(t)), and the sum of the error estimates.
 
     Each pass applies quad's first step, the 21-point Gauss-Kronrod rule
     with QUADPACK's error estimate, to all pending panels at once.  theta0
-    and rho do not depend on r, so they are evaluated once per node, in
-    blocks of ``_BLOCK`` nodes, and serve every radius.  A panel is accepted when it meets quad's default
-    tolerances at every radius; the others, typically only the one at
-    t = 0, are halved for the next pass, unless they were halved
-    ``_MAX_HALVINGS`` times or the next pass would outgrow the first.  Then
-    they are kept with their error estimates for the caller to judge.
+    and g do not depend on r, so they are evaluated once per node and serve
+    every radius: read from the evaluator's phase table of the pass, or,
+    where it does not fit, streamed in blocks of ``_BLOCK`` nodes.  A panel
+    is accepted when it meets quad's default tolerances at every radius;
+    the others, typically only the one at t = 0, are halved for the next
+    pass, unless they were halved ``_MAX_HALVINGS`` times or the next pass
+    would outgrow the first.  Then they are kept with their error estimates
+    for the caller to judge.
     """
     a, b = edges[:-1], edges[1:]
-    per_block = _BLOCK // _GK_NODES.size
     r_col = rs[:, None, None]
     total = np.zeros(rs.size)
     err_sum = np.zeros(rs.size)
@@ -395,11 +452,12 @@ def _integrate_panels(ev: _Evaluator, rs: np.ndarray, edges: np.ndarray) -> tupl
     while a.size:
         half = 0.5 * (b - a)
         nodes = 0.5 * (a + b)[:, None] + half[:, None] * _GK_NODES
+        table = ev.phase_table(a, b, nodes)
         f = np.empty((rs.size,) + nodes.shape)
-        for i in range(0, a.size, per_block):
-            t = nodes[i:i + per_block]
-            theta, log_rho = ev.phase(t)
-            f[:, i:i + per_block] = np.sin(theta - t * r_col) * np.exp(-log_rho) / t
+        for i in range(0, a.size, _PANELS_PER_BLOCK):
+            t = nodes[i : i + _PANELS_PER_BLOCK]
+            theta, g = ev.phase_g(t) if table is None else table[:, i : i + _PANELS_PER_BLOCK]
+            f[:, i : i + _PANELS_PER_BLOCK] = np.sin(theta - t * r_col) * g
         res_k = f @ _GK_WEIGHTS
         res_g = f @ _G_WEIGHTS
         res_abs = np.abs(f) @ _GK_WEIGHTS * half
@@ -435,8 +493,13 @@ def cdf_gil_pelaez(w: WeightSeq, r: float) -> ProbabilityEstimate:
     ``GIL_PELAEZ_TOL``.  theta0 and rho at each node split the weights at
     2 t mu_k = 1/2: the smaller ones are summed by the arctan and log1p
     series on stored power sums, to 1e-17 relative, and only the leading
-    ones term by term.  Intended for central probabilities; the deep left
-    tail belongs to ``cdf_saddlepoint``.
+    ones term by term.  The weight sequence's evaluator keeps theta0 and
+    1 / (t rho) at the nodes of each grid, so a later call on the same
+    ``w`` whose grid it shares, as radii a few per cent apart do, evaluates
+    no node again; a kept value has the bits of a fresh one, so the result
+    does not depend on the calls before it.  Concurrent calls may share
+    ``w``.  Intended for central probabilities; the deep left tail belongs
+    to ``cdf_saddlepoint``.
     """
     r = _check_positive("r", r)
     tail = w.tail_sum_bound
@@ -456,7 +519,14 @@ def cdf_gil_pelaez(w: WeightSeq, r: float) -> ProbabilityEstimate:
 def _gp_values(ev: _Evaluator, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """F(r) and its error bound at each radius in ``rs``, from one t-grid at
     ``GIL_PELAEZ_TOL``: T is cut for the smallest radius, the strictest,
-    and the panels are sized for the largest, which oscillates most."""
+    and the panels are sized for the largest, which oscillates most.
+
+    The panel count, 1.5 per oscillation and at least 20, is rounded up to
+    ``_PANEL_LADDER``, so radii a few per cent apart share one grid and
+    read one set of the evaluator's phase tables; a cold call evaluates at
+    most 2^(1/8) times the nodes of the unrounded count, plus one panel.
+    Two threads that fill the same table at once each compute it, and one
+    copy is kept."""
     mu = ev.mu
     n = mu.size
     # P{Q < r} <= prod_j P{mu_j xi_j^2 < r} <= prod_j sqrt(2r/(pi mu_j));
@@ -482,12 +552,12 @@ def _gp_values(ev: _Evaluator, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     else:
         raise NumericError("gil_pelaez: could not find a truncation point")
     n_osc = (theta_T + T * float(rs.max())) / (2.0 * math.pi)
-    if n_osc > 50000:
+    if n_osc > _MAX_OSCILLATIONS:
         raise NumericError(
             f"gil_pelaez: integrand oscillates {n_osc:.0f} times before decay; "
             "this regime belongs to cdf_saddlepoint"
         )
-    n_panels = int(max(1.5 * n_osc, 20.0))
+    n_panels = int(_PANEL_LADDER[np.searchsorted(_PANEL_LADDER, int(1.5 * n_osc))])
     edges = np.linspace(0.0, T, n_panels + 1)
     total, err = _integrate_panels(ev, rs, edges)
     # leading by-parts term of the cut tail

@@ -19,7 +19,7 @@ from smallball import (
     sampled,
     wiener,
 )
-from smallball.kernels import _kernel_diagonal, _kernel_rows
+from smallball.kernels import _exactly_symmetric, _kernel_diagonal, _kernel_rows
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -139,6 +139,19 @@ def test_sampled_matrix_exactly_symmetric():
     rng = np.random.default_rng(3)
     m = kernel_matrix(bridge(), grid) + 1e-13 * rng.normal(size=(50, 50))
     out = kernel_matrix(sampled(grid, m), grid)
+    assert np.array_equal(out, out.T)
+
+
+@pytest.mark.parametrize("i,j", [(0, 0), (3, 5), (5, 3), (0, 299), (299, 0), (130, 200), (250, 140), (299, 298)])
+def test_tiled_symmetry_check_matches_whole_matrix(i, j):
+    # one changed entry in a diagonal, an off-diagonal or a short last tile,
+    # on either side of the diagonal, against the whole-array comparison
+    grid = gauss_legendre_grid(300)
+    m = kernel_matrix(bridge(), grid)
+    assert _exactly_symmetric(m)
+    m[i, j] += 1e-13
+    assert _exactly_symmetric(m) == np.array_equal(m, m.T) == (i == j)
+    out = sampled(grid, m).matrix
     assert np.array_equal(out, out.T)
 
 

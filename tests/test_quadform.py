@@ -1,5 +1,7 @@
 import math
 import os
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -856,3 +858,118 @@ class TestPanelOracle:
         monkeypatch.setattr(quadform, "_MAX_HALVINGS", 0)
         with pytest.raises(NumericError, match="did not converge"):
             cdf_gil_pelaez(_closed_form_weights(-0.5), 0.03)
+
+
+def _table_doubles(ev):
+    # each table, and its key of two arrays of panel ends
+    return sum(table.size + (len(a) + len(b)) // 8 for (a, b), table in ev._tables.items())
+
+
+class TestPhaseTables:
+    """The phase tables each evaluator keeps across calls."""
+
+    @pytest.fixture(scope="class")
+    def warmed(self):
+        # one weight sequence per (process, tail) that has served every
+        # curve radius once, so its stores hold the other radii's grids too
+        out = {}
+        for proc, delta in (("bridge", 0.0), ("wiener", -0.5)):
+            w = _closed_form_weights(delta)
+            for weights in (w, WeightSeq(head=w.head)):
+                for _, r in (case for case in CURVE_CASES if case[0] == proc):
+                    cdf_gil_pelaez(weights, r)
+                out[proc, weights.tail_sum_bound > 0] = weights
+        return out
+
+    @pytest.mark.parametrize("tailed", [True, False], ids=["tailed", "untailed"])
+    @pytest.mark.parametrize("proc,r", CURVE_CASES)
+    def test_warm_call_matches_fresh_copy(self, warmed, proc, r, tailed):
+        w = warmed[proc, tailed]
+        fresh = WeightSeq(head=w.head, tail_sum_bound=w.tail_sum_bound)
+        warm = cdf_gil_pelaez(w, r)
+        cold = cdf_gil_pelaez(fresh, r)
+        assert (warm.value, warm.log_value, warm.error_bound) == (cold.value, cold.log_value, cold.error_bound)
+
+    def test_repeat_call_evaluates_no_node(self, monkeypatch):
+        # the truncation search's scalar phase_at calls remain
+        w = _closed_form_weights(-0.5)
+        first = cdf_gil_pelaez(w, 0.3)
+        calls = []
+        real = quadform._Evaluator.phase
+
+        def counted(ev, t):
+            calls.append(np.size(t))
+            return real(ev, t)
+
+        monkeypatch.setattr(quadform._Evaluator, "phase", counted)
+        assert cdf_gil_pelaez(w, 0.3) == first
+        assert calls == []
+
+    def test_panel_ladder_rounds_up_by_an_eighth_octave(self):
+        # a panel count m is rounded up to at most 2^(1/8) m + 1
+        m = np.arange(1, int(1.5 * quadform._MAX_OSCILLATIONS) + 1)
+        rounded = quadform._PANEL_LADDER[np.searchsorted(quadform._PANEL_LADDER, m)]
+        assert np.all(rounded >= m)
+        assert np.all(rounded <= 2.0 ** 0.125 * np.maximum(m, 20) + 1)
+
+    def test_sweep_stays_within_budget(self):
+        w = _closed_form_weights(0.0)
+        ev = w._evaluator
+        for r in np.linspace(0.01, 3.0, 200) * w.total:
+            cdf_gil_pelaez(w, r)
+            assert _table_doubles(ev) + ev._table_room == quadform._TABLE_BUDGET
+            assert ev._table_room >= 0
+        assert ev._tables
+
+    @pytest.mark.parametrize("budget", ["none", "short"])
+    def test_table_over_budget_streams(self, monkeypatch, budget):
+        # a grid whose first-pass table does not fit is streamed: the same
+        # bits, and that table is not stored
+        head = _closed_form_weights(-0.5).head
+        r = 0.8
+        edges = []
+        real = quadform._integrate_panels
+
+        def recorded(ev, rs, e):
+            edges.append(e)
+            return real(ev, rs, e)
+
+        monkeypatch.setattr(quadform, "_integrate_panels", recorded)
+        ref = cdf_gil_pelaez(WeightSeq(head=head), r)
+        first = (2 * quadform._GK_NODES.size + 2) * (edges[0].size - 1)
+        monkeypatch.setattr(quadform, "_TABLE_BUDGET", 0 if budget == "none" else first - 1)
+        w = WeightSeq(head=head)
+        assert cdf_gil_pelaez(w, r) == ref
+        key = (edges[0][:-1].tobytes(), edges[0][1:].tobytes())
+        assert key not in w._evaluator._tables
+        if budget == "none":
+            assert w._evaluator._tables == {}
+
+    def test_threads_share_the_stores(self):
+        # more threads than cores fill one evaluator's stores at once, with
+        # frequent switches: every result has the bits of a fresh copy's,
+        # and no table is lost from the budget's count
+        w = _closed_form_weights(0.0)
+        radii = [r for proc, r in CURVE_CASES if proc == "bridge"]
+        want = [cdf_gil_pelaez(WeightSeq(head=w.head, tail_sum_bound=w.tail_sum_bound), r) for r in radii]
+        got = {}
+
+        def work(j):
+            got[j] = [cdf_gil_pelaez(w, r) for r in radii[j % 3 :] + radii[: j % 3]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(j,)) for j in range(6)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        for j, results in got.items():
+            assert results == want[j % 3 :] + want[: j % 3]
+        assert len(got) == 6
+        ev = w._evaluator
+        assert _table_doubles(ev) + ev._table_room == quadform._TABLE_BUDGET
