@@ -31,7 +31,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import betainc, gammaln
 
 from .errors import NumericError, _check_integer, _check_positive, _check_real
 
@@ -190,6 +189,8 @@ def naznik_params(theta: float, delta: float, d: float) -> NazNikParams:
     constants that overflow double precision, and an amplitude C that
     underflows to 0, raise NumericError.
     """
+    from scipy.special import gammaln  # kept off the import path
+
     PowerLawPhi(theta, delta, d)
     gamma = (2.0 - d - 2.0 * d * delta) / (2.0 * (d - 1.0))
     sin_pd = math.sin(math.pi / d)
@@ -280,8 +281,10 @@ def _log_f(log_x: float) -> float:
     return -0.5 * float(np.logaddexp(0.0, _LOG2 + log_x))
 
 
-def _tilt_pass(phi: PowerLawPhi, log_u: float) -> np.ndarray:
+def _tilt_pass(phi: PowerLawPhi, log_u: float, betainc) -> np.ndarray:
     """(I0, I1, I2) at the tilt u = exp(log_u), in closed form.
+    ``betainc`` is scipy.special.betainc, which the caller imports once
+    for all of its passes.
 
     x = u phi(t) gives dt = -u^(1/d) x^(-1/d-1) dx / (d theta), and
     w = 2x / (1 + 2x) makes I1 and I2 regularized incomplete beta
@@ -319,12 +322,16 @@ def tilt_integrals(phi: PowerLawPhi, u: float) -> tuple[float, float, float]:
     """(I0, I1, I2) of the tilt u: I0 = int ln f(u phi), I1 = int u phi (ln f)',
     I2 = int (u phi)^2 (ln f)'', each int_1^inf dt, in closed form (see
     ``_tilt_pass``); integrals beyond double precision raise NumericError."""
-    i0, i1, i2 = _tilt_pass(phi, math.log(_check_positive("tilt u", u)))
+    from scipy.special import betainc  # kept off the import path
+
+    i0, i1, i2 = _tilt_pass(phi, math.log(_check_positive("tilt u", u)), betainc)
     return float(i0), float(i1), float(i2)
 
 
 def _solve_tilt(spec: PowerLawPhi, r: float) -> tuple[float, float, float]:
     """(u, I1(u), I2(u)) at the root u of I1(u) + u r = 0; see dll_root."""
+    from scipy.special import betainc  # kept off the import path; once per solve, not per step
+
     r = _check_positive("r", r)
     d = spec.d
     try:
@@ -352,7 +359,7 @@ def _solve_tilt(spec: PowerLawPhi, r: float) -> tuple[float, float, float]:
     # up to lo when r > mass / 3; start at the end whose bound is tighter
     z = lo if 3.0 * r > mass else hi
     for _ in range(_NEWTON_MAX):
-        _, i1, i2 = _tilt_pass(spec, z)
+        _, i1, i2 = _tilt_pass(spec, z, betainc)
         if not (i1 < 0.0 < i2):
             raise NumericError(f"dll_root: tilted integrals underflow at log u = {z:.6g}")
         g = math.log(-i1) - z - log_r

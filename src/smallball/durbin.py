@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import kernels, perturbation
 from .errors import ConsistencyError, _check_array, _check_integer, _check_positive
@@ -52,6 +51,19 @@ __all__ = [
     "durbin_kernel_spec",
     "simulate_omega2",
 ]
+
+
+def __getattr__(name):
+    # benchmark/tracing.py times ``durbin.ndtr`` and ``durbin.ndtri``, which
+    # this module imports where it calls them, so scipy.special is imported
+    # only when the tracer looks the names up.  Serves the tracer only;
+    # delete with ROADMAP item 1.
+    if name in ("ndtr", "ndtri"):
+        import scipy.special
+
+        return getattr(scipy.special, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # the theta0 components of each catalog family, all of them estimated;
 # every component but the location mu must be positive
@@ -113,6 +125,8 @@ def _closed_forms(fam: FamilySpec, grid: Grid) -> tuple[np.ndarray, np.ndarray, 
         log_surv = np.log1p(-t)
         cols = [(-(1.0 - t) * log_surv / lam, (log_surv + 1.0) / lam, 1.0 / (lam * (1.0 - t)))]
     else:
+        from scipy.special import ndtri  # kept off the import path
+
         sigma = fam.theta0[1] if fam.m == 2 else 1.0
         z = ndtri(t)
         p = _norm_pdf(z)
@@ -235,15 +249,16 @@ def durbin_kernel_spec(fam: FamilySpec, grid: Grid) -> kernels.KernelSpec:
 def _mle_transform(fam: FamilySpec, x: np.ndarray) -> np.ndarray:
     """Estimate the family parameters row-wise and push each sample through
     its fitted distribution function."""
+    if fam.family == "exponential_rate":
+        lam_hat = 1.0 / x.mean(axis=1, keepdims=True)
+        return -np.expm1(-lam_hat * x)
+    from scipy.special import ndtr  # kept off the import path
+
+    mu_hat = x.mean(axis=1, keepdims=True)
     if fam.family == "normal_location":
-        mu_hat = x.mean(axis=1, keepdims=True)
         return ndtr(x - mu_hat)
-    if fam.family == "normal_location_scale":
-        mu_hat = x.mean(axis=1, keepdims=True)
-        sd_hat = np.sqrt(np.mean((x - mu_hat) ** 2, axis=1, keepdims=True))
-        return ndtr((x - mu_hat) / sd_hat)
-    lam_hat = 1.0 / x.mean(axis=1, keepdims=True)
-    return -np.expm1(-lam_hat * x)
+    sd_hat = np.sqrt(np.mean((x - mu_hat) ** 2, axis=1, keepdims=True))
+    return ndtr((x - mu_hat) / sd_hat)
 
 
 def _draw(fam: FamilySpec, rng: np.random.Generator, shape) -> np.ndarray:

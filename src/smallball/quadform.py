@@ -43,8 +43,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
-from scipy.special import ndtri  # noqa: F401  (benchmark/tracing.py times calls to quadform.ndtri)
 
 from .errors import NumericError, _check_array, _check_integer, _check_positive
 
@@ -62,9 +60,9 @@ __all__ = [
 
 def __getattr__(name):
     # benchmark/tracing.py counts calls to ``quadform.quad`` and
-    # ``quadform.brentq``, which no evaluator calls, so the scipy modules are
-    # imported only when the tracer looks the names up.  Serves the tracer
-    # only; delete with ROADMAP item 1.
+    # ``quadform.brentq`` and times ``quadform.ndtri``, which no evaluator
+    # calls, so the scipy modules are imported only when the tracer looks the
+    # names up.  Serves the tracer only; delete with ROADMAP item 1.
     if name == "quad":
         from scipy.integrate import quad
 
@@ -73,6 +71,10 @@ def __getattr__(name):
         from scipy.optimize import brentq
 
         return brentq
+    if name == "ndtri":
+        from scipy.special import ndtri
+
+        return ndtri
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -683,6 +685,8 @@ def _lr_logcdf(ev: _Evaluator, r: float, s: float, k2: float) -> tuple[float, fl
     """Lugannani-Rice log P{Q < r} at the saddle s and its K''(s) = k2, both
     from _solve_saddle(ev, r), and the signed root
     w_hat = sign(s) sqrt(2 (s r - K(s)))."""
+    from scipy.special import log_ndtr, ndtr  # kept off the import path
+
     k0 = ev.cgf(s)
     arg = 2.0 * (s * r - k0)
     w_hat = math.copysign(math.sqrt(max(arg, 0.0)), s)

@@ -182,9 +182,9 @@ class TestDllRoot:
         tilts = []
         tilt_pass = asymptotics._tilt_pass
 
-        def spy(phi, log_u):
+        def spy(phi, log_u, betainc):
             tilts.append(log_u)
-            return tilt_pass(phi, log_u)
+            return tilt_pass(phi, log_u, betainc)
 
         monkeypatch.setattr(asymptotics, "_tilt_pass", spy)
         assert dll_root(spec, r) == expected
@@ -206,9 +206,9 @@ class TestDllRoot:
         tilts = []
         tilt_pass = asymptotics._tilt_pass
 
-        def spy(phi, log_u):
+        def spy(phi, log_u, betainc):
             tilts.append(log_u)
-            return tilt_pass(phi, log_u)
+            return tilt_pass(phi, log_u, betainc)
 
         monkeypatch.setattr(asymptotics, "_tilt_pass", spy)
         u = dll_root(spec, r)
