@@ -75,7 +75,8 @@ MODEL_GRID_SIZE = 500
 # replications per generator shard of the omega^2 simulator; the split fixes
 # which generator draws which replication, so it is part of every seeded
 # result.  A shard works through its replications in row blocks of about
-# quadform.SAMPLER_BLOCK draws, so a worker's memory does not grow with it.
+# quadform.SAMPLER_BLOCK draws, all in one buffer, so a worker's memory does
+# not grow with it.
 OMEGA2_SHARD_REPS = 8192
 
 
@@ -246,29 +247,47 @@ def durbin_kernel_spec(fam: FamilySpec, grid: Grid) -> kernels.KernelSpec:
     return kernels.sampled(grid, mat, diag_jump=jump, green_order=bridge.green_order)
 
 
-def _mle_transform(fam: FamilySpec, x: np.ndarray) -> np.ndarray:
+def _mle_transform(fam: FamilySpec, x: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
     """Estimate the family parameters row-wise and push each sample through
-    its fitted distribution function."""
+    its fitted distribution function, in place: x is overwritten and
+    returned.  The location-scale family reads (x - mu_hat)^2 through
+    ``squares``, an array of x's shape that it overwrites (one is allocated
+    when None is passed).  Each step rounds as the out-of-place expressions
+    -expm1(-lam_hat x), ndtr(x - mu_hat) and ndtr((x - mu_hat) / sd_hat) do,
+    so the result has their bits."""
     if fam.family == "exponential_rate":
         lam_hat = 1.0 / x.mean(axis=1, keepdims=True)
-        return -np.expm1(-lam_hat * x)
+        np.multiply(x, -lam_hat, out=x)
+        np.expm1(x, out=x)
+        return np.negative(x, out=x)
     from scipy.special import ndtr  # kept off the import path
 
-    mu_hat = x.mean(axis=1, keepdims=True)
-    if fam.family == "normal_location":
-        return ndtr(x - mu_hat)
-    sd_hat = np.sqrt(np.mean((x - mu_hat) ** 2, axis=1, keepdims=True))
-    return ndtr((x - mu_hat) / sd_hat)
+    x -= x.mean(axis=1, keepdims=True)
+    if fam.family == "normal_location_scale":
+        squares = np.square(x, out=squares)
+        x /= np.sqrt(np.mean(squares, axis=1, keepdims=True))
+    return ndtr(x, out=x)
 
 
-def _draw(fam: FamilySpec, rng: np.random.Generator, shape) -> np.ndarray:
-    """Samples from F(., theta0): exponentials by inverse CDF of uniforms,
-    normals as mu + sigma z with z from ``Generator.standard_normal`` (the
-    ziggurat) and sigma = 1 for the location family."""
+def _draw(fam: FamilySpec, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous array ``out`` with samples from F(., theta0) and
+    return it: exponentials by inverse CDF of uniforms, normals as
+    mu + sigma z with z from ``Generator.standard_normal`` (the ziggurat)
+    and sigma = 1 for the location family.  The generator fills ``out`` in
+    the order it fills a fresh array of that shape, and sigma z + mu rounds
+    as mu + sigma z, so the samples have the bits of a fresh draw."""
     if fam.family == "exponential_rate":
-        return -np.log1p(-rng.random(shape)) / fam.theta0[0]
-    sigma = fam.theta0[1] if fam.m == 2 else 1.0
-    return fam.theta0[0] + sigma * rng.standard_normal(shape)
+        rng.random(out=out)
+        np.negative(out, out=out)
+        np.log1p(out, out=out)
+        # a / (-lam) rounds as -(a / lam)
+        out /= -fam.theta0[0]
+        return out
+    rng.standard_normal(out=out)
+    if fam.m == 2:
+        out *= fam.theta0[1]
+    out += fam.theta0[0]
+    return out
 
 
 def simulate_omega2(fam: FamilySpec, n: int, reps: int, seed: int) -> np.ndarray:
@@ -297,11 +316,15 @@ def simulate_omega2(fam: FamilySpec, n: int, reps: int, seed: int) -> np.ndarray
         # rows come from the shard's generator in order and each is reduced
         # on its own, so the row blocking does not change any value
         out = np.empty(b)
+        block = np.empty((min(rows, b), n))
+        squares = np.empty_like(block) if fam.family == "normal_location_scale" else None
         for lo in range(0, b, rows):
-            hi = min(lo + rows, b)
-            t = _mle_transform(fam, _draw(fam, rng, (hi - lo, n)))
+            k = min(rows, b - lo)
+            t = _draw(fam, rng, block[:k])
+            _mle_transform(fam, t, None if squares is None else squares[:k])
             t.sort(axis=1)
-            out[lo:hi] = ((t - centers) ** 2).sum(axis=1) + 1.0 / (12.0 * n)
+            t -= centers
+            out[lo : lo + k] = np.square(t, out=t).sum(axis=1) + 1.0 / (12.0 * n)
         return out
 
     sizes = [min(OMEGA2_SHARD_REPS, reps - pos) for pos in range(0, reps, OMEGA2_SHARD_REPS)]

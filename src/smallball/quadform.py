@@ -83,8 +83,10 @@ def __getattr__(name):
 # seeded result
 MC_SHARDS = 16
 
-# elements per block in both samplers: a shard draws and reduces one block at
-# a time, so each worker holds O(SAMPLER_BLOCK) floats whatever the shard size
+# elements per block in both samplers: a shard allocates one block buffer at
+# its start and draws, transforms and reduces every block in it, so each
+# worker holds one block of SAMPLER_BLOCK floats (two for the location-scale
+# omega^2 fit) whatever the shard size
 SAMPLER_BLOCK = 1 << 17
 
 
@@ -191,9 +193,11 @@ class _Evaluator:
     is.  The tables pay off only when calls on one sequence repeat a grid,
     as radii a few per cent apart do; the radii of one cold curve share
     few grids.  A stored table holds the bits a fresh evaluation gives, so
-    a hit and a miss return the same result.  Threads may share an
-    evaluator: two that miss the same table at once both compute it, and
-    one copy is kept.
+    a hit and a miss return the same result.  The truncation search's
+    rungs do not depend on the radius either: ``truncation_ladder`` keeps
+    each one it evaluates, a few dozen at most.  Threads may share an
+    evaluator: two that miss the same table or rung at once both compute
+    it, and one copy is kept.
     """
 
     def __init__(self, mu: np.ndarray):
@@ -238,6 +242,7 @@ class _Evaluator:
         self._tables: dict[tuple[bytes, bytes], np.ndarray] = {}
         self._table_room = _TABLE_BUDGET
         self._table_lock = threading.Lock()
+        self._rungs: list[tuple[float, float, float, float]] = []
 
     def _at(self, x: float) -> tuple[int, int, np.ndarray]:
         """Split level j of the scalar x, its split point, and z^0 .. z^P
@@ -328,6 +333,28 @@ class _Evaluator:
                     self._tables[key] = table
                     self._table_room -= size
         return table
+
+    def truncation_ladder(self):
+        """The rungs (T, theta0(T), log rho(T), theta0'(T)) of the
+        Gil-Pelaez truncation search, T = (10 / mu_1) 1.6^i below 1e15, in
+        order.  Each T is the repeated product of the search, so a kept rung
+        has the bits of a fresh one; the rungs a walk passes are kept for
+        the sequence's lifetime, and a later walk evaluates only past them.
+        A rung is appended only if no other thread appended it first."""
+        i = 0
+        while True:
+            if i < len(self._rungs):
+                rung = self._rungs[i]
+            else:
+                T = self._rungs[i - 1][0] * 1.6 if i else 10.0 / self.mu[0]
+                if T >= 1e15:
+                    return
+                rung = (T, *self.phase_at(T))
+                with self._table_lock:
+                    if len(self._rungs) == i:
+                        self._rungs.append(rung)
+            yield rung
+            i += 1
 
     def _tilted(self, s: float, k: int) -> np.ndarray:
         """mu_k / (1 - 2 s mu_k) over the leading k weights, in one array."""
@@ -496,12 +523,12 @@ def cdf_gil_pelaez(w: WeightSeq, r: float) -> ProbabilityEstimate:
     2 t mu_k = 1/2: the smaller ones are summed by the arctan and log1p
     series on stored power sums, to 1e-17 relative, and only the leading
     ones term by term.  The weight sequence's evaluator keeps theta0 and
-    1 / (t rho) at the nodes of each grid, so a later call on the same
-    ``w`` whose grid it shares, as radii a few per cent apart do, evaluates
-    no node again; a kept value has the bits of a fresh one, so the result
-    does not depend on the calls before it.  Concurrent calls may share
-    ``w``.  Intended for central probabilities; the deep left tail belongs
-    to ``cdf_saddlepoint``.
+    1 / (t rho) at the nodes of each grid and at each truncation rung, so a
+    later call on the same ``w`` whose grid it shares, as radii a few per
+    cent apart do, evaluates no node or rung again; a kept value has the
+    bits of a fresh one, so the result does not depend on the calls before
+    it.  Concurrent calls may share ``w``.  Intended for central
+    probabilities; the deep left tail belongs to ``cdf_saddlepoint``.
     """
     r = _check_positive("r", r)
     tail = w.tail_sum_bound
@@ -543,14 +570,11 @@ def _gp_values(ev: _Evaluator, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # O((|g'| + g * theta0') / r^2) with g = 1 / (t rho); expand T until
     # that is small
     r_min = float(rs.min())
-    T = 10.0 / mu[0]
-    while T < 1e15:
-        theta_T, log_rho_T, slope_T = ev.phase_at(T)
+    for T, theta_T, log_rho_T, slope_T in ev.truncation_ladder():
         g_T = math.exp(-log_rho_T) / T
         resid_num = (1.0 + 0.5 * n) * g_T / T + g_T * slope_T
         if resid_num / (r_min * r_min) <= 0.5 * GIL_PELAEZ_TOL:
             break
-        T *= 1.6
     else:
         raise NumericError("gil_pelaez: could not find a truncation point")
     n_osc = (theta_T + T * float(rs.max())) / (2.0 * math.pi)
@@ -770,9 +794,10 @@ def cdf_monte_carlo(w: WeightSeq, r: float, n_samples: int, seed: int) -> Probab
 
     def count_below(rng, n):
         below = below_r = 0
+        buf = np.empty((min(block, n), mu.size))
         for done in range(0, n, block):
-            xi = rng.standard_normal((min(block, n - done), mu.size))
-            q = (xi * xi) @ mu
+            xi = rng.standard_normal(out=buf[: min(block, n - done)])
+            q = np.square(xi, out=xi) @ mu
             below += int(np.count_nonzero(q < threshold))
             below_r += int(np.count_nonzero(q < r))
         return below, below_r

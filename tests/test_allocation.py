@@ -1,10 +1,11 @@
-"""Allocation budgets of the perturbed-spectrum path.
+"""Allocation budgets of the perturbed-spectrum path and the samplers.
 
 Each step of the perturb_sweep op (n = 1000 Gauss-Legendre nodes, the
 bridge, phi = 1, A = 6) is run under tracemalloc, and its peak of traced
 memory above the start is read in units of one n x n float64 array.  NumPy
 reports its array buffers to tracemalloc; LAPACK's own work buffers inside
-``eigvalsh`` are allocated outside it and are not counted.
+``eigvalsh`` are allocated outside it and are not counted.  The samplers'
+peaks are read in units of one sampler block.
 """
 
 import tracemalloc
@@ -14,20 +15,26 @@ import pytest
 
 from smallball import (
     PerturbationSpec,
+    WeightSeq,
     bridge,
     build_gram,
+    cdf_monte_carlo,
+    durbin,
     gauss_legendre_grid,
     kernel_matrix,
     nystrom_spectrum,
     perturbed_kernel,
     sampled,
+    simulate_omega2,
 )
+from smallball.quadform import SAMPLER_BLOCK
 
 N = 1000
 
 
-def _peak(fn):
-    """fn's result and its peak of traced memory, in n x n float64 arrays."""
+def _peak(fn, unit=8.0 * N * N):
+    """fn's result and its peak of traced memory, in units of ``unit``
+    bytes (by default one n x n float64 array)."""
     if tracemalloc.is_tracing():
         pytest.skip("tracemalloc is already running")
     tracemalloc.start()
@@ -37,7 +44,7 @@ def _peak(fn):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    return out, peak / (8.0 * N * N)
+    return out, peak / unit
 
 
 def test_perturbed_spectrum_budgets():
@@ -73,3 +80,35 @@ def test_perturbed_spectrum_budgets():
     over = {k: round(v, 3) for k, v in peaks.items() if v > budgets[k]}
     assert not over, f"peaks over budget: {over} (budgets {budgets})"
     assert ker.matrix is g_a
+
+
+@pytest.mark.parametrize(
+    "name,budget",
+    [
+        # the shard's block buffer, its result and the row sums
+        ("normal_location", 1.5),
+        ("exponential_rate", 1.5),
+        # and the buffer of squares the scale fit reads
+        ("normal_location_scale", 2.5),
+    ],
+)
+def test_omega2_shard_holds_one_block(monkeypatch, name, budget):
+    # each of the two shards draws, transforms and reduces its 16 row blocks
+    # in one buffer; the first call imports scipy.special, which is not counted
+    monkeypatch.setenv("SMALLBALL_THREADS", "1")
+    fam = getattr(durbin, name)()
+    run = lambda: simulate_omega2(fam, 500, 8193, seed=5)  # noqa: E731
+    run()
+    _, peak = _peak(run, unit=8.0 * SAMPLER_BLOCK)
+    assert peak <= budget
+
+
+def test_monte_carlo_shard_holds_one_block(monkeypatch):
+    # each of the 16 shards draws and squares its 6 blocks of 436 x 300
+    # normals in one buffer
+    monkeypatch.setenv("SMALLBALL_THREADS", "1")
+    w = WeightSeq(head=1.0 / (np.pi * np.arange(1, 301)) ** 2)
+    run = lambda: cdf_monte_carlo(w, 0.15, 40000, seed=5)  # noqa: E731
+    run()
+    _, peak = _peak(run, unit=8.0 * SAMPLER_BLOCK)
+    assert peak <= 1.5

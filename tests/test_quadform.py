@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import sys
@@ -737,7 +738,7 @@ class TestSamplerMemory:
     The default worker count follows the cores, so they are pinned to 3 to
     keep the bound independent of the machine."""
 
-    BOUND_MB = 16.0
+    BOUND_MB = 6.0
 
     def test_omega2_peak(self, monkeypatch, threads):
         _pin_cores(monkeypatch, 3)
@@ -891,19 +892,60 @@ class TestPhaseTables:
         assert (warm.value, warm.log_value, warm.error_bound) == (cold.value, cold.log_value, cold.error_bound)
 
     def test_repeat_call_evaluates_no_node(self, monkeypatch):
-        # the truncation search's scalar phase_at calls remain
+        # neither a grid node nor a truncation rung is evaluated again
         w = _closed_form_weights(-0.5)
         first = cdf_gil_pelaez(w, 0.3)
         calls = []
-        real = quadform._Evaluator.phase
 
-        def counted(ev, t):
-            calls.append(np.size(t))
-            return real(ev, t)
+        def counted(name):
+            real = getattr(quadform._Evaluator, name)
 
-        monkeypatch.setattr(quadform._Evaluator, "phase", counted)
+            def call(ev, t):
+                calls.append((name, np.size(t)))
+                return real(ev, t)
+
+            return call
+
+        for name in ("phase", "phase_at"):
+            monkeypatch.setattr(quadform._Evaluator, name, counted(name))
         assert cdf_gil_pelaez(w, 0.3) == first
         assert calls == []
+
+    def test_ladder_extends_past_kept_rungs(self):
+        # a radius that needs a longer T evaluates only the rungs past the
+        # kept ones, and every rung has the bits of a fresh search
+        w = _closed_form_weights(0.0)
+        ev = w._evaluator
+        cdf_gil_pelaez(w, 1.0)
+        kept = list(ev._rungs)
+        cdf_gil_pelaez(w, 0.02)
+        assert ev._rungs[: len(kept)] == kept
+        assert len(ev._rungs) > len(kept)
+        fresh = WeightSeq(head=w.head, tail_sum_bound=w.tail_sum_bound)
+        cdf_gil_pelaez(fresh, 0.02)
+        assert fresh._evaluator._rungs == ev._rungs
+
+    def test_ladder_keeps_a_rung_another_walk_appended(self, monkeypatch):
+        # while one walk evaluates its first rung, a second walk on the same
+        # evaluator appends the first two: the first keeps those, and the
+        # rungs stay a fresh walk's, in order
+        w = _closed_form_weights(0.0)
+        fresh = list(itertools.islice(WeightSeq(head=w.head)._evaluator.truncation_ladder(), 4))
+        ev = w._evaluator
+        other = ev.truncation_ladder()
+        real = quadform._Evaluator.phase_at
+        calls = []
+
+        def interleaved(self, t):
+            calls.append(t)
+            if len(calls) == 1:
+                next(other)
+                next(other)
+            return real(self, t)
+
+        monkeypatch.setattr(quadform._Evaluator, "phase_at", interleaved)
+        assert list(itertools.islice(ev.truncation_ladder(), 4)) == fresh
+        assert ev._rungs == fresh
 
     def test_panel_ladder_rounds_up_by_an_eighth_octave(self):
         # a panel count m is rounded up to at most 2^(1/8) m + 1
@@ -947,14 +989,20 @@ class TestPhaseTables:
 
     def test_threads_share_the_stores(self):
         # more threads than cores fill one evaluator's stores at once, with
-        # frequent switches: every result has the bits of a fresh copy's,
-        # and no table is lost from the budget's count
+        # frequent switches: every result has the bits of a fresh copy's, no
+        # table is lost from the budget's count, and the truncation rungs
+        # are a fresh walk's, in order
         w = _closed_form_weights(0.0)
         radii = [r for proc, r in CURVE_CASES if proc == "bridge"]
         want = [cdf_gil_pelaez(WeightSeq(head=w.head, tail_sum_bound=w.tail_sum_bound), r) for r in radii]
+        walked = WeightSeq(head=w.head, tail_sum_bound=w.tail_sum_bound)
+        for r in radii:
+            cdf_gil_pelaez(walked, r)
         got = {}
+        start = threading.Barrier(6)
 
         def work(j):
+            start.wait(timeout=60)
             got[j] = [cdf_gil_pelaez(w, r) for r in radii[j % 3 :] + radii[: j % 3]]
 
         interval = sys.getswitchinterval()
@@ -973,3 +1021,4 @@ class TestPhaseTables:
         assert len(got) == 6
         ev = w._evaluator
         assert _table_doubles(ev) + ev._table_room == quadform._TABLE_BUDGET
+        assert ev._rungs == walked._evaluator._rungs
