@@ -2,11 +2,12 @@
 
 Three evaluators with complementary ranges:
 
-* ``cdf_gil_pelaez`` inverts the characteristic function; accurate for
-  central probabilities (P >~ 1e-6) where it reaches ~1e-8 absolute.  The
-  phase and amplitude of the characteristic function do not depend on r,
-  so one t-grid serves every radius a call needs, and the weight
-  sequence's evaluator keeps the grid's values for later calls.
+* ``cdf_gil_pelaez`` inverts the characteristic function by Davies's
+  midpoint rule, with a rigorous absolute error bound, about 1e-9 on long
+  heads; for central probabilities.  The phase and amplitude of the
+  characteristic function do not depend on r, so one grid serves every
+  radius, and the weight sequence's evaluator keeps their values at its
+  nodes for later calls.
 * ``cdf_saddlepoint`` is a Lugannani-Rice left-tail approximation on the
   exact cumulant generating function; returns log-probabilities reliably
   down to e^-10000 where inversion cancels catastrophically.  Its saddle
@@ -19,7 +20,7 @@ The tail concentrates tightly around its mean (its variance is of higher
 order), so the evaluators treat it as the deterministic shift
 r -> r - tail_sum_bound and report the shift sensitivity
 cdf(r) - cdf(r - tail_sum_bound) inside the error bound; Gil-Pelaez takes
-both radii from the same inversion.
+both radii from the same grid.
 
 Inversion and saddlepoint read their weight sums from one evaluator per
 ``WeightSeq``, built on first use.  The phase theta0(t), the amplitude
@@ -37,9 +38,8 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -151,22 +151,18 @@ class ProbabilityEstimate:
 # dropped part is at most C(P, 2) d^(P-2) / (1 - d)^3 of 8 mu^3, and the
 # term is at least 8 mu^3 / (1 + d)^3, so the relative truncation error is
 # at most C(P, 2) d^(P-2) ((1 + d) / (1 - d))^3 = 2775 * 2^-73 * 27 =
-# 7.9e-18.  K'' and K' keep one and two more powers, and K, theta0, theta0'
-# and log rho have smaller coefficients, so their bounds are smaller
-# still.  The terms of each sum share one sign, so each bound holds for
-# the sum as well.
+# 7.9e-18.  K'' and K' keep one and two more powers, and K, theta0 and
+# log rho have smaller coefficients, so their bounds are smaller still.
+# The terms of each sum share one sign, so each bound holds for the sum as
+# well.
 _SERIES_DELTA = 0.5
 _SERIES_POWERS = 75
 # split points per octave of the weight index: the directly summed part
 # has at most 2^(1/4), about 1.19 times, the terms it needs, plus one
 _SPLITS_PER_OCTAVE = 4
-# elements of the scratch buffer of one evaluator call, and of each block of
-# Gauss-Kronrod nodes: 512 KiB whatever the weight or panel count
+# elements of the scratch buffer of one evaluator call: 512 KiB whatever
+# the weight or node count
 _BLOCK = 1 << 16
-# doubles of Gil-Pelaez phase tables and their keys one evaluator keeps:
-# 1 MiB per weight sequence, for as long as the sequence lives, plus a few
-# hundred bytes of Python object headers per table
-_TABLE_BUDGET = 2 * _BLOCK
 
 
 class _Evaluator:
@@ -184,20 +180,12 @@ class _Evaluator:
     4 log2 N, rows.  R_1 at K = 0 is the weight total scaled exactly, so
     K'(0) is ``WeightSeq.total`` bit for bit.
 
-    Gil-Pelaez reads one more store, filled on first need, since theta0
-    and rho do not depend on the radius: ``phase_table`` keeps theta0 and
-    g = 1 / (t rho) at the Gauss-Kronrod nodes of one inversion pass, keyed
-    by the pass's panel endpoints, while the tables and their keys fit
-    ``_TABLE_BUDGET`` doubles; a table that does not fit is not stored.
-    That memory belongs to the sequence and is kept as long as the sequence
-    is.  The tables pay off only when calls on one sequence repeat a grid,
-    as radii a few per cent apart do; the radii of one cold curve share
-    few grids.  A stored table holds the bits a fresh evaluation gives, so
-    a hit and a miss return the same result.  The truncation search's
-    rungs do not depend on the radius either: ``truncation_ladder`` keeps
-    each one it evaluates, a few dozen at most.  Threads may share an
-    evaluator: two that miss the same table or rung at once both compute
-    it, and one copy is kept.
+    Gil-Pelaez keeps one more datum of the sequence, built on its first
+    inversion: the midpoint grid, theta0 and g = 1 / ((k + 1/2) rho) at its
+    first K + 2 nodes (``_Grid``).  The grid does not depend on the radius,
+    so every later inversion reads it; it is kept as long as the sequence
+    is.  Threads may share an evaluator: two that build the grid at once
+    both compute it, and one copy is kept.
     """
 
     def __init__(self, mu: np.ndarray):
@@ -232,17 +220,12 @@ class _Evaluator:
             ],
             axis=1,
         )
-        # theta0' / S = sum (mu_k / S) / (1 + z_k^2)
-        self._slope_coef = np.where(p % 2 == 0, (-1.0) ** (p // 2), 0.0) * shifted(1)
         # K = 1/2 sum z^p R_p / p, K' / S, K'' / S^2 and K''' / S^3 with z = 2 s S
         self._cgf_coef = np.stack(
             [0.5 * (p > 0) * inv * sums, shifted(1), 2.0 * (p + 1) * shifted(2), 4.0 * (p + 1) * (p + 2) * shifted(3)],
             axis=1,
         )
-        self._tables: dict[tuple[bytes, bytes], np.ndarray] = {}
-        self._table_room = _TABLE_BUDGET
-        self._table_lock = threading.Lock()
-        self._rungs: list[tuple[float, float, float, float]] = []
+        self._grid: _Grid | None = None
 
     def _at(self, x: float) -> tuple[int, int, np.ndarray]:
         """Split level j of the scalar x, its split point, and z^0 .. z^P
@@ -293,68 +276,6 @@ class _Evaluator:
         theta, log_rho = np.empty(ts.size), np.empty(ts.size)
         theta[order], log_rho[order] = out
         return theta.reshape(t.shape), log_rho.reshape(t.shape)
-
-    def phase_at(self, t: float) -> tuple[float, float, float]:
-        """theta0(t), log rho(t) and theta0'(t) = sum mu_k / (1 + 4 mu_k^2 t^2)
-        at a scalar t."""
-        j, k, powers = self._at(t)
-        z = (2.0 * t) * self.mu[:k]
-        th, lr = self._phase_coef[j] @ powers
-        slope = self._scale[j] * float(self._slope_coef[j] @ powers)
-        z2 = z * z
-        return (
-            0.5 * float(np.arctan(z).sum()) + th,
-            0.25 * float(np.log1p(z2).sum()) + lr,
-            float(np.sum(self.mu[:k] / (1.0 + z2))) + slope,
-        )
-
-    def phase_g(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """theta0(t) and g(t) = exp(-log rho(t)) / t at every t of an array."""
-        theta, log_rho = self.phase(t)
-        return theta, np.exp(-log_rho) / t
-
-    def phase_table(self, a: np.ndarray, b: np.ndarray, nodes: np.ndarray) -> np.ndarray | None:
-        """theta0 and g stacked as (2,) + nodes.shape at ``nodes``, the
-        Gauss-Kronrod nodes of the panels [a_i, b_i] of one inversion pass,
-        one row per panel.  The panel ends are the key; they fix every node
-        bit for bit.  A miss fills the table ``_PANELS_PER_BLOCK`` panels at
-        a time, as a streamed pass evaluates them, and stores it if it and
-        its key fit the room left of ``_TABLE_BUDGET``; None means they do
-        not fit."""
-        key = (a.tobytes(), b.tobytes())
-        table = self._tables.get(key)
-        size = 2 * nodes.size + a.size + b.size
-        if table is None and size <= self._table_room:
-            table = np.empty((2,) + nodes.shape)
-            for i in range(0, a.size, _PANELS_PER_BLOCK):
-                table[:, i : i + _PANELS_PER_BLOCK] = self.phase_g(nodes[i : i + _PANELS_PER_BLOCK])
-            with self._table_lock:
-                if key not in self._tables and size <= self._table_room:
-                    self._tables[key] = table
-                    self._table_room -= size
-        return table
-
-    def truncation_ladder(self):
-        """The rungs (T, theta0(T), log rho(T), theta0'(T)) of the
-        Gil-Pelaez truncation search, T = (10 / mu_1) 1.6^i below 1e15, in
-        order.  Each T is the repeated product of the search, so a kept rung
-        has the bits of a fresh one; the rungs a walk passes are kept for
-        the sequence's lifetime, and a later walk evaluates only past them.
-        A rung is appended only if no other thread appended it first."""
-        i = 0
-        while True:
-            if i < len(self._rungs):
-                rung = self._rungs[i]
-            else:
-                T = self._rungs[i - 1][0] * 1.6 if i else 10.0 / self.mu[0]
-                if T >= 1e15:
-                    return
-                rung = (T, *self.phase_at(T))
-                with self._table_lock:
-                    if len(self._rungs) == i:
-                        self._rungs.append(rung)
-            yield rung
-            i += 1
 
     def _tilted(self, s: float, k: int) -> np.ndarray:
         """mu_k / (1 - 2 s mu_k) over the leading k weights, in one array."""
@@ -409,126 +330,193 @@ def _power_sums(x: np.ndarray, top: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Gil-Pelaez / Imhof inversion
+# Gil-Pelaez / Imhof inversion by Davies's midpoint rule
 # ---------------------------------------------------------------------------
 
-
-# QUADPACK qk21: the 21-point Kronrod rule and its embedded 10-point Gauss
-# rule on [-1, 1], as scipy's quad applies them in its first step
-_XGK = np.array([
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-    0.0,
-])
-_WGK = np.array([
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077208980040215, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
-])
-_WG = np.array([
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338,
-])
-# nodes -x_0 .. -x_9, 0, x_9 .. x_0; the Gauss nodes are x_1, x_3, .., x_9
-_GK_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
-_GK_WEIGHTS = np.concatenate([_WGK[:-1], _WGK[::-1]])
-_G_WEIGHTS = np.zeros(21)
-_G_WEIGHTS[1:10:2] = _WG
-_G_WEIGHTS[11:20:2] = _WG[::-1]
-# panels per block of _BLOCK nodes
-_PANELS_PER_BLOCK = _BLOCK // _GK_NODES.size
-# quad's default tolerances, which decide whether its first step is final
-_QUAD_EPS = 1.49e-8
-# passes that may halve a failing panel; the panel at t = 0 needs at most 5
-_MAX_HALVINGS = 12
 GIL_PELAEZ_TOL = 1e-9
-# beyond this many oscillations before decay the inversion is refused
-_MAX_OSCILLATIONS = 50000
-# panel counts ceil(20 * 2^(j/8)): 1.5 panels per oscillation rounded up to
-# the ladder, so nearby radii share a t-grid, up to 1.5 * _MAX_OSCILLATIONS;
-# a count m becomes at most 2^(1/8) m + 1
-_PANEL_LADDER = np.ceil(20.0 * 2.0 ** (np.arange(97) / 8.0)).astype(int)
+# a grid keeps at most this many nodes, 16 MiB; a radius whose truncation
+# bound has not met its share there is left to the convergence check
+_MAX_NODES = 1 << 20
+# nodes of a grid whose convexity cut lies past _MAX_NODES, before its first
+# doubling
+_FIRST_NODES = 1 << 10
+# relative accuracy of theta0 and log rho from the evaluator, which
+# TestEvaluator checks against exactly rounded sums
+_PHASE_RTOL = 1e-14
+_EPS = math.ulp(1.0)
 
 
-def _integrate_panels(ev: _Evaluator, rs: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each radius r in ``rs``, the sum over the panels
-    [edges[i], edges[i+1]] of int sin(theta0(t) - t r) g(t) dt,
-    g = 1 / (t rho(t)), and the sum of the error estimates.
+@dataclass(frozen=True, eq=False)
+class _Grid:
+    """Davies's midpoint grid u_k = (k + 1/2) ``step`` of one weight
+    sequence, and theta0(u_k) and g_k = 1 / ((k + 1/2) rho(u_k)) on its
+    first nodes.
 
-    Each pass applies quad's first step, the 21-point Gauss-Kronrod rule
-    with QUADPACK's error estimate, to all pending panels at once.  theta0
-    and g do not depend on r, so they are evaluated once per node and serve
-    every radius: read from the evaluator's phase table of the pass, or,
-    where it does not fit, streamed in blocks of ``_BLOCK`` nodes.  A panel
-    is accepted when it meets quad's default tolerances at every radius;
-    the others, typically only the one at t = 0, are halved for the next
-    pass, unless they were halved ``_MAX_HALVINGS`` times or the next pass
-    would outgrow the first.  Then they are kept with their error estimates
-    for the caller to judge.
-    """
-    a, b = edges[:-1], edges[1:]
-    r_col = rs[:, None, None]
-    total = np.zeros(rs.size)
-    err_sum = np.zeros(rs.size)
-    halvings = 0
-    while a.size:
-        half = 0.5 * (b - a)
-        nodes = 0.5 * (a + b)[:, None] + half[:, None] * _GK_NODES
-        table = ev.phase_table(a, b, nodes)
-        f = np.empty((rs.size,) + nodes.shape)
-        for i in range(0, a.size, _PANELS_PER_BLOCK):
-            t = nodes[i : i + _PANELS_PER_BLOCK]
-            theta, g = ev.phase_g(t) if table is None else table[:, i : i + _PANELS_PER_BLOCK]
-            f[:, i : i + _PANELS_PER_BLOCK] = np.sin(theta - t * r_col) * g
-        res_k = f @ _GK_WEIGHTS
-        res_g = f @ _G_WEIGHTS
-        res_abs = np.abs(f) @ _GK_WEIGHTS * half
-        res_asc = np.abs(f - 0.5 * res_k[..., None]) @ _GK_WEIGHTS * half
-        result = res_k * half
-        err = np.abs(res_k - res_g) * half
-        scaled = np.divide(200.0 * err, res_asc, out=np.ones_like(err), where=res_asc > 0)
-        err = np.where((res_asc > 0) & (err > 0), res_asc * np.minimum(1.0, scaled**1.5), err)
-        err = np.maximum(err, 50.0 * np.finfo(float).eps * res_abs)
-        passed = ((err <= np.maximum(_QUAD_EPS, _QUAD_EPS * np.abs(result))) & (err != res_asc)) | (err == 0)
-        done = passed.all(axis=0)
-        if halvings == _MAX_HALVINGS or 2 * np.count_nonzero(~done) > edges.size - 1:
-            done[:] = True
-        total += result[:, done].sum(axis=1)
-        err_sum += err[:, done].sum(axis=1)
-        a, b = a[~done], b[~done]
-        mid = 0.5 * (a + b)
-        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-        halvings += 1
-    return total, err_sum
+    ``period`` L = 2 pi / step puts P{Q > L} <= exp(K(s) - s L) at a
+    quarter of ``tol`` for the ``tilt`` s, whose K(s) is ``cgf``.  ``cut``
+    is the convexity cut, where the dropped terms' bound from the convexity
+    of log rho meets half of ``tol``, or _MAX_NODES - 2 if it does not; the
+    grid keeps nodes up to cut + 1 at most."""
+
+    tol: float
+    step: float
+    period: float
+    tilt: float
+    cgf: float
+    cut: int
+    theta: np.ndarray
+    g: np.ndarray
+
+
+def _nodes(ev: _Evaluator, step: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """theta0 and g at the grid nodes lo .. hi - 1."""
+    k = np.arange(lo, hi) + 0.5
+    theta, log_rho = ev.phase(k * step)
+    return theta, np.exp(-log_rho) / k
+
+
+def _convexity_bound(k: np.ndarray, log_rho: np.ndarray) -> np.ndarray:
+    """Bounds on the sum of g_j over j > k[i], from log rho at the increasing
+    node indices k, for i >= 1.
+
+    log rho is convex in log u, since each term log(1 + 4 mu^2 u^2) is, so
+    for u >= u_K it lies above its tangent at u_K, whose slope c is at least
+    that of the chord from any node below.  Then rho(u_j) >= rho(u_K)
+    ((j + 1/2) / (K + 1/2))^c, and the sum over j > K is at most
+    1 / (c rho(u_K))."""
+    c = np.diff(log_rho) / np.diff(np.log(k + 0.5))
+    return np.divide(np.exp(-log_rho[1:]), c, out=np.full(c.shape, np.inf), where=c > 0)
+
+
+def _grid(ev: _Evaluator) -> _Grid:
+    """The evaluator's midpoint grid, built on first use and whenever
+    GIL_PELAEZ_TOL has changed.
+
+    The cut comes from the convexity bound on a ladder of eight node
+    indices per octave, each bounded through the chord from the one below.
+    A grid whose cut is found holds all cut + 2 nodes from the start; the
+    others start from _FIRST_NODES and double."""
+    grid = ev._grid
+    if grid is not None and grid.tol == GIL_PELAEZ_TOL:
+        return grid
+    tol = GIL_PELAEZ_TOL
+    # Chernoff: P{Q > L} <= exp(K(s) - s L) for 0 < s < 1 / (2 mu_1)
+    tilts = [(s, ev.cgf(s)) for s in (1.0 - 2.0 ** -np.arange(1.0, 8.0)) / (2.0 * float(ev.mu[0]))]
+    period, tilt, cgf = min(((k0 + math.log(4.0 / tol)) / s, s, k0) for s, k0 in tilts)
+    step = 2.0 * math.pi / period
+    ladder = np.unique(np.round(2.0 ** (np.arange(161) / 8.0))).astype(np.intp)
+    ladder[-1] = _MAX_NODES - 2
+    cut, size = _MAX_NODES - 2, _FIRST_NODES
+    # four octaves per pass, so the far rungs, where every weight is summed
+    # directly, are evaluated only if the cut lies there
+    for i in range(0, ladder.size - 1, 32):
+        k = ladder[i : i + 33]
+        met = np.flatnonzero(_convexity_bound(k, ev.phase((k + 0.5) * step)[1]) <= 0.5 * math.pi * tol)
+        if met.size:
+            cut = int(k[met[0] + 1])
+            size = cut + 2
+            break
+    return _kept(ev, _Grid(tol, step, period, tilt, cgf, cut, *_nodes(ev, step, 0, size)))
+
+
+def _doubled(ev: _Evaluator, grid: _Grid) -> _Grid:
+    """``grid`` with twice its nodes, up to cut + 2."""
+    n = grid.theta.size
+    theta, g = _nodes(ev, grid.step, n, min(2 * n, grid.cut + 2))
+    return _kept(ev, replace(grid, theta=np.concatenate([grid.theta, theta]), g=np.concatenate([grid.g, g])))
+
+
+def _kept(ev: _Evaluator, grid: _Grid) -> _Grid:
+    """Store ``grid`` on the evaluator unless it keeps a longer one.
+
+    A grid is replaced, never changed, and each of its node lists is one of
+    a fixed set, so a kept node has the bits a fresh grid gives.  Two
+    threads that build or double the grid at once compute the same arrays;
+    the longer copy is kept, and a lost one costs only its recomputation."""
+    kept = ev._grid
+    if kept is None or kept.tol != grid.tol or kept.theta.size < grid.theta.size:
+        ev._grid = grid
+    return grid
+
+
+def _midpoint_value(ev: _Evaluator, r: float) -> tuple[float, float]:
+    """F(r) by the midpoint sum on the evaluator's grid, and its error bound:
+    the alias, truncation and rounding terms.
+
+    The sum equals F(r) + P{r + L < Q < r + 2L} + P{r + 3L < Q < r + 4L} +
+    .. for 0 < r < L, as Q >= 0, so the alias term is P{Q > r + L}, bounded
+    by Chernoff at the grid's tilt; for r >= L the value is 1, within
+    P{Q >= r}.  The sum stops at the first node K where either truncation
+    bound meets half of GIL_PELAEZ_TOL, and at the convexity cut at the
+    latest; a grid without a cut is doubled until one does, or until it
+    holds _MAX_NODES."""
+    grid = _grid(ev)
+    # Kusmin-Landau: g_k is positive and decreasing, and theta0 is concave,
+    # so once theta0 rises by at most step r / 2 from node K to K + 1, the
+    # phase steps of the dropped terms are monotone and lie in
+    # [-step r, -step r / 2]; the terms then sum to at most
+    # g_{K+1} cot(pi lam / 2), lam = min(r / 2L, 1 - r / L)
+    lam = min(0.5 * r / grid.period, 1.0 - r / grid.period)
+    if lam <= 0.0:
+        return 1.0, math.exp(grid.cgf - grid.tilt * r)
+    landau = 1.0 / math.tan(0.5 * math.pi * lam)
+    while True:
+        steady = np.diff(grid.theta) <= 0.5 * grid.step * r
+        met = steady & (grid.g[1:] * landau <= 0.5 * math.pi * grid.tol)
+        if met.any() or grid.theta.size == grid.cut + 2:
+            break
+        grid = _doubled(ev, grid)
+    K = int(np.argmax(met)) if met.any() else grid.cut
+    arg = np.arange(K + 1, dtype=float)
+    arg += 0.5
+    arg *= -grid.step * r
+    arg += grid.theta[: K + 1]
+    total = float(np.sin(arg, out=arg) @ grid.g[: K + 1])
+    k = np.arange(max(K - 1, 0), K + 1)
+    log_rho = -np.log(grid.g[k] * (k + 0.5))
+    dropped = grid.g[K + 1] * landau if steady[K] else math.inf
+    if K:
+        dropped = min(dropped, float(_convexity_bound(k, log_rho)[0]))
+    # rounding: theta0 and log rho carry _PHASE_RTOL relative and rise with
+    # u, so node K bounds them.  With the argument's subtraction, the sin,
+    # the exp and the products, term k carries at most
+    # (_PHASE_RTOL (theta_K + log rho_K) + eps (theta_K + 7)) g_k, plus
+    # 3 eps u_k r g_k from u_k r, where u_k g_k = step / rho_k <= step.  The
+    # sum adds (K + 1) eps of sum g_k, which is at most 2 + log(2K + 1).
+    theta_K = float(grid.theta[K])
+    rounding = (2.0 + math.log(2 * K + 1)) * (_PHASE_RTOL * (theta_K + log_rho[-1]) + _EPS * (theta_K + K + 8))
+    rounding += 3.0 * _EPS * r * (K + 1) * grid.step
+    alias = math.exp(grid.cgf - grid.tilt * (r + grid.period))
+    return 0.5 - total / math.pi, alias + (dropped + rounding) / math.pi
 
 
 def cdf_gil_pelaez(w: WeightSeq, r: float) -> ProbabilityEstimate:
-    """P{sum mu_k xi_k^2 < r} by numerical inversion of the characteristic
-    function:
+    """P{sum mu_k xi_k^2 < r} by Davies's midpoint rule for the inversion of
+    the characteristic function (Davies 1973, Biometrika 60:415; 1980,
+    AS 155):
 
-        F(r) = 1/2 - (1/pi) int_0^inf sin(theta0(t) - t r) / (t rho(t)) dt.
+        F(r) ~ 1/2 - (1/pi) sum_{k=0}^{K} sin(theta0(u_k) - u_k r) g_k,
 
-    The integral is cut where an integration-by-parts estimate of the
-    remainder drops below ``GIL_PELAEZ_TOL``, and that first by-parts term
-    is added back.  With a tail, F(r - tail_sum_bound) and the shift bound
-    F(r) come from one inversion on a shared t-grid, both at
-    ``GIL_PELAEZ_TOL``.  theta0 and rho at each node split the weights at
-    2 t mu_k = 1/2: the smaller ones are summed by the arctan and log1p
-    series on stored power sums, to 1e-17 relative, and only the leading
-    ones term by term.  The weight sequence's evaluator keeps theta0 and
-    1 / (t rho) at the nodes of each grid and at each truncation rung, so a
-    later call on the same ``w`` whose grid it shares, as radii a few per
-    cent apart do, evaluates no node or rung again; a kept value has the
-    bits of a fresh one, so the result does not depend on the calls before
-    it.  Concurrent calls may share ``w``.  Intended for central
-    probabilities; the deep left tail belongs to ``cdf_saddlepoint``.
+    u_k = (k + 1/2) step and g_k = 1 / ((k + 1/2) rho(u_k)).  The error
+    bound is the sum of four terms, each rigorous: the alias term
+    P{Q > r + L}, L = 2 pi / step, by Chernoff; the dropped terms, by the
+    convexity of log rho in log u or by the Kusmin-Landau inequality,
+    whichever is smaller; the rounding of theta0, rho and the sum; and
+    with a tail, the shift sensitivity F(r) - F(r - tail_sum_bound).  The first two are held
+    to a quarter and a half of ``GIL_PELAEZ_TOL``.
+
+    The grid (step, K) depends only on the weights and the tolerance.  The
+    weight sequence's evaluator builds it on the first call and keeps
+    theta0 and g at its nodes, two arrays of K + 2 doubles (70 KiB for 300
+    Wiener weights), so a later call on the same ``w``, and the tail's
+    second radius r, is one sin pass and one dot product per radius.  A
+    head of a few weights meets no convexity cut; its grid doubles from
+    1,024 nodes as far as a radius needs, up to 2^20 (16 MiB), and a bound
+    still above max(100 GIL_PELAEZ_TOL, 1e-6) there raises NumericError.
+    A kept node has the bits of a fresh one, so the result does not depend
+    on the calls before it.  Concurrent calls may share ``w``.  Intended
+    for central probabilities; the deep left tail belongs to
+    ``cdf_saddlepoint``.
     """
     r = _check_positive("r", r)
     tail = w.tail_sum_bound
@@ -546,54 +534,17 @@ def cdf_gil_pelaez(w: WeightSeq, r: float) -> ProbabilityEstimate:
 
 
 def _gp_values(ev: _Evaluator, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F(r) and its error bound at each radius in ``rs``, from one t-grid at
-    ``GIL_PELAEZ_TOL``: T is cut for the smallest radius, the strictest,
-    and the panels are sized for the largest, which oscillates most.
-
-    The panel count, 1.5 per oscillation and at least 20, is rounded up to
-    ``_PANEL_LADDER``, so radii a few per cent apart share one grid and
-    read one set of the evaluator's phase tables; a cold call evaluates at
-    most 2^(1/8) times the nodes of the unrounded count, plus one panel.
-    Two threads that fill the same table at once each compute it, and one
-    copy is kept."""
+    """F(r) and its error bound at each radius in ``rs``, all on the
+    evaluator's one midpoint grid."""
     mu = ev.mu
-    n = mu.size
     # P{Q < r} <= prod_j P{mu_j xi_j^2 < r} <= prod_j sqrt(2r/(pi mu_j));
-    # where that bound is already negligible, skip the oscillatory integral
+    # where that bound is already negligible, skip the inversion
     log_bound = (0.5 * np.cumsum(np.log(2.0 * rs[:, None] / (np.pi * mu)), axis=1)).min(axis=1)
     values, errs = np.zeros(rs.size), np.exp(log_bound)
-    live = log_bound >= math.log(1e-14)
-    if not live.any():
-        return values, errs
-    rs = rs[live]
-    # truncation point: after one integration by parts the remainder is
-    # O((|g'| + g * theta0') / r^2) with g = 1 / (t rho); expand T until
-    # that is small
-    r_min = float(rs.min())
-    for T, theta_T, log_rho_T, slope_T in ev.truncation_ladder():
-        g_T = math.exp(-log_rho_T) / T
-        resid_num = (1.0 + 0.5 * n) * g_T / T + g_T * slope_T
-        if resid_num / (r_min * r_min) <= 0.5 * GIL_PELAEZ_TOL:
-            break
-    else:
-        raise NumericError("gil_pelaez: could not find a truncation point")
-    n_osc = (theta_T + T * float(rs.max())) / (2.0 * math.pi)
-    if n_osc > _MAX_OSCILLATIONS:
-        raise NumericError(
-            f"gil_pelaez: integrand oscillates {n_osc:.0f} times before decay; "
-            "this regime belongs to cdf_saddlepoint"
-        )
-    n_panels = int(_PANEL_LADDER[np.searchsorted(_PANEL_LADDER, int(1.5 * n_osc))])
-    edges = np.linspace(0.0, T, n_panels + 1)
-    total, err = _integrate_panels(ev, rs, edges)
-    # leading by-parts term of the cut tail
-    slope_T = rs - slope_T
-    total += g_T * np.cos(theta_T - T * rs) / slope_T
-    err += np.abs(resid_num / (slope_T * slope_T))
-    if err.max() > max(100.0 * GIL_PELAEZ_TOL, 1e-6):
-        raise NumericError(f"gil_pelaez inversion did not converge (err={err.max():.2e})")
-    values[live] = 0.5 - total / math.pi
-    errs[live] = err
+    for i in np.flatnonzero(log_bound >= math.log(1e-14)):
+        values[i], errs[i] = _midpoint_value(ev, float(rs[i]))
+    if errs.max() > max(100.0 * GIL_PELAEZ_TOL, 1e-6):
+        raise NumericError(f"gil_pelaez inversion did not converge (err={errs.max():.2e})")
     return values, errs
 
 

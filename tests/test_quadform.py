@@ -1,4 +1,3 @@
-import itertools
 import math
 import os
 import sys
@@ -59,6 +58,14 @@ class TestGilPelaez:
         # sum of two unit weights is chi-square(2): CDF 1 - exp(-r/2)
         est = cdf_gil_pelaez(WeightSeq(head=np.array([1.0, 1.0])), 2.0)
         assert est.value == pytest.approx(1.0 - math.exp(-1.0), abs=1e-6)
+
+    @pytest.mark.parametrize("n,r", [(1, 0.1), (1, 1.0), (2, 2.0), (3, 3.0), (1, 60.0)])
+    def test_bound_contains_closed_form(self, n, r):
+        # n unit weights: chi-square(n), whose CDF scipy gives in closed
+        # form; r = 60 lies beyond the alias period L = 49, where the value
+        # is 1 within the Chernoff bound on P{Q >= r}
+        est = cdf_gil_pelaez(WeightSeq(head=np.ones(n)), r)
+        assert abs(est.value - chdtr(n, r)) <= est.error_bound
 
     def test_left_endpoint(self):
         w = bridge_weights(100)
@@ -305,9 +312,6 @@ class TestEvaluator:
         ref_log_rho = [0.25 * math.fsum(np.log1p((2.0 * mu * x) ** 2)) for x in t]
         np.testing.assert_allclose(theta, ref_theta, rtol=1e-14, atol=0)
         np.testing.assert_allclose(log_rho, ref_log_rho, rtol=1e-14, atol=0)
-        for x, th, lr in zip(t[::6], theta[::6], log_rho[::6]):
-            slope_ref = math.fsum(mu / (1.0 + (2.0 * mu * x) ** 2))
-            assert ev.phase_at(x) == pytest.approx((th, lr, slope_ref), rel=1e-14, abs=0)
 
     def test_cgf(self, case):
         # s from -1e6 to 1 - 1e-6 times the pole 1/(2 mu_1)
@@ -760,25 +764,22 @@ class TestInversionMonotonicity:
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
-def _quad_panel_oracle(ev, rs, edges):
-    """Each panel of the inversion integral through scipy's quad, one call
-    per panel and radius, with a scalar integrand summed over the weights."""
-    mu = ev.mu
+def _quad_cdf(mu, r):
+    """P{sum mu_k xi_k^2 < r} by scipy's quad over (0, inf) on the
+    Gil-Pelaez integrand, with theta0 and rho summed directly over the
+    weights: an oracle that shares neither the grid nor the truncation of
+    the midpoint sum."""
 
-    def integrand(t, r):
-        theta = 0.5 * float(np.sum(np.arctan(2.0 * mu * t)))
-        log_rho = 0.25 * float(np.sum(np.log1p(4.0 * mu * mu * t * t)))
+    def integrand(t):
+        z = 2.0 * mu * t
+        theta = 0.5 * float(np.sum(np.arctan(z)))
+        log_rho = 0.25 * float(np.sum(np.log1p(z * z)))
         return math.sin(theta - t * r) * math.exp(-log_rho) / t
 
-    total, err = np.zeros(rs.size), np.zeros(rs.size)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for i, r in enumerate(rs):
-            for a, b in zip(edges[:-1], edges[1:]):
-                v, e = scipy_quad(integrand, a, b, args=(r,), limit=60)
-                total[i] += v
-                err[i] += e
-    return total, err
+        total, _ = scipy_quad(integrand, 0.0, math.inf, epsabs=1e-13, epsrel=0.0, limit=5000)
+    return 0.5 - total / math.pi
 
 
 def _closed_form_weights(delta, n=300):
@@ -803,42 +804,37 @@ def durbin_limit_weights(gl1000):
 
 
 class TestPanelOracle:
-    """The blocked Gauss-Kronrod pass against one quad call per panel."""
-
-    def _compare(self, monkeypatch, w, r):
-        quad_calls = []
-
-        def spy_quad(*args, **kwargs):
-            quad_calls.append(args[1:3])
-            return scipy_quad(*args, **kwargs)
-
-        # the scipy attribute catches a function-local import of quad as well
-        monkeypatch.setattr(quadform, "quad", spy_quad)
-        monkeypatch.setattr("scipy.integrate.quad", spy_quad)
-        new = cdf_gil_pelaez(w, r)
-        monkeypatch.setattr(quadform, "_integrate_panels", _quad_panel_oracle)
-        ref = cdf_gil_pelaez(w, r)
-        assert abs(new.value - ref.value) <= 1e-12
-        assert new.error_bound == pytest.approx(ref.error_bound, rel=0.01)
-        # panels that fail the 21-point test are halved inside the blocked
-        # pass; no panel goes to scalar quad
-        assert quad_calls == []
+    """The reported error bound contains the value of ``_quad_cdf``, and on
+    300-weight heads it stays within GIL_PELAEZ_TOL."""
 
     @pytest.mark.parametrize("proc,r", CURVE_CASES)
     def test_cdf_curve_radii(self, monkeypatch, proc, r):
-        self._compare(monkeypatch, _closed_form_weights({"bridge": 0.0, "wiener": -0.5}[proc]), r)
+        # with the tail: F(r - tail) of the head, and the shift bound; the
+        # inversion itself makes no scalar quad call
+        quad_calls = []
+        monkeypatch.setattr("scipy.integrate.quad", lambda *args, **kwargs: quad_calls.append(args[1:3]))
+        w = _closed_form_weights({"bridge": 0.0, "wiener": -0.5}[proc])
+        est = cdf_gil_pelaez(w, r)
+        assert quad_calls == []
+        assert abs(est.value - _quad_cdf(w.head, r - w.tail_sum_bound)) <= est.error_bound
+
+    @pytest.mark.parametrize("proc,r", CURVE_CASES)
+    def test_cdf_curve_radii_without_tail(self, proc, r):
+        w = WeightSeq(head=_closed_form_weights({"bridge": 0.0, "wiener": -0.5}[proc]).head)
+        est = cdf_gil_pelaez(w, r)
+        assert abs(est.value - _quad_cdf(w.head, r)) <= est.error_bound <= quadform.GIL_PELAEZ_TOL
 
     @pytest.mark.parametrize("family", DURBIN_FAMILIES)
-    def test_durbin_limit_at_q10(self, monkeypatch, durbin_limit_weights, family):
+    def test_durbin_limit_at_q10(self, durbin_limit_weights, family):
         w = durbin_limit_weights[family]
         q10 = brentq(lambda r: cdf_gil_pelaez(w, r).value - 0.1, 0.1 * w.total, w.total, xtol=1e-6)
-        self._compare(monkeypatch, w, q10)
+        est = cdf_gil_pelaez(w, q10)
+        assert abs(est.value - _quad_cdf(w.head, q10)) <= est.error_bound <= quadform.GIL_PELAEZ_TOL
 
     @pytest.mark.parametrize("proc,r", CURVE_CASES)
     def test_tail_shares_the_t_grid(self, monkeypatch, proc, r):
-        # F(r - tail) and the shift bound F(r) read one t-grid: a tailed
-        # call evaluates theta0 and rho on no more nodes than a call at r
-        # alone, up to the slightly later cut of r - tail
+        # F(r - tail) and the shift bound F(r) read one grid: a tailed call
+        # evaluates theta0 and rho on no more nodes than a call at r alone
         nodes = []
         real = quadform._Evaluator.phase
 
@@ -851,28 +847,25 @@ class TestPanelOracle:
         for weights in (w, WeightSeq(head=w.head)):
             nodes.append(0)
             cdf_gil_pelaez(weights, r)
-        assert nodes[0] <= 1.1 * nodes[1]
+        assert nodes[0] <= nodes[1]
 
-    def test_halving_cap_reaches_convergence_check(self, monkeypatch):
-        # without halving, the wide panel at t = 0 keeps its error estimate
-        # (about 2), which the inversion's convergence check rejects
-        monkeypatch.setattr(quadform, "_MAX_HALVINGS", 0)
+    def test_node_cap_reaches_convergence_check(self):
+        # one weight at r = 1e-3: the Kusmin-Landau bound at 2^20 nodes is
+        # about 4e-5, which the inversion's convergence check rejects
+        w = WeightSeq(head=np.array([1.0]))
         with pytest.raises(NumericError, match="did not converge"):
-            cdf_gil_pelaez(_closed_form_weights(-0.5), 0.03)
-
-
-def _table_doubles(ev):
-    # each table, and its key of two arrays of panel ends
-    return sum(table.size + (len(a) + len(b)) // 8 for (a, b), table in ev._tables.items())
+            cdf_gil_pelaez(w, 1e-3)
+        assert w._evaluator._grid.theta.size == quadform._MAX_NODES
 
 
 class TestPhaseTables:
-    """The phase tables each evaluator keeps across calls."""
+    """The midpoint grid each evaluator keeps across calls: theta0 and g at
+    its nodes."""
 
     @pytest.fixture(scope="class")
     def warmed(self):
         # one weight sequence per (process, tail) that has served every
-        # curve radius once, so its stores hold the other radii's grids too
+        # curve radius once
         out = {}
         for proc, delta in (("bridge", 0.0), ("wiener", -0.5)):
             w = _closed_form_weights(delta)
@@ -892,7 +885,7 @@ class TestPhaseTables:
         assert (warm.value, warm.log_value, warm.error_bound) == (cold.value, cold.log_value, cold.error_bound)
 
     def test_repeat_call_evaluates_no_node(self, monkeypatch):
-        # neither a grid node nor a truncation rung is evaluated again
+        # neither a grid node nor a tilt of the alias bound is evaluated again
         w = _closed_form_weights(-0.5)
         first = cdf_gil_pelaez(w, 0.3)
         calls = []
@@ -906,103 +899,95 @@ class TestPhaseTables:
 
             return call
 
-        for name in ("phase", "phase_at"):
+        for name in ("phase", "cgf"):
             monkeypatch.setattr(quadform._Evaluator, name, counted(name))
         assert cdf_gil_pelaez(w, 0.3) == first
         assert calls == []
 
-    def test_ladder_extends_past_kept_rungs(self):
-        # a radius that needs a longer T evaluates only the rungs past the
-        # kept ones, and every rung has the bits of a fresh search
-        w = _closed_form_weights(0.0)
-        ev = w._evaluator
+    @pytest.mark.parametrize("proc", ["bridge", "wiener"])
+    def test_one_grid_serves_every_radius(self, proc):
+        # a 300-weight head meets the convexity cut: the grid holds cut + 2
+        # nodes from the first call on, whatever the radii after it
+        w = _closed_form_weights({"bridge": 0.0, "wiener": -0.5}[proc])
         cdf_gil_pelaez(w, 1.0)
-        kept = list(ev._rungs)
-        cdf_gil_pelaez(w, 0.02)
-        assert ev._rungs[: len(kept)] == kept
-        assert len(ev._rungs) > len(kept)
-        fresh = WeightSeq(head=w.head, tail_sum_bound=w.tail_sum_bound)
-        cdf_gil_pelaez(fresh, 0.02)
-        assert fresh._evaluator._rungs == ev._rungs
+        grid = w._evaluator._grid
+        assert grid.theta.size == grid.g.size == grid.cut + 2 < 5000
+        for r in np.linspace(0.01, 3.0, 50) * w.total:
+            cdf_gil_pelaez(w, r)
+            assert w._evaluator._grid is grid
 
-    def test_ladder_keeps_a_rung_another_walk_appended(self, monkeypatch):
-        # while one walk evaluates its first rung, a second walk on the same
-        # evaluator appends the first two: the first keeps those, and the
-        # rungs stay a fresh walk's, in order
-        w = _closed_form_weights(0.0)
-        fresh = list(itertools.islice(WeightSeq(head=w.head)._evaluator.truncation_ladder(), 4))
+    def test_cut_within_an_eighth_octave(self):
+        # the convexity cut, found on a ladder of eight node indices per
+        # octave, lies within 2^(1/8) of the first node where the bound
+        # through the neighbouring node meets half of GIL_PELAEZ_TOL
+        w = _closed_form_weights(-0.5)
+        cdf_gil_pelaez(w, 0.3)
+        grid = w._evaluator._grid
+        k = np.arange(grid.cut + 1)
+        bound = quadform._convexity_bound(k, -np.log(grid.g[k] * (k + 0.5)))
+        first = int(np.argmax(bound <= 0.5 * math.pi * quadform.GIL_PELAEZ_TOL)) + 1
+        assert bound[grid.cut - 1] <= 0.5 * math.pi * quadform.GIL_PELAEZ_TOL
+        assert first <= grid.cut <= 2.0**0.125 * first + 1
+
+    def test_short_head_extends_the_kept_prefix(self):
+        # three weights meet no convexity cut below 2^20 nodes: a smaller
+        # radius doubles the kept nodes, which keep their bits, and every
+        # node has the bits of a fresh grid's
+        w = WeightSeq(head=np.ones(3))
+        cdf_gil_pelaez(w, 6.0)
+        kept = w._evaluator._grid
+        cdf_gil_pelaez(w, 1.0)
+        grid = w._evaluator._grid
+        assert grid.cut == quadform._MAX_NODES - 2
+        assert quadform._FIRST_NODES <= kept.theta.size < grid.theta.size
+        assert np.array_equal(grid.theta[: kept.theta.size], kept.theta)
+        assert np.array_equal(grid.g[: kept.g.size], kept.g)
+        fresh = WeightSeq(head=np.ones(3))
+        cdf_gil_pelaez(fresh, 1.0)
+        assert np.array_equal(fresh._evaluator._grid.theta, grid.theta)
+        assert np.array_equal(fresh._evaluator._grid.g, grid.g)
+
+    def test_longer_grid_is_kept(self, monkeypatch):
+        # while one call doubles the grid, a second call on the same
+        # evaluator doubles it further: the first call's shorter grid does
+        # not replace the longer one
+        w = WeightSeq(head=np.ones(3))
+        cdf_gil_pelaez(w, 6.0)
         ev = w._evaluator
-        other = ev.truncation_ladder()
-        real = quadform._Evaluator.phase_at
+        start = ev._grid.theta.size
+        real = quadform._doubled
         calls = []
 
-        def interleaved(self, t):
-            calls.append(t)
+        def interleaved(ev, grid):
+            calls.append(grid.theta.size)
             if len(calls) == 1:
-                next(other)
-                next(other)
-            return real(self, t)
+                real(ev, real(ev, grid))
+            return real(ev, grid)
 
-        monkeypatch.setattr(quadform._Evaluator, "phase_at", interleaved)
-        assert list(itertools.islice(ev.truncation_ladder(), 4)) == fresh
-        assert ev._rungs == fresh
-
-    def test_panel_ladder_rounds_up_by_an_eighth_octave(self):
-        # a panel count m is rounded up to at most 2^(1/8) m + 1
-        m = np.arange(1, int(1.5 * quadform._MAX_OSCILLATIONS) + 1)
-        rounded = quadform._PANEL_LADDER[np.searchsorted(quadform._PANEL_LADDER, m)]
-        assert np.all(rounded >= m)
-        assert np.all(rounded <= 2.0 ** 0.125 * np.maximum(m, 20) + 1)
-
-    def test_sweep_stays_within_budget(self):
-        w = _closed_form_weights(0.0)
-        ev = w._evaluator
-        for r in np.linspace(0.01, 3.0, 200) * w.total:
-            cdf_gil_pelaez(w, r)
-            assert _table_doubles(ev) + ev._table_room == quadform._TABLE_BUDGET
-            assert ev._table_room >= 0
-        assert ev._tables
-
-    @pytest.mark.parametrize("budget", ["none", "short"])
-    def test_table_over_budget_streams(self, monkeypatch, budget):
-        # a grid whose first-pass table does not fit is streamed: the same
-        # bits, and that table is not stored
-        head = _closed_form_weights(-0.5).head
-        r = 0.8
-        edges = []
-        real = quadform._integrate_panels
-
-        def recorded(ev, rs, e):
-            edges.append(e)
-            return real(ev, rs, e)
-
-        monkeypatch.setattr(quadform, "_integrate_panels", recorded)
-        ref = cdf_gil_pelaez(WeightSeq(head=head), r)
-        first = (2 * quadform._GK_NODES.size + 2) * (edges[0].size - 1)
-        monkeypatch.setattr(quadform, "_TABLE_BUDGET", 0 if budget == "none" else first - 1)
-        w = WeightSeq(head=head)
-        assert cdf_gil_pelaez(w, r) == ref
-        key = (edges[0][:-1].tobytes(), edges[0][1:].tobytes())
-        assert key not in w._evaluator._tables
-        if budget == "none":
-            assert w._evaluator._tables == {}
+        monkeypatch.setattr(quadform, "_doubled", interleaved)
+        cdf_gil_pelaez(w, 1.0)
+        assert ev._grid.theta.size == 4 * start
+        monkeypatch.undo()
+        fresh = WeightSeq(head=np.ones(3))
+        cdf_gil_pelaez(fresh, 1.0)
+        n = min(fresh._evaluator._grid.theta.size, ev._grid.theta.size)
+        assert np.array_equal(ev._grid.theta[:n], fresh._evaluator._grid.theta[:n])
+        assert cdf_gil_pelaez(w, 1.0) == cdf_gil_pelaez(fresh, 1.0)
 
     def test_threads_share_the_stores(self):
-        # more threads than cores fill one evaluator's stores at once, with
-        # frequent switches: every result has the bits of a fresh copy's, no
-        # table is lost from the budget's count, and the truncation rungs
-        # are a fresh walk's, in order
-        w = _closed_form_weights(0.0)
-        radii = [r for proc, r in CURVE_CASES if proc == "bridge"]
-        want = [cdf_gil_pelaez(WeightSeq(head=w.head, tail_sum_bound=w.tail_sum_bound), r) for r in radii]
-        walked = WeightSeq(head=w.head, tail_sum_bound=w.tail_sum_bound)
-        for r in radii:
-            cdf_gil_pelaez(walked, r)
+        # more threads than cores build and double one evaluator's grid at
+        # once, with frequent switches: every result has the bits of a
+        # fresh copy's, and so has the grid kept
+        cases = [(_closed_form_weights(0.0), [r for proc, r in CURVE_CASES if proc == "bridge"]),
+                 (WeightSeq(head=np.ones(3)), [6.0, 3.0, 1.5])]
+        want = [[cdf_gil_pelaez(WeightSeq(head=w.head, tail_sum_bound=w.tail_sum_bound), r) for r in radii]
+                for w, radii in cases]
         got = {}
         start = threading.Barrier(6)
 
         def work(j):
             start.wait(timeout=60)
+            w, radii = cases[j % 2]
             got[j] = [cdf_gil_pelaez(w, r) for r in radii[j % 3 :] + radii[: j % 3]]
 
         interval = sys.getswitchinterval()
@@ -1016,9 +1001,14 @@ class TestPhaseTables:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in workers)
-        for j, results in got.items():
-            assert results == want[j % 3 :] + want[: j % 3]
         assert len(got) == 6
-        ev = w._evaluator
-        assert _table_doubles(ev) + ev._table_room == quadform._TABLE_BUDGET
-        assert ev._rungs == walked._evaluator._rungs
+        for j, results in got.items():
+            expected = want[j % 2]
+            assert results == expected[j % 3 :] + expected[: j % 3]
+        for w, radii in cases:
+            fresh = WeightSeq(head=w.head, tail_sum_bound=w.tail_sum_bound)
+            cdf_gil_pelaez(fresh, min(radii))
+            shared, own = w._evaluator._grid, fresh._evaluator._grid
+            n = min(shared.theta.size, own.theta.size)
+            assert np.array_equal(shared.theta[:n], own.theta[:n])
+            assert np.array_equal(shared.g[:n], own.g[:n])
