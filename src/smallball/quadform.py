@@ -6,8 +6,8 @@ Three evaluators with complementary ranges:
   midpoint rule, with a rigorous absolute error bound, about 1e-9 on long
   heads; for central probabilities.  The phase and amplitude of the
   characteristic function do not depend on r, so one grid serves every
-  radius, and the weight sequence's evaluator keeps their values at its
-  nodes for later calls.
+  radius; the weight sequence's evaluator grows it geometrically up to its
+  convexity cut and keeps their values at its nodes for later calls.
 * ``cdf_saddlepoint`` is a Lugannani-Rice left-tail approximation on the
   exact cumulant generating function; returns log-probabilities reliably
   down to e^-10000 where inversion cancels catastrophically.  Its saddle
@@ -181,11 +181,12 @@ class _Evaluator:
     K'(0) is ``WeightSeq.total`` bit for bit.
 
     Gil-Pelaez keeps one more datum of the sequence, built on its first
-    inversion: the midpoint grid, theta0 and g = 1 / ((k + 1/2) rho) at its
-    first K + 2 nodes (``_Grid``).  The grid does not depend on the radius,
-    so every later inversion reads it; it is kept as long as the sequence
-    is.  Threads may share an evaluator: two that build the grid at once
-    both compute it, and one copy is kept.
+    inversion: the midpoint grid, theta0 and g = 1 / ((k + 1/2) rho) on a
+    prefix of its nodes (``_Grid``).  The grid does not depend on the
+    radius, so every later inversion reads it, and the prefix grows until
+    it holds the convexity cut; it is kept as long as the sequence is.
+    Threads may share an evaluator: two that grow the grid at once both
+    compute it, and the longer copy is kept.
     """
 
     def __init__(self, mu: np.ndarray):
@@ -238,16 +239,14 @@ class _Evaluator:
     def phase(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """theta0(t) = 1/2 sum arctan(2 mu_k t) and
         log rho(t) = 1/4 sum log1p(4 mu_k^2 t^2) at every t of a non-empty
-        array; both results have its shape.
+        one-dimensional array of ascending t >= 0.
 
-        The arguments are sorted by split level.  The series part takes the
-        powers of every z = 2 t S at once and one product with each level's
-        row of power sums; the direct part takes each level's leading
-        weights.  Both work in blocks of one scratch buffer."""
-        t = np.asarray(t, dtype=float)
-        level = np.searchsorted(self._limit, np.abs(t.ravel()))
-        order = np.argsort(level, kind="stable")
-        level, ts = level[order], t.ravel()[order]
+        Ascending arguments have ascending split levels.  The series part
+        takes the powers of every z = 2 t S at once and one product with
+        each level's row of power sums; the direct part takes each level's
+        leading weights.  Both work in blocks of one scratch buffer."""
+        ts = np.asarray(t, dtype=float)
+        level = np.searchsorted(self._limit, ts)
         starts = np.searchsorted(level, np.arange(self._split.size + 1))
         groups = np.flatnonzero(np.diff(starts))
         out = np.empty((2, ts.size))
@@ -273,9 +272,7 @@ class _Evaluator:
                 np.square(z, out=z2)
                 out[0, lo:hi] += 0.5 * np.arctan(z, out=z).sum(axis=1)
                 out[1, lo:hi] += 0.25 * np.log1p(z2, out=z2).sum(axis=1)
-        theta, log_rho = np.empty(ts.size), np.empty(ts.size)
-        theta[order], log_rho[order] = out
-        return theta.reshape(t.shape), log_rho.reshape(t.shape)
+        return out[0], out[1]
 
     def _tilted(self, s: float, k: int) -> np.ndarray:
         """mu_k / (1 - 2 s mu_k) over the leading k weights, in one array."""
@@ -337,9 +334,11 @@ GIL_PELAEZ_TOL = 1e-9
 # a grid keeps at most this many nodes, 16 MiB; a radius whose truncation
 # bound has not met its share there is left to the convergence check
 _MAX_NODES = 1 << 20
-# nodes of a grid whose convexity cut lies past _MAX_NODES, before its first
-# doubling
+# nodes of a new grid and the factor of each growth, from paired cold-call
+# timings: 1,024 nodes hold the Durbin limits' cuts, and 1.45 reaches those
+# of 300 bridge and Wiener weights in one and four growths, just past each
 _FIRST_NODES = 1 << 10
+_GROWTH = 1.45
 # relative accuracy of theta0 and log rho from the evaluator, which
 # TestEvaluator checks against exactly rounded sums
 _PHASE_RTOL = 1e-14
@@ -349,30 +348,23 @@ _EPS = math.ulp(1.0)
 @dataclass(frozen=True, eq=False)
 class _Grid:
     """Davies's midpoint grid u_k = (k + 1/2) ``step`` of one weight
-    sequence, and theta0(u_k) and g_k = 1 / ((k + 1/2) rho(u_k)) on its
-    first nodes.
+    sequence, and theta0(u_k) and g_k = 1 / ((k + 1/2) rho(u_k)) on a
+    prefix of its nodes.
 
     ``period`` L = 2 pi / step puts P{Q > L} <= exp(K(s) - s L) at a
-    quarter of ``tol`` for the ``tilt`` s, whose K(s) is ``cgf``.  ``cut``
-    is the convexity cut, where the dropped terms' bound from the convexity
-    of log rho meets half of ``tol``, or _MAX_NODES - 2 if it does not; the
-    grid keeps nodes up to cut + 1 at most."""
+    quarter of GIL_PELAEZ_TOL for the ``tilt`` s, whose K(s) is ``cgf``.
+    ``cut`` is the convexity cut, the first node K whose bound on the
+    dropped terms from the convexity of log rho, taken through the chord
+    from node K - 1, meets half of GIL_PELAEZ_TOL; it is None until the
+    prefix holds node K + 1."""
 
-    tol: float
     step: float
     period: float
     tilt: float
     cgf: float
-    cut: int
+    cut: int | None
     theta: np.ndarray
     g: np.ndarray
-
-
-def _nodes(ev: _Evaluator, step: float, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """theta0 and g at the grid nodes lo .. hi - 1."""
-    k = np.arange(lo, hi) + 0.5
-    theta, log_rho = ev.phase(k * step)
-    return theta, np.exp(-log_rho) / k
 
 
 def _convexity_bound(k: np.ndarray, log_rho: np.ndarray) -> np.ndarray:
@@ -388,53 +380,29 @@ def _convexity_bound(k: np.ndarray, log_rho: np.ndarray) -> np.ndarray:
     return np.divide(np.exp(-log_rho[1:]), c, out=np.full(c.shape, np.inf), where=c > 0)
 
 
-def _grid(ev: _Evaluator) -> _Grid:
-    """The evaluator's midpoint grid, built on first use and whenever
-    GIL_PELAEZ_TOL has changed.
-
-    The cut comes from the convexity bound on a ladder of eight node
-    indices per octave, each bounded through the chord from the one below.
-    A grid whose cut is found holds all cut + 2 nodes from the start; the
-    others start from _FIRST_NODES and double."""
-    grid = ev._grid
-    if grid is not None and grid.tol == GIL_PELAEZ_TOL:
-        return grid
-    tol = GIL_PELAEZ_TOL
-    # Chernoff: P{Q > L} <= exp(K(s) - s L) for 0 < s < 1 / (2 mu_1)
-    tilts = [(s, ev.cgf(s)) for s in (1.0 - 2.0 ** -np.arange(1.0, 8.0)) / (2.0 * float(ev.mu[0]))]
-    period, tilt, cgf = min(((k0 + math.log(4.0 / tol)) / s, s, k0) for s, k0 in tilts)
-    step = 2.0 * math.pi / period
-    ladder = np.unique(np.round(2.0 ** (np.arange(161) / 8.0))).astype(np.intp)
-    ladder[-1] = _MAX_NODES - 2
-    cut, size = _MAX_NODES - 2, _FIRST_NODES
-    # four octaves per pass, so the far rungs, where every weight is summed
-    # directly, are evaluated only if the cut lies there
-    for i in range(0, ladder.size - 1, 32):
-        k = ladder[i : i + 33]
-        met = np.flatnonzero(_convexity_bound(k, ev.phase((k + 0.5) * step)[1]) <= 0.5 * math.pi * tol)
-        if met.size:
-            cut = int(k[met[0] + 1])
-            size = cut + 2
-            break
-    return _kept(ev, _Grid(tol, step, period, tilt, cgf, cut, *_nodes(ev, step, 0, size)))
-
-
-def _doubled(ev: _Evaluator, grid: _Grid) -> _Grid:
-    """``grid`` with twice its nodes, up to cut + 2."""
+def _grown(ev: _Evaluator, grid: _Grid | None) -> _Grid:
+    """``grid`` with _GROWTH times its nodes, up to _MAX_NODES, or for None a
+    new grid of _FIRST_NODES nodes; kept on the evaluator unless it keeps a
+    longer one.  A growth looks for the cut among the nodes it adds, with
+    log rho read back from g as ``_midpoint_value`` reads it.  A grid is
+    replaced, never changed, so a kept node has the bits a fresh grid
+    gives; two threads that grow it at once compute the same arrays, and
+    the longer copy is kept."""
+    if grid is None:
+        # Chernoff: P{Q > L} <= exp(K(s) - s L) for 0 < s < 1 / (2 mu_1)
+        tilts = [(s, ev.cgf(s)) for s in (1.0 - 2.0 ** -np.arange(1.0, 8.0)) / (2.0 * float(ev.mu[0]))]
+        period, tilt, cgf = min(((k0 + math.log(4.0 / GIL_PELAEZ_TOL)) / s, s, k0) for s, k0 in tilts)
+        grid = _Grid(2.0 * math.pi / period, period, tilt, cgf, None, np.empty(0), np.empty(0))
     n = grid.theta.size
-    theta, g = _nodes(ev, grid.step, n, min(2 * n, grid.cut + 2))
-    return _kept(ev, replace(grid, theta=np.concatenate([grid.theta, theta]), g=np.concatenate([grid.g, g])))
-
-
-def _kept(ev: _Evaluator, grid: _Grid) -> _Grid:
-    """Store ``grid`` on the evaluator unless it keeps a longer one.
-
-    A grid is replaced, never changed, and each of its node lists is one of
-    a fixed set, so a kept node has the bits a fresh grid gives.  Two
-    threads that build or double the grid at once compute the same arrays;
-    the longer copy is kept, and a lost one costs only its recomputation."""
+    k = np.arange(n, min(int(_GROWTH * n) if n else _FIRST_NODES, _MAX_NODES)) + 0.5
+    theta, log_rho = ev.phase(k * grid.step)
+    g = np.concatenate([grid.g, np.exp(-log_rho) / k])
+    # the nodes K = n - 1 .. size - 2 are new candidates, each with node K - 1
+    k = np.arange(max(n - 2, 0), g.size - 1)
+    met = np.flatnonzero(_convexity_bound(k, -np.log(g[k] * (k + 0.5))) <= 0.5 * math.pi * GIL_PELAEZ_TOL)
+    grid = replace(grid, cut=int(k[met[0] + 1]) if met.size else None, theta=np.concatenate([grid.theta, theta]), g=g)
     kept = ev._grid
-    if kept is None or kept.tol != grid.tol or kept.theta.size < grid.theta.size:
+    if kept is None or kept.theta.size < grid.theta.size:
         ev._grid = grid
     return grid
 
@@ -446,11 +414,17 @@ def _midpoint_value(ev: _Evaluator, r: float) -> tuple[float, float]:
     The sum equals F(r) + P{r + L < Q < r + 2L} + P{r + 3L < Q < r + 4L} +
     .. for 0 < r < L, as Q >= 0, so the alias term is P{Q > r + L}, bounded
     by Chernoff at the grid's tilt; for r >= L the value is 1, within
-    P{Q >= r}.  The sum stops at the first node K where either truncation
+    P{Q >= r}.  The sum stops at the first node K where the Kusmin-Landau
     bound meets half of GIL_PELAEZ_TOL, and at the convexity cut at the
-    latest; a grid without a cut is doubled until one does, or until it
-    holds _MAX_NODES."""
-    grid = _grid(ev)
+    latest.  The grid grows while its prefix holds neither node and is
+    shorter than _MAX_NODES; the last node but one of a full grid without
+    either ends the sum."""
+    # P{Q < r} <= prod_j P{mu_j xi_j^2 < r} <= prod_j sqrt(2r/(pi mu_j));
+    # where that bound is already negligible, skip the inversion
+    log_bound = 0.5 * float(np.cumsum(np.log(2.0 * r / (np.pi * ev.mu))).min())
+    if log_bound < math.log(1e-14):
+        return 0.0, math.exp(log_bound)
+    grid = ev._grid or _grown(ev, None)
     # Kusmin-Landau: g_k is positive and decreasing, and theta0 is concave,
     # so once theta0 rises by at most step r / 2 from node K to K + 1, the
     # phase steps of the dropped terms are monotone and lie in
@@ -461,12 +435,13 @@ def _midpoint_value(ev: _Evaluator, r: float) -> tuple[float, float]:
         return 1.0, math.exp(grid.cgf - grid.tilt * r)
     landau = 1.0 / math.tan(0.5 * math.pi * lam)
     while True:
-        steady = np.diff(grid.theta) <= 0.5 * grid.step * r
-        met = steady & (grid.g[1:] * landau <= 0.5 * math.pi * grid.tol)
-        if met.any() or grid.theta.size == grid.cut + 2:
+        end = grid.theta.size if grid.cut is None else grid.cut + 2
+        steady = np.diff(grid.theta[:end]) <= 0.5 * grid.step * r
+        met = steady & (grid.g[1:end] * landau <= 0.5 * math.pi * GIL_PELAEZ_TOL)
+        if met.any() or grid.cut is not None or end == _MAX_NODES:
             break
-        grid = _doubled(ev, grid)
-    K = int(np.argmax(met)) if met.any() else grid.cut
+        grid = _grown(ev, grid)
+    K = int(np.argmax(met)) if met.any() else end - 2
     arg = np.arange(K + 1, dtype=float)
     arg += 0.5
     arg *= -grid.step * r
@@ -505,13 +480,13 @@ def cdf_gil_pelaez(w: WeightSeq, r: float) -> ProbabilityEstimate:
     with a tail, the shift sensitivity F(r) - F(r - tail_sum_bound).  The first two are held
     to a quarter and a half of ``GIL_PELAEZ_TOL``.
 
-    The grid (step, K) depends only on the weights and the tolerance.  The
-    weight sequence's evaluator builds it on the first call and keeps
-    theta0 and g at its nodes, two arrays of K + 2 doubles (70 KiB for 300
-    Wiener weights), so a later call on the same ``w``, and the tail's
-    second radius r, is one sin pass and one dot product per radius.  A
-    head of a few weights meets no convexity cut; its grid doubles from
-    1,024 nodes as far as a radius needs, up to 2^20 (16 MiB), and a bound
+    The step depends only on the weights.  The weight sequence's evaluator
+    keeps theta0 and g at the grid's first 1,024 nodes, and grows them by a
+    factor of 1.45 while a radius needs more, until they hold the convexity
+    cut (1,484 nodes for 300 bridge weights, 4,521 for Wiener), so a later
+    call on the same ``w``, and the tail's second radius r, is one sin
+    pass and one dot product per radius.  A head of a few weights meets no
+    convexity cut; its grid grows up to 2^20 nodes (16 MiB), and a bound
     still above max(100 GIL_PELAEZ_TOL, 1e-6) there raises NumericError.
     A kept node has the bits of a fresh one, so the result does not depend
     on the calls before it.  Concurrent calls may share ``w``.  Intended
@@ -523,29 +498,16 @@ def cdf_gil_pelaez(w: WeightSeq, r: float) -> ProbabilityEstimate:
     r_eff = r - tail
     # the error of treating the tail as a deterministic shift is cdf(r) -
     # cdf(r - tail_sum_bound), and the main value is 0 if r_eff <= 0
-    rs = [r_eff, r] if tail > 0 and r_eff > 0 else [r]
-    values, errs = _gp_values(w._evaluator, np.array(rs))
-    value, err = (float(values[0]), float(errs[0])) if r_eff > 0 else (0.0, 0.0)
+    results = [_midpoint_value(w._evaluator, x) for x in ([r_eff, r] if tail > 0 and r_eff > 0 else [r])]
+    worst = max(err for _, err in results)
+    if worst > max(100.0 * GIL_PELAEZ_TOL, 1e-6):
+        raise NumericError(f"gil_pelaez inversion did not converge (err={worst:.2e})")
+    value, err = results[0] if r_eff > 0 else (0.0, 0.0)
     if tail > 0:
-        err += max(float(values[-1]) - value, 0.0)
+        err += max(results[-1][0] - value, 0.0)
     value_c = min(max(value, 0.0), 1.0)
     log_value = math.log(value_c) if value_c > 0 else -np.inf
     return ProbabilityEstimate(value_c, log_value, err, "gil_pelaez")
-
-
-def _gp_values(ev: _Evaluator, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F(r) and its error bound at each radius in ``rs``, all on the
-    evaluator's one midpoint grid."""
-    mu = ev.mu
-    # P{Q < r} <= prod_j P{mu_j xi_j^2 < r} <= prod_j sqrt(2r/(pi mu_j));
-    # where that bound is already negligible, skip the inversion
-    log_bound = (0.5 * np.cumsum(np.log(2.0 * rs[:, None] / (np.pi * mu)), axis=1)).min(axis=1)
-    values, errs = np.zeros(rs.size), np.exp(log_bound)
-    for i in np.flatnonzero(log_bound >= math.log(1e-14)):
-        values[i], errs[i] = _midpoint_value(ev, float(rs[i]))
-    if errs.max() > max(100.0 * GIL_PELAEZ_TOL, 1e-6):
-        raise NumericError(f"gil_pelaez inversion did not converge (err={errs.max():.2e})")
-    return values, errs
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +530,12 @@ def cdf_saddlepoint(w: WeightSeq, r: float) -> ProbabilityEstimate:
     """
     r = _check_positive("r", r)
     r_eff = r - w.tail_sum_bound
-    if r_eff <= 0:
-        return ProbabilityEstimate(0.0, -np.inf, 0.0, "saddlepoint")
     ev = w._evaluator
+    if r_eff <= 0:
+        # the ball lies below the shift: the value is 0, and the shift
+        # sensitivity cdf(r) - 0 is the head's own value at r
+        log_shift, _ = _lr_logcdf(ev, r, *_solve_saddle(ev, r))
+        return ProbabilityEstimate(0.0, -np.inf, math.exp(log_shift), "saddlepoint")
     s, k2 = _solve_saddle(ev, r_eff)
     log_value, w_hat = _lr_logcdf(ev, r_eff, s, k2)
     # relative accuracy of LR is O(1/w^2); quote it through the saddle scale

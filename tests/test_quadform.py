@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import sys
@@ -450,8 +451,20 @@ class TestTailShift:
         est = cdf_gil_pelaez(w, r)
         assert est.value == 0.0
         assert est.log_value == -math.inf
-        values, _ = quadform._gp_values(w._evaluator, np.array([r]))
-        assert est.error_bound == max(values[0], 0.0)
+        value, _ = quadform._midpoint_value(w._evaluator, r)
+        assert est.error_bound == max(value, 0.0)
+
+    @pytest.mark.parametrize("r", [0.4, 0.5])
+    def test_saddlepoint_ball_below_shift(self, r):
+        # r <= tail_sum_bound: the value is 0, and the error bound is the
+        # shift sensitivity, the head's own Lugannani-Rice value at r, near
+        # its exact P{Q < r} (0.2445 at r = 0.4)
+        head = np.array([1.0, 0.5])
+        est = cdf_saddlepoint(WeightSeq(head=head, tail_sum_bound=0.5), r)
+        assert est.value == 0.0
+        assert est.log_value == -math.inf
+        assert est.error_bound == cdf_saddlepoint(WeightSeq(head=head), r).value
+        assert est.error_bound == pytest.approx(cdf_gil_pelaez(WeightSeq(head=head), r).value, rel=0.05)
 
     # a short head with a wide tail, so that many draws fall in [r - tail, r)
     SHORT = WeightSeq(head=bridge_weights(3).head, tail_sum_bound=0.05)
@@ -906,39 +919,65 @@ class TestPhaseTables:
 
     @pytest.mark.parametrize("proc", ["bridge", "wiener"])
     def test_one_grid_serves_every_radius(self, proc):
-        # a 300-weight head meets the convexity cut: the grid holds cut + 2
-        # nodes from the first call on, whatever the radii after it
+        # a 300-weight head meets the convexity cut at the curve radii: a
+        # grid that holds its cut never grows, whatever the radii after it,
+        # and no call reads a node past cut + 1, here made NaN
         w = _closed_form_weights({"bridge": 0.0, "wiener": -0.5}[proc])
-        cdf_gil_pelaez(w, 1.0)
-        grid = w._evaluator._grid
-        assert grid.theta.size == grid.g.size == grid.cut + 2 < 5000
-        for r in np.linspace(0.01, 3.0, 50) * w.total:
+        for _, r in (case for case in CURVE_CASES if case[0] == proc):
             cdf_gil_pelaez(w, r)
+        grid = w._evaluator._grid
+        assert grid.cut is not None
+        assert grid.cut + 2 <= grid.theta.size == grid.g.size < 6000
+        theta, g = grid.theta.copy(), grid.g.copy()
+        theta[grid.cut + 2 :] = g[grid.cut + 2 :] = np.nan
+        grid = w._evaluator._grid = dataclasses.replace(grid, theta=theta, g=g)
+        fresh = WeightSeq(head=w.head, tail_sum_bound=w.tail_sum_bound)
+        for r in np.linspace(0.01, 3.0, 50) * w.total:
+            assert cdf_gil_pelaez(w, r) == cdf_gil_pelaez(fresh, r)
             assert w._evaluator._grid is grid
 
-    def test_cut_within_an_eighth_octave(self):
-        # the convexity cut, found on a ladder of eight node indices per
-        # octave, lies within 2^(1/8) of the first node where the bound
-        # through the neighbouring node meets half of GIL_PELAEZ_TOL
-        w = _closed_form_weights(-0.5)
-        cdf_gil_pelaez(w, 0.3)
+    @pytest.mark.parametrize("proc", ["bridge", "wiener"])
+    def test_cut_is_the_first_node_meeting_the_bound(self, proc):
+        # the cut is exactly the first node whose convexity bound, through
+        # the chord from the node below, meets half of GIL_PELAEZ_TOL
+        w = _closed_form_weights({"bridge": 0.0, "wiener": -0.5}[proc])
+        cdf_gil_pelaez(w, 0.01)
         grid = w._evaluator._grid
-        k = np.arange(grid.cut + 1)
-        bound = quadform._convexity_bound(k, -np.log(grid.g[k] * (k + 0.5)))
-        first = int(np.argmax(bound <= 0.5 * math.pi * quadform.GIL_PELAEZ_TOL)) + 1
-        assert bound[grid.cut - 1] <= 0.5 * math.pi * quadform.GIL_PELAEZ_TOL
-        assert first <= grid.cut <= 2.0**0.125 * first + 1
+        k = np.arange(grid.theta.size)
+        bound = quadform._convexity_bound(k, -np.log(grid.g * (k + 0.5)))
+        met = np.flatnonzero(bound[:-1] <= 0.5 * math.pi * quadform.GIL_PELAEZ_TOL)
+        assert met.size
+        assert grid.cut == met[0] + 1
+
+    def test_cold_call_evaluates_each_node_once(self, monkeypatch):
+        # the calls that grow a grid to its cut pass phase each kept node
+        # once, and no argument besides
+        args = []
+        real = quadform._Evaluator.phase
+
+        def counting(ev, t):
+            args.append(np.array(t))
+            return real(ev, t)
+
+        monkeypatch.setattr(quadform._Evaluator, "phase", counting)
+        w = _closed_form_weights(0.0)
+        for _, r in (case for case in CURVE_CASES if case[0] == "bridge"):
+            cdf_gil_pelaez(w, r)
+        grid = w._evaluator._grid
+        assert grid.cut is not None
+        nodes = np.concatenate(args)
+        assert np.array_equal(nodes, (np.arange(grid.theta.size) + 0.5) * grid.step)
 
     def test_short_head_extends_the_kept_prefix(self):
         # three weights meet no convexity cut below 2^20 nodes: a smaller
-        # radius doubles the kept nodes, which keep their bits, and every
+        # radius grows the kept nodes, which keep their bits, and every
         # node has the bits of a fresh grid's
         w = WeightSeq(head=np.ones(3))
         cdf_gil_pelaez(w, 6.0)
         kept = w._evaluator._grid
         cdf_gil_pelaez(w, 1.0)
         grid = w._evaluator._grid
-        assert grid.cut == quadform._MAX_NODES - 2
+        assert grid.cut is None
         assert quadform._FIRST_NODES <= kept.theta.size < grid.theta.size
         assert np.array_equal(grid.theta[: kept.theta.size], kept.theta)
         assert np.array_equal(grid.g[: kept.g.size], kept.g)
@@ -948,25 +987,23 @@ class TestPhaseTables:
         assert np.array_equal(fresh._evaluator._grid.g, grid.g)
 
     def test_longer_grid_is_kept(self, monkeypatch):
-        # while one call doubles the grid, a second call on the same
-        # evaluator doubles it further: the first call's shorter grid does
-        # not replace the longer one
+        # while one call grows the grid, a second call on the same
+        # evaluator grows it further than the first call needs: none of the
+        # first call's shorter grids replaces the longer one
         w = WeightSeq(head=np.ones(3))
         cdf_gil_pelaez(w, 6.0)
         ev = w._evaluator
-        start = ev._grid.theta.size
-        real = quadform._doubled
-        calls = []
+        real = quadform._grown
+        longer = []
 
         def interleaved(ev, grid):
-            calls.append(grid.theta.size)
-            if len(calls) == 1:
-                real(ev, real(ev, grid))
+            if not longer:
+                longer.append(real(ev, real(ev, real(ev, real(ev, grid)))))
             return real(ev, grid)
 
-        monkeypatch.setattr(quadform, "_doubled", interleaved)
+        monkeypatch.setattr(quadform, "_grown", interleaved)
         cdf_gil_pelaez(w, 1.0)
-        assert ev._grid.theta.size == 4 * start
+        assert ev._grid is longer[0]
         monkeypatch.undo()
         fresh = WeightSeq(head=np.ones(3))
         cdf_gil_pelaez(fresh, 1.0)
@@ -975,7 +1012,7 @@ class TestPhaseTables:
         assert cdf_gil_pelaez(w, 1.0) == cdf_gil_pelaez(fresh, 1.0)
 
     def test_threads_share_the_stores(self):
-        # more threads than cores build and double one evaluator's grid at
+        # more threads than cores build and grow one evaluator's grid at
         # once, with frequent switches: every result has the bits of a
         # fresh copy's, and so has the grid kept
         cases = [(_closed_form_weights(0.0), [r for proc, r in CURVE_CASES if proc == "bridge"]),
