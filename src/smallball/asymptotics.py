@@ -51,15 +51,9 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    # benchmark/tracing.py counts calls to ``asymptotics.quad``, which no
-    # route calls, so scipy.integrate is imported only when the tracer looks
-    # the name up.  Serves the tracer only; delete with ROADMAP item 1.
-    if name == "quad":
-        from scipy.integrate import quad
-
-        return quad
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# names benchmark/tracing.py wraps while it records; no library path calls
+# them; deleted with ROADMAP item 1
+quad = None
 
 
 @dataclass(frozen=True)

@@ -59,10 +59,12 @@ class Inputs:
         return nystrom_spectrum(kernels.bridge(), self.grid, self.n // 5)
 
     def _perturbed(self, a: float) -> tuple:
+        bridge = kernels.bridge()
         spec = perturbation.PerturbationSpec(phi=np.ones(self.n), a_matrix=np.array([[a]]), grid=self.grid)
-        gram = perturbation.build_gram(kernels.bridge(), spec)
-        g_a = perturbation.perturbed_kernel(kernels.kernel_matrix(kernels.bridge(), self.grid), gram.psi, gram.d_matrix)
-        kernel = kernels.sampled(self.grid, g_a, diag_jump=np.ones(self.n), green_order=1)
+        gram = perturbation.build_gram(bridge, spec)
+        g_a = perturbation.perturbed_kernel(kernels.kernel_matrix(bridge, self.grid), gram.psi, gram.d_matrix)
+        jump = kernels.diagonal_jump(bridge, self.grid.nodes)
+        kernel = kernels.sampled(self.grid, g_a, diag_jump=jump, green_order=bridge.green_order)
         return spec, gram, nystrom_spectrum(kernel, self.grid, self.n // 5)
 
     @cached_property

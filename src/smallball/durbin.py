@@ -53,16 +53,9 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    # benchmark/tracing.py times ``durbin.ndtr`` and ``durbin.ndtri``, which
-    # this module imports where it calls them, so scipy.special is imported
-    # only when the tracer looks the names up.  Serves the tracer only;
-    # delete with ROADMAP item 1.
-    if name in ("ndtr", "ndtri"):
-        import scipy.special
-
-        return getattr(scipy.special, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# names benchmark/tracing.py wraps while it records; no library path calls
+# them; deleted with ROADMAP item 1
+ndtr = ndtri = None
 
 
 # the theta0 components of each catalog family, all of them estimated;

@@ -15,12 +15,15 @@ Three evaluators with complementary ranges:
 * ``cdf_monte_carlo`` is the brute-force check, deterministic for a fixed
   (seed, shard layout).
 
-A weight sequence is a finite head plus a bound on the discarded tail sum.
-The tail concentrates tightly around its mean (its variance is of higher
-order), so the evaluators treat it as the deterministic shift
-r -> r - tail_sum_bound and report the shift sensitivity
-cdf(r) - cdf(r - tail_sum_bound) inside the error bound; Gil-Pelaez takes
-both radii from the same grid.
+A weight sequence is a finite head plus a bound tau = tail_sum_bound on
+the discarded tail sum.  The tail concentrates tightly around its mean (its
+variance is of higher order), so the evaluators treat it as a shift of at
+most tau, which puts P{Q < r} in [F(r - tau), F(r)], F the head's CDF.  All
+three follow one rule: the value is F(r - tau), 0 for r <= tau, and the
+error bound reaches from it up to F(r).  Gil-Pelaez inverts both radii on
+the same grid and bounds that rise rigorously, the saddlepoint estimates it
+from the tilt at r - tau, and the Monte Carlo counts its draws in
+[r - tau, r).
 
 Inversion and saddlepoint read their weight sums from one evaluator per
 ``WeightSeq``, built on first use.  The phase theta0(t), the amplitude
@@ -58,24 +61,9 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    # benchmark/tracing.py counts calls to ``quadform.quad`` and
-    # ``quadform.brentq`` and times ``quadform.ndtri``, which no evaluator
-    # calls, so the scipy modules are imported only when the tracer looks the
-    # names up.  Serves the tracer only; delete with ROADMAP item 1.
-    if name == "quad":
-        from scipy.integrate import quad
-
-        return quad
-    if name == "brentq":
-        from scipy.optimize import brentq
-
-        return brentq
-    if name == "ndtri":
-        from scipy.special import ndtri
-
-        return ndtri
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# names benchmark/tracing.py wraps while it records; no library path calls
+# them; deleted with ROADMAP item 1
+quad = brentq = ndtri = None
 
 
 # the Monte Carlo sample budget is split over this many generator shards;
@@ -473,12 +461,14 @@ def cdf_gil_pelaez(w: WeightSeq, r: float) -> ProbabilityEstimate:
         F(r) ~ 1/2 - (1/pi) sum_{k=0}^{K} sin(theta0(u_k) - u_k r) g_k,
 
     u_k = (k + 1/2) step and g_k = 1 / ((k + 1/2) rho(u_k)).  The error
-    bound is the sum of four terms, each rigorous: the alias term
-    P{Q > r + L}, L = 2 pi / step, by Chernoff; the dropped terms, by the
-    convexity of log rho in log u or by the Kusmin-Landau inequality,
-    whichever is smaller; the rounding of theta0, rho and the sum; and
-    with a tail, the shift sensitivity F(r) - F(r - tail_sum_bound).  The first two are held
-    to a quarter and a half of ``GIL_PELAEZ_TOL``.
+    bound e(r) of the sum F^(r) adds three terms, each rigorous: the alias
+    term P{Q > r + L}, L = 2 pi / step, by Chernoff; the dropped terms, by
+    the convexity of log rho in log u or by the Kusmin-Landau inequality,
+    whichever is smaller; and the rounding of theta0, rho and the sum.  The
+    first two are held to a quarter and a half of ``GIL_PELAEZ_TOL``.  With
+    a tail tau the value is F^(r - tau) clipped to [0, 1], 0 for r <= tau,
+    and the bound is max(e(r - tau), F^(r) + e(r) - value): the truth lies
+    in [F(r - tau), F(r)].
 
     The step depends only on the weights.  The weight sequence's evaluator
     keeps theta0 and g at the grid's first 1,024 nodes, and grows them by a
@@ -496,18 +486,21 @@ def cdf_gil_pelaez(w: WeightSeq, r: float) -> ProbabilityEstimate:
     r = _check_positive("r", r)
     tail = w.tail_sum_bound
     r_eff = r - tail
-    # the error of treating the tail as a deterministic shift is cdf(r) -
-    # cdf(r - tail_sum_bound), and the main value is 0 if r_eff <= 0
+    # the value is F(r - tail_sum_bound), 0 if r_eff <= 0, and with a tail
+    # F(r) is inverted too
     results = [_midpoint_value(w._evaluator, x) for x in ([r_eff, r] if tail > 0 and r_eff > 0 else [r])]
     worst = max(err for _, err in results)
     if worst > max(100.0 * GIL_PELAEZ_TOL, 1e-6):
         raise NumericError(f"gil_pelaez inversion did not converge (err={worst:.2e})")
     value, err = results[0] if r_eff > 0 else (0.0, 0.0)
+    value = min(max(value, 0.0), 1.0)
     if tail > 0:
-        err += max(results[-1][0] - value, 0.0)
-    value_c = min(max(value, 0.0), 1.0)
-    log_value = math.log(value_c) if value_c > 0 else -np.inf
-    return ProbabilityEstimate(value_c, log_value, err, "gil_pelaez")
+        # the truth lies in [F(r - tail_sum_bound), F(r)]: at most err below
+        # the clipped value, and at most F(r)'s sum plus its bound above it
+        at_r, err_r = results[-1]
+        err = max(err, at_r + err_r - value)
+    log_value = math.log(value) if value > 0 else -np.inf
+    return ProbabilityEstimate(value, log_value, err, "gil_pelaez")
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +520,12 @@ def cdf_saddlepoint(w: WeightSeq, r: float) -> ProbabilityEstimate:
     2 |s| mu_k = 1/2: the smaller ones are summed by their series in
     u = 2 s mu_k on stored power sums, to 1e-17 relative, and only the
     leading ones term by term.
+
+    The error bound is the value over max(w_hat^2, 1), LR's relative
+    order.  With a tail tau the value is at r - tau, and the bound adds the
+    rise to F(r): value (e^(|s| tau) - 1) with s the tilt at r - tau, at
+    most 1 - value, so 0 where the value underflows.  For r <= tau the
+    value is 0 and the bound the head's own LR value at r.
     """
     r = _check_positive("r", r)
     r_eff = r - w.tail_sum_bound
@@ -543,9 +542,11 @@ def cdf_saddlepoint(w: WeightSeq, r: float) -> ProbabilityEstimate:
     value = math.exp(log_value) if log_value > -700 else 0.0
     err = value * rel
     if w.tail_sum_bound > 0:
-        # local log-slope of the CDF is the tilt |s|, so the shift moves the
-        # value by at most a factor 1 - exp(-|s| tail)
-        err += value * min(1.0, -math.expm1(-abs(s) * w.tail_sum_bound))
+        # the value sits at r - tail_sum_bound and the truth may lie up to
+        # F(r); the log-slope of the CDF there is the tilt |s|, so F(r) is
+        # about value exp(|s| tail), and never above 1; the exponent stops
+        # at 700, short of expm1's overflow
+        err += min(value * math.expm1(min(abs(s) * w.tail_sum_bound, 700.0)), 1.0 - value)
     return ProbabilityEstimate(value, log_value, err, "saddlepoint")
 
 
@@ -689,11 +690,11 @@ def _sharded_map(fn, seed: int, sizes: list[int]) -> list:
 
 
 def cdf_monte_carlo(w: WeightSeq, r: float, n_samples: int, seed: int) -> ProbabilityEstimate:
-    """Empirical P{sum mu_k xi_k^2 < r} over ``n_samples`` draws, with the
-    tail as the shift r -> r - tail_sum_bound.
+    """Empirical P{sum mu_k xi_k^2 < r - tail_sum_bound} over ``n_samples``
+    draws.
 
-    The error bound is three binomial standard errors plus the shift
-    sensitivity, the fraction of the same draws that falls in
+    The error bound is three binomial standard errors plus the rise to
+    F(r), the fraction of the same draws that falls in
     [r - tail_sum_bound, r).  Results are bitwise reproducible for a fixed
     seed: the sample budget is split as evenly as possible across
     ``MC_SHARDS`` shards (earlier shards take the remainder), each shard

@@ -200,3 +200,20 @@ assert cli.run(["perturb", "--config", sys.argv[2], "--eps", "0.05", "--report",
     out = _fresh_run(code, weights, problem, tmp_path / "report.json")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+# the module attributes benchmark/tracing.py wraps while it records, though
+# no library path calls them
+TRACED_NAMES = (("quadform", "quad"), ("quadform", "brentq"), ("quadform", "ndtri"),
+                ("asymptotics", "quad"), ("durbin", "ndtr"), ("durbin", "ndtri"))
+
+
+def test_tracer_names_load_no_scipy():
+    # reading them, as the tracer does when it installs, imports none of
+    # the scipy packages they once named
+    code = "import sys\nfrom smallball import asymptotics, durbin, quadform\n"
+    code += "".join(f"{mod}.{name}\n" for mod, name in TRACED_NAMES)
+    code += "print([m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.special') if m in sys.modules])\n"
+    out = _fresh_run(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

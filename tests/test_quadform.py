@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.optimize import brentq
-from scipy.special import chdtr
+from scipy.special import chdtr, gammainc
 from scipy.stats import norm
 
 from smallball import (
@@ -220,7 +220,8 @@ class TestSaddlepoint:
             assert est.log_value == pytest.approx(log_ref, rel=1e-11, abs=0.0)
             rel = 1.0 / max(w_hat * w_hat, 1.0)
             value = math.exp(log_ref) if log_ref > -700 else 0.0
-            err_ref = value * rel + value * min(1.0, -math.expm1(-abs(s) * w.tail_sum_bound))
+            shift = min(value * math.expm1(abs(s) * w.tail_sum_bound), 1.0 - value) if value > 0 else 0.0
+            err_ref = value * rel + shift
             assert est.error_bound == pytest.approx(err_ref, rel=1e-11, abs=0.0)
 
     @pytest.mark.parametrize("n", [2000, 100_000])
@@ -445,14 +446,59 @@ class TestTailShift:
     @pytest.mark.parametrize("frac", [0.5, 1.0])
     def test_ball_below_shift(self, frac):
         # r <= tail_sum_bound: the value is 0 and the error bound is the
-        # shift sensitivity cdf(r) - 0
+        # head's own F(r) at most: its sum plus that sum's bound
         w = wiener_weights(300)
         r = frac * w.tail_sum_bound
         est = cdf_gil_pelaez(w, r)
         assert est.value == 0.0
         assert est.log_value == -math.inf
-        value, _ = quadform._midpoint_value(w._evaluator, r)
-        assert est.error_bound == max(value, 0.0)
+        value, err = quadform._midpoint_value(w._evaluator, r)
+        assert est.error_bound == max(value + err, 0.0)
+
+    # the README's weights file: 200 bridge weights with tail bound 5e-4
+    README = WeightSeq(head=1.0 / (np.pi * np.arange(1, 201)) ** 2, tail_sum_bound=5e-4)
+    README_RADII = tuple(0.0025 * 2.0**j for j in range(7))
+
+    @pytest.mark.parametrize("r", README_RADII)
+    def test_gil_pelaez_bound_spans_the_shift(self, r):
+        # the truth lies in [F(r - tail), F(r)] of the head, and the bound
+        # reaches both ends from the reported value
+        w = self.README
+        est = cdf_gil_pelaez(w, r)
+        assert _quad_cdf(w.head, r - w.tail_sum_bound) - est.value >= -est.error_bound
+        assert _quad_cdf(w.head, r) - est.value <= est.error_bound
+
+    def test_gil_pelaez_readme_bound(self):
+        # at r = 0.0025 the value is 0 within its bound, and the tail term
+        # no longer counts the main sum's error twice (1.1e-9 before)
+        est = cdf_gil_pelaez(self.README, 0.0025)
+        assert est.value == 0.0
+        assert est.error_bound <= quadform.GIL_PELAEZ_TOL
+
+    @pytest.mark.parametrize("r", README_RADII)
+    def test_saddlepoint_bound_covers_the_shift(self, r):
+        # the value sits at r - tail; the bound reaches the head's own value
+        # at r (at r = 0.0025 that gap is 1.3e-18, and the old factor
+        # 1 - exp(-|s| tail) gave a bound of 3.0e-22)
+        w = self.README
+        est = cdf_saddlepoint(w, r)
+        at_r = cdf_saddlepoint(WeightSeq(head=w.head), r).value
+        assert at_r - est.value <= est.error_bound
+
+    @pytest.mark.parametrize(
+        "n,tail,r,bound",
+        [(50, 0.05, 0.06, None), (50, 0.05, 0.0502, 1.0), (2000, 0.01, 0.0101, 0.0)],
+        ids=["capped", "past_overflow", "underflow"],
+    )
+    def test_saddlepoint_shift_term_capped(self, n, tail, r, bound):
+        # a wide tail on a short head: |s| tail is 42 at r = 0.06 and 6,000
+        # at 0.0502, where expm1 alone would overflow; the term stays at
+        # 1 - value, and is 0 where the value underflows (log P = -842)
+        est = cdf_saddlepoint(WeightSeq(head=bridge_weights(n).head, tail_sum_bound=tail), r)
+        if bound is None:
+            assert 0.99 < est.error_bound <= 1.0
+        else:
+            assert est.error_bound == bound
 
     @pytest.mark.parametrize("r", [0.4, 0.5])
     def test_saddlepoint_ball_below_shift(self, r):
@@ -814,6 +860,131 @@ def durbin_limit_weights(gl1000):
         spec = nystrom_spectrum(durbin_kernel_spec(getattr(durbin, name)(), gl1000), gl1000, 300)
         out[name] = WeightSeq(head=spec.eigenvalues[:300])
     return out
+
+
+def _ruben_log_cdf(mu, r, rtol=1e-15, max_terms=20_000):
+    """log P{sum mu_j xi_j^2 < r} for a finite weight set by Ruben's
+    chi-square mixture (Ruben 1962; Kotz, Johnson & Boyd 1967), and the
+    bound on its dropped terms relative to the value.  With beta = min mu_j,
+
+        P{Q < r} = sum_k c_k P{chi2_{N+2k} < r / beta},
+        c_0 = prod_j (beta / mu_j)^(1/2),  c_k = (1/2k) sum_{i<k} d_{k-i} c_i,
+        d_m = sum_j (1 - beta / mu_j)^m.
+
+    Every term is positive, sum_k c_k = 1, and the chi-square CDF falls as
+    its degrees grow, so the terms from K on sum to at most
+    (1 - sum_{k<K} c_k) P{chi2_{N+2K} < r / beta}.  The c_k are carried
+    divided by c_0 (e^-196 for 200 bridge weights), so the unused mass is
+    1 / c_0 minus their sum, widened by its rounding, and the series stops
+    once that remainder is below ``rtol`` of the scaled sum."""
+    mu = np.asarray(mu, dtype=float)
+    beta = float(mu.min())
+    a, half_x = 0.5 * mu.size, 0.5 * r / beta
+    log_c0 = 0.5 * float(np.sum(np.log(beta / mu)))
+    mass = math.exp(-log_c0)
+    q = 1.0 - beta / mu
+    q_m = q.copy()
+    d, c = np.empty(max_terms), np.empty(max_terms)
+    c[0] = 1.0
+    total, used = float(gammainc(a, half_x)), 1.0
+    for k in range(1, max_terms):
+        d[k - 1] = q_m.sum()
+        q_m *= q
+        c[k] = float(d[k - 1 :: -1] @ c[:k]) / (2 * k)
+        total += c[k] * float(gammainc(a + k, half_x))
+        used += c[k]
+        unused = max(mass - used, 0.0) + (k + abs(log_c0) + 2) * math.ulp(1.0) * mass
+        remainder = unused * float(gammainc(a + k + 1, half_x))
+        if remainder <= rtol * total:
+            return log_c0 + math.log(total), remainder / total
+    raise AssertionError(f"Ruben's series did not converge in {max_terms} terms")
+
+
+def _mp_gil_pelaez(mu, r):
+    """P{sum mu_j xi_j^2 < r} from the Gil-Pelaez integral in 30-digit
+    mpmath, and mpmath's estimate of its quadrature error:
+
+        F(r) = 1/2 - (1/pi) int_0^inf Im g(t) dt,  g(t) = e^(-itr) phi(t) / t,
+        phi(t) = prod_j (1 - 2i mu_j t)^(-1/2).
+
+    g is analytic for Re t > 0, where no branch point -i / (2 mu_j) lies,
+    and decays in the lower half plane, so its integral from
+    T = 1 / (2 mu_1) to infinity equals the one down the line T - iy,
+    y >= 0, on which the oscillation becomes the decay e^(-yr); that path
+    is split at the heights of the branch points."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        two_mu = [2 * mpmath.mpf(float(m)) for m in mu]
+        r = mpmath.mpf(float(r))
+
+        def g(t):
+            phi = mpmath.mpc(1)
+            for a in two_mu:
+                phi /= mpmath.sqrt(1 - 1j * a * t)
+            return mpmath.expj(-t * r) * phi / t
+
+        top = 1 / max(two_mu)
+        head, head_err = mpmath.quad(lambda t: mpmath.im(g(t)), [0, top], error=True)
+        knots = sorted(1 / a for a in two_mu)
+        tail, tail_err = mpmath.quad(lambda y: g(top - 1j * y), [0, *knots, mpmath.inf], error=True)
+        value = 0.5 - (head + mpmath.im(-1j * tail)) / mpmath.pi
+        return value, (head_err + tail_err) / mpmath.pi
+
+
+def _power_weights(proc, n):
+    # the bridge's (pi k)^-2 and Wiener's (pi (k - 1/2))^-2, as finite sets
+    k = np.arange(1, n + 1) - {"bridge": 0.0, "wiener": 0.5}[proc]
+    return 1.0 / (np.pi * k) ** 2
+
+
+# r / sum mu at which the oracle is summed; for N = 200 nearer the mean the
+# series needs about 10^4 terms
+ORACLE_CASES = [
+    (proc, n, frac)
+    for proc in ("bridge", "wiener")
+    for n, fracs in ((10, (0.3, 0.1, 0.03, 0.01, 0.005)), (50, (0.3, 0.1, 0.03, 0.01, 0.005)), (200, (0.03, 0.01, 0.005)))
+    for frac in fracs
+]
+
+
+class TestRubenOracle:
+    """Ruben's series is exact to its remainder bound at every depth; the
+    evaluators' error bounds are checked against it on finite bridge and
+    Wiener weight sets."""
+
+    @pytest.fixture(scope="class")
+    def exact(self):
+        out = {}
+        for proc, n, frac in ORACLE_CASES:
+            mu = _power_weights(proc, n)
+            out[proc, n, frac] = _ruben_log_cdf(mu, frac * mu.sum())
+        return out
+
+    @pytest.mark.parametrize("proc", ["bridge", "wiener"])
+    @pytest.mark.parametrize("frac", [0.3, 0.03, 0.005])
+    def test_matches_mpmath_gil_pelaez(self, exact, proc, frac):
+        import mpmath
+
+        mu = _power_weights(proc, 10)
+        ref, quad_err = _mp_gil_pelaez(mu, frac * mu.sum())
+        assert quad_err < 1e-25
+        log_value, remainder = exact[proc, 10, frac]
+        assert remainder <= 1e-15
+        assert abs(log_value - float(mpmath.log(ref))) <= 1e-13
+
+    @pytest.mark.parametrize("proc,n,frac", ORACLE_CASES)
+    def test_gil_pelaez_bound_contains_oracle(self, exact, proc, n, frac):
+        mu = _power_weights(proc, n)
+        est = cdf_gil_pelaez(WeightSeq(head=mu), frac * mu.sum())
+        assert abs(est.value - math.exp(exact[proc, n, frac][0])) <= est.error_bound
+
+    @pytest.mark.parametrize("proc,n,frac", ORACLE_CASES)
+    def test_saddlepoint_log_error_within_its_bound(self, exact, proc, n, frac):
+        # the log error read +2.4e-3 to +6.7e-2 on these cases
+        mu = _power_weights(proc, n)
+        est = cdf_saddlepoint(WeightSeq(head=mu), frac * mu.sum())
+        assert abs(est.log_value - exact[proc, n, frac][0]) <= math.log1p(est.error_bound / est.value)
 
 
 class TestPanelOracle:
