@@ -13,7 +13,10 @@ Three evaluators with complementary ranges:
   down to e^-10000 where inversion cancels catastrophically.  Its saddle
   comes from a safeguarded Newton iteration on K'(s) = r.
 * ``cdf_monte_carlo`` is the brute-force check, deterministic for a fixed
-  (seed, shard layout).
+  (seed, shard layout).  It draws each sample's normals one column chunk of
+  the weights at a time and stops once the partial sum reaches r: the terms
+  are non-negative, so the sample's indicator is then fixed, and in the left
+  tail most samples draw a few dozen normals instead of one per weight.
 
 A weight sequence is a finite head plus a bound tau = tail_sum_bound on
 the discarded tail sum.  The tail concentrates tightly around its mean (its
@@ -76,6 +79,14 @@ MC_SHARDS = 16
 # worker holds one block of SAMPLER_BLOCK floats (two for the location-scale
 # omega^2 fit) whatever the shard size
 SAMPLER_BLOCK = 1 << 17
+
+# the Monte Carlo draws a row block's normals by column chunks of the
+# weights: the first chunk is MC_FIRST_CHUNK wide, each later one twice as
+# wide as the one before, and a row block holds SAMPLER_BLOCK // (widest
+# chunk) samples, at most MC_ROWS; like MC_SHARDS these fix which normal
+# meets which weight, so they are part of every seeded result
+MC_FIRST_CHUNK = 16
+MC_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -701,22 +712,45 @@ def cdf_monte_carlo(w: WeightSeq, r: float, n_samples: int, seed: int) -> Probab
     draws normals with ``Generator.standard_normal`` (the ziggurat) from
     its own spawned generator, and the shard counts are integers, so the
     thread count does not change the result.
+
+    A shard draws its samples in row blocks, one column chunk of the
+    weights at a time (``MC_FIRST_CHUNK``, ``MC_ROWS``), and each chunk only
+    for the samples whose partial sum is still below r.  The terms are
+    non-negative, so a rounded partial sum never decreases: a sample that
+    reaches r would end at or above r, and it is dropped, counted in
+    neither count, exactly as a full draw would count it.
     """
     _check_integer("n_samples", n_samples, 1)
     _check_integer("seed", seed, 0)
     r = _check_positive("r", r)
     threshold = r - w.tail_sum_bound
     mu = w.head
-    block = max(1, SAMPLER_BLOCK // mu.size)
+    edges = [0]
+    while edges[-1] < mu.size:
+        edges.append(min(mu.size, 2 * edges[-1] + MC_FIRST_CHUNK))
+    widest = int(max(np.diff(edges)))
+    block = min(MC_ROWS, SAMPLER_BLOCK // widest)
 
     def count_below(rng, n):
         below = below_r = 0
-        buf = np.empty((min(block, n), mu.size))
+        rows = min(block, n)
+        buf = np.empty(rows * widest)
+        q, spare = np.empty(rows), np.empty(rows)
+        alive = np.empty(rows, dtype=bool)
         for done in range(0, n, block):
-            xi = rng.standard_normal(out=buf[: min(block, n - done)])
-            q = np.square(xi, out=xi) @ mu
-            below += int(np.count_nonzero(q < threshold))
-            below_r += int(np.count_nonzero(q < r))
+            k = min(block, n - done)
+            q[:k] = 0.0
+            for lo, hi in zip(edges, edges[1:]):
+                if lo:
+                    kept = int(np.count_nonzero(alive[:k]))
+                    np.compress(alive[:k], q[:k], out=spare[:kept])
+                    q, spare, k = spare, q, kept
+                xi = rng.standard_normal(out=buf[: k * (hi - lo)].reshape(k, hi - lo))
+                np.einsum("ij,j->i", np.square(xi, out=xi), mu[lo:hi], out=spare[:k])
+                np.add(q[:k], spare[:k], out=q[:k])
+                np.less(q[:k], r, out=alive[:k])
+            below_r += int(np.count_nonzero(alive[:k]))
+            below += int(np.count_nonzero(np.less(q[:k], threshold, out=alive[:k])))
         return below, below_r
 
     base, rem = divmod(n_samples, MC_SHARDS)

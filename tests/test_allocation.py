@@ -104,11 +104,21 @@ def test_omega2_shard_holds_one_block(monkeypatch, name, budget):
 
 
 def test_monte_carlo_shard_holds_one_block(monkeypatch):
-    # each of the 16 shards draws and squares its 6 blocks of 436 x 300
-    # normals in one buffer
     monkeypatch.setenv("SMALLBALL_THREADS", "1")
-    w = WeightSeq(head=1.0 / (np.pi * np.arange(1, 301)) ** 2)
-    run = lambda: cdf_monte_carlo(w, 0.15, 40000, seed=5)  # noqa: E731
-    run()
-    _, peak = _peak(run, unit=8.0 * SAMPLER_BLOCK)
-    assert peak <= 1.5
+    cases = {
+        # each of the 16 shards draws its 2500 samples in 3 row blocks, in
+        # one buffer of 1024 rows by the widest chunk, 128 of the 300 weights
+        "k300": (300, 0.15, 40000),
+        # a left-tail radius: most samples leave after the first chunk
+        "k300-left-tail": (300, 0.03, 40000),
+        # a one-weight head and 2^17 samples per shard: the row count is
+        # capped, so the per-row arrays stay small
+        "k1": (1, 1.0, 16 * SAMPLER_BLOCK),
+    }
+    peaks = {}
+    for name, (k, r, n_samples) in cases.items():
+        w = WeightSeq(head=1.0 / (np.pi * np.arange(1, k + 1)) ** 2)
+        run = lambda: cdf_monte_carlo(w, r, n_samples, seed=5)  # noqa: E731
+        run()
+        peaks[name] = round(_peak(run, unit=8.0 * SAMPLER_BLOCK)[1], 3)
+    assert all(peak <= 1.5 for peak in peaks.values()), peaks

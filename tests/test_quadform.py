@@ -421,6 +421,49 @@ class TestMonteCarlo:
         gp = cdf_gil_pelaez(w, r)
         assert abs(mc.value - gp.value) < mc.error_bound + gp.error_bound
 
+    @staticmethod
+    def _normals_drawn(monkeypatch, w, r, n_samples):
+        """Normals the shard generators of one call hand out."""
+        drawn = []
+        real_map = quadform._sharded_map
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, *args, **kwargs):
+                out = self.rng.standard_normal(*args, **kwargs)
+                drawn.append(out.size)
+                return out
+
+        def counting_map(fn, seed, sizes):
+            return real_map(lambda rng, n: fn(Counting(rng), n), seed, sizes)
+
+        monkeypatch.setattr(quadform, "_sharded_map", counting_map)
+        cdf_monte_carlo(w, r, n_samples, seed=9)
+        return sum(drawn)
+
+    def test_left_tail_draws_few_normals(self, monkeypatch):
+        # near P = 0.1 most samples reach r within the first few dozen
+        # weights and draw no more
+        w, n = bridge_weights(300), 40000
+        assert cdf_gil_pelaez(w, 0.0457).value == pytest.approx(0.1, abs=0.002)
+        assert self._normals_drawn(monkeypatch, w, 0.0457, n) <= 0.25 * n * w.head.size
+
+    def test_unreached_radius_draws_every_normal(self, monkeypatch):
+        w, n = bridge_weights(300), 4001
+        assert self._normals_drawn(monkeypatch, w, 1e3, n) == n * w.head.size
+
+    @pytest.mark.parametrize("r,p", [(0.02446, 0.01), (1.1675, 0.999)])
+    def test_exit_rates_at_both_extremes(self, r, p):
+        # almost every sample exits after the first chunk at P = 0.01, and
+        # almost none at P = 0.999
+        w, n = bridge_weights(300), 100000
+        gp = cdf_gil_pelaez(w, r)
+        assert gp.value == pytest.approx(p, rel=0.01)
+        mc = cdf_monte_carlo(w, r, n, seed=17)
+        assert abs(mc.value - gp.value) <= 5.0 * math.sqrt(gp.value * (1.0 - gp.value) / n) + gp.error_bound
+
 
 class TestInterMethodAgreement:
     @pytest.mark.parametrize("r", [0.05, 1.0 / 6.0, 0.4])
@@ -520,8 +563,8 @@ class TestTailShift:
         # the share of the same draws in [r - tail, r) to 3 SE
         w, r, n = self.SHORT, 0.15, 20000
         est = cdf_monte_carlo(w, r, n, seed=5)
-        below = _layout_count(w.head, r - w.tail_sum_bound, n, seed=5)
-        shifted = _layout_count(w.head, r, n, seed=5) - below
+        below, below_r = _layout_count(w.head, r, n, seed=5, tail=w.tail_sum_bound)
+        shifted = below_r - below
         assert shifted > 0
         p = below / n
         assert est.value == p
@@ -534,8 +577,8 @@ class TestTailShift:
         w, n = self.SHORT, 20000
         r = frac * w.tail_sum_bound
         est = cdf_monte_carlo(w, r, n, seed=5)
-        below_r = _layout_count(w.head, r, n, seed=5)
-        assert below_r > 0
+        below, below_r = _layout_count(w.head, r, n, seed=5, tail=w.tail_sum_bound)
+        assert below == 0 and below_r > 0
         assert est.value == 0.0
         assert est.log_value == -math.inf
         assert est.error_bound == pytest.approx(3.0 / n + below_r / n, rel=1e-12)
@@ -648,22 +691,31 @@ def _shard_rng(seed, shard):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(shard,))))
 
 
-def _layout_count(mu, threshold, n_samples, seed, shards=16):
-    """Monte Carlo count below threshold, written out as one serial loop
-    over the documented shard layout."""
+def _layout_count(mu, r, n_samples, seed, tail=0.0, shards=16, first_chunk=16, max_rows=4096, block=1 << 17):
+    """Monte Carlo counts below r - tail and below r, written out as one
+    serial loop over the documented layout: shards, row blocks of
+    min(max_rows, block // widest chunk) samples, and column chunks of the
+    weights 16, 32, 64, ... wide, each drawn for the samples still below r
+    only."""
+    chunks, start = [], 0
+    while start < mu.size:
+        chunks.append(mu[start : 2 * start + first_chunk])
+        start = 2 * start + first_chunk
+    rows = min(max_rows, block // max(c.size for c in chunks))
     base, rem = divmod(n_samples, shards)
-    count = 0
+    below = below_r = 0
     for shard in range(shards):
         rng = _shard_rng(seed, shard)
         n = base + (1 if shard < rem else 0)
-        block = max(1, min(n, (1 << 22) // mu.size))
-        done = 0
-        while done < n:
-            b = min(block, n - done)
-            xi = rng.standard_normal((b, mu.size))
-            count += int(np.count_nonzero((xi * xi) @ mu < threshold))
-            done += b
-    return count
+        for done in range(0, n, rows):
+            q = np.zeros(min(rows, n - done))
+            for chunk in chunks:
+                q = q[q < r]
+                xi = rng.standard_normal((q.size, chunk.size))
+                q = q + (xi * xi) @ chunk
+            below += int(np.count_nonzero(q < r - tail))
+            below_r += int(np.count_nonzero(q < r))
+    return below, below_r
 
 
 def _layout_draw(fam, rng, shape):
@@ -717,15 +769,27 @@ class TestThreading:
         assert serial.value == threaded.value
 
     @pytest.mark.parametrize(
-        "k,n_samples",
-        [pytest.param(40, n, id=str(n)) for n in (1, 15, 16, 17, 40001)]
-        # with 300 weights each shard's 2500 draws span several sampler blocks
-        + [pytest.param(300, 40000, id="k300-40000")],
+        "k,n_samples,r,tail",
+        [pytest.param(40, n, 0.15, 0.002, id=str(n)) for n in (1, 15, 16, 17, 40001)]
+        + [
+            # with 300 weights each shard's 2500 draws span several row blocks
+            pytest.param(300, 40000, 0.15, 0.002, id="k300-40000"),
+            # over 80 % of the draws reach r within the first chunk
+            pytest.param(300, 40000, 0.03, 0.002, id="k300-left-tail"),
+            # a head no wider than the first chunk: one chunk per row block
+            pytest.param(1, 40001, 0.15, 0.002, id="k1-40001"),
+            # tail_sum_bound >= r: the value is 0, the counts below r remain
+            pytest.param(40, 40001, 0.15, 0.15, id="tail-above-r"),
+        ],
     )
-    def test_monte_carlo_matches_layout(self, threads, k, n_samples):
-        w = WeightSeq(head=bridge_weights(k).head, tail_sum_bound=0.002)
-        est = cdf_monte_carlo(w, 0.15, n_samples, seed=3)
-        assert est.value == _layout_count(w.head, 0.15 - 0.002, n_samples, seed=3) / n_samples
+    def test_monte_carlo_matches_layout(self, threads, k, n_samples, r, tail):
+        w = WeightSeq(head=bridge_weights(k).head, tail_sum_bound=tail)
+        est = cdf_monte_carlo(w, r, n_samples, seed=3)
+        below, below_r = _layout_count(w.head, r, n_samples, seed=3, tail=tail)
+        p = below / n_samples
+        assert est.value == p
+        se = math.sqrt(max(p * (1.0 - p), 1.0 / n_samples) / n_samples)
+        assert est.error_bound == pytest.approx(3.0 * se + (below_r - below) / n_samples, rel=1e-12)
 
     @pytest.mark.parametrize(
         "n,reps",
