@@ -16,7 +16,8 @@ I0, I1, I2.  The single unknown prefactor of the latter is calibrated once
 against the former on the reference power law and cached.
 
 For the power-law phi the tilted integrals take no quadrature: the
-substitution x = u phi(t) makes I1 and I2 incomplete beta functions, and
+substitution x = u phi(t) makes I1 and I2 incomplete beta functions,
+summed here by their hypergeometric series on the math module alone, and
 I0 follows from I1 by parts.  The tilt u(r) is a safeguarded Newton root
 in log u whose steps read I1 and I2 at one tilt, and ``dll_asymptotic``
 reads I1 and I2 at the root's last tilt.
@@ -180,12 +181,15 @@ def naznik_params(theta: float, delta: float, d: float) -> NazNikParams:
             / ((d-1)^(1/2) (pi/d)^(1+gamma/2) Gamma(1+delta)^(d/2)).
 
     (theta, delta, d) must name a ``PowerLawPhi`` member, which checks it;
-    constants that overflow double precision, and an amplitude C that
-    underflows to 0, raise NumericError.
+    constants that overflow double precision, an amplitude C that
+    underflows to 0, and a log C that sums infinite terms of both signs
+    (theta far below 1 with delta near the double range) raise NumericError.
     """
-    from scipy.special import gammaln  # kept off the import path
-
     PowerLawPhi(theta, delta, d)
+    try:
+        log_gamma = math.lgamma(1.0 + delta)
+    except OverflowError:  # past delta ~ 2.5e305, where C underflows anyway
+        log_gamma = math.inf
     gamma = (2.0 - d - 2.0 * d * delta) / (2.0 * (d - 1.0))
     sin_pd = math.sin(math.pi / d)
     log_c = (
@@ -194,13 +198,16 @@ def naznik_params(theta: float, delta: float, d: float) -> NazNikParams:
         + ((1.0 + gamma) / 2.0) * math.log(sin_pd)
         - 0.5 * math.log(d - 1.0)
         - (1.0 + gamma / 2.0) * math.log(math.pi / d)
-        - (d / 2.0) * gammaln(1.0 + delta)
+        - (d / 2.0) * log_gamma
     )
     try:
         coef = (d - 1.0) / 2.0 * (math.pi / (d * theta * sin_pd)) ** (d / (d - 1.0))
         amplitude = math.exp(log_c)
     except OverflowError:
         raise NumericError(f"naznik constants overflow at theta={theta}, d={d}") from None
+    if math.isnan(log_c):
+        raise NumericError(f"naznik amplitude is undefined at theta={theta}, delta={delta}, d={d}: "
+                           "log C sums infinite terms of both signs")
     if amplitude == 0.0:
         raise NumericError(f"naznik amplitude exp({log_c:.6g}) underflows at theta={theta}, delta={delta}, d={d}")
     return NazNikParams(gamma=gamma, amplitude=amplitude, exponent_coefficient=coef)
@@ -275,10 +282,28 @@ def _log_f(log_x: float) -> float:
     return -0.5 * float(np.logaddexp(0.0, _LOG2 + log_x))
 
 
-def _tilt_pass(phi: PowerLawPhi, log_u: float, betainc) -> np.ndarray:
+def _betainc(p: float, q: float, x: float) -> float:
+    """Regularized incomplete beta I_x(p, q) for 0 <= x <= 1/2 and p, q > 0,
+    by the positive-term series (DLMF 8.17.8)
+
+        I_x(p, q) = x^p (1-x)^q / (p B(p, q)) sum_k (p+q)_k / (p+1)_k x^k,
+
+    summed until a term falls below 1e-17 of the sum.  The term ratio
+    tends to x, so about 60 terms run at x = 1/2 and 6 at x = 1e-3.
+    x = 0 gives 0.
+    """
+    term = total = 1.0
+    k = 0.0
+    while term > 1e-17 * total:
+        term *= (p + q + k) / (p + 1.0 + k) * x
+        total += term
+        k += 1.0
+    log_beta = math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
+    return x**p * math.exp(q * math.log1p(-x) - log_beta) / p * total
+
+
+def _tilt_pass(phi: PowerLawPhi, log_u: float) -> np.ndarray:
     """(I0, I1, I2) at the tilt u = exp(log_u), in closed form.
-    ``betainc`` is scipy.special.betainc, which the caller imports once
-    for all of its passes.
 
     x = u phi(t) gives dt = -u^(1/d) x^(-1/d-1) dx / (d theta), and
     w = 2x / (1 + 2x) makes I1 and I2 regularized incomplete beta
@@ -290,8 +315,9 @@ def _tilt_pass(phi: PowerLawPhi, log_u: float, betainc) -> np.ndarray:
     and I0 = d I1 - (1 + delta) ln f(x1) by parts.  Above w1 = 1/2 each
     I_w1(p, b) is taken as 1 - I_v1(b, p), v1 = 1 / (1 + 2 x1), so it
     keeps its precision as w1 -> 1; v1 = f(x1)^2 is read from ln f(x1) in
-    logs, so it holds where x1 itself overflows.  A P beyond double
-    precision makes an integral that is not finite, which raises
+    logs, so it holds where x1 itself overflows.  Either way each I_x is
+    read at x <= 1/2, where ``_betainc`` sums its series.  A P beyond
+    double precision makes an integral that is not finite, which raises
     NumericError.
     """
     d = phi.d
@@ -300,11 +326,14 @@ def _tilt_pass(phi: PowerLawPhi, log_u: float, betainc) -> np.ndarray:
     log_f1 = _log_f(log_x1)
     # exp(log_u / d) itself is finite for every finite u and d > 1
     p = math.exp(log_u / d) * (2.0 ** -a * math.pi / (d * phi.theta * math.sin(math.pi * a)))
+    b = 1.0 / d
     if log_x1 <= -_LOG2:
         x1 = math.exp(log_x1)
-        beta = betainc([a, a + 1.0], 1.0 / d, 2.0 * x1 / (1.0 + 2.0 * x1))
+        w1 = 2.0 * x1 / (1.0 + 2.0 * x1)
+        beta = (_betainc(a, b, w1), _betainc(a + 1.0, b, w1))
     else:
-        beta = 1.0 - betainc(1.0 / d, [a, a + 1.0], math.exp(2.0 * log_f1))
+        v1 = math.exp(2.0 * log_f1)
+        beta = (1.0 - _betainc(b, a, v1), 1.0 - _betainc(b, a + 1.0, v1))
     i1 = -p * beta[0]
     out = np.array([d * i1 - (1.0 + phi.delta) * log_f1, i1, a * p * beta[1]])
     if not np.all(np.isfinite(out)):
@@ -316,16 +345,12 @@ def tilt_integrals(phi: PowerLawPhi, u: float) -> tuple[float, float, float]:
     """(I0, I1, I2) of the tilt u: I0 = int ln f(u phi), I1 = int u phi (ln f)',
     I2 = int (u phi)^2 (ln f)'', each int_1^inf dt, in closed form (see
     ``_tilt_pass``); integrals beyond double precision raise NumericError."""
-    from scipy.special import betainc  # kept off the import path
-
-    i0, i1, i2 = _tilt_pass(phi, math.log(_check_positive("tilt u", u)), betainc)
+    i0, i1, i2 = _tilt_pass(phi, math.log(_check_positive("tilt u", u)))
     return float(i0), float(i1), float(i2)
 
 
 def _solve_tilt(spec: PowerLawPhi, r: float) -> tuple[float, float, float]:
     """(u, I1(u), I2(u)) at the root u of I1(u) + u r = 0; see dll_root."""
-    from scipy.special import betainc  # kept off the import path; once per solve, not per step
-
     r = _check_positive("r", r)
     d = spec.d
     try:
@@ -353,7 +378,7 @@ def _solve_tilt(spec: PowerLawPhi, r: float) -> tuple[float, float, float]:
     # up to lo when r > mass / 3; start at the end whose bound is tighter
     z = lo if 3.0 * r > mass else hi
     for _ in range(_NEWTON_MAX):
-        _, i1, i2 = _tilt_pass(spec, z, betainc)
+        _, i1, i2 = _tilt_pass(spec, z)
         if not (i1 < 0.0 < i2):
             raise NumericError(f"dll_root: tilted integrals underflow at log u = {z:.6g}")
         g = math.log(-i1) - z - log_r

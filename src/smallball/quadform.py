@@ -11,7 +11,8 @@ Three evaluators with complementary ranges:
 * ``cdf_saddlepoint`` is a Lugannani-Rice left-tail approximation on the
   exact cumulant generating function; returns log-probabilities reliably
   down to e^-10000 where inversion cancels catastrophically.  Its saddle
-  comes from a safeguarded Newton iteration on K'(s) = r.
+  comes from a safeguarded Newton iteration on K'(s) = r, and its normal
+  CDF and log-CDF from ``math.erfc`` and the Mills-ratio series.
 * ``cdf_monte_carlo`` is the brute-force check, deterministic for a fixed
   (seed, shard layout).  It draws each sample's normals one column chunk of
   the weights at a time and stops once the partial sum reaches r: the terms
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -633,23 +635,53 @@ def _norm_pdf(z):
     return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
 
 
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _ndtr(x: float) -> float:
+    """Standard normal CDF Phi(x)."""
+    return 0.5 * math.erfc(-x * _SQRT_HALF)
+
+
+def _log_ndtr(x: float) -> float:
+    """log Phi(x), in three regimes.
+
+    Above x = -1 it is log1p(-Phi(-x)), which keeps the relative precision
+    of a value near 0; Phi(-x) carries the rounding of x / sqrt(2), up to
+    about x^2 ulp, as scipy's does.  Down to x = -20 it is log Phi(x), to
+    a few ulp.  Below that Phi nears the double underflow, and log Phi(x)
+    = -x^2/2 - log(-x) - log sqrt(2 pi) + log(1 - 1/x^2 + 3/x^4 - ...),
+    the Mills-ratio series summed until a term falls below the double
+    epsilon, again to a few ulp; it is -inf where x^2 overflows.
+    """
+    if x > -1.0:
+        return math.log1p(-_ndtr(-x))
+    if x > -20.0:
+        return math.log(_ndtr(x))
+    inv_x2 = 1.0 / (x * x)
+    term, series, i = 1.0, 0.0, 0
+    while abs(term) > sys.float_info.epsilon:
+        i += 1
+        term *= -(2 * i - 1) * inv_x2
+        series += term
+    return -0.5 * x * x - math.log(-x) - _LOG_SQRT_2PI + math.log1p(series)
+
+
 def _lr_logcdf(ev: _Evaluator, r: float, s: float, k2: float) -> tuple[float, float]:
     """Lugannani-Rice log P{Q < r} at the saddle s and its K''(s) = k2, both
     from _solve_saddle(ev, r), and the signed root
     w_hat = sign(s) sqrt(2 (s r - K(s)))."""
-    from scipy.special import log_ndtr, ndtr  # kept off the import path
-
     k0 = ev.cgf(s)
     arg = 2.0 * (s * r - k0)
     w_hat = math.copysign(math.sqrt(max(arg, 0.0)), s)
     if abs(w_hat) < 1e-5:
         # limiting form at the mean
         corr = ev.cgf3(s) / (6.0 * k2**1.5)
-        p = ndtr(w_hat) + _norm_pdf(w_hat) * corr
+        p = _ndtr(w_hat) + _norm_pdf(w_hat) * corr
         return math.log(p), w_hat
     u_hat = s * math.sqrt(k2)
     term = 1.0 / w_hat - 1.0 / u_hat
-    log_phi_part = log_ndtr(w_hat)
+    log_phi_part = _log_ndtr(w_hat)
     if term == 0.0:
         return log_phi_part, w_hat
     log_term = -0.5 * w_hat * w_hat - _LOG_SQRT_2PI + math.log(abs(term))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import betainc
 
 from smallball import (
     AsymptoticForm,
@@ -130,6 +131,25 @@ class TestTiltIntegrals:
         for h, value in zip(hs, got):
             assert value == pytest.approx(_integrate_scaled(h, spec, u), rel=1e-10, abs=0)
 
+    @pytest.mark.parametrize("d", [1.05, 1.5, 2.0, 2.5, 3.0, 4.0, 10.0, 50.0])
+    def test_incomplete_beta_matches_scipy_and_mpmath(self, d):
+        # the four (p, q) pairs _tilt_pass reads, on x from 1e-300 to 1/2
+        import mpmath
+
+        a, b = (d - 1.0) / d, 1.0 / d
+        xs = [*np.logspace(-300, -1, 31), *np.linspace(0.1, 0.5, 9)]
+        for p, q in ((a, b), (a + 1.0, b), (b, a), (b, a + 1.0)):
+            for x in map(float, xs):
+                got = asymptotics._betainc(p, q, x)
+                with mpmath.workdps(40):
+                    ref = float(mpmath.betainc(p, q, 0, x, regularized=True))
+                if ref < 1e-300:  # below the normal doubles
+                    assert abs(got - ref) <= 1e-300
+                    continue
+                assert got == pytest.approx(ref, rel=1e-12, abs=0), (p, q, x)
+                assert got == pytest.approx(float(betainc(p, q, x)), rel=1e-12, abs=0), (p, q, x)
+        assert asymptotics._betainc(a, b, 0.0) == 0.0
+
     @given(st.sampled_from([0.0, -1.0, math.inf, math.nan]))
     def test_bad_tilt_rejected(self, u):
         with pytest.raises(ValueError, match="tilt u"):
@@ -182,9 +202,9 @@ class TestDllRoot:
         tilts = []
         tilt_pass = asymptotics._tilt_pass
 
-        def spy(phi, log_u, betainc):
+        def spy(phi, log_u):
             tilts.append(log_u)
-            return tilt_pass(phi, log_u, betainc)
+            return tilt_pass(phi, log_u)
 
         monkeypatch.setattr(asymptotics, "_tilt_pass", spy)
         assert dll_root(spec, r) == expected
@@ -206,9 +226,9 @@ class TestDllRoot:
         tilts = []
         tilt_pass = asymptotics._tilt_pass
 
-        def spy(phi, log_u, betainc):
+        def spy(phi, log_u):
             tilts.append(log_u)
-            return tilt_pass(phi, log_u, betainc)
+            return tilt_pass(phi, log_u)
 
         monkeypatch.setattr(asymptotics, "_tilt_pass", spy)
         u = dll_root(spec, r)

@@ -622,9 +622,15 @@ def test_config_only_on_perturb(tmp_path, monkeypatch, argv, values):
         (["asymptotic", "--law", "naznik", "--theta", "1e300", "--d", "50"], ""),
         (["asymptotic", "--law", "dll", "--d", "1.001"], "overflows double precision"),
         (["exact", "--weights", "w2000.csv", "--method", "saddle", "--r", "1e15"], "pole"),
+        # log Gamma(1 + delta) overflows past delta ~ 2.5e305
+        (["asymptotic", "--law", "naznik", "--theta", "1", "--delta", "1e306", "--d", "2", "--eps", "0.05"], "underflows"),
+        # log C sums +inf and -inf: this once exited 0 with a NaN amplitude
+        (["asymptotic", "--law", "naznik", "--theta", "1e-200", "--delta", "1e305", "--d", "50", "--eps", "0.05"],
+         "undefined"),
     ],
     ids=["saddle_k2_underflow", "naznik_coefficient", "naznik_exponent", "dll_mass", "dll_tilt",
-         "naznik_amplitude_delta", "naznik_amplitude_theta", "dll_tilt_d", "saddle_pole"],
+         "naznik_amplitude_delta", "naznik_amplitude_theta", "dll_tilt_d", "saddle_pole",
+         "naznik_log_gamma_overflow", "naznik_amplitude_nan"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflow_and_underflow_exit_3(tmp_path, monkeypatch, capsys, argv, message):

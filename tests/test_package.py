@@ -65,8 +65,10 @@ def test_import_leaves_scipy_stats_out():
 
 def test_numpy_only_chain_leaves_scipy_special_out(tmp_path):
     # grid, kernel, Nystrom eigensolve, Gram data, classification and the
-    # transfer factors, Gil-Pelaez and Monte Carlo, the exponential-rate
-    # Durbin family, and the CLI commands made of them run on numpy alone
+    # transfer factors, Gil-Pelaez, the saddlepoint (its limiting form at
+    # the mean too) and Monte Carlo, both asymptotic laws and the tilted
+    # integrals, the exponential-rate Durbin family, and the CLI commands
+    # made of them run on numpy alone
     weights = tmp_path / "w.csv"
     weights.write_text("".join(f"{1 / (math.pi * k) ** 2!r}\n" for k in range(1, 51)))
     problem = tmp_path / "critical.json"
@@ -75,7 +77,7 @@ def test_numpy_only_chain_leaves_scipy_special_out(tmp_path):
 import sys
 import numpy as np
 import smallball as sb
-from smallball import cli
+from smallball import asymptotics, cli
 
 grid = sb.gauss_legendre_grid(60)
 bridge = sb.bridge()
@@ -94,13 +96,23 @@ sb.theorem3_asymptotic(1, 1, pre, 0.05)
 w = sb.WeightSeq(head=spec0.eigenvalues)
 sb.cdf_gil_pelaez(w, 0.1)
 sb.cdf_monte_carlo(w, 0.1, 1000, 1)
+assert sb.cdf_saddlepoint(sb.WeightSeq(head=spec0.eigenvalues, tail_sum_bound=1e-3), 0.02).value > 0
+assert sb.cdf_saddlepoint(w, w.total).value > 0  # at the mean: the |w_hat| < 1e-5 limiting form
+sb.naznik_asymptotic(np.pi, -0.5, 2.0, 0.05)
+spec = sb.PowerLawPhi(np.pi, 0.0, 2.0)
+sb.dll_asymptotic(spec, 1e-3)
+asymptotics.tilt_integrals(spec, sb.dll_root(spec, 0.05))
+sb.dll_prefactor()
 sb.durbin_kernel_spec(sb.exponential_rate(), grid)
 sb.simulate_omega2(sb.exponential_rate(), 20, 100, 1)
 weights, problem, report = sys.argv[1:]
 for argv in (["spectrum", "--kernel", "bridge", "--n", "200", "--k", "20"],
              ["perturb", "--config", problem, "--eps", "0.05"],
              ["exact", "--weights", weights, "--r", "0.05", "--method", "gilpelaez"],
+             ["exact", "--weights", weights, "--r", "0.05", "--method", "saddle"],
              ["exact", "--weights", weights, "--r", "0.05", "--method", "mc", "--samples", "1000"],
+             ["asymptotic", "--law", "naznik", "--theta", "3.14159265", "--delta", "-0.5", "--d", "2", "--eps", "0.05"],
+             ["asymptotic", "--law", "dll", "--theta", "3.14159265", "--delta", "0", "--d", "2", "--eps", "0.01"],
              ["durbin", "--family", "exponential-rate", "--simulate", "--n", "20", "--reps", "100"]):
     assert cli.run([*argv, "--report", report]) == 0, argv
 print("scipy.special" in sys.modules)
@@ -110,7 +122,9 @@ print("scipy.special" in sys.modules)
     assert out.stdout.strip() == "False"
 
 
-# each case's first call is the first scipy.special use of its interpreter
+# each case's first call is the first of its kind in a fresh interpreter;
+# the saddlepoint and both asymptotic laws run on the math module, so only
+# the two Durbin cases are also its first scipy.special use
 FIRST_CALLS = {
     "cdf_saddlepoint": "est = sb.cdf_saddlepoint(sb.WeightSeq(head=1.0 / (np.pi * np.arange(1, 2001)) ** 2), 0.02); "
                        "out = [est.value, est.log_value, est.error_bound]",

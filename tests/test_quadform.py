@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.optimize import brentq
-from scipy.special import chdtr, gammainc
+from scipy.special import chdtr, gammainc, log_ndtr, ndtr
 from scipy.stats import norm
 
 from smallball import (
@@ -290,6 +290,55 @@ def _evaluator_cases():
         "single": np.array([0.7]),
         "bridge_1e5": 1.0 / (np.pi * np.arange(1, 100_001)) ** 2,
     }
+
+
+def _ulps(a: float, b: float) -> float:
+    return 0.0 if a == b else abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
+# x from -1e4 to 40, with each side of the log-CDF's regime boundaries
+_NORMAL_CDF_XS = sorted({*map(float, -np.logspace(4, 0, 60)), *map(float, np.linspace(-40.0, 40.0, 321)),
+                         *(float(np.nextafter(b, b + side)) for b in (-20.0, -1.0) for side in (-1.0, 1.0))})
+
+
+class TestNormalCdf:
+    """The saddlepoint's math-module Phi and log Phi against scipy.special
+    and 40-digit mpmath values.  Phi(x) and, above x = -1, Phi(-x) are
+    erfc at the rounded x / sqrt(2), as in scipy.special; that rounding
+    alone moves them by up to about x^2 ulp, which the tolerances allow."""
+
+    @staticmethod
+    def _references(x):
+        import mpmath
+
+        with mpmath.workdps(40):
+            phi = mpmath.ncdf(x)
+            # log Phi(x) for x > 0 from the upper tail, which 40 digits hold
+            log_phi = mpmath.log(phi) if x <= 0 else mpmath.log1p(-mpmath.ncdf(-x))
+            return float(phi), float(log_phi)
+
+    def test_ndtr(self):
+        for x in _NORMAL_CDF_XS:
+            got, (ref, _) = quadform._ndtr(x), self._references(x)
+            if ref > 1e-300:
+                assert _ulps(got, ref) <= 4.0 + 2.0 * x * x, x
+            if x >= -1.0:
+                assert _ulps(got, float(ndtr(x))) <= 4.0, x
+
+    def test_log_ndtr(self):
+        for x in _NORMAL_CDF_XS:
+            got, (_, ref) = quadform._log_ndtr(x), self._references(x)
+            if abs(ref) < 1e-300:  # subnormal, or 0 from x = 38.5 on
+                assert abs(got - ref) <= 1e-300, x
+            elif x <= -1.0:
+                # log Phi absorbs the argument's rounding: a few ulp of both
+                assert _ulps(got, ref) <= 4.0 and _ulps(got, float(log_ndtr(x))) <= 8.0, x
+            else:
+                assert _ulps(got, ref) <= 4.0 + 2.0 * x * x, x
+                assert _ulps(got, float(log_ndtr(x))) <= 8.0 + 4.0 * x * x, x
+
+    def test_log_ndtr_where_x_squared_overflows(self):
+        assert quadform._log_ndtr(-1e200) == float(log_ndtr(-1e200)) == -math.inf
 
 
 # a subnormal result keeps only an absolute accuracy of a few hundred units
