@@ -17,8 +17,9 @@ that one mode reads (``_MODE_FLAGS``) is an argument error outside it;
 ``validate`` formats the checks of the rows of ``criteria.CRITERIA`` at
 n = VALIDATE_SIZE and has none of its own.  Exit codes: 0 success, 2
 argument errors (ValueError, TypeError, an unreadable file), 3 numeric or
-consistency failures; a failing ``validate`` suite, also one whose row
-raised, writes its report first, with ``results.passed`` false.
+consistency failures and memory a run cannot get (MemoryError); a
+failing ``validate`` suite, also one whose row raised, writes its report
+first, with ``results.passed`` false.
 """
 
 from __future__ import annotations
@@ -429,6 +430,9 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     except SmallBallError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
     except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"argument error: {exc}", file=sys.stderr)

@@ -165,10 +165,15 @@ def _check_aq(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def d_matrix(a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """D = -A - A^T + A Q A^T (always symmetric)."""
+    """D = -A - A^T + A Q A^T (always symmetric); a D beyond double
+    precision raises NumericError."""
     a, q = _check_aq(a, q)
-    d = -a - a.T + a @ q @ a.T
-    return 0.5 * (d + d.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = -a - a.T + a @ q @ a.T
+        d = 0.5 * (d + d.T)
+    if not np.isfinite(d).all():
+        raise NumericError("D = -A - A^T + A Q A^T overflows double precision")
+    return d
 
 
 def build_gram(kernel: KernelSpec, spec: PerturbationSpec) -> GramData:

@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 
 import numpy as np
@@ -150,6 +151,16 @@ class TestTiltIntegrals:
                 assert got == pytest.approx(float(betainc(p, q, x)), rel=1e-12, abs=0), (p, q, x)
         assert asymptotics._betainc(a, b, 0.0) == 0.0
 
+    def test_log_f_matches_numpy_softplus(self):
+        # ln f(x) = -ln(1 + 2x) / 2 on the math module, bit for bit what
+        # numpy's logaddexp gives, across the branch at x = 1/2 and at the ends
+        log_half = -math.log(2.0)
+        log_xs = [*np.linspace(-800.0, 800.0, 16001), log_half, math.nextafter(log_half, 0.0),
+                  math.nextafter(log_half, -math.inf), math.inf, -math.inf]
+        for log_x in map(float, log_xs):
+            want = float(-0.5 * np.logaddexp(0.0, math.log(2.0) + log_x))
+            assert asymptotics._log_f(log_x).hex() == want.hex(), log_x
+
     @given(st.sampled_from([0.0, -1.0, math.inf, math.nan]))
     def test_bad_tilt_rejected(self, u):
         with pytest.raises(ValueError, match="tilt u"):
@@ -268,7 +279,47 @@ class TestDllRoot:
             PowerLawPhi(*args)
 
 
+# (theta, delta, d, r) and dll_asymptotic, dll_root and tilt_integrals at
+# the root, as float.hex; the last four members have their root at
+# x1 = u phi(1) <= 1/2, where _tilt_pass sums the series side, the one
+# before them just above it
+_PINNED = [
+    ((math.pi, -0.5, 2.0, 0.01), ("-0x1.bc29e4c5fa573p+3", "0x1.2bdfc59d014cfp+10", "-0x1.6450f1f833cf5p+4", "-0x1.7fd6bf8149587p+3", "0x1.77d8da30734dep+2")),
+    ((math.pi, 0.0, 2.0, 0.0001), ("-0x1.38620d00ff5f1p+10", "0x1.7d2a1bffdad3fp+23", "-0x1.375414c7cdda9p+11", "-0x1.383ffcb90528ap+10", "0x1.381ffcb9d946cp+9")),
+    ((0.5, -0.8, 1.05, 0.3), ("-0x1.39348e1f06810p+141", "0x1.46416960512d5p+147", "-0x1.9b14fa88b8380p+145", "-0x1.8781b1a6c7d3dp+145", "0x1.2a4a6ef8f9c64p+141")),
+    ((0.5, 0.3, 1.05, 0.0001), ("-0x1.3c76f28fdece0p+372", "0x1.e2e2ffdec59abp+389", "-0x1.9f5c1e5cd300bp+376", "-0x1.8b94af33d5253p+376", "0x1.2d6517c5f7bb1p+372")),
+    ((1.0, -0.5, 10.0, 0.01), ("-0x1.6e9638baef58ep+2", "0x1.c481532316efep+5", "-0x1.5ee3852d77468p+1", "-0x1.219a72a5d13d8p-1", "0x1.efafa9a611a08p-2")),
+    ((1.0, 0.3, 4.0, 1e-12), ("-0x1.0d6a1d470cef8p+14", "0x1.46e1d6dd68362p+52", "-0x1.670bbb96d45aap+14", "-0x1.676927c5c5c56p+12", "0x1.0d8c443ababa6p+12")),
+    ((math.pi, -0.8, 1.5, 1e-08), ("-0x1.034ea26c37ea8p+50", "0x1.8265d56ada84ap+77", "-0x1.84f5f3a253d5fp+51", "-0x1.034ea26c37e47p+51", "0x1.59be2de59fdb3p+49")),
+    ((7.0, 0.0, 3.0, 1e-06), ("-0x1.1739d161ef27bp+6", "0x1.0c23303d9150ep+25", "-0x1.8d486c538018ep+6", "-0x1.192999970cab4p+5", "0x1.7437784e617c9p+4")),
+    ((math.pi, 0.0, 1.5, 0.3), ("-0x1.38d5d8bafa66cp-3", "0x1.65a5b5bbfe15cp+1", "-0x1.d1dcb7b1bf62cp-1", "-0x1.ad2d407b30e6cp-1", "0x1.cc961b20834b7p-4")),
+    ((0.5, 1.5, 4.0, 0.3), ("0x1.0a7abc12fc7f2p+0", "0x1.abf5f5fcb758cp-2", "-0x1.1159bc1d0cbcep-3", "-0x1.00c6c6cad4687p-3", "0x1.d59fe9117e679p-7")),
+    ((1.0, 0.3, 10.0, 0.01), ("0x1.8071effa57fe4p+1", "0x1.6a5c47f9f2808p-1", "-0x1.daa9c596e4410p-8", "-0x1.cfd247a6551fdp-8", "0x1.4c8cae12f4624p-12")),
+    ((math.pi, 0.3, 1.5, 0.3), ("0x1.29bdedabe4a70p+0", "0x1.c2c7e03402c4bp-1", "-0x1.14fcc9b30162fp-2", "-0x1.0e77ecec01a93p-2", "0x1.8442985440074p-7")),
+    ((math.pi, 0.0, 10.0, 1e-06), ("0x1.d440439dea144p+0", "0x1.339037256ad79p+14", "-0x1.5e3dc79578850p-6", "-0x1.4280e7e378807p-6", "0x1.7e63e24720c40p-9")),
+]
+
+
+def test_asymptotics_bind_no_numpy():
+    # the DLL route runs on the math module alone
+    assert not [name for name, value in vars(asymptotics).items()
+                if isinstance(value, types.ModuleType) and value.__name__.partition(".")[0] == "numpy"]
+
+
 class TestDllAsymptotic:
+    @pytest.mark.parametrize("member, pinned", _PINNED, ids=[str(m) for m, _ in _PINNED])
+    def test_pinned_bit_for_bit(self, member, pinned):
+        *shape, r = member
+        spec = PowerLawPhi(*shape)
+        u = dll_root(spec, r)
+        got = (dll_asymptotic(spec, r), u, *tilt_integrals(spec, u))
+        assert [type(v) for v in got] == [float] * 5
+        assert [v.hex() for v in got] == list(pinned)
+
+    def test_prefactor_bit_for_bit(self):
+        dll_prefactor.cache_clear()
+        assert dll_prefactor().hex() == "0x1.78b5641f29a56p-2"
+
     def test_agrees_with_explicit_power_law(self):
         spec = PowerLawPhi(theta=math.pi, delta=0.0, d=2.0)
         ratios = []

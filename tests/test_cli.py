@@ -627,10 +627,12 @@ def test_config_only_on_perturb(tmp_path, monkeypatch, argv, values):
         # log C sums +inf and -inf: this once exited 0 with a NaN amplitude
         (["asymptotic", "--law", "naznik", "--theta", "1e-200", "--delta", "1e305", "--d", "50", "--eps", "0.05"],
          "undefined"),
+        # A Q A^T overflows: this once warned and reported D = Infinity
+        (["perturb", "--config", "a1e200.json"], "D = -A - A^T + A Q A^T overflows"),
     ],
     ids=["saddle_k2_underflow", "naznik_coefficient", "naznik_exponent", "dll_mass", "dll_tilt",
          "naznik_amplitude_delta", "naznik_amplitude_theta", "dll_tilt_d", "saddle_pole",
-         "naznik_log_gamma_overflow", "naznik_amplitude_nan"],
+         "naznik_log_gamma_overflow", "naznik_amplitude_nan", "perturb_d_overflow"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflow_and_underflow_exit_3(tmp_path, monkeypatch, capsys, argv, message):
@@ -639,10 +641,34 @@ def test_overflow_and_underflow_exit_3(tmp_path, monkeypatch, capsys, argv, mess
     # says so (it used to read "tilted integral did not converge")
     monkeypatch.chdir(tmp_path)
     quadform.write_weights("w2000.csv", quadform.WeightSeq(head=1.0 / (np.pi * np.arange(1, 2001)) ** 2))
+    (tmp_path / "a1e200.json").write_text(json.dumps(
+        {"kernel": {"type": "bridge"}, "grid_size": 200, "phi": [{"poly": [1.0]}], "A": [[1e200]]}))
     rep = tmp_path / "rep.json"
     assert run(argv + ["--report", str(rep)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--kernel", "bridge", "--n", "10000000", "--k", "5"],
+        ["perturb", "--config", "grid1e7.json"],
+    ],
+    ids=["spectrum", "perturb"],
+)
+def test_memory_a_run_cannot_get_exits_3(tmp_path, monkeypatch, capsys, argv):
+    # the 1e7-node grid asks for a 728 TiB n x n array, past any address
+    # space, so the request is refused before it touches memory; this once
+    # ended in a numpy _ArrayMemoryError traceback with exit 1
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "grid1e7.json").write_text(json.dumps(
+        {"kernel": {"type": "bridge"}, "grid_size": 10_000_000, "phi": [{"poly": [1.0]}], "A": [[6.0]]}))
+    rep = tmp_path / "rep.json"
+    assert run(argv + ["--report", str(rep)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
     assert not rep.exists()
 
 

@@ -155,6 +155,14 @@ class TestDMatrix:
         with pytest.raises(ValueError):
             d_matrix(np.eye(2), np.eye(3))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_is_numeric_error(self):
+        # A Q A^T overflows at A = 1e200 and 2A at 1e308, and numpy warns of
+        # neither; this D was once returned as inf
+        for a in (1e200, 1e308):
+            with pytest.raises(NumericError, match="overflows double precision"):
+                d_matrix(np.array([[a]]), np.array([[1.0 / 12.0]]))
+
 
 class TestPerturbedKernel:
     def test_zero_d_is_identity(self, g500):
