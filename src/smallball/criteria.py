@@ -62,9 +62,7 @@ class Inputs:
         bridge = kernels.bridge()
         spec = perturbation.PerturbationSpec(phi=np.ones(self.n), a_matrix=np.array([[a]]), grid=self.grid)
         gram = perturbation.build_gram(bridge, spec)
-        g_a = perturbation.perturbed_kernel(kernels.kernel_matrix(bridge, self.grid), gram.psi, gram.d_matrix)
-        jump = kernels.diagonal_jump(bridge, self.grid.nodes)
-        kernel = kernels.sampled(self.grid, g_a, diag_jump=jump, green_order=bridge.green_order)
+        kernel = kernels.perturbed(bridge, self.grid, gram.psi, gram.d_matrix)
         return spec, gram, nystrom_spectrum(kernel, self.grid, self.n // 5)
 
     @cached_property
@@ -142,7 +140,8 @@ def _theorem1_identity(data: Inputs) -> list[Check]:
 def _criticality(data: Inputs) -> list[Check]:
     spec, gram, spectrum = data.a12
     label = perturbation.classify(spec.a_matrix, gram.q_matrix).label
-    resid = perturbation.annihilation_residual(kernels.bridge(), spectrum.kernel.matrix, spec.phi, data.grid)
+    g_a = kernels.kernel_matrix(spectrum.kernel, data.grid)
+    resid = perturbation.annihilation_residual(kernels.bridge(), g_a, spec.phi, data.grid)
     product = perturbation.spectral_product_check(data.bridge, spectrum, data.n // 10, shift=1).value
     target = 12.0 / math.pi**2
     return [

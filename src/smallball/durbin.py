@@ -14,9 +14,13 @@ For the bridge the perturbing functions are phi_j = -psi_j'', the Gram
 matrix Q reproduces S, and A = S^{-1} = Q^{-1}: every catalog family is a
 critical perturbation.  ``durbin_model`` verifies both facts numerically at
 construction, and the limit law is that validated perturbation:
-``durbin_kernel_matrix`` is ``perturbed_kernel`` of the bridge with
-D = -A = -S^{-1}, so ``durbin_kernel_spec`` raises ConsistencyError for a
-family whose model fails validation.
+``durbin_kernel_spec`` is the ``perturbed`` kernel spec of the bridge with
+the closed-form psi and D = -A = -S^{-1}, so it raises ConsistencyError for
+a family whose model fails validation.  The spec keeps psi and D, O(n)
+data, and the spectral solver reads its rows one block at a time, so the
+limit law's spectrum makes no n x n kernel array; ``durbin_kernel_matrix``
+is ``kernel_matrix`` of the spec, equal bit for bit to ``perturbed_kernel``
+of the bridge's matrix.
 
 Catalog families (closed-form psi, psi', psi'' and MLE):
 
@@ -222,22 +226,21 @@ def durbin_model(fam: FamilySpec) -> DurbinModel:
 
 
 def durbin_kernel_matrix(fam: FamilySpec, grid: Grid) -> np.ndarray:
-    """The limiting covariance G_B - psi^T S^{-1} psi on a grid: the critical
-    perturbation ``durbin_model`` validates, where A = S^{-1} = Q^{-1} makes
-    D = -A.  S comes from the model's graded grid, so coarse evaluation grids
-    do not distort the subtracted term."""
-    d = -durbin_model(fam).a_matrix
-    bridge = kernels.kernel_matrix(kernels.bridge(), grid)
-    return perturbation.perturbed_kernel(bridge, durbin_psi(fam, grid), d)
+    """The limiting covariance G_B - psi^T S^{-1} psi on a grid, as one new
+    array: ``kernel_matrix`` of ``durbin_kernel_spec``."""
+    return kernels.kernel_matrix(durbin_kernel_spec(fam, grid), grid)
 
 
 def durbin_kernel_spec(fam: FamilySpec, grid: Grid) -> kernels.KernelSpec:
-    """Sampled kernel spec of the limiting covariance, carrying the bridge
-    diagonal jump and Green order so the spectral solver keeps its accuracy."""
-    mat = durbin_kernel_matrix(fam, grid)
-    bridge = kernels.bridge()
-    jump = kernels.diagonal_jump(bridge, grid.nodes)
-    return kernels.sampled(grid, mat, diag_jump=jump, green_order=bridge.green_order)
+    """The limiting covariance as a ``perturbed`` kernel spec: the bridge
+    plus psi^T D psi with the closed-form psi on the grid and D = -A, the
+    critical perturbation ``durbin_model`` validates (A = S^{-1} = Q^{-1}).
+    S comes from the model's graded grid, so coarse evaluation grids do not
+    distort the subtracted term.  The spec has the bridge's diagonal jump
+    and Green order, so the spectral solver keeps its accuracy, and holds no
+    n x n array."""
+    d = -durbin_model(fam).a_matrix
+    return kernels.perturbed(kernels.bridge(), grid, durbin_psi(fam, grid), d)
 
 
 def _mle_transform(fam: FamilySpec, x: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:

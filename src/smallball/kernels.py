@@ -1,13 +1,20 @@
 """Covariance kernels on the unit interval.
 
-A :class:`KernelSpec` is either a catalog kernel (Wiener ``min(s,t)``,
-Brownian bridge ``min(s,t) - st``, Ornstein-Uhlenbeck ``exp(-alpha|s-t|)``)
-or a symmetric matrix sampled on a quadrature grid.
+A :class:`KernelSpec` is a catalog kernel (Wiener ``min(s,t)``, Brownian
+bridge ``min(s,t) - st``, Ornstein-Uhlenbeck ``exp(-alpha|s-t|)``), a
+symmetric matrix sampled on a quadrature grid, or a rank-m perturbation
+G0 + psi^T D psi of another spec on a grid, kept as the base spec, psi
+(n x m) and D (m x m) and never as an n x n array.
 
 Catalog kernels are smooth off the diagonal but their normal derivative
 jumps across it.  That jump value (1 for Wiener and bridge, 2*alpha for OU)
 drives the diagonal quadrature correction used by the spectral solver, so
-the spec object carries it alongside the evaluator.
+the spec object carries it alongside the evaluator; a perturbed kernel has
+its base's jump, because the rank-m term is smooth across the diagonal.
+
+Every consumer reads a kernel on a grid by row blocks (``_kernel_rows``),
+so a perturbed kernel's rows are formed when read, by the one rule that
+``perturbation.perturbed_kernel`` also uses (``_add_rank_m``).
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ __all__ = [
     "bridge",
     "ornstein_uhlenbeck",
     "sampled",
+    "perturbed",
     "kernel_eval",
     "kernel_matrix",
     "diagonal_jump",
@@ -43,6 +51,7 @@ _FIELDS = {
     "bridge": (),
     "ornstein_uhlenbeck": ("alpha",),
     "sampled": ("green_order", "grid", "matrix", "diag_jump"),
+    "perturbed": ("base", "grid", "psi", "d"),
 }
 # a catalog kernel's Green order follows from its variant
 _GREEN_ORDER = {"wiener": 1, "bridge": 1, "ornstein_uhlenbeck": None}
@@ -54,11 +63,18 @@ class KernelSpec:
 
     A spec takes only the fields its variant reads: ``alpha`` on
     ``ornstein_uhlenbeck``; ``grid``, ``matrix``, ``diag_jump`` and
-    ``green_order`` on ``sampled``.  ``green_order`` is the half-order l of
-    the differential operator whose Green function the kernel is: the
-    variant fixes it for a catalog kernel (1 for Wiener and bridge, None
-    for OU), and a sampled kernel may declare it; it is never derived from
-    the kernel's values.
+    ``green_order`` on ``sampled``; ``base``, ``grid``, ``psi`` and ``d``
+    on ``perturbed``.  ``green_order`` is the half-order l of the
+    differential operator whose Green function the kernel is: the variant
+    fixes it for a catalog kernel (1 for Wiener and bridge, None for OU), a
+    sampled kernel may declare it, and a perturbed kernel takes its base's;
+    it is never derived from the kernel's values.
+
+    A ``perturbed`` spec is G0 + psi^T D psi on ``grid``, G0 the ``base``
+    spec (which must accept ``grid``), ``psi`` the (n, m) samples of the
+    functions psi_j at the grid nodes and ``d`` the m x m matrix D; psi and
+    D are checked finite and kept as read-only copies.  Its diagonal jump
+    is the base's.
     """
 
     variant: str
@@ -67,11 +83,14 @@ class KernelSpec:
     grid: Grid | None = None
     matrix: np.ndarray | None = None
     diag_jump: np.ndarray | None = field(default=None, repr=False)
+    base: KernelSpec | None = None
+    psi: np.ndarray | None = field(default=None, repr=False)
+    d: np.ndarray | None = None
 
     def __post_init__(self):
         if self.variant not in _FIELDS:
             raise ValueError(f"unknown kernel variant {self.variant!r}")
-        for name in ("alpha", "green_order", "grid", "matrix", "diag_jump"):
+        for name in ("alpha", "green_order", "grid", "matrix", "diag_jump", "base", "psi", "d"):
             if getattr(self, name) is not None and name not in _FIELDS[self.variant]:
                 raise ValueError(f"{name} must be None on a {self.variant} kernel, which does not read it")
         if self.variant in _GREEN_ORDER:
@@ -101,6 +120,18 @@ class KernelSpec:
                 m = 0.5 * (m + m.T)
             m.flags.writeable = False
             object.__setattr__(self, "matrix", m)
+        if self.variant == "perturbed":
+            if not (isinstance(self.base, KernelSpec) and isinstance(self.grid, Grid)):
+                raise ValueError("perturbed kernel needs a base KernelSpec and a grid")
+            if self.psi is None or self.d is None:
+                raise ValueError("perturbed kernel needs psi and d")
+            _check_grid(self.base, self.grid)
+            psi = np.array(_check_array("psi", self.psi, (self.grid.size, None)))
+            d = np.array(_check_array("d", self.d, (psi.shape[1],) * 2))
+            psi.flags.writeable = d.flags.writeable = False
+            object.__setattr__(self, "psi", psi)
+            object.__setattr__(self, "d", d)
+            object.__setattr__(self, "green_order", self.base.green_order)
 
 
 def _exactly_symmetric(m: np.ndarray) -> bool:
@@ -156,6 +187,16 @@ def sampled(
     )
 
 
+def perturbed(base: KernelSpec, grid: Grid, psi: np.ndarray, d: np.ndarray) -> KernelSpec:
+    """The rank-m perturbation G0 + psi^T D psi of ``base`` on ``grid``:
+    ``psi`` holds psi_j at the grid nodes, one column per function, and
+    ``d`` is the m x m matrix D.  No n x n array is made or kept; the
+    spectral solver reads the kernel's rows one block at a time, each the
+    base's rows plus the rank-m term, with the base's diagonal jump and
+    Green order."""
+    return KernelSpec(variant="perturbed", base=base, grid=grid, psi=psi, d=d)
+
+
 def _eval_grid(spec: KernelSpec, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     """G0 on the broadcast of x and y, written into ``out``."""
     if spec.variant == "wiener":
@@ -172,55 +213,118 @@ def _eval_grid(spec: KernelSpec, x: np.ndarray, y: np.ndarray, out: np.ndarray) 
     raise AssertionError(spec.variant)
 
 
-def _sampled_index(spec: KernelSpec, value: float) -> int:
+def _node_index(spec: KernelSpec, value: float) -> int:
     idx = int(np.argmin(np.abs(spec.grid.nodes - value)))
     if abs(spec.grid.nodes[idx] - value) > 1e-12:
-        raise ValueError(f"point {value} is not a node of the sampled kernel grid")
+        raise ValueError(f"point {value} is not a node of the {spec.variant} kernel grid")
     return idx
 
 
 def kernel_eval(spec: KernelSpec, x: float, y: float) -> float:
     """Evaluate G0(x, y) for x, y in [0, 1].
 
-    Sampled kernels can only be queried at their own grid nodes.
+    Sampled and perturbed kernels can only be queried at their own grid
+    nodes.
     """
     x, y = _check_real("x", x), _check_real("y", y)
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
         raise ValueError(f"coordinates must lie in [0, 1], got ({x}, {y})")
-    if spec.variant == "sampled":
-        return float(spec.matrix[_sampled_index(spec, x), _sampled_index(spec, y)])
+    if spec.grid is not None:
+        i, j = _node_index(spec, x), _node_index(spec, y)
+        return float(_kernel_rows(spec, spec.grid, i, i + 1, np.empty((1, spec.grid.size)))[0, j])
     return float(_eval_grid(spec, np.float64(x), np.float64(y), np.empty(())))
 
 
 def _check_grid(spec: KernelSpec, grid: Grid) -> None:
-    """Reject a grid other than a sampled kernel's own."""
-    if spec.variant == "sampled" and not spec.grid.same_nodes(grid, tol=1e-12):
-        raise ValueError("sampled kernel can only be evaluated on its own grid")
+    """Reject a grid other than a sampled or perturbed kernel's own."""
+    if spec.grid is not None and not spec.grid.same_nodes(grid, tol=1e-12):
+        raise ValueError(f"{spec.variant} kernel can only be evaluated on its own grid")
+
+
+def _rank_m_block(psi: np.ndarray, psi_d: np.ndarray, lo: int, out: np.ndarray) -> np.ndarray:
+    """Rows lo:lo+k of the rank-m term written into ``out`` (k x n) and
+    returned, for lo a multiple of ROW_BLOCK and k = min(ROW_BLOCK, n - lo):
+    psi_d[lo:lo+k] @ psi[lo:].T in the columns lo:, psi[lo:lo+k] @
+    psi_d[:lo].T left of the block, and the square on the diagonal mirrored
+    from its upper part, so entry (i, j) is psi_d[a] . psi[b] with
+    a = min(i, j) and b = max(i, j).  A BLAS product may round an entry
+    differently by where it falls in the product, so an entry is only ever
+    taken from the products of its own aligned row block."""
+    hi = lo + out.shape[0]
+    np.matmul(psi_d[lo:hi], psi[lo:].T, out=out[:, lo:])
+    if lo > 0:
+        left = psi[lo:hi]
+        if hi - lo == 1:
+            # NumPy takes a one-row product to gemv, which rounds otherwise
+            # than gemm: take the row from a two-row product
+            out[:, :lo] = np.matmul(np.vstack((left, left)), psi_d[:lo].T)[:1]
+        else:
+            np.matmul(left, psi_d[:lo].T, out=out[:, :lo])
+    square = out[:, lo:hi]
+    below = np.tril_indices(hi - lo, -1)
+    square[below] = square.T[below]
+    return out
+
+
+def _add_rank_m(base_rows: np.ndarray, psi: np.ndarray, psi_d: np.ndarray, lo: int, out: np.ndarray) -> np.ndarray:
+    """Rows lo:lo+k of G0 + psi^T D psi written into ``out`` and returned,
+    given the base's rows ``base_rows`` (k x n, not sharing memory with
+    ``out``) and psi_d = psi @ D: the base rows plus the rows of the
+    ``_rank_m_block`` of each aligned row block they meet.  So every entry
+    has the same bits however the rows are read, the rank-m term is exactly
+    symmetric, and the rows are too when the base is.  This is the one rule
+    by which a G_A entry is formed."""
+    n, hi = psi.shape[0], lo + base_rows.shape[0]
+    if lo % ROW_BLOCK == 0 and hi == min(lo + ROW_BLOCK, n):
+        _rank_m_block(psi, psi_d, lo, out)
+    else:
+        block = np.empty((ROW_BLOCK, n))
+        for start in range(lo - lo % ROW_BLOCK, hi, ROW_BLOCK):
+            rows = _rank_m_block(psi, psi_d, start, block[: min(ROW_BLOCK, n - start)])
+            first, last = max(lo, start), min(hi, start + ROW_BLOCK)
+            out[first - lo : last - lo] = rows[first - start : last - start]
+    return np.add(out, base_rows, out=out)
 
 
 def _kernel_rows(spec: KernelSpec, grid: Grid, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
     """Rows lo:hi of ``kernel_matrix(spec, grid)``, bit for bit, for reading
     only: a view of a sampled kernel's matrix, or ``out`` ((hi - lo) x n)
-    filled with a catalog kernel's values.  The caller checks the grid with
-    ``_check_grid`` once."""
+    filled with a catalog or perturbed kernel's values.  The caller checks
+    the grid with ``_check_grid`` once."""
     if spec.variant == "sampled":
         return spec.matrix[lo:hi]
+    if spec.variant == "perturbed":
+        base = _kernel_rows(spec.base, grid, lo, hi, np.empty_like(out))
+        return _add_rank_m(base, spec.psi, spec.psi @ spec.d, lo, out)
     return _eval_grid(spec, grid.nodes[lo:hi, None], grid.nodes[None, :], out)
 
 
 def _kernel_diagonal(spec: KernelSpec, grid: Grid) -> np.ndarray:
-    """The diagonal of ``kernel_matrix(spec, grid)``, bit for bit, in O(n)."""
+    """The diagonal of ``kernel_matrix(spec, grid)``, bit for bit, in O(n)
+    memory: a perturbed kernel's rank-m term on the diagonal is read off the
+    products ``_rank_m_block`` forms for the columns right of each row
+    block, O(n^2 m) work."""
     if spec.variant == "sampled":
         return np.diagonal(spec.matrix)
+    if spec.variant == "perturbed":
+        psi, psi_d = spec.psi, spec.psi @ spec.d
+        term = np.empty(grid.size)
+        upper = np.empty((ROW_BLOCK, grid.size))
+        for lo in range(0, grid.size, ROW_BLOCK):
+            hi = min(lo + ROW_BLOCK, grid.size)
+            # the product that gives these entries in _rank_m_block
+            term[lo:hi] = np.diagonal(np.matmul(psi_d[lo:hi], psi[lo:].T, out=upper[: hi - lo, lo:]))
+        return term + _kernel_diagonal(spec.base, grid)
     return _eval_grid(spec, grid.nodes, grid.nodes, np.empty(grid.size))
 
 
 def kernel_matrix(spec: KernelSpec, grid: Grid) -> np.ndarray:
     """Kernel values on the tensor grid, exactly symmetric: catalog kernels
-    are symmetric expressions and a sampled matrix is symmetrized when its
-    spec is built.  The result is a new array the caller owns; a catalog
-    kernel is evaluated into it one row block at a time, so no other n x n
-    array is made."""
+    are symmetric expressions, a sampled matrix is symmetrized when its
+    spec is built, and a perturbed kernel's rank-m term is formed
+    symmetric.  The result is a new array the caller owns; a catalog
+    kernel is evaluated into it one row block at a time, and so is a
+    perturbed one, so no other n x n array is made."""
     _check_grid(spec, grid)
     if spec.variant == "sampled":
         return spec.matrix.copy()
@@ -234,9 +338,12 @@ def diagonal_jump(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray | None:
     """Jump of d/dy G0(x, y) across y = x, evaluated at the given nodes.
 
     Returns None when the jump is unknown (sampled kernels without declared
-    jump data), in which case no quadrature correction is applied.
+    jump data), in which case no quadrature correction is applied.  A
+    perturbed kernel has its base's jump.
     """
     if spec.variant == "sampled":
         return spec.diag_jump
+    if spec.variant == "perturbed":
+        return diagonal_jump(spec.base, nodes)
     jump = 2.0 * spec.alpha if spec.variant == "ornstein_uhlenbeck" else 1.0
     return np.full_like(_check_array("nodes", nodes, (None,)), jump)

@@ -37,7 +37,7 @@ import numpy as np
 from .asymptotics import AsymptoticForm, _derived_form, abel_reduce, differentiate_form
 from .errors import DataError, NumericError, _check_array, _check_complex, _check_integer, _check_positive
 from .grids import Grid, gauss_legendre_grid
-from .kernels import ROW_BLOCK, KernelSpec
+from .kernels import ROW_BLOCK, KernelSpec, _add_rank_m, _exactly_symmetric
 from .quadform import _log_product_drift
 from .spectral import FourierCoeffs, Spectrum, _as_samples, _Discretization
 
@@ -186,14 +186,14 @@ def build_gram(kernel: KernelSpec, spec: PerturbationSpec) -> GramData:
 def perturbed_kernel(kernel_mat: np.ndarray, psi: np.ndarray, d: np.ndarray) -> np.ndarray:
     """G_A = G0 + psi^T D psi on the grid, as one new read-only array.
 
-    ``kernel_mat`` is the n x n base matrix, symmetric as ``kernel_matrix``
-    returns it; ``psi`` is (n,) or (n, m) and ``d`` is m x m, all finite,
-    or ValueError is raised.  The upper triangle is K + (psi D) psi^T, one
-    row block at a time, and the lower triangle is its mirror, so the
-    result is exactly symmetric and the lower triangle of ``kernel_mat`` is
-    not read.  Each row block of the result is checked, so a non-finite
-    ``kernel_mat`` raises ValueError and an overflow NumericError.
-    ``sampled`` keeps the result without a copy.
+    ``kernel_mat`` is the n x n base matrix, exactly symmetric as
+    ``kernel_matrix`` returns it; ``psi`` is (n,) or (n, m) and ``d`` is
+    m x m, all finite, or ValueError is raised.  Each row block is formed by
+    ``kernels._add_rank_m``, the rule a ``perturbed`` kernel spec reads its
+    rows by, so this array is ``kernel_matrix`` of that spec bit for bit and
+    exactly symmetric.  Each row block of the result is checked, so a
+    non-finite ``kernel_mat`` raises ValueError and an overflow
+    NumericError.  ``sampled`` keeps the result without a copy.
     """
     # a float64 kernel_mat is checked one row block at a time below, and
     # any other value as a whole when it is converted
@@ -205,23 +205,14 @@ def perturbed_kernel(kernel_mat: np.ndarray, psi: np.ndarray, d: np.ndarray) -> 
     psi = _as_samples("psi", psi, n)
     p = psi @ _check_array("d", d, (psi.shape[1],) * 2)
     out = np.empty((n, n))
-    # the strict lower triangle of a k x k square, k <= ROW_BLOCK, is the
-    # first k (k - 1) / 2 entries of the ROW_BLOCK one, in row-major order
-    rows, cols = np.tril_indices(min(ROW_BLOCK, n), -1)
     for lo in range(0, n, ROW_BLOCK):
-        hi = min(lo + ROW_BLOCK, n)
-        upper = out[lo:hi, lo:]
-        np.matmul(p[lo:hi], psi[lo:].T, out=upper)
-        upper += kernel_mat[lo:hi, lo:]
-        if not np.isfinite(upper).all():
-            if not np.isfinite(kernel_mat[lo:hi, lo:]).all():
+        base = kernel_mat[lo : lo + ROW_BLOCK]
+        if not np.isfinite(_add_rank_m(base, psi, p, lo, out[lo : lo + ROW_BLOCK])).all():
+            if not np.isfinite(base).all():
                 raise ValueError("kernel_mat must be finite")
             raise NumericError("G0 + psi^T D psi overflows double precision")
-        # the square on the diagonal takes its lower part from its upper
-        square = upper[:, : hi - lo]
-        below = rows[: (hi - lo) * (hi - lo - 1) // 2], cols[: (hi - lo) * (hi - lo - 1) // 2]
-        square[below] = square.T[below]
-        out[lo:hi, :lo] = out[:lo, lo:hi].T
+    if not _exactly_symmetric(kernel_mat):
+        raise ValueError("kernel_mat must be exactly symmetric")
     out.flags.writeable = False
     return out
 

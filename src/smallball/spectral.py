@@ -26,6 +26,10 @@ the annihilation check) goes through one ``_Discretization`` per (kernel,
 grid), which keeps only W^(1/2) and the kink diagonal and reads the
 kernel's rows one block at a time.  The split forms its half-size blocks
 from row blocks of B; only the full pass and the eigenfunctions build B.
+A catalog or ``perturbed`` kernel's rows are formed as they are read, so
+the spectrum of a rank-m perturbation such as a Durbin limit keeps no
+n x n kernel array: its peak is E and O and a few row blocks, or B alone
+for a full pass.
 
 Catalog covariances have a derivative kink across the diagonal, which caps
 plain Gauss-Legendre convergence at O(n^-2) and is far too slow for the
@@ -177,7 +181,7 @@ class _Discretization:
         return self.rows(0, n, np.empty((n, n)))
 
     def diagonal(self) -> np.ndarray:
-        """The diagonal of B, bit for bit, in O(n)."""
+        """The diagonal of B, bit for bit, in O(n) memory."""
         diag = _kernel_diagonal(self.kernel, self.grid) * (self.sqrt_w * self.sqrt_w)
         if self.kink is not None:
             diag += self.kink
@@ -286,9 +290,10 @@ def nystrom_spectrum(spec: KernelSpec, grid: Grid, k_max: int) -> Spectrum:
     otherwise.  ``Spectrum.eigvecs`` solves for the eigenfunctions when
     first read.  A matrix with an eigenvalue below -PSD_TOL times the
     largest is rejected: for a sampled kernel the data are at fault
-    (DataError); for a catalog kernel the grid is too coarse for it, as
-    when the OU kink diagonal swamps the kernel at alpha * h >> 1 with h the
-    node spacing (NumericError).
+    (DataError); for a catalog or perturbed kernel the grid is too coarse
+    for it, as when the OU kink diagonal swamps the kernel at
+    alpha * h >> 1 with h the node spacing, or a Durbin limit is read on one
+    or two nodes (NumericError).
     """
     _check_integer("k_max", k_max, 1)
     if k_max > grid.size:

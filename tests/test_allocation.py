@@ -1,8 +1,9 @@
-"""Allocation budgets of the perturbed-spectrum path and the samplers.
+"""Allocation budgets of the perturbed-spectrum paths and the samplers.
 
 Each step of the perturb_sweep op (n = 1000 Gauss-Legendre nodes, the
-bridge, phi = 1, A = 6) is run under tracemalloc, and its peak of traced
-memory above the start is read in units of one n x n float64 array.  NumPy
+bridge, phi = 1, A = 6), and the Durbin limit spectrum on the same grid,
+is run under tracemalloc, and its peak of traced memory above the start
+is read in units of one n x n float64 array.  NumPy
 reports its array buffers to tracemalloc; LAPACK's own work buffers inside
 ``eigvalsh`` are allocated outside it and are not counted.  The samplers'
 peaks are read in units of one sampler block.
@@ -32,19 +33,26 @@ from smallball.quadform import SAMPLER_BLOCK
 N = 1000
 
 
-def _peak(fn, unit=8.0 * N * N):
-    """fn's result and its peak of traced memory, in units of ``unit``
-    bytes (by default one n x n float64 array)."""
+def _traced(fn, unit=8.0 * N * N):
+    """fn's result, its peak of traced memory and the traced memory still
+    held when it returns, in units of ``unit`` bytes (by default one n x n
+    float64 array)."""
     if tracemalloc.is_tracing():
         pytest.skip("tracemalloc is already running")
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         out = fn()
-        peak = tracemalloc.get_traced_memory()[1] - start
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return out, peak / unit
+    return out, (peak - start) / unit, (held - start) / unit
+
+
+def _peak(fn, unit=8.0 * N * N):
+    """fn's result and its peak of traced memory, in units of ``unit``."""
+    out, peak, _ = _traced(fn, unit)
+    return out, peak
 
 
 def test_perturbed_spectrum_budgets():
@@ -80,6 +88,29 @@ def test_perturbed_spectrum_budgets():
     over = {k: round(v, 3) for k, v in peaks.items() if v > budgets[k]}
     assert not over, f"peaks over budget: {over} (budgets {budgets})"
     assert ker.matrix is g_a
+
+
+@pytest.mark.parametrize(
+    "name,budget",
+    [
+        # the half-size blocks E and O (a quarter each) and row blocks
+        ("normal_location", 1.0),
+        ("normal_location_scale", 1.0),
+        # not reflection-symmetric: the full weighted matrix and row blocks
+        ("exponential_rate", 1.25),
+    ],
+)
+def test_durbin_limit_spectrum_holds_no_kernel_array(name, budget):
+    # the limit law's kernel is the bridge plus psi^T D psi, read by rows:
+    # neither the bridge matrix nor G_A is made, and the spectrum keeps
+    # O(n) data; the first call imports scipy.special, which is not counted
+    grid = gauss_legendre_grid(N)
+    fam = getattr(durbin, name)()
+    run = lambda: nystrom_spectrum(durbin.durbin_kernel_spec(fam, grid), grid, 300)  # noqa: E731
+    run()
+    spectrum, peak, held = _traced(run)
+    assert spectrum.truncation_count == 300
+    assert peak <= budget and held <= 0.01, (peak, held)
 
 
 @pytest.mark.parametrize(

@@ -39,6 +39,7 @@ from smallball import (
     normal_location,
     nystrom_spectrum,
     ornstein_uhlenbeck,
+    perturbed,
     perturbed_kernel,
     sampled,
     theorem1_factor,
@@ -134,6 +135,10 @@ def _with(values, i, bad):
         (lambda: kink_correction(np.full(_GRID.size, math.nan), _GRID), ValueError, "jump"),
         (lambda: kink_correction(np.ones(_GRID.size - 1), _GRID), ValueError, "jump"),
         (lambda: _GRID.integrate(_with(_ONES, 0, math.nan)), ValueError, "values"),
+        (lambda: perturbed(bridge(), _GRID, np.full((_GRID.size, 1), math.nan), [[1.0]]), ValueError, "psi"),
+        (lambda: perturbed(bridge(), _GRID, _ONES[:, None], [[math.inf]]), ValueError, "d"),
+        (lambda: perturbed(bridge(), _GRID, np.ones((_GRID.size - 1, 1)), [[1.0]]), ValueError, "psi"),
+        (lambda: perturbed(bridge(), _GRID, _ONES[:, None], np.eye(2)), ValueError, "d"),
     ],
     ids=[
         "theorem3_l_fractional", "theorem3_m_fractional", "theorem3_prefactor_nan", "green_rate_fractional",
@@ -149,7 +154,8 @@ def _with(values, i, bad):
         "normal_location_bool", "spec_ragged_phi", "power_law_huge_theta", "power_law_bool_theta",
         "power_law_string_d", "power_law_huge_delta", "form_huge_amplitude", "form_bool_amplitude",
         "form_string_power", "form_huge_rate", "kernel_eval_bool_x", "kernel_eval_string_y",
-        "kink_correction_nan_jump", "kink_correction_short_jump", "grid_integrate_nan",
+        "kink_correction_nan_jump", "kink_correction_short_jump", "grid_integrate_nan", "perturbed_nan_psi",
+        "perturbed_inf_d", "perturbed_short_psi", "perturbed_wide_d",
     ],
 )
 def test_bad_argument_named(call, error, name):
@@ -157,6 +163,13 @@ def test_bad_argument_named(call, error, name):
     # OverflowError, RecursionError, LinAlgError or a TypeError naming no argument
     with pytest.raises(error, match=rf"^{re.escape(name)} must be"):
         call()
+
+
+def test_perturbed_base_reads_its_own_grid():
+    # a perturbed kernel's grid must be one its base accepts: a sampled
+    # base's own
+    with pytest.raises(ValueError, match="^sampled kernel can only be evaluated on its own grid"):
+        perturbed(sampled(_GRID, _BRIDGE_MAT), gauss_legendre_grid(9), np.ones((9, 1)), [[1.0]])
 
 
 def test_check_array_keeps_float64_arrays():

@@ -360,8 +360,9 @@ class TestDllAsymptotic:
         assert dll_prefactor() == pytest.approx(0.36787945289894198, rel=1e-8)
 
     def test_no_scalar_quad(self, monkeypatch):
-        # every tilted integral comes from the fixed Gauss-Kronrod pass; the
-        # scipy attribute catches a function-local import of quad as well
+        # every tilted integral comes from the closed-form incomplete beta
+        # series; the scipy attribute catches a function-local import of quad
+        # as well
         def no_quad(*args, **kwargs):
             raise AssertionError("scalar quad called")
 

@@ -10,6 +10,7 @@ from scipy.stats import norm
 from smallball import (
     CRITICAL,
     ConsistencyError,
+    NumericError,
     WeightSeq,
     cdf_gil_pelaez,
     compute_psi,
@@ -30,6 +31,7 @@ from smallball import (
     normal_location_scale,
     nystrom_spectrum,
     perturbed_kernel,
+    sampled,
     simulate_omega2,
 )
 from smallball.grids import Grid
@@ -47,6 +49,18 @@ def graded():
 def _grid_at(points):
     points = np.asarray(points, dtype=float)
     return Grid(nodes=points, weights=np.full(points.size, 1.0 / points.size))
+
+
+def _mirrored_upper(k, psi, d):
+    # G_A as one array, formed as it was before the limit law was read by
+    # rows: the upper triangle of (psi D) psi^T + K by row blocks of 64,
+    # mirrored into the lower triangle
+    n, p = k.shape[0], psi @ d
+    g = np.empty_like(k)
+    for lo in range(0, n, 64):
+        g[lo : lo + 64, lo:] = p[lo : lo + 64] @ psi[lo:].T + k[lo : lo + 64, lo:]
+    upper = np.arange(n)[:, None] <= np.arange(n)
+    return np.where(upper, g, g.T)
 
 
 class TestPsi:
@@ -216,6 +230,28 @@ class TestModel:
             kernel_matrix(bridge(), grid), durbin_psi(fam, grid), -durbin_model(fam).a_matrix
         )
         assert durbin_kernel_matrix(fam, grid).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("fam", FAMILIES)
+    @pytest.mark.parametrize("n", [1000, 1001])
+    def test_limit_spectrum_is_the_sampled_perturbation(self, fam, n):
+        # the limit law read by row blocks has the spectrum, bit for bit, of
+        # the n x n G_A that was once built and sampled
+        grid = gauss_legendre_grid(n)
+        g_a = _mirrored_upper(kernel_matrix(bridge(), grid), durbin_psi(fam, grid), -durbin_model(fam).a_matrix)
+        dense = sampled(grid, g_a, diag_jump=np.ones(n), green_order=1)
+        spec = durbin_kernel_spec(fam, grid)
+        assert spec.variant == "perturbed" and spec.matrix is None
+        got = nystrom_spectrum(spec, grid, 300).eigenvalues
+        assert got.tobytes() == nystrom_spectrum(dense, grid, 300).eigenvalues.tobytes()
+
+    @pytest.mark.parametrize("fam", FAMILIES[:2])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_coarse_grid_is_under_resolved(self, fam, n):
+        # on one or two nodes the bridge plus the closed-form psi is not
+        # positive semidefinite; no sampled data of the caller's is at fault
+        grid = gauss_legendre_grid(n)
+        with pytest.raises(NumericError, match=rf"under-resolved on n={n} nodes: .*; use more nodes$"):
+            nystrom_spectrum(durbin_kernel_spec(fam, grid), grid, n)
 
     def test_failed_validation_raises(self, monkeypatch):
         # a family whose model fails validation has no limit law

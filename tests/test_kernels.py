@@ -13,9 +13,12 @@ from smallball import (
     bridge,
     diagonal_jump,
     gauss_legendre_grid,
+    compute_psi,
     kernel_eval,
     kernel_matrix,
     ornstein_uhlenbeck,
+    perturbed,
+    perturbed_kernel,
     sampled,
     wiener,
 )
@@ -54,9 +57,14 @@ _B4 = kernel_matrix(bridge(), _G4)
         ("wiener", {"diag_jump": np.ones(4)}, "diag_jump"),
         ("ornstein_uhlenbeck", {"alpha": 1.0, "grid": _G4}, "grid"),
         ("sampled", {"grid": _G4, "matrix": _B4, "alpha": 1.0}, "alpha"),
+        ("sampled", {"grid": _G4, "matrix": _B4, "psi": np.ones((4, 1))}, "psi"),
+        ("perturbed", {"base": bridge(), "grid": _G4, "psi": np.ones((4, 1)), "d": [[1.0]], "matrix": _B4}, "matrix"),
+        ("perturbed", {"base": bridge(), "grid": _G4, "psi": np.ones((4, 1)), "d": [[1.0]], "green_order": 1},
+         "green_order"),
     ],
     ids=["bridge_green_order", "wiener_green_order", "ou_green_order", "wiener_alpha", "bridge_grid_matrix",
-         "bridge_matrix", "wiener_diag_jump", "ou_grid", "sampled_alpha"],
+         "bridge_matrix", "wiener_diag_jump", "ou_grid", "sampled_alpha", "sampled_psi", "perturbed_matrix",
+         "perturbed_green_order"],
 )
 def test_spec_takes_only_fields_its_variant_reads(variant, fields, name):
     # each was accepted, and a bridge's green_order 2 would have reached
@@ -174,6 +182,56 @@ def test_row_blocks_match_broadcast(spec, n):
     assert m.flags.writeable and m.flags.owndata
     np.testing.assert_array_equal(_kernel_diagonal(spec, grid), np.diagonal(m))
     np.testing.assert_array_equal(_kernel_rows(spec, grid, 64, 128, np.empty((64, n))), m[64:128])
+
+
+_D_CASES = {"m1": [[-9.0]], "m2": [[-12.0, 3.0], [3.0, -8.0]], "m2_indefinite": [[1.0, 2.0], [2.0, -1.0]]}
+
+
+@pytest.mark.parametrize("d", _D_CASES.values(), ids=_D_CASES.keys())
+@pytest.mark.parametrize("base", ["bridge", "wiener", "sampled"])
+@pytest.mark.parametrize("n", [150, 151])
+def test_perturbed_rows_match_perturbed_kernel(d, base, n):
+    # n spans three row blocks, the last one partial; the spec is formed
+    # by rows and never holds G_A, perturbed_kernel forms G_A as one array
+    grid = gauss_legendre_grid(n)
+    d = np.array(d)
+    phi = np.column_stack([np.ones(n), grid.nodes])[:, : d.shape[0]]
+    psi = compute_psi(bridge(), phi, grid)
+    g0 = {"bridge": bridge(), "wiener": wiener(), "sampled": sampled(grid, kernel_matrix(ornstein_uhlenbeck(2.0), grid))}[base]
+    spec = perturbed(g0, grid, psi, d)
+    expected = perturbed_kernel(kernel_matrix(g0, grid), psi, d)
+    m = kernel_matrix(spec, grid)
+    assert m.tobytes() == expected.tobytes()
+    assert m.flags.writeable and m.flags.owndata
+    assert _kernel_diagonal(spec, grid).tobytes() == np.diagonal(m).tobytes()
+    # a row read alone, a row block off the 64-row grid and a last row have
+    # the entries of the whole matrix
+    for lo, hi in ((0, 1), (75, 76), (n - 1, n), (37, 101), (n - 40, n)):
+        assert _kernel_rows(spec, grid, lo, hi, np.empty((hi - lo, n))).tobytes() == m[lo:hi].tobytes()
+    assert kernel_eval(spec, grid.nodes[140], grid.nodes[9]) == m[140, 9]
+    assert spec.green_order == g0.green_order
+    jump = diagonal_jump(g0, grid.nodes)
+    assert diagonal_jump(spec, grid.nodes) is None if jump is None else np.array_equal(diagonal_jump(spec, grid.nodes), jump)
+
+
+def test_perturbed_keeps_read_only_copies():
+    grid = gauss_legendre_grid(20)
+    psi, d = np.ones((20, 1)), np.array([[-3.0]])
+    spec = perturbed(bridge(), grid, psi, d)
+    psi[0, 0] = d[0, 0] = 7.0
+    assert spec.psi[0, 0] == 1.0 and spec.d[0, 0] == -3.0
+    assert not spec.psi.flags.writeable and not spec.d.flags.writeable
+
+
+def test_perturbed_on_another_grid_rejected():
+    # a perturbed kernel, like a sampled one, is read on its own grid only,
+    # and its base must accept that grid
+    grid, other = gauss_legendre_grid(20), gauss_legendre_grid(21)
+    spec = perturbed(bridge(), grid, np.ones((20, 1)), [[-3.0]])
+    with pytest.raises(ValueError, match="perturbed kernel can only be evaluated on its own grid"):
+        kernel_matrix(spec, other)
+    with pytest.raises(ValueError, match="not a node of the perturbed kernel grid"):
+        kernel_eval(spec, 0.5, 0.5)
 
 
 def test_sampled_shares_read_only_owner():

@@ -216,6 +216,14 @@ class TestPerturbedKernel:
         # the base matrix is read, not written
         np.testing.assert_array_equal(k, kernel_matrix(bridge(), grid))
 
+    def test_asymmetric_base_rejected(self):
+        # each row block reads whole rows of the base, so a base that is not
+        # exactly symmetric would give an asymmetric G_A
+        k = np.eye(20)
+        k[3, 5] = 1e-3
+        with pytest.raises(ValueError, match="kernel_mat must be exactly symmetric"):
+            perturbed_kernel(k, np.ones(20), [[1.0]])
+
     @pytest.mark.parametrize(
         "k,psi,d,match",
         [
